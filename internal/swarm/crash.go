@@ -58,7 +58,7 @@ func (s *Swarm) crashPeer(p *Peer) {
 	for _, c := range snapshot {
 		s.disconnect(p, c.remote)
 	}
-	s.trk.deregister(p)
+	s.trk.Remove(p.id)
 	s.globalAvail.RemovePeer(p.have)
 	// Partial pieces die with the process: blocks already fetched for
 	// unverified pieces are not in the resume file.
@@ -111,7 +111,7 @@ func (s *Swarm) rejoinPeer(p *Peer, retainedBytes int) {
 	s.chaosFault("peer_resume", p, nil)
 	s.chaosFaultN("resume_bytes_saved", retainedBytes, p)
 	p.departed = false
-	s.trk.register(p)
+	s.trk.Put(p.id, p)
 	s.globalAvail.AddPeer(p.have)
 	if s.cfg.ChokeLanes {
 		p.chokeTimer = s.eng.AtLane(nextChokeInstant(s.eng.Now()), int64(p.id), p.laneFn)

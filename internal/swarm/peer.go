@@ -666,7 +666,7 @@ func (p *Peer) depart() {
 	for _, c := range snapshot {
 		s.disconnect(p, c.remote)
 	}
-	s.trk.deregister(p)
+	s.trk.Remove(p.id)
 	s.globalAvail.RemovePeer(p.have)
 }
 

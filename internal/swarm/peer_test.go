@@ -158,15 +158,15 @@ func TestDepartCleansUpEverything(t *testing.T) {
 	seed := s.addPeer(true, false, false, 1e5, 0)
 	a := s.addPeer(false, false, false, 1e5, 0)
 	b := s.addPeer(false, false, false, 1e5, 0)
-	if s.trk.size() != 3 {
-		t.Fatalf("tracker size %d", s.trk.size())
+	if s.trk.Len() != 3 {
+		t.Fatalf("tracker size %d", s.trk.Len())
 	}
 	// Start a transfer seed->a, then kill the seed.
 	c := seed.conns[a.id]
 	seed.applyChoke(c, true)
 	seed.depart()
-	if s.trk.size() != 2 {
-		t.Fatalf("tracker size after depart %d", s.trk.size())
+	if s.trk.Len() != 2 {
+		t.Fatalf("tracker size after depart %d", s.trk.Len())
 	}
 	if a.connectedTo(seed) || b.connectedTo(seed) {
 		t.Fatal("departed peer still connected")

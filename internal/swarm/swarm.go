@@ -20,7 +20,9 @@ type Swarm struct {
 	geo metainfo.Geometry
 	eng *sim.Engine
 	net *sim.Net
-	trk *tracker
+	// trk is the in-simulation tracker: the live peers, answering each
+	// announce with a uniform sample drawn from the engine RNG.
+	trk *core.Roster[core.PeerID, *Peer]
 	col *trace.Collector
 
 	peers  map[core.PeerID]*Peer
@@ -130,7 +132,7 @@ func New(cfg Config) *Swarm {
 		geo:            cfg.Geometry(),
 		eng:            eng,
 		net:            sim.NewNet(eng),
-		trk:            newTracker(),
+		trk:            core.NewRoster[core.PeerID, *Peer](),
 		peers:          map[core.PeerID]*Peer{},
 		globalAvail:    core.NewAvailability(cfg.NumPieces),
 		seedServeCount: make([]int, cfg.NumPieces),
@@ -317,7 +319,7 @@ func (s *Swarm) addPeerOpts(isSeed, freeRider, isLocal, bootstrap bool, upBps, d
 	}
 	p.chokeFn = p.chokeRound // bound once; re-arms reuse it
 	s.peers[id] = p
-	s.trk.register(p)
+	s.trk.Put(p.id, p)
 	s.globalAvail.AddPeer(p.have)
 	s.announce(p)
 	if advFlood {
@@ -387,7 +389,7 @@ func (s *Swarm) announce(p *Peer) {
 		return
 	}
 	s.metrics.announces.Inc()
-	cand := s.trk.sample(s.eng.RNG(), s.cfg.TrackerResponse, p.id)
+	cand := s.trk.Sample(s.eng.RNG(), s.cfg.TrackerResponse, p.id)
 	for _, q := range cand {
 		if p.initiated >= s.cfg.MaxInitiated || len(p.connList) >= s.cfg.MaxPeerSet {
 			break

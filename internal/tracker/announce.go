@@ -105,12 +105,20 @@ func ParseAnnounceResponse(body []byte) (*AnnounceResponse, error) {
 		if len(peers)%6 != 0 {
 			return nil, errors.New("tracker: compact peers not a multiple of 6 bytes")
 		}
-		for i := 0; i+6 <= len(peers); i += 6 {
-			ip := net.IPv4(peers[i], peers[i+1], peers[i+2], peers[i+3])
-			port := int(peers[i+4])<<8 | int(peers[i+5])
-			out.Peers = append(out.Peers, AnnouncedPeer{IP: ip, Port: port})
+		// Every IP is a 16-byte IPv4-in-IPv6 slice, as net.IPv4 returns,
+		// cut from one backing array.
+		n := len(peers) / 6
+		ips := make([]byte, n*net.IPv6len)
+		out.Peers = make([]AnnouncedPeer, n)
+		for k := range out.Peers {
+			ip := ips[k*net.IPv6len : (k+1)*net.IPv6len : (k+1)*net.IPv6len]
+			ip[10], ip[11] = 0xff, 0xff
+			e := peers[6*k : 6*k+6]
+			copy(ip[12:], e[:4])
+			out.Peers[k] = AnnouncedPeer{IP: ip, Port: int(e[4])<<8 | int(e[5])}
 		}
 	case []any:
+		out.Peers = make([]AnnouncedPeer, 0, len(peers))
 		for _, e := range peers {
 			pd, ok := bencode.AsDict(e)
 			if !ok {

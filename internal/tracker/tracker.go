@@ -8,14 +8,17 @@ package tracker
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
+	"net/netip"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"rarestfirst/internal/bencode"
+	"rarestfirst/internal/core"
 	"rarestfirst/internal/obs"
 )
 
@@ -33,25 +36,76 @@ const MaxNumWant = 200
 // seconds. The paper reports 30 minutes; tests override this.
 const DefaultInterval = 1800
 
-// peerEntry is one registered peer of one torrent.
+// peerEntry is one registered peer of one torrent. An entry is never
+// modified once registered (a re-announce replaces it), so a reply can be
+// encoded from sampled entries after mu is released.
 type peerEntry struct {
 	peerID   [20]byte
-	ip       net.IP
-	port     int
+	addr     netip.AddrPort // unmapped: IPv4-mapped and plain IPv4 are one peer
 	left     int64
 	lastSeen time.Time
 }
 
-func (p *peerEntry) key() string { return p.ip.String() + ":" + strconv.Itoa(p.port) }
+// torrent is one info-hash's peer table.
+type torrent struct {
+	peers *core.Roster[netip.AddrPort, *peerEntry]
+	seeds int // entries with left == 0
+	// oldest is a lower bound on every entry's lastSeen (zero until the
+	// first sweep): expiry sweeps the table only once it falls before the
+	// TTL cutoff, and tightens it to the oldest survivor.
+	oldest time.Time
+}
+
+func (t *torrent) put(e *peerEntry) {
+	if old, ok := t.peers.Put(e.addr, e); ok && old.left == 0 {
+		t.seeds--
+	}
+	if e.left == 0 {
+		t.seeds++
+	}
+	if e.lastSeen.Before(t.oldest) {
+		t.oldest = e.lastSeen
+	}
+}
+
+func (t *torrent) remove(addr netip.AddrPort) {
+	if old, ok := t.peers.Remove(addr); ok && old.left == 0 {
+		t.seeds--
+	}
+}
+
+// expire drops entries whose last announce is before now-ttl. It is exact:
+// no entry older than the cutoff survives a call.
+func (t *torrent) expire(now time.Time, ttl time.Duration) {
+	cutoff := now.Add(-ttl)
+	if !t.oldest.Before(cutoff) {
+		return
+	}
+	t.oldest = now
+	for i := t.peers.Len() - 1; i >= 0; i-- {
+		_, e := t.peers.At(i)
+		switch {
+		case e.lastSeen.Before(cutoff):
+			t.remove(e.addr) // moves an already visited entry into i
+		case e.lastSeen.Before(t.oldest):
+			t.oldest = e.lastSeen
+		}
+	}
+}
+
+func (t *torrent) count() (complete, incomplete int) {
+	return t.seeds, t.peers.Len() - t.seeds
+}
 
 // Server is an HTTP tracker. Create with NewServer, mount Handler on an
 // http.Server, or use Serve for a self-managed listener.
 type Server struct {
 	mu       sync.Mutex
-	torrents map[[20]byte]map[string]*peerEntry
+	torrents map[[20]byte]*torrent
 	interval int
 	ttl      time.Duration
 	now      func() time.Time
+	rng      *rand.Rand // draws the peer lists; constant seed, so replies are reproducible
 
 	// Observability (SetMetrics): the registry, the global announce
 	// counter, and per-infohash series with a windowed announce rate.
@@ -91,11 +145,22 @@ func NewServer(interval int) *Server {
 		interval = DefaultInterval
 	}
 	return &Server{
-		torrents: map[[20]byte]map[string]*peerEntry{},
+		torrents: map[[20]byte]*torrent{},
 		interval: interval,
 		ttl:      2 * time.Duration(interval) * time.Second,
 		now:      time.Now,
+		rng:      rand.New(rand.NewSource(1)),
 	}
+}
+
+// torrentLocked returns torrent ih's table, creating it. Callers must hold mu.
+func (s *Server) torrentLocked(ih [20]byte) *torrent {
+	t := s.torrents[ih]
+	if t == nil {
+		t = &torrent{peers: core.NewRoster[netip.AddrPort, *peerEntry]()}
+		s.torrents[ih] = t
+	}
+	return t
 }
 
 // SetTTL overrides how long a registered peer stays listed without
@@ -153,7 +218,7 @@ func (s *Server) noteAnnounceLocked(ih [20]byte) {
 		m.winStart = s.now()
 		m.winCount = 0
 	}
-	m.peers.Set(float64(len(s.torrents[ih])))
+	m.peers.Set(float64(s.torrents[ih].peers.Len()))
 }
 
 // Handler returns the tracker's HTTP handler (routes: /announce, /stats).
@@ -219,8 +284,8 @@ func (s *Server) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 		}
 		ipStr = host
 	}
-	ip := net.ParseIP(ipStr)
-	if ip == nil {
+	ip, ok := parseIP(ipStr)
+	if !ok {
 		failure(w, "invalid ip")
 		return
 	}
@@ -232,6 +297,7 @@ func (s *Server) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 		failure(w, "unroutable ip")
 		return
 	}
+	addr := netip.AddrPortFrom(ip, uint16(port))
 
 	numWant := DefaultNumWant
 	if nw := q.Get("numwant"); nw != "" {
@@ -246,21 +312,19 @@ func (s *Server) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 	event := q.Get("event")
 
 	s.mu.Lock()
-	peers := s.torrents[ih]
-	if peers == nil {
-		peers = map[string]*peerEntry{}
-		s.torrents[ih] = peers
-	}
-	entry := &peerEntry{peerID: pid, ip: ip, port: port, left: left, lastSeen: s.now()}
+	t := s.torrentLocked(ih)
+	now := s.now()
 	if event == "stopped" {
-		delete(peers, entry.key())
+		t.remove(addr)
 	} else {
-		peers[entry.key()] = entry
+		t.put(&peerEntry{peerID: pid, addr: addr, left: left, lastSeen: now})
 	}
-	s.prune(ih)
+	t.expire(now, s.ttl)
 	s.noteAnnounceLocked(ih)
-	sample := s.samplePeers(ih, numWant, entry.key())
-	complete, incomplete := s.countLocked(ih)
+	// §II-B: the peer list is drawn uniformly at random from the peers
+	// currently in the torrent, at O(numWant) per announce.
+	sample := t.peers.Sample(s.rng, numWant, addr)
+	complete, incomplete := t.count()
 	s.mu.Unlock()
 
 	resp := map[string]any{
@@ -271,14 +335,10 @@ func (s *Server) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 	if q.Get("compact") == "1" {
 		buf := make([]byte, 0, 6*len(sample))
 		for _, p := range sample {
-			ip4 := p.ip.To4()
-			if ip4 == nil {
-				continue // compact format is IPv4 only
+			if ip := p.addr.Addr(); ip.Is4() { // compact format is IPv4 only
+				ip4 := ip.As4()
+				buf = binary.BigEndian.AppendUint16(append(buf, ip4[:]...), p.addr.Port())
 			}
-			var e [6]byte
-			copy(e[:4], ip4)
-			binary.BigEndian.PutUint16(e[4:], uint16(p.port))
-			buf = append(buf, e[:]...)
 		}
 		resp["peers"] = buf
 	} else {
@@ -286,8 +346,8 @@ func (s *Server) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 		for _, p := range sample {
 			list = append(list, map[string]any{
 				"peer id": string(p.peerID[:]),
-				"ip":      p.ip.String(),
-				"port":    p.port,
+				"ip":      p.addr.Addr().String(),
+				"port":    int(p.addr.Port()),
 			})
 		}
 		resp["peers"] = list
@@ -296,63 +356,22 @@ func (s *Server) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 	w.Write(bencode.MustEncode(resp))
 }
 
+// parseIP parses a textual IPv4 or IPv6 address, without a zone, into its
+// unmapped form, so an IPv4-mapped IPv6 address and the plain IPv4 one
+// name the same peer.
+func parseIP(s string) (netip.Addr, bool) {
+	ip, err := netip.ParseAddr(s)
+	if err != nil || ip.Zone() != "" {
+		return netip.Addr{}, false
+	}
+	return ip.Unmap(), true
+}
+
 // routableIP reports whether an announced address could plausibly be
 // dialed by other peers: not unspecified (0.0.0.0 / ::), not multicast,
-// and not the IPv4 limited-broadcast address.
-func routableIP(ip net.IP) bool {
-	if ip.IsUnspecified() || ip.IsMulticast() {
-		return false
-	}
-	if ip4 := ip.To4(); ip4 != nil && ip4.Equal(net.IPv4bcast) {
-		return false
-	}
-	return true
-}
-
-// samplePeers returns up to n peers of torrent ih, excluding the requester.
-// Callers must hold mu. Selection is by recency of announce, which biases
-// toward live peers (adequate for a reference tracker; the simulator's
-// tracker does uniform sampling).
-func (s *Server) samplePeers(ih [20]byte, n int, excludeKey string) []*peerEntry {
-	peers := s.torrents[ih]
-	out := make([]*peerEntry, 0, len(peers))
-	for k, p := range peers {
-		if k != excludeKey {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].lastSeen.Equal(out[j].lastSeen) {
-			return out[i].lastSeen.After(out[j].lastSeen)
-		}
-		return out[i].key() < out[j].key()
-	})
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-// prune drops peers whose last announce is older than the TTL. Callers
-// must hold mu.
-func (s *Server) prune(ih [20]byte) {
-	cutoff := s.now().Add(-s.ttl)
-	for k, p := range s.torrents[ih] {
-		if p.lastSeen.Before(cutoff) {
-			delete(s.torrents[ih], k)
-		}
-	}
-}
-
-func (s *Server) countLocked(ih [20]byte) (complete, incomplete int) {
-	for _, p := range s.torrents[ih] {
-		if p.left == 0 {
-			complete++
-		} else {
-			incomplete++
-		}
-	}
-	return complete, incomplete
+// and not the IPv4 limited-broadcast address. ip must be unmapped.
+func routableIP(ip netip.Addr) bool {
+	return !ip.IsUnspecified() && !ip.IsMulticast() && ip != netip.AddrFrom4([4]byte{255, 255, 255, 255})
 }
 
 // Close drains the tracker for a graceful restart: new announces are
@@ -384,13 +403,14 @@ func (s *Server) Snapshot() []PeerSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []PeerSnapshot
-	for ih, peers := range s.torrents {
-		for _, p := range peers {
+	for ih, t := range s.torrents {
+		for i := 0; i < t.peers.Len(); i++ {
+			_, p := t.peers.At(i)
 			out = append(out, PeerSnapshot{
 				InfoHash: ih,
 				PeerID:   p.peerID,
-				IP:       p.ip.String(),
-				Port:     p.port,
+				IP:       p.addr.Addr().String(),
+				Port:     int(p.addr.Port()),
 				Left:     p.left,
 				LastSeen: p.lastSeen,
 			})
@@ -423,17 +443,13 @@ func (s *Server) Restore(snap []PeerSnapshot) int {
 		if e.LastSeen.Before(cutoff) {
 			continue
 		}
-		ip := net.ParseIP(e.IP)
-		if ip == nil || e.Port <= 0 || e.Port > 65535 {
+		ip, ok := parseIP(e.IP)
+		if !ok || e.Port <= 0 || e.Port > 65535 {
 			continue
 		}
-		peers := s.torrents[e.InfoHash]
-		if peers == nil {
-			peers = map[string]*peerEntry{}
-			s.torrents[e.InfoHash] = peers
-		}
-		entry := &peerEntry{peerID: e.PeerID, ip: ip, port: e.Port, left: e.Left, lastSeen: e.LastSeen}
-		peers[entry.key()] = entry
+		s.torrentLocked(e.InfoHash).put(&peerEntry{
+			peerID: e.PeerID, addr: netip.AddrPortFrom(ip, uint16(e.Port)), left: e.Left, lastSeen: e.LastSeen,
+		})
 		restored++
 	}
 	return restored
@@ -443,16 +459,19 @@ func (s *Server) Restore(snap []PeerSnapshot) int {
 func (s *Server) Count(ih [20]byte) (complete, incomplete int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.countLocked(ih)
+	if t := s.torrents[ih]; t != nil {
+		return t.count()
+	}
+	return 0, 0
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fmt.Fprintf(w, "torrents: %d\n", len(s.torrents))
-	for ih, peers := range s.torrents {
-		c, i := s.countLocked(ih)
-		fmt.Fprintf(w, "%x: %d peers (%d seeds, %d leechers)", ih[:4], len(peers), c, i)
+	for ih, t := range s.torrents {
+		c, i := t.count()
+		fmt.Fprintf(w, "%x: %d peers (%d seeds, %d leechers)", ih[:4], t.peers.Len(), c, i)
 		if m := s.ihm[ih]; m != nil {
 			fmt.Fprintf(w, ", %.2f announces/s, %d announces total",
 				m.rate.Value(), m.announces.Value())

@@ -229,15 +229,7 @@ func TestSetTTLAgesOutDeadClient(t *testing.T) {
 }
 
 func TestParseAnnounceResponseErrors(t *testing.T) {
-	cases := [][]byte{
-		[]byte("not bencode"),
-		[]byte("le"),
-		[]byte("d14:failure reason4:nopee"),
-		[]byte("d5:peers7:1234567e"),              // compact not multiple of 6
-		[]byte("d5:peersli1eee"),                  // peer entry not a dict
-		[]byte("d5:peersld2:ip3:bad4:porti1eeee"), // unparseable ip
-	}
-	for _, b := range cases {
+	for _, b := range malformedResponses() {
 		if _, err := ParseAnnounceResponse(b); err == nil {
 			t.Errorf("ParseAnnounceResponse(%q) accepted", b)
 		}
