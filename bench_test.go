@@ -1,11 +1,11 @@
 package rarestfirst
 
-// The benchmark harness: one testing.B per table/figure of the paper's
-// evaluation section and one per DESIGN.md ablation. Each bench runs the
-// corresponding experiment at BenchScale and reports the headline metric of
-// that artifact via b.ReportMetric, so `go test -bench=. -benchmem`
-// regenerates the whole evaluation in summary form. EXPERIMENTS.md maps
-// every metric back to the paper's plotted quantity.
+// Per-artifact benchmarks: one testing.B per table/figure of the paper's
+// evaluation section and one per A1-A5 ablation of cmd/experiments. Each
+// bench runs the corresponding experiment at BenchScale and reports the
+// headline metric of that artifact via b.ReportMetric, so `go test
+// -bench=. -benchmem` regenerates the whole evaluation in summary form.
+// Timing and per-layer cost are measured by bench/, not here.
 
 import (
 	"fmt"
@@ -35,91 +35,6 @@ func benchRun(b *testing.B, sc Scenario) *Report {
 		}
 	}
 	return rep
-}
-
-// BenchmarkLargeSwarm is the hot-path stress benchmark: one steady torrent
-// at LargeSwarmScale (hundreds of peers, 256 pieces) per iteration. It is
-// the headline row of the BENCH_*.json perf trajectory (cmd/benchtraj);
-// run with -benchmem to see the allocation profile the PR 2 rewrite
-// targets.
-func BenchmarkLargeSwarm(b *testing.B) {
-	b.ReportAllocs()
-	sc := LargeSwarmScenario()
-	benchRun(b, sc)
-}
-
-// BenchmarkHugeSwarm is the intra-swarm sharding stress benchmark: one
-// ~6000-peer torrent-24 swarm per iteration with batched choke-round
-// lanes (PR 4). Besides ns/op, it reports the peak lane batch width —
-// how many same-instant choke rounds the engine overlapped. Each
-// iteration simulates minutes of wall time and peaks above 1 GB of heap,
-// so -short skips it (CI's bench smoke does; the benchtraj snapshot step
-// still measures the same workload once).
-func BenchmarkHugeSwarm(b *testing.B) {
-	if testing.Short() {
-		b.Skip("huge-swarm iteration is minutes long; benchtraj covers it")
-	}
-	b.ReportAllocs()
-	rep := benchRun(b, HugeSwarmScenario())
-	b.ReportMetric(float64(rep.Events.PeakLaneWidth), "peak-lane-width")
-	b.ReportMetric(float64(rep.Events.LaneEvents), "lane-rounds")
-}
-
-// BenchmarkFlashCrowd20k is the deferred-retiming stress benchmark: over
-// 20k peers flood one torrent-24 swarm within minutes (PR 5). It reports
-// total peers (arrived leechers + initial seeds), the widest dirty-node
-// retime shard one flush fanned out, and the flush count — the direct
-// measure of how much redundant per-churn retiming the dirty set elides.
-// Like HugeSwarm, -short skips it (each iteration is minutes of wall
-// clock; the benchtraj snapshot measures the same workload).
-func BenchmarkFlashCrowd20k(b *testing.B) {
-	if testing.Short() {
-		b.Skip("flash-crowd iteration is minutes long; benchtraj covers it")
-	}
-	b.ReportAllocs()
-	sc := FlashCrowd20kScenario()
-	rep := benchRun(b, sc)
-	cfg, _, err := buildConfig(sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	peers := rep.Arrivals + cfg.InitialSeeds
-	if peers < 20000 {
-		b.Fatalf("flash crowd only reached %d peers, want >= 20000", peers)
-	}
-	b.ReportMetric(float64(peers), "peers")
-	b.ReportMetric(float64(rep.Events.PeakShardWidth), "peak-retime-shard")
-	b.ReportMetric(float64(rep.Events.DirtyFlushes), "dirty-flushes")
-}
-
-// BenchmarkMegaSwarm is the 100k-peer milestone benchmark (PR 6): a
-// flash-crowd stream pours over one hundred thousand leechers into one
-// torrent-8 swarm with every large-scale lever on — choke lanes, the
-// sharded event heap and batched HAVE availability updates. It reports
-// total peers, the largest single keyed subheap (the number sharding
-// keeps flat while a monolithic heap's peak would scale with the swarm)
-// and the loser-tree merge pop count. Each iteration is minutes of wall
-// clock and tens of GB of heap, so -short skips it and CI's bench-smoke
-// and fresh-record steps never run it (7 GB runners); the BENCH_*.json
-// snapshot is recorded on a large-memory host via cmd/benchtraj.
-func BenchmarkMegaSwarm(b *testing.B) {
-	if testing.Short() {
-		b.Skip("mega-swarm iteration needs minutes and ~10 GB; benchtraj on a big host covers it")
-	}
-	b.ReportAllocs()
-	sc := MegaSwarmScenario()
-	rep := benchRun(b, sc)
-	cfg, _, err := buildConfig(sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	peers := rep.Arrivals + cfg.InitialSeeds
-	if peers < 100000 {
-		b.Fatalf("mega swarm only reached %d peers, want >= 100000", peers)
-	}
-	b.ReportMetric(float64(peers), "peers")
-	b.ReportMetric(float64(rep.Events.PeakShardHeap), "peak-shard-heap")
-	b.ReportMetric(float64(rep.Events.MergePops), "merge-pops")
 }
 
 // BenchmarkTableI regenerates Table I: it checks the catalog and reports
@@ -283,7 +198,7 @@ func BenchmarkFig11SeedFairness(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md A1-A5) ---
+// --- Ablations (A1-A5) ---
 
 // BenchmarkAblationPickerRandomVsRarest (A1): rarest first vs random piece
 // selection, compared on swarm mean download time and entropy.

@@ -284,9 +284,9 @@ func runSuite(outDir string, runner rarestfirst.Runner, name string, o rarestfir
 		}
 	}
 	fmt.Fprintf(os.Stderr, "suite %s: %d scenarios...\n", suite.Name, len(suite.Scenarios))
-	// Per-suite peak-heap watermark (the sampler benchtraj uses, shared
-	// via internal/obs). The GC it runs at start scopes the watermark to
-	// this suite rather than a predecessor's uncollected garbage.
+	// Per-suite peak-heap watermark (internal/obs). The GC it runs at start
+	// scopes the watermark to this suite rather than a predecessor's
+	// uncollected garbage.
 	wm := obs.StartMemWatermark(0, obs.Active())
 	sr, err := runner.RunSuite(suite)
 	wm.Stop()

@@ -205,12 +205,17 @@ func (in *Injector) WrapConn(nc net.Conn) net.Conn {
 		}
 		c.bucket = rate.NewBucket(p.RateBps, burst)
 	}
+	// Arm and store the fault timers under c.mu: a timer may fire (and its
+	// callback call Close) before AfterFunc returns, and the lock is what
+	// orders that callback after the store.
+	c.mu.Lock()
 	if resetAt > 0 {
 		c.resetTimer = time.AfterFunc(resetAt, c.injectReset)
 	}
 	if stallAt > 0 {
 		c.stallTimer = time.AfterFunc(stallAt, c.injectStall)
 	}
+	c.mu.Unlock()
 	return c
 }
 
@@ -225,12 +230,11 @@ type Conn struct {
 	bmu    sync.Mutex
 	bucket *rate.Bucket
 
+	mu                     sync.Mutex
 	resetTimer, stallTimer *time.Timer
-
-	mu      sync.Mutex
-	stalled bool
-	closed  bool
-	closeCh chan struct{}
+	stalled                bool
+	closed                 bool
+	closeCh                chan struct{}
 }
 
 func (c *Conn) isStalled() bool {
@@ -321,21 +325,20 @@ func (c *Conn) injectStall() {
 // Close is idempotent and releases any emulation sleeps immediately.
 func (c *Conn) Close() error {
 	c.mu.Lock()
-	wasClosed := c.closed
-	if !wasClosed {
-		c.closed = true
-		close(c.closeCh)
-	}
-	c.mu.Unlock()
-	if wasClosed {
+	if c.closed {
+		c.mu.Unlock()
 		return nil
 	}
+	c.closed = true
+	close(c.closeCh)
+	// Stop never waits for an AfterFunc callback, so holding c.mu is safe.
 	if c.resetTimer != nil {
 		c.resetTimer.Stop()
 	}
 	if c.stallTimer != nil {
 		c.stallTimer.Stop()
 	}
+	c.mu.Unlock()
 	return c.Conn.Close()
 }
 

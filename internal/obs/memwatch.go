@@ -1,11 +1,9 @@
 package obs
 
-// Memory-watermark sampler, extracted from cmd/benchtraj so every
-// long-running consumer (benchtraj measurements, cmd/experiments suites)
-// shares one implementation. It records the maximum live HeapAlloc a
-// periodic sampler observed — a lower bound that is accurate for runs
-// much longer than the sampling period — plus the OS-reported peak RSS
-// where available (rss_linux.go / rss_other.go).
+// Memory-watermark sampler for long-running consumers (cmd/experiments
+// suites). It records the maximum live HeapAlloc a periodic sampler
+// observed — a lower bound that is accurate for runs much longer than the
+// sampling period.
 
 import (
 	"runtime"
@@ -14,9 +12,9 @@ import (
 	"time"
 )
 
-// DefaultMemInterval is the sampling period benchtraj has always used:
-// coarse enough to be invisible in profiles, fine enough to catch the
-// peak of any phase lasting a few hundred milliseconds.
+// DefaultMemInterval is the default sampling period: coarse enough to be
+// invisible in profiles, fine enough to catch the peak of any phase
+// lasting a few hundred milliseconds.
 const DefaultMemInterval = 50 * time.Millisecond
 
 // MemWatermark is a running heap-watermark sampler. Create with
@@ -84,9 +82,3 @@ func (w *MemWatermark) PeakHeapBytes() uint64 {
 	}
 	return w.peak.Load()
 }
-
-// PeakRSSBytes returns the process-lifetime high-water resident set as
-// reported by the OS (0 where unsupported). Unlike PeakHeapBytes this is
-// not scoped to the sampler's window: getrusage reports a process-wide
-// maximum.
-func (w *MemWatermark) PeakRSSBytes() uint64 { return PeakRSSBytes() }

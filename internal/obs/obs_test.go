@@ -259,7 +259,6 @@ func TestMemWatermark(t *testing.T) {
 	if v, ok := r.Value("process_heap_peak_bytes"); !ok || v < float64(len(buf)) {
 		t.Fatalf("published peak gauge = %v,%v", v, ok)
 	}
-	_ = w.PeakRSSBytes() // platform-dependent; just must not panic
 }
 
 func BenchmarkDisabledCounterAdd(b *testing.B) {

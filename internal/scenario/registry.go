@@ -187,8 +187,6 @@ func init() {
 		Build: func(o Options) []Spec {
 			scale := o.Scale
 			if scale == (torrents.Scale{}) {
-				// Mirrors the public HugeSwarmScale (perf.go), which cannot
-				// be imported from here without a cycle.
 				scale = torrents.Scale{
 					MaxPeers:     6000,
 					MaxContentMB: 24,
@@ -215,8 +213,6 @@ func init() {
 		Build: func(o Options) []Spec {
 			scale := o.Scale
 			if scale == (torrents.Scale{}) {
-				// Mirrors the public FlashCrowdScale (perf.go), which cannot
-				// be imported from here without a cycle.
 				scale = torrents.Scale{
 					MaxPeers:     20000,
 					MaxContentMB: 24,
@@ -244,8 +240,6 @@ func init() {
 		Build: func(o Options) []Spec {
 			scale := o.Scale
 			if scale == (torrents.Scale{}) {
-				// Mirrors the public MegaSwarmScale (perf.go), which cannot
-				// be imported from here without a cycle.
 				scale = torrents.Scale{
 					MaxPeers:     100000,
 					MaxContentMB: 24,

@@ -42,29 +42,6 @@ func TestChokeLanesParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestHugeSwarmSuiteMatchesPerfCase pins the registry's "huge-swarm"
-// default to the perf harness's HugeSwarmScenario: the registry cannot
-// import perf.go (package cycle) and hand-copies the scale, so this test
-// is what keeps `swarmsim -suite huge-swarm` running the exact workload
-// BENCH_PR*.json records.
-func TestHugeSwarmSuiteMatchesPerfCase(t *testing.T) {
-	s, err := NewSuite("huge-swarm", SuiteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Scenarios) != 1 {
-		t.Fatalf("huge-swarm expands to %d scenarios, want 1", len(s.Scenarios))
-	}
-	got, want := s.Scenarios[0], HugeSwarmScenario()
-	if got.Scale != want.Scale {
-		t.Fatalf("registry scale %+v != HugeSwarmScale %+v", got.Scale, want.Scale)
-	}
-	if got.TorrentID != want.TorrentID || !got.ChokeLanes ||
-		got.HeapShards != want.HeapShards || got.BatchHaves != want.BatchHaves {
-		t.Fatalf("registry spec %+v drifted from HugeSwarmScenario %+v", got, want)
-	}
-}
-
 // TestChokeLanesReportObservability checks the lane stats surface through
 // the public report, and that non-lane runs keep them zero (so existing
 // JSONL serializations are unchanged via omitempty).

@@ -1,161 +1,36 @@
 package rarestfirst
 
-// Perf cases: the fixed scenario set the benchmark trajectory harness
-// (cmd/benchtraj) and BenchmarkLargeSwarm time. Keeping the definitions
-// here — not in a _test file — lets the harness, the go-test benchmarks and
-// CI all run the identical workload, so BENCH_*.json snapshots are
-// comparable across PRs.
+import "fmt"
 
-// LargeSwarmScale is the stress scale for the hot-path benchmarks: well
-// above the default experiment caps, so steady-state event throughput —
-// not setup — dominates.
-func LargeSwarmScale() Scale {
-	return Scale{
-		MaxPeers:     300,
-		MaxContentMB: 24,
-		MaxPieces:    256,
-		Duration:     1800,
-		Warmup:       400,
-		Seed:         42,
-	}
-}
+// The two full-size scenarios bench/ cuts its simulator workloads from.
 
-// LargeSwarmScenario is the headline hot-path benchmark: a steady torrent
-// at LargeSwarmScale. BENCH_*.json tracks its ns/op and allocs/op across
-// PRs.
+// LargeSwarmScenario is the steady-state stress scenario: torrent 7 well
+// above the default experiment caps (300 peers, 256 pieces, 1800 s), so
+// steady-state event throughput — not setup — dominates.
 func LargeSwarmScenario() Scenario {
-	return Scenario{Label: "large-swarm", TorrentID: 7, Scale: LargeSwarmScale()}
-}
-
-// HugeSwarmScale is the intra-swarm sharding stress scale: thousands of
-// peers in ONE simulated swarm, an order of magnitude past LargeSwarmScale.
-// Runs at this scale require Scenario.ChokeLanes; they exist to measure
-// the single-run ceiling, not to regenerate paper figures.
-func HugeSwarmScale() Scale {
-	return Scale{
-		MaxPeers:     6000,
-		MaxContentMB: 24,
-		MaxPieces:    256,
-		Duration:     600,
-		Warmup:       300,
-		Seed:         42,
-	}
-}
-
-// perfHeapShards is the keyed-subheap count the sharded perf cases run
-// with: enough shards that per-shard heaps stay cache-sized at 100k-peer
-// scale, few enough that the loser-tree merge stays a handful of
-// comparisons per pop.
-const perfHeapShards = 32
-
-// HugeSwarmScenario is the 10k-peer-class benchmark: Table I's torrent 24
-// (11038 peers in the paper) capped at HugeSwarmScale, with batched
-// choke-round lanes on. BENCH_*.json tracks it from PR 4 on; from PR 6 it
-// runs with the sharded event heap and batched HAVE availability updates
-// (HeapShards + BatchHaves), which is where its ns/op step lands.
-func HugeSwarmScenario() Scenario {
 	return Scenario{
-		Label:      "huge-swarm",
-		TorrentID:  24,
-		Scale:      HugeSwarmScale(),
-		ChokeLanes: true,
-		HeapShards: perfHeapShards,
-		BatchHaves: true,
+		Label:     "large-swarm",
+		TorrentID: 7,
+		Scale: Scale{
+			MaxPeers:     300,
+			MaxContentMB: 24,
+			MaxPieces:    256,
+			Duration:     1800,
+			Warmup:       400,
+			Seed:         42,
+		},
 	}
 }
 
-// FlashCrowdScale is the deferred-retiming stress scale: a four-minute
-// window into which a churn-scaled Poisson stream pours over twenty
-// thousand peers. Built on torrent 8 — the paper's flash-crowd /
-// transient case study — whose config keeps the warmup as given (steady
-// torrents floor it at two download generations, which would stretch one
-// iteration into a ~100k-peer hour-long run).
-func FlashCrowdScale() Scale {
-	return Scale{
-		MaxPeers:     20000,
-		MaxContentMB: 24,
-		MaxPieces:    256,
-		Duration:     180,
-		Warmup:       60,
-		Seed:         42,
-	}
-}
-
-// flashCrowdChurnScale multiplies torrent 8's transient arrival rate
-// (~1.8/s at FlashCrowdScale) up to a genuine flash crowd: ~86 peers/s,
-// >20k total arrivals inside the four simulated minutes.
-const flashCrowdChurnScale = 48
-
-// FlashCrowd20kScenario is the 100k-peer-direction benchmark: one slow
-// initial seed against a flash-crowd arrival of >20k leechers, lane mode
-// on — the workload whose per-instant flow churn the deferred retime
-// flush exists for. BENCH_*.json tracks it from PR 5 on.
+// FlashCrowd20kScenario is the registry's "flash-crowd-20k" suite as one
+// Scenario: one slow initial seed against a flash-crowd arrival of >20k
+// leechers, with choke lanes, the sharded event heap and batched HAVEs on.
 func FlashCrowd20kScenario() Scenario {
-	return Scenario{
-		Label:      "flash-crowd-20k",
-		TorrentID:  8,
-		Scale:      FlashCrowdScale(),
-		ChokeLanes: true,
-		ChurnScale: flashCrowdChurnScale,
-		HeapShards: perfHeapShards,
-		BatchHaves: true,
+	s, err := NewSuite("flash-crowd-20k", SuiteOptions{})
+	if err != nil || len(s.Scenarios) != 1 {
+		panic(fmt.Sprintf("rarestfirst: flash-crowd-20k suite: %v (%d scenarios)", err, len(s.Scenarios)))
 	}
-}
-
-// MegaSwarmScale is the 100k-peer milestone scale: the same four-minute
-// flash-crowd window as FlashCrowdScale with the population cap raised to
-// one hundred thousand peers. At this scale memory layout — peak heap and
-// peak RSS, which BENCH_*.json records as first-class columns from PR 6 —
-// is the wall, not CPU.
-func MegaSwarmScale() Scale {
-	return Scale{
-		MaxPeers:     100000,
-		MaxContentMB: 24,
-		MaxPieces:    256,
-		Duration:     180,
-		Warmup:       60,
-		Seed:         42,
-	}
-}
-
-// megaSwarmChurnScale multiplies torrent 8's transient arrival rate
-// (~1.8/s at MegaSwarmScale) up to ~450 peers/s: >100k total arrivals
-// inside the four simulated minutes — five times the FlashCrowd20k storm.
-const megaSwarmChurnScale = 240
-
-// MegaSwarmScenario is the 100k-peer milestone benchmark: the paper's
-// flash-crowd case study (torrent 8) at MegaSwarmScale, with every
-// large-scale lever on — choke lanes, the sharded event heap and batched
-// HAVE availability updates. BENCH_*.json tracks it from PR 6 on.
-func MegaSwarmScenario() Scenario {
-	return Scenario{
-		Label:      "mega-swarm",
-		TorrentID:  8,
-		Scale:      MegaSwarmScale(),
-		ChokeLanes: true,
-		ChurnScale: megaSwarmChurnScale,
-		HeapShards: perfHeapShards,
-		BatchHaves: true,
-	}
-}
-
-// PerfCase names one benchmark scenario of the trajectory harness.
-type PerfCase struct {
-	Name     string
-	Scenario Scenario
-}
-
-// PerfCases returns the harness's scenario set: the large-swarm stress
-// case, the huge-swarm lane-sharded case, the flash-crowd and mega-swarm
-// churn storms, plus bench-scale steady and transient runs (cheap
-// canaries that catch regressions the big runs would hide in noise).
-func PerfCases() []PerfCase {
-	return []PerfCase{
-		{Name: "LargeSwarm", Scenario: LargeSwarmScenario()},
-		{Name: "HugeSwarm", Scenario: HugeSwarmScenario()},
-		{Name: "FlashCrowd20k", Scenario: FlashCrowd20kScenario()},
-		{Name: "MegaSwarm", Scenario: MegaSwarmScenario()},
-		{Name: "SteadyT7Bench", Scenario: Scenario{Label: "steady-t7", TorrentID: 7, Scale: BenchScale()}},
-		{Name: "TransientT8Bench", Scenario: Scenario{Label: "transient-t8", TorrentID: 8, Scale: BenchScale()}},
-	}
+	sc := s.Scenarios[0]
+	sc.Label = "flash-crowd-20k"
+	return sc
 }

@@ -78,25 +78,3 @@ func TestRetimeReportObservability(t *testing.T) {
 		t.Fatalf("pool caps missing from report: %+v", ev)
 	}
 }
-
-// TestFlashCrowdSuiteMatchesPerfCase pins the registry's "flash-crowd-20k"
-// default to the perf harness's FlashCrowd20kScenario, exactly as the
-// huge-swarm pair is pinned (the registry cannot import perf.go without a
-// package cycle and hand-copies the scale).
-func TestFlashCrowdSuiteMatchesPerfCase(t *testing.T) {
-	s, err := NewSuite("flash-crowd-20k", SuiteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Scenarios) != 1 {
-		t.Fatalf("flash-crowd-20k expands to %d scenarios, want 1", len(s.Scenarios))
-	}
-	got, want := s.Scenarios[0], FlashCrowd20kScenario()
-	if got.Scale != want.Scale {
-		t.Fatalf("registry scale %+v != FlashCrowdScale %+v", got.Scale, want.Scale)
-	}
-	if got.TorrentID != want.TorrentID || !got.ChokeLanes || got.ChurnScale != want.ChurnScale ||
-		got.HeapShards != want.HeapShards || got.BatchHaves != want.BatchHaves {
-		t.Fatalf("registry spec %+v drifted from FlashCrowd20kScenario %+v", got, want)
-	}
-}

@@ -107,25 +107,3 @@ func TestHeapShardParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-// TestMegaSwarmSuiteMatchesPerfCase pins the registry's "mega-swarm"
-// default to the perf harness's MegaSwarmScenario, exactly as the
-// huge-swarm and flash-crowd pairs are pinned (the registry cannot import
-// perf.go without a package cycle and hand-copies the scale).
-func TestMegaSwarmSuiteMatchesPerfCase(t *testing.T) {
-	s, err := NewSuite("mega-swarm", SuiteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Scenarios) != 1 {
-		t.Fatalf("mega-swarm expands to %d scenarios, want 1", len(s.Scenarios))
-	}
-	got, want := s.Scenarios[0], MegaSwarmScenario()
-	if got.Scale != want.Scale {
-		t.Fatalf("registry scale %+v != MegaSwarmScale %+v", got.Scale, want.Scale)
-	}
-	if got.TorrentID != want.TorrentID || !got.ChokeLanes || got.ChurnScale != want.ChurnScale ||
-		got.HeapShards != want.HeapShards || got.BatchHaves != want.BatchHaves {
-		t.Fatalf("registry spec %+v drifted from MegaSwarmScenario %+v", got, want)
-	}
-}
