@@ -1,9 +1,10 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation section (Table I, Figs 1-11) plus the ablations A1-A5 from
-// DESIGN.md, writing one plain-text artifact per experiment. All sweeps
-// fan out across a core-bounded worker pool (the runs are independent
-// deterministic simulations), so wall-clock time is bound by cores, not by
-// a single goroutine; results are identical to serial execution.
+// evaluation section (Table I, Figs 1-11) plus the ablations A1-A5 (see
+// the README "Scenario catalog"), writing one plain-text artifact per
+// experiment. All sweeps fan out across a core-bounded worker pool (the
+// runs are independent deterministic simulations), so wall-clock time is
+// bound by cores, not by a single goroutine; results are identical to
+// serial execution.
 //
 // Usage:
 //

@@ -128,11 +128,6 @@ type Options struct {
 	// according to the behavior's model. The behavior must not be shared
 	// across clients. Honest clients leave it nil.
 	Adversary *adversary.Behavior
-	// PoisonStrikes is the hash-failure strike count at which a peer
-	// that contributed blocks to corrupt pieces is banned (0 = 2).
-	// Sole contributors of a failed piece are banned on the first
-	// strike regardless.
-	PoisonStrikes int
 	// NoPoisonBan disables banning on hash failures (measurement mode:
 	// faults are still counted, poisoners stay in the peer set).
 	NoPoisonBan bool
@@ -179,11 +174,10 @@ type Client struct {
 	annRetryMax  time.Duration
 	inj          *netem.Injector
 
-	// Byzantine behavior (nil for honest clients) and the defense
-	// thresholds honest clients apply (immutable after New).
-	adv           *adversary.Behavior
-	poisonStrikes int
-	noPoisonBan   bool
+	// Byzantine behavior (nil for honest clients) and whether honest
+	// clients ban poisoners (immutable after New).
+	adv         *adversary.Behavior
+	noPoisonBan bool
 
 	ln         net.Listener
 	wg         sync.WaitGroup
@@ -257,10 +251,6 @@ func New(opts Options) (*Client, error) {
 	if annRetryMax <= 0 {
 		annRetryMax = 30 * time.Second
 	}
-	poisonStrikes := opts.PoisonStrikes
-	if poisonStrikes <= 0 {
-		poisonStrikes = 2
-	}
 	c := &Client{
 		meta:         opts.Meta,
 		geo:          geo,
@@ -285,9 +275,8 @@ func New(opts Options) (*Client, error) {
 		annRetryMax:  annRetryMax,
 		inj:          opts.Faults,
 
-		adv:           opts.Adversary,
-		poisonStrikes: poisonStrikes,
-		noPoisonBan:   opts.NoPoisonBan,
+		adv:         opts.Adversary,
+		noPoisonBan: opts.NoPoisonBan,
 	}
 	c.tr = newTracer(opts.Trace, c.start)
 	c.om = newClientMetrics(obs.Active())

@@ -72,8 +72,8 @@ func (c *Client) banLocked(addr string) {
 // blocks of a hash-failed piece and returns the connections that crossed
 // into a ban (for the caller to close outside the lock). A sole
 // contributor is banned immediately — only it could have corrupted the
-// piece; with mixed contributors each gets a strike and is banned at the
-// configured threshold. Caller holds c.mu.
+// piece; with mixed contributors each gets a strike and is banned at
+// core.PoisonStrikes. Caller holds c.mu.
 func (c *Client) poisonSuspectsLocked(suppliers []core.PeerID) []*peerConn {
 	var banned []*peerConn
 	sole := len(suppliers) == 1
@@ -86,7 +86,7 @@ func (c *Client) poisonSuspectsLocked(suppliers []core.PeerID) []*peerConn {
 		if c.noPoisonBan {
 			continue
 		}
-		if sole || pc.poisonStrikes >= c.poisonStrikes {
+		if sole || pc.poisonStrikes >= core.PoisonStrikes {
 			c.banLocked(pc.remoteAddr)
 			banned = append(banned, pc)
 		}

@@ -9,6 +9,12 @@ import (
 	"rarestfirst/internal/metainfo"
 )
 
+// PoisonStrikes is the hash-failure strike count at which a peer that
+// contributed blocks to corrupt pieces is banned. A sole contributor of a
+// failed piece is banned on its first strike regardless. The simulator and
+// the TCP client both apply it.
+const PoisonStrikes = 2
+
 // PeerID identifies a remote peer within a Requester or Choker. IDs are
 // assigned by the embedding layer (simulator or real client).
 type PeerID int32

@@ -99,17 +99,6 @@ type Config struct {
 	// seed, so the schedule replays under a fixed seed even though
 	// real-TCP timing does not.
 	Crashes crash.Plan
-
-	// Client resilience policy, zero = the client's own defaults. FromSpec
-	// tightens these for chaos runs so retries fit wall-clock deadlines.
-	DialTimeout       time.Duration
-	DialRetries       int
-	DialBackoff       time.Duration
-	RequestTimeout    time.Duration
-	SnubAfter         int
-	BanFor            time.Duration
-	AnnounceRetryBase time.Duration
-	AnnounceRetryMax  time.Duration
 }
 
 // Defaults for FromSpec, exported so tests and docs agree with the code.
@@ -230,25 +219,6 @@ func FromSpec(sp scenario.Spec) (Config, error) {
 		}
 		cfg.Crashes = plan
 	}
-	if sp.Faults != "" || sp.Adversary != "" || sp.Crashes != "" {
-		// Chaos, Byzantine and crash runs live on seconds-scale deadlines,
-		// so the resilience schedule tightens accordingly: several dial
-		// retries, request timeouts and announce backoffs must fit inside
-		// the run for the snub/ban machinery to act before the deadline.
-		cfg.DialTimeout = 2 * time.Second
-		cfg.DialRetries = 4
-		cfg.DialBackoff = 100 * time.Millisecond
-		cfg.RequestTimeout = 2 * time.Second
-		cfg.SnubAfter = 3
-		cfg.BanFor = 2 * time.Second
-		cfg.AnnounceRetryBase = 200 * time.Millisecond
-		cfg.AnnounceRetryMax = 2 * time.Second
-	}
-	if sp.Adversary != "" {
-		// Bans are permanent in the sim twin; make live bans outlast the
-		// run so a banned poisoner cannot rejoin after the window lapses.
-		cfg.BanFor = 10 * time.Minute
-	}
 	return cfg, nil
 }
 
@@ -259,21 +229,32 @@ func clampInt(v, def, lo, hi int) int {
 	return min(max(v, lo), hi)
 }
 
-// applyResilience copies the lab's resilience policy into one client's
-// options and, when a fault plan is active, hands the client a fresh
-// injector. Injector seeds derive from the run seed through an offset
-// stream (101+idx) disjoint from the client-identity stream (1..peers),
-// so fault schedules and client RNGs stay decorrelated but both replay
-// under a fixed run seed.
+// applyResilience sets one client's resilience policy and, when a fault
+// plan is active, hands the client a fresh injector. Fault-free runs keep
+// the client's own defaults. Chaos, Byzantine and crash runs live on
+// seconds-scale deadlines, so the schedule tightens: several dial retries,
+// request timeouts and announce backoffs must fit inside the run for the
+// snub/ban machinery to act before the deadline. Bans are permanent in the
+// sim twin, so with adversaries present live bans outlast the run and a
+// banned poisoner cannot rejoin after the window lapses. Injector seeds
+// derive from the run seed through an offset stream (101+idx) disjoint
+// from the client-identity stream (1..peers), so fault schedules and
+// client RNGs stay decorrelated but both replay under a fixed run seed.
 func (cfg *Config) applyResilience(opts *client.Options, idx int) {
-	opts.DialTimeout = cfg.DialTimeout
-	opts.DialRetries = cfg.DialRetries
-	opts.DialBackoff = cfg.DialBackoff
-	opts.RequestTimeout = cfg.RequestTimeout
-	opts.SnubAfter = cfg.SnubAfter
-	opts.BanFor = cfg.BanFor
-	opts.AnnounceRetryBase = cfg.AnnounceRetryBase
-	opts.AnnounceRetryMax = cfg.AnnounceRetryMax
+	adversaries := !cfg.Adversary.IsZero()
+	if cfg.Faults.Enabled() || adversaries || cfg.Crashes.Enabled() {
+		opts.DialTimeout = 2 * time.Second
+		opts.DialRetries = 4
+		opts.DialBackoff = 100 * time.Millisecond
+		opts.RequestTimeout = 2 * time.Second
+		opts.SnubAfter = 3
+		opts.BanFor = 2 * time.Second
+		opts.AnnounceRetryBase = 200 * time.Millisecond
+		opts.AnnounceRetryMax = 2 * time.Second
+	}
+	if adversaries {
+		opts.BanFor = 10 * time.Minute
+	}
 	if cfg.Faults.Enabled() {
 		opts.Faults = netem.NewInjector(cfg.Faults, scenario.MixSeed(cfg.Seed, 101+idx), cfg.Deadline)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"rarestfirst/internal/client"
 	"rarestfirst/internal/scenario"
 	"rarestfirst/internal/torrents"
 )
@@ -159,5 +160,37 @@ func TestFromSpecDefaultsAndValidation(t *testing.T) {
 	}
 	if cfg.Deadline != 30*time.Second || cfg.Leechers != 3 || cfg.NumPieces != 16 {
 		t.Fatalf("scale mapping wrong: %+v", cfg)
+	}
+}
+
+// TestResiliencePolicyFollowsPerturbations: fault-free runs leave the
+// client defaults alone; any fault plan, adversary or crash plan tightens
+// the schedule to the run's seconds-scale deadline, and adversaries make
+// bans outlast the run.
+func TestResiliencePolicyFollowsPerturbations(t *testing.T) {
+	for _, c := range []struct {
+		sp     scenario.Spec
+		banFor time.Duration
+	}{
+		{scenario.Spec{TorrentID: 10, Live: true}, 0},
+		{scenario.Spec{TorrentID: 10, Live: true, Faults: "flaky"}, 2 * time.Second},
+		{scenario.Spec{TorrentID: 10, Live: true, Crashes: "kill-restart"}, 2 * time.Second},
+		{scenario.Spec{TorrentID: 10, Live: true, Adversary: "liar25"}, 10 * time.Minute},
+	} {
+		cfg, err := FromSpec(c.sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var opts client.Options
+		cfg.applyResilience(&opts, 1)
+		if opts.BanFor != c.banFor {
+			t.Errorf("%+v: BanFor %v, want %v", c.sp, opts.BanFor, c.banFor)
+		}
+		if tight := c.banFor != 0; (opts.DialRetries == 4) != tight || (opts.RequestTimeout == 2*time.Second) != tight {
+			t.Errorf("%+v: resilience schedule %+v, tightened=%v", c.sp, opts, tight)
+		}
+		if (opts.Faults != nil) != (c.sp.Faults != "") {
+			t.Errorf("%+v: injector %v", c.sp, opts.Faults)
+		}
 	}
 }

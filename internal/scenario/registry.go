@@ -9,13 +9,15 @@ import (
 )
 
 // Options parameterize the expansion of a registered definition into
-// concrete Specs.
+// concrete Specs. The public API exports it as rarestfirst.SuiteOptions.
 type Options struct {
 	// Scale is applied to every spec the definition builds with a zero
 	// Scale; the zero value leaves the per-spec default (DefaultScale).
 	Scale torrents.Scale
 	// Seeds fans every built spec out into one repeat per RNG seed
-	// (SeedOverride). Empty means a single run with the catalog seed.
+	// (SeedOverride); repeats share the spec's Label, so suite
+	// aggregation reports mean/stddev over the seeds. Empty means a
+	// single run with the catalog seed.
 	Seeds []int64
 	// Torrents restricts catalog-style definitions to these Table I ids.
 	// Empty means the definition's own default selection.

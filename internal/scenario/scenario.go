@@ -38,23 +38,28 @@ const (
 	LeecherChokeTitForTat = "tit-for-tat" // bit-level TFT baseline
 )
 
-// Spec describes one experiment. It mirrors the public
-// rarestfirst.Scenario field-for-field (the public type converts to a Spec
-// before running) and adds nothing else; keeping the mapping to
-// swarm.Config here lets the registry, the cmd binaries and the examples
-// share one builder.
+// Spec describes one experiment. It is the only declaration of the
+// experiment knobs: the public API exports it as rarestfirst.Scenario (a
+// type alias, so the two are the same type), and Config maps it onto
+// swarm.Config for the registry, the cmd binaries and the examples alike.
+// Its JSON encoding is part of every Report line; the omitempty tags keep
+// reports of runs that leave those knobs off serializing exactly as they
+// did before the knob existed.
 type Spec struct {
 	// Label names the spec inside a suite (e.g. "picker=random"); it does
-	// not affect the run.
+	// not affect the run. Suite aggregation groups repeats of the same
+	// configuration under one label.
 	Label string
 	// TorrentID selects a Table I torrent (1..26).
 	TorrentID int
-	// Live runs the spec on the real-TCP loopback backend (internal/live)
-	// instead of the discrete-event simulator. Scale fields are then read
-	// at wall-clock granularity: Duration is the swarm's deadline in real
-	// seconds and MaxPeers/MaxContentMB/MaxPieces bound the loopback
-	// swarm. Only the paper's default algorithms are supported live.
-	Live bool
+	// Live runs the spec as a real-TCP loopback swarm (internal/live)
+	// instead of a discrete-event simulation: one HTTP tracker plus an
+	// instrumented client swarm whose traces flow through the same report
+	// pipeline. Scale is then read at wall-clock granularity (Duration =
+	// swarm deadline in real seconds; MaxPeers/MaxContentMB/MaxPieces
+	// bound the loopback swarm) and only the paper's default algorithms
+	// are supported.
+	Live bool `json:",omitempty"`
 	// Scale bounds the simulation; zero value means torrents.DefaultScale.
 	Scale torrents.Scale
 	// Picker selects the swarm-wide piece selection strategy ("" =
@@ -76,56 +81,95 @@ type Spec struct {
 	// DisableRandomFirst turns the random-first policy off swarm-wide.
 	DisableRandomFirst bool
 	// BoostNewcomers enables the §VI extension: exploratory unchoke slots
-	// prefer peers that have no pieces yet.
+	// prefer peers that have no pieces yet, attacking the first-blocks
+	// problem the paper identifies.
 	BoostNewcomers bool
 	// InitialSeedLeavesAt injects a failure: the initial seed departs at
-	// this simulated time (0 = never).
+	// this simulated time (0 = never). With rare pieces still out, the
+	// torrent dies — "a torrent is alive as long as there is at least one
+	// copy of each piece".
 	InitialSeedLeavesAt float64
 	// SeedOverride, when nonzero, replaces the catalog RNG seed for
-	// repeat runs; it is mixed with the torrent id (see MixSeed), not
-	// used verbatim.
+	// repeat runs. It is mixed with the torrent id (see MixSeed), not used
+	// verbatim, so that torrents whose scaled-down configs coincide still
+	// run decorrelated; the same (SeedOverride, TorrentID) pair always
+	// reproduces the same run.
 	SeedOverride int64
-	// ChokeLanes runs the simulated swarm with grid-aligned, batched
-	// choke rounds (swarm.Config.ChokeLanes): the intra-swarm sharding
-	// mode for very large populations. Bit-reproducible, but a different
-	// round schedule than the default staggered rounds.
-	ChokeLanes bool
-	// HeapShards shards the engine's event heap into this many keyed
-	// subheaps (swarm.Config.HeapShards); 0 keeps the single heap.
-	// Trajectory-preserving — same run either way.
-	HeapShards int
-	// BatchHaves batches per-piece HAVE reactions and switches the
-	// availability indices to lazy bucket maintenance
-	// (swarm.Config.BatchHaves). Bit-reproducible, but a different
-	// trajectory than the default eager mode.
-	BatchHaves bool
-	// Faults names a netem fault plan (netem.PlanByName) applied to the
-	// run: on the live backend it drives the injectors and the tracker
-	// blackout, on the simulator it maps to the swarm.Chaos twin knobs,
-	// with the plan's fractional timing anchored to the run window.
-	// "" (the default, and every golden scenario) injects nothing.
-	Faults string
-	// Adversary names a Byzantine peer model (adversary.ModelByName)
-	// mixed into the run: on the live backend adversarial clients are
-	// provisioned alongside the honest swarm, on the simulator the model
-	// maps to the swarm.Adversary twin knobs. "" (the default, and every
-	// golden scenario) adds no adversaries.
-	Adversary string
+
+	// ChokeLanes aligns every simulated peer's choke rounds to the global
+	// 10-second grid and executes each instant's rounds as one parallel
+	// lane batch (swarm.Config.ChokeLanes: decisions computed
+	// concurrently, transitions applied serially in peer-id order) — the
+	// intra-swarm sharding that makes 10k-peer single runs tractable. Runs
+	// stay bit-reproducible and are identical for any worker count, but
+	// the round schedule differs from the default staggered rounds, so
+	// this is off unless a scenario opts in (the huge-swarm suites do).
+	ChokeLanes bool `json:",omitempty"`
+
+	// HeapShards shards the simulation engine's event heap into this many
+	// keyed subheaps (swarm.Config.HeapShards, rounded up to a power of
+	// two) plus a global shard, merged at pop time by a loser tree over
+	// the shard heads. Sharding is trajectory-preserving — sequence
+	// numbers stay globally ordered, so the merged pop order is exactly
+	// the single-heap order and any scenario may enable it without
+	// changing its results; what it buys is per-shard timer pools and a
+	// shard-parallel retime apply phase on multi-core hosts. 0 keeps the
+	// single monolithic heap, which doubles as the determinism oracle the
+	// shard tests compare against.
+	HeapShards int `json:",omitempty"`
+
+	// BatchHaves defers the per-neighbour interest/request reactions of
+	// each piece completion into a per-instant pending-HAVE set flushed
+	// once per event, and switches the availability indices to lazily
+	// rebuilt rarity buckets (swarm.Config.BatchHaves) — the flat-count
+	// mode that removes the per-HAVE bucket shuffle from the hot path at
+	// flash-crowd scale. Runs stay bit-reproducible but differ from the
+	// default eager mode (lazy buckets rebuild in ascending piece order,
+	// which changes which piece a rarest-first draw selects), so like
+	// ChokeLanes this is off everywhere the goldens cover and on for the
+	// huge/mega suites.
+	BatchHaves bool `json:",omitempty"`
+
+	// Faults names a netem fault plan (netem.PlanByName: "wan", "flaky",
+	// "blackout", "chaos"; see the README Robustness section). On the live
+	// backend it drives seeded per-client fault injectors plus the tracker
+	// blackout window; on the simulator it maps to the matching
+	// swarm.Chaos knobs, with the plan's fractional timing anchored to the
+	// run window, so a chaos-* suite cross-validates the two. The fault
+	// schedule derives from the run seed; "" (the default, and every
+	// golden scenario) injects nothing.
+	Faults string `json:",omitempty"`
+
+	// Adversary names a Byzantine peer model (adversary.ModelByName:
+	// "poison25", "liar25", "flood25"; see the README Adversarial peers
+	// section). On the live backend adversarial clients are provisioned
+	// alongside the honest swarm; on the simulator the model maps to the
+	// matching swarm.Adversary knobs, so an adv-* suite cross-validates
+	// the two. "" (the default, and every golden scenario) adds no
+	// adversaries.
+	Adversary string `json:",omitempty"`
 	// AdversaryNoBan disables the poisoner ban response (measurement
 	// mode): hash failures and wasted bytes are counted but suspects are
 	// never banned.
-	AdversaryNoBan bool
-	// Crashes names a crash-schedule plan (crash.PlanByName) applied to
-	// the run: on the live backend a deterministic schedule SIGKILLs a
-	// fraction of the leechers mid-transfer and restarts them from their
-	// ResumeDir, on the simulator it maps to the swarm.Crashes twin
-	// knobs (kill, downtime, rejoin with retained pieces). "" (the
-	// default, and every golden scenario) crashes nobody.
-	Crashes string
-	// DebugChecks enables the swarm invariant checker on the simulated
-	// run (swarm.Config.Invariants): pure-read audits that panic on
-	// violation and never perturb the trajectory.
-	DebugChecks bool
+	AdversaryNoBan bool `json:",omitempty"`
+
+	// Crashes names a crash-schedule plan (crash.PlanByName:
+	// "kill-restart", "kill-restart-amnesia", "kill-corrupt",
+	// "flashcrowd-kill"; see the README Crash recovery section). On the
+	// live backend a seed-deterministic schedule SIGKILLs a fraction of
+	// the leechers mid-transfer and restarts them from durable resume
+	// state; on the simulator the plan maps to the matching swarm.Crashes
+	// knobs (kill, downtime, rejoin with retained pieces), so a crash-*
+	// suite cross-validates the two. "" (the default, and every golden
+	// scenario) crashes nobody.
+	Crashes string `json:",omitempty"`
+	// DebugChecks enables the swarm invariant checker on simulated runs
+	// (swarm.Config.Invariants): pure-read audits (availability counts vs
+	// advertised bitfields, no banned peer still connected, requester
+	// bookkeeping consistency) that panic on violation and never perturb
+	// the trajectory — golden digests are identical with the checker on
+	// or off.
+	DebugChecks bool `json:",omitempty"`
 
 	// Workload variants beyond the paper's ablation switches. All three
 	// are multipliers applied after the Table I scaling rules; 0 means

@@ -41,7 +41,7 @@ func (s *Swarm) banPeer(victim, suspect *Peer, faultKind string) {
 }
 
 // strikePeer accrues one detection against suspect on victim's ledger and
-// bans at the configured threshold. No-op in NoBan measurement mode.
+// bans at core.PoisonStrikes. No-op in NoBan measurement mode.
 func (s *Swarm) strikePeer(victim, suspect *Peer, faultKind string) {
 	adv := s.cfg.Adversary
 	if adv == nil || adv.NoBan {
@@ -51,7 +51,7 @@ func (s *Swarm) strikePeer(victim, suspect *Peer, faultKind string) {
 		victim.strikes = make(map[core.PeerID]int)
 	}
 	victim.strikes[suspect.id]++
-	if victim.strikes[suspect.id] >= adv.poisonStrikes() {
+	if victim.strikes[suspect.id] >= core.PoisonStrikes {
 		s.banPeer(victim, suspect, faultKind)
 	}
 }

@@ -3,12 +3,12 @@
 // the mainline peer-set management rules, churn, and the instrumented local
 // peer whose traces feed every figure of the paper.
 //
-// Simplifications relative to a live Internet swarm, and why they are safe
-// in the paper's stated context ("peers well connected without severe
-// network bottlenecks"), are listed in DESIGN.md: control messages are
-// instantaneous (only data transfers consume bandwidth), and remote<->remote
-// transfers run at piece granularity while every transfer touching the
-// instrumented local peer runs at true block (16 kB) granularity.
+// Two simplifications relative to a live Internet swarm are safe in the
+// paper's stated context ("peers well connected without severe network
+// bottlenecks"): control messages are instantaneous (only data transfers
+// consume bandwidth), and remote<->remote transfers run at piece
+// granularity while every transfer touching the instrumented local peer
+// runs at true block (16 kB) granularity.
 package swarm
 
 import (
@@ -262,8 +262,11 @@ type Chaos struct {
 	// retries AnnounceRetry seconds later.
 	TrackerBlackoutStart float64
 	TrackerBlackoutEnd   float64
-	AnnounceRetry        float64 // seconds; 0 = 30
 }
+
+// AnnounceRetry is the fixed backoff, in simulated seconds, after an
+// announce fails inside a Chaos tracker blackout.
+const AnnounceRetry = 30.0
 
 // Crashes is the simulator's crash-and-rejoin plan — the sim twin of the
 // live lab's process kill/restart schedules (internal/crash plans), in
@@ -328,12 +331,10 @@ type Adversary struct {
 	// FakeHaveTimeout is how long a victim waits on a baited request
 	// before giving up and striking the liar (0 = 20s).
 	FakeHaveTimeout float64
-	// PoisonStrikes is the per-peer strike threshold at which honest
-	// victims ban a contributor of corrupt pieces (0 = 2). Sole
-	// suppliers are banned on first detection.
-	PoisonStrikes int
 	// NoBan disables the ban response (measurement mode): faults are
-	// still counted, adversaries stay in peer sets.
+	// still counted, adversaries stay in peer sets. Otherwise honest
+	// victims ban a peer at core.PoisonStrikes strikes, and a sole
+	// supplier of a corrupt piece on first detection.
 	NoBan bool
 }
 
@@ -352,31 +353,17 @@ func (a *Adversary) fakeHaveTimeout() float64 {
 	return 20
 }
 
-func (a *Adversary) poisonStrikes() int {
-	if a.PoisonStrikes > 0 {
-		return a.PoisonStrikes
-	}
-	return 2
-}
-
 // blackedOut reports whether the tracker is inside its blackout window.
 func (ch *Chaos) blackedOut(now float64) bool {
 	return now >= ch.TrackerBlackoutStart && now < ch.TrackerBlackoutEnd
 }
 
-// resetMeanDelay / announceRetry apply the defaults.
+// resetMeanDelay applies the default.
 func (ch *Chaos) resetMeanDelay() float64 {
 	if ch.ConnResetMeanDelay > 0 {
 		return ch.ConnResetMeanDelay
 	}
 	return 60
-}
-
-func (ch *Chaos) announceRetry() float64 {
-	if ch.AnnounceRetry > 0 {
-		return ch.AnnounceRetry
-	}
-	return 30
 }
 
 // DefaultConfig returns mainline defaults on a small steady torrent.

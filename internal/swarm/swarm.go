@@ -383,9 +383,8 @@ func (s *Swarm) announce(p *Peer) {
 		// connections keep transferring — losing the tracker only degrades
 		// peer discovery, mirroring the live client's announce backoff.
 		s.chaosFault("announce_fail", p, nil)
-		retry := ch.announceRetry()
-		p.nextAnnounceOK = s.eng.Now() + retry
-		s.eng.After(retry, func() { s.maybeReannounce(p) })
+		p.nextAnnounceOK = s.eng.Now() + AnnounceRetry
+		s.eng.After(AnnounceRetry, func() { s.maybeReannounce(p) })
 		return
 	}
 	s.metrics.announces.Inc()

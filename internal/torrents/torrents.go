@@ -4,10 +4,10 @@
 // that map each entry onto a runnable swarm.Config.
 //
 // Absolute populations and content sizes are scaled down for simulation
-// (documented per experiment in EXPERIMENTS.md); the seed:leecher ratio,
-// the relation between peer-set size and population, and the relation
-// between initial-seed capacity and content size — the quantities the
-// paper's conclusions rest on — are preserved.
+// (see Scale); the seed:leecher ratio, the relation between peer-set size
+// and population, and the relation between initial-seed capacity and
+// content size — the quantities the paper's conclusions rest on — are
+// preserved.
 package torrents
 
 import (
@@ -122,7 +122,7 @@ type Scale struct {
 	Duration float64
 	// Warmup is the pre-join simulation time in seconds.
 	Warmup float64
-	// Seed seeds the RNG.
+	// Seed seeds the RNG; runs are reproducible bit-for-bit.
 	Seed int64
 }
 

@@ -258,7 +258,7 @@ func (e *Encoder) Piece(index, begin uint32, block []byte) error {
 }
 
 // Port writes a DHT port message (decoded but unused; 4.0.2 pre-dates DHT
-// in the stable protocol, see DESIGN.md out-of-scope list).
+// in the stable protocol).
 func (e *Encoder) Port(port uint16) error {
 	b := e.frame(MsgPort, 2)
 	binary.BigEndian.PutUint16(b[5:], port)

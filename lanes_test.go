@@ -17,7 +17,7 @@ import (
 // part of Scenario), so the config is built and overridden directly.
 func laneDigest(t *testing.T, sc Scenario, workers int) string {
 	t.Helper()
-	cfg, spec, err := buildConfig(sc)
+	cfg, spec, err := sc.Config()
 	if err != nil {
 		t.Fatal(err)
 	}

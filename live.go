@@ -19,7 +19,7 @@ func runLive(sc Scenario) (*Report, error) {
 	if !ok {
 		return nil, fmt.Errorf("rarestfirst: no torrent %d in Table I", sc.TorrentID)
 	}
-	lcfg, err := live.FromSpec(sc.toSpec())
+	lcfg, err := live.FromSpec(sc)
 	if err != nil {
 		return nil, err
 	}

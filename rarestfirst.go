@@ -6,8 +6,8 @@
 // (Table I) and derives the exact statistics the paper plots — entropy
 // characterization (Fig 1), piece replication dynamics (Figs 2–6),
 // piece/block interarrival CDFs (Figs 7–8), choke fairness (Figs 9 and 11)
-// and unchoke/interest correlation (Fig 10) — plus the ablations DESIGN.md
-// catalogs (A1–A5).
+// and unchoke/interest correlation (Fig 10) — plus the A1–A5 ablations the
+// README "Scenario catalog" lists.
 //
 // The algorithms under evaluation live in internal/core and are shared,
 // unchanged, between the discrete-event simulator (internal/swarm) and a
@@ -26,45 +26,17 @@ import (
 	"rarestfirst/internal/torrents"
 )
 
-// Scale bounds an experiment's size. Populations and content above the
-// caps are scaled down preserving the seed:leecher ratio (see DESIGN.md).
-type Scale struct {
-	MaxPeers     int     // cap on seeds+leechers
-	MaxContentMB int     // cap on content size
-	MaxPieces    int     // cap on piece count (piece size grows instead)
-	Duration     float64 // local peer observation window, seconds
-	Warmup       float64 // pre-join simulation, seconds
-	Seed         int64   // RNG seed; runs are reproducible bit-for-bit
-}
+// Scale bounds an experiment's size: populations and content above the
+// caps are scaled down preserving the seed:leecher ratio. It is
+// torrents.Scale, declared once there.
+type Scale = torrents.Scale
 
 // DefaultScale is the scale cmd/experiments uses: every Table I torrent
 // runs in seconds to a few tens of seconds of wall-clock time.
-func DefaultScale() Scale { return fromInternalScale(torrents.DefaultScale()) }
+func DefaultScale() Scale { return torrents.DefaultScale() }
 
 // BenchScale is the reduced scale bench_test.go uses.
-func BenchScale() Scale { return fromInternalScale(torrents.BenchScale()) }
-
-func fromInternalScale(s torrents.Scale) Scale {
-	return Scale{
-		MaxPeers:     s.MaxPeers,
-		MaxContentMB: s.MaxContentMB,
-		MaxPieces:    s.MaxPieces,
-		Duration:     s.Duration,
-		Warmup:       s.Warmup,
-		Seed:         s.Seed,
-	}
-}
-
-func (s Scale) toInternal() torrents.Scale {
-	return torrents.Scale{
-		MaxPeers:     s.MaxPeers,
-		MaxContentMB: s.MaxContentMB,
-		MaxPieces:    s.MaxPieces,
-		Duration:     s.Duration,
-		Warmup:       s.Warmup,
-		Seed:         s.Seed,
-	}
-}
+func BenchScale() Scale { return torrents.BenchScale() }
 
 // Piece selection strategies accepted by Scenario.Picker.
 const (
@@ -86,210 +58,10 @@ const (
 	LeecherChokeTitForTat = scenario.LeecherChokeTitForTat // bit-level TFT baseline
 )
 
-// Scenario describes one experiment.
-type Scenario struct {
-	// Label names the scenario inside a Suite (e.g. "picker=random"); it
-	// does not affect the run. Suite aggregation groups repeats of the
-	// same configuration under one label.
-	Label string
-	// TorrentID selects a Table I torrent (1..26).
-	TorrentID int
-	// Live runs the scenario as a real-TCP loopback swarm (internal/live)
-	// instead of a discrete-event simulation: one HTTP tracker plus an
-	// instrumented client swarm whose traces flow through the same report
-	// pipeline. Scale is then read at wall-clock granularity (Duration =
-	// swarm deadline in real seconds; MaxPeers/MaxContentMB/MaxPieces
-	// bound the loopback swarm) and only the paper's default algorithms
-	// are supported. The omitempty tag keeps sim-run reports serializing
-	// exactly as before this field existed.
-	Live bool `json:",omitempty"`
-	// Scale bounds the simulation; zero value means DefaultScale.
-	Scale Scale
-	// Picker selects the swarm-wide piece selection strategy ("" =
-	// rarest-first).
-	Picker string
-	// SeedChoke selects the seed-state algorithm ("" = new).
-	SeedChoke string
-	// LeecherChoke selects the leecher-state algorithm ("" = standard).
-	LeecherChoke string
-	// TFTDeficitBytes is the tit-for-tat deficit threshold (default 2 MiB).
-	TFTDeficitBytes int64
-	// FreeRiderFraction of leechers never upload.
-	FreeRiderFraction float64
-	// LocalFreeRider makes the instrumented peer itself a free rider.
-	LocalFreeRider bool
-	// SmartSeedServe enables the idealized coding / super-seeding serve
-	// policy on the initial seed (ablation A4).
-	SmartSeedServe bool
-	// DisableRandomFirst turns the random-first policy off swarm-wide.
-	DisableRandomFirst bool
-	// BoostNewcomers enables the §VI extension: exploratory unchoke slots
-	// prefer peers that have no pieces yet, attacking the first-blocks
-	// problem the paper identifies.
-	BoostNewcomers bool
-	// InitialSeedLeavesAt injects a failure: the initial seed departs at
-	// this simulated time (0 = never). With rare pieces still out, the
-	// torrent dies — "a torrent is alive as long as there is at least one
-	// copy of each piece".
-	InitialSeedLeavesAt float64
-	// SeedOverride, when nonzero, replaces the catalog RNG seed for
-	// repeat runs. It is mixed with the torrent id (not used verbatim)
-	// so that torrents whose scaled-down configs coincide still run
-	// decorrelated; the same (SeedOverride, TorrentID) pair always
-	// reproduces the same run.
-	SeedOverride int64
-
-	// ChokeLanes aligns every simulated peer's choke rounds to the global
-	// 10-second grid and executes each instant's rounds as one parallel
-	// lane batch (decisions computed concurrently, transitions applied
-	// serially in peer-id order) — the intra-swarm sharding that makes
-	// 10k-peer single runs tractable. Runs stay bit-reproducible and are
-	// identical for any worker count, but the round schedule differs from
-	// the default staggered rounds, so this is off unless a scenario opts
-	// in (the huge-swarm perf cases do). The omitempty tag keeps existing
-	// report serializations unchanged.
-	ChokeLanes bool `json:",omitempty"`
-
-	// HeapShards shards the simulation engine's event heap into this many
-	// keyed subheaps (rounded up to a power of two) plus a global shard,
-	// merged at pop time by a loser tree over the shard heads. Sharding is
-	// trajectory-preserving — sequence numbers stay globally ordered, so
-	// the merged pop order is exactly the single-heap order and any
-	// scenario may enable it without changing its results; what it buys is
-	// per-shard timer pools and a shard-parallel retime apply phase on
-	// multi-core hosts. 0 (the default, and the omitempty zero) keeps the
-	// single monolithic heap, which doubles as the determinism oracle the
-	// shard tests compare against.
-	HeapShards int `json:",omitempty"`
-
-	// BatchHaves defers the per-neighbour interest/request reactions of
-	// each piece completion into a per-instant pending-HAVE set flushed
-	// once per event, and switches the availability indices to lazily
-	// rebuilt rarity buckets — the flat-count mode that removes the
-	// per-HAVE bucket shuffle from the hot path at flash-crowd scale.
-	// Runs stay bit-reproducible but differ from the default eager mode
-	// (lazy buckets rebuild in ascending piece order, which changes which
-	// piece a rarest-first draw selects), so like ChokeLanes this is off
-	// everywhere the goldens cover and on for the huge/mega perf cases.
-	BatchHaves bool `json:",omitempty"`
-
-	// Faults names a netem fault plan applied to the run ("wan", "flaky",
-	// "blackout", "chaos"; see the README Robustness section). On the
-	// live backend it drives seeded per-client fault injectors plus the
-	// tracker blackout window; on the simulator it maps to the matching
-	// swarm.Chaos knobs, so a chaos-* suite cross-validates the two. The
-	// fault schedule derives from the run seed; "" (the default, and
-	// every golden scenario) injects nothing, and the omitempty tag keeps
-	// fault-free reports serializing exactly as before.
-	Faults string `json:",omitempty"`
-
-	// Adversary names a Byzantine peer model mixed into the run
-	// ("poison25", "liar25", "flood25"; see the README Adversarial peers
-	// section). On the live backend adversarial clients are provisioned
-	// alongside the honest swarm; on the simulator the model maps to the
-	// matching swarm.Adversary knobs, so an adv-* suite cross-validates
-	// the two. "" (the default, and every golden scenario) adds no
-	// adversaries, and the omitempty tag keeps adversary-free reports
-	// serializing exactly as before.
-	Adversary string `json:",omitempty"`
-	// AdversaryNoBan disables the poisoner ban response (measurement
-	// mode): hash failures and wasted bytes are counted but suspects are
-	// never banned.
-	AdversaryNoBan bool `json:",omitempty"`
-
-	// Crashes names a crash-schedule plan ("kill-restart",
-	// "kill-restart-amnesia", "kill-corrupt", "flashcrowd-kill"; see the
-	// README Crash recovery section). On the live backend a
-	// seed-deterministic schedule SIGKILLs a fraction of the leechers
-	// mid-transfer and restarts them from durable resume state; on the
-	// simulator the plan maps to the matching swarm.Crashes knobs, so a
-	// crash-* suite cross-validates the two. "" (the default, and every
-	// golden scenario) crashes nobody, and the omitempty tag keeps
-	// crash-free reports serializing exactly as before.
-	Crashes string `json:",omitempty"`
-	// DebugChecks enables the swarm invariant checker on simulated runs:
-	// pure-read audits (availability counts vs advertised bitfields, no
-	// banned peer still connected, requester bookkeeping consistency)
-	// that panic on violation and never perturb the trajectory — golden
-	// digests are identical with the checker on or off.
-	DebugChecks bool `json:",omitempty"`
-
-	// Workload variants beyond the paper's ablation switches: multipliers
-	// applied after the Table I scaling rules. 0 means "unchanged", so the
-	// zero Scenario still reproduces the catalog exactly.
-
-	// ChurnScale multiplies the leecher arrival rate.
-	ChurnScale float64
-	// SeedUpScale multiplies the initial seed's upload capacity.
-	SeedUpScale float64
-	// AbortScale multiplies the pre-completion departure hazard.
-	AbortScale float64
-}
-
-// toSpec converts the public scenario onto the internal description the
-// registry and config builder share.
-func (sc Scenario) toSpec() scenario.Spec {
-	return scenario.Spec{
-		Label:               sc.Label,
-		TorrentID:           sc.TorrentID,
-		Live:                sc.Live,
-		Scale:               sc.Scale.toInternal(),
-		Picker:              sc.Picker,
-		SeedChoke:           sc.SeedChoke,
-		LeecherChoke:        sc.LeecherChoke,
-		TFTDeficitBytes:     sc.TFTDeficitBytes,
-		FreeRiderFraction:   sc.FreeRiderFraction,
-		LocalFreeRider:      sc.LocalFreeRider,
-		SmartSeedServe:      sc.SmartSeedServe,
-		DisableRandomFirst:  sc.DisableRandomFirst,
-		BoostNewcomers:      sc.BoostNewcomers,
-		InitialSeedLeavesAt: sc.InitialSeedLeavesAt,
-		SeedOverride:        sc.SeedOverride,
-		ChokeLanes:          sc.ChokeLanes,
-		HeapShards:          sc.HeapShards,
-		BatchHaves:          sc.BatchHaves,
-		Faults:              sc.Faults,
-		Adversary:           sc.Adversary,
-		AdversaryNoBan:      sc.AdversaryNoBan,
-		Crashes:             sc.Crashes,
-		DebugChecks:         sc.DebugChecks,
-		ChurnScale:          sc.ChurnScale,
-		SeedUpScale:         sc.SeedUpScale,
-		AbortScale:          sc.AbortScale,
-	}
-}
-
-// fromSpec is toSpec's inverse, used when expanding registry suites.
-func fromSpec(sp scenario.Spec) Scenario {
-	return Scenario{
-		Label:               sp.Label,
-		TorrentID:           sp.TorrentID,
-		Live:                sp.Live,
-		Scale:               fromInternalScale(sp.Scale),
-		Picker:              sp.Picker,
-		SeedChoke:           sp.SeedChoke,
-		LeecherChoke:        sp.LeecherChoke,
-		TFTDeficitBytes:     sp.TFTDeficitBytes,
-		FreeRiderFraction:   sp.FreeRiderFraction,
-		LocalFreeRider:      sp.LocalFreeRider,
-		SmartSeedServe:      sp.SmartSeedServe,
-		DisableRandomFirst:  sp.DisableRandomFirst,
-		BoostNewcomers:      sp.BoostNewcomers,
-		InitialSeedLeavesAt: sp.InitialSeedLeavesAt,
-		SeedOverride:        sp.SeedOverride,
-		ChokeLanes:          sp.ChokeLanes,
-		HeapShards:          sp.HeapShards,
-		BatchHaves:          sp.BatchHaves,
-		Faults:              sp.Faults,
-		Adversary:           sp.Adversary,
-		AdversaryNoBan:      sp.AdversaryNoBan,
-		Crashes:             sp.Crashes,
-		DebugChecks:         sp.DebugChecks,
-		ChurnScale:          sp.ChurnScale,
-		SeedUpScale:         sp.SeedUpScale,
-		AbortScale:          sp.AbortScale,
-	}
-}
+// Scenario describes one experiment. It is scenario.Spec, which declares
+// and documents every knob once; its Config method is the sim config
+// builder Run uses.
+type Scenario = scenario.Spec
 
 // Torrent is one row of the paper's Table I.
 type Torrent struct {
@@ -319,12 +91,6 @@ func TableI() []Torrent {
 	return out
 }
 
-// buildConfig maps a Scenario onto the internal swarm configuration via
-// the shared scenario builder.
-func buildConfig(sc Scenario) (swarm.Config, torrents.Spec, error) {
-	return sc.toSpec().Config()
-}
-
 // Run executes the scenario and derives its report. Live scenarios run on
 // the real-TCP loopback backend; everything else is a discrete-event
 // simulation. Both produce the same *Report shape through the same
@@ -334,7 +100,7 @@ func Run(sc Scenario) (*Report, error) {
 	if sc.Live {
 		return runLive(sc)
 	}
-	cfg, spec, err := buildConfig(sc)
+	cfg, spec, err := sc.Config()
 	if err != nil {
 		return nil, err
 	}

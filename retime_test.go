@@ -16,7 +16,7 @@ import (
 // returns the digest plus the raw report (for stats assertions).
 func retimeReport(t *testing.T, sc Scenario, workers int) (string, *Report) {
 	t.Helper()
-	cfg, spec, err := buildConfig(sc)
+	cfg, spec, err := sc.Config()
 	if err != nil {
 		t.Fatal(err)
 	}

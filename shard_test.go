@@ -18,7 +18,7 @@ import (
 // exactly when the trajectories are.
 func shardDigest(t *testing.T, sc Scenario, workers int) (string, *Report) {
 	t.Helper()
-	cfg, spec, err := buildConfig(sc)
+	cfg, spec, err := sc.Config()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,19 +35,8 @@ func Suites() []SuiteInfo {
 func SuiteNames() []string { return scenario.Names() }
 
 // SuiteOptions parameterize the expansion of a registered scenario family
-// into concrete Scenarios.
-type SuiteOptions struct {
-	// Scale applies to every scenario the family builds with a zero
-	// Scale; the zero value leaves the per-scenario default.
-	Scale Scale
-	// Seeds fans every scenario out into one repeat per RNG seed
-	// (SeedOverride); repeats share the scenario's Label, so suite
-	// aggregation reports mean/stddev over the seeds. Empty means a
-	// single run with the catalog seed.
-	Seeds []int64
-	// Torrents restricts catalog-style families to these Table I ids.
-	Torrents []int
-}
+// into concrete Scenarios. It is scenario.Options, declared once there.
+type SuiteOptions = scenario.Options
 
 // Suite is an ordered batch of scenarios run and aggregated together.
 type Suite struct {
@@ -63,16 +52,7 @@ func NewSuite(name string, o SuiteOptions) (Suite, error) {
 	if !ok {
 		return Suite{}, fmt.Errorf("rarestfirst: no scenario suite %q (have %v)", name, scenario.Names())
 	}
-	specs := def.Scenarios(scenario.Options{
-		Scale:    o.Scale.toInternal(),
-		Seeds:    o.Seeds,
-		Torrents: o.Torrents,
-	})
-	s := Suite{Name: def.Name, Description: def.Description, Scenarios: make([]Scenario, 0, len(specs))}
-	for _, sp := range specs {
-		s.Scenarios = append(s.Scenarios, fromSpec(sp))
-	}
-	return s, nil
+	return Suite{Name: def.Name, Description: def.Description, Scenarios: def.Scenarios(o)}, nil
 }
 
 // Runner executes scenarios across a bounded worker pool. Every scenario
