@@ -44,15 +44,17 @@ var updateGoldens = flag.Bool("update-goldens", false,
 
 // goldenScenarios are the fixed-seed scenarios the digests cover: a
 // steady torrent, a transient torrent with the smart-seed policy, a
-// free-rider-heavy torrent on the old seed choker, and a crash-recovery
-// run — together they exercise the engine, the fluid network, every
-// picker entry point, both seed chokers, and the kill/rejoin path.
+// free-rider-heavy torrent on the old seed choker, a crash-recovery run
+// and a batched-HAVE run — together they exercise the engine, the fluid
+// network, every picker entry point, both seed chokers, the kill/rejoin
+// path and the deferred HAVE flush.
 func goldenScenarios() []Scenario {
 	return []Scenario{
 		{Label: "steady-t7", TorrentID: 7, Scale: BenchScale(), SeedOverride: 42},
 		{Label: "transient-t8-smart", TorrentID: 8, Scale: BenchScale(), SmartSeedServe: true, SeedOverride: 7},
 		{Label: "freeride-t14-oldseed", TorrentID: 14, Scale: BenchScale(), SeedChoke: SeedChokeOld, FreeRiderFraction: 0.2, SeedOverride: 99},
 		{Label: "crash-t10-killrestart", TorrentID: 10, Scale: BenchScale(), Crashes: "kill-restart", SeedOverride: 11},
+		{Label: "batched-t8", TorrentID: 8, Scale: BenchScale(), BatchHaves: true, SeedOverride: 5},
 	}
 }
 
