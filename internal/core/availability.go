@@ -18,92 +18,38 @@ import (
 
 // Availability tracks, for every piece, the number of copies present in the
 // local peer set ("each peer maintains a list of the number of copies of
-// each piece in its peer set", §II-C.1). Pieces are bucketed by copy count
-// so that rarest-first picking can scan from the lowest count upward; all
-// updates are O(1), and cursors over the lowest/highest non-empty bucket
-// plus a running count sum make MinCount, RarestSetSize, RarestSet and
-// Stats O(1) too (amortized for the cursor maintenance) — at 10k-peer
-// scale, copy counts reach the peer-set cap and the old scan from bucket 0
-// walked ~80 empty buckets per query and per pick.
-// The index has two maintenance modes. The default (eager) mode keeps the
-// buckets exact on every update via move — the mode the golden-pinned
-// scenarios run, whose within-bucket iteration order is part of their
-// reproducibility contract. SetLazy switches to flat-count maintenance:
-// Inc/Dec touch only the count array (one increment, nothing else — the
-// HAVE fan-out hot path is ~one cache line per call), and every derived
-// view is recomputed on demand. The min/max/rarest-count cursors refresh
-// with one scan the next time a stats query runs after updates, and
-// PickRarest/RarestSet answer with direct scans over the flat counts in
-// ascending piece order — exactly the order an eager index freshly built
-// from the counts would hold, so the two modes' query contracts coincide.
-// Batched-HAVE swarms use lazy mode to make the per-HAVE hot path,
-// whole-bitfield RemovePeer churn storms and the per-peer memory
-// footprint (no bucket/pos arrays) cheap; stats queries there are
-// per-sample-instant, thousands of updates apart.
+// each piece in its peer set", §II-C.1). It is exactly that list: a flat
+// count array. Inc and Dec touch one count and nothing else — the HAVE
+// fan-out hot path, which a huge-swarm run hits hundreds of millions of
+// times, costs about one cache line per call and never allocates. The
+// derived statistics (min/max copy count, count sum, rarest-set size) are
+// recomputed by one scan the first time they are queried after an update;
+// queries come once per sample instant, thousands of updates apart.
+// PickRarest is a word-parallel scan of the wanted pieces' counts. Every
+// simulated peer, the simulator's torrent-wide index and the live client
+// share this one implementation.
 type Availability struct {
-	counts []int   // copy count per piece
-	bucket [][]int // bucket[c] = piece indices with count c (unordered)
-	pos    []int   // position of piece i inside bucket[counts[i]]
-	peers  int     // number of contributing bitfields
-	minC   int     // lowest non-empty bucket (0 when empty/no pieces)
-	maxC   int     // highest non-empty bucket (0 when empty/no pieces)
-	sum    int64   // sum of all copy counts
+	counts []int // copy count per piece
+	peers  int   // number of contributing bitfields
 
-	// Lazy-mode state (bucket and pos are nil in lazy mode): statsDirty
-	// marks minC/maxC/sum/nMin as behind the counts; refresh recomputes
-	// all four in one scan.
-	lazy       bool
-	statsDirty bool
-	nMin       int // number of pieces at minC (lazy mode only)
+	// Derived stats, recomputed by refresh when dirty.
+	dirty bool
+	minC  int   // lowest copy count (0 when there are no pieces)
+	maxC  int   // highest copy count
+	nMin  int   // number of pieces at minC
+	sum   int64 // sum of all copy counts
 }
 
 // NewAvailability returns an all-zero availability index over n pieces.
 func NewAvailability(n int) *Availability {
-	a := &Availability{
-		counts: make([]int, n),
-		bucket: make([][]int, 1, 8),
-		pos:    make([]int, n),
-	}
-	a.bucket[0] = make([]int, n)
-	for i := 0; i < n; i++ {
-		a.bucket[0][i] = i
-		a.pos[i] = i
-	}
-	return a
+	return &Availability{counts: make([]int, n), nMin: n}
 }
 
-// SetLazy switches bucket maintenance between eager (exact on every
-// update; the default and the golden-run mode) and lazy (bare count
-// updates, every derived view recomputed by scan on demand). The
-// candidate order lazy scans produce differs from the eager move order,
-// which changes which piece a PickRarest draw selects — so lazy mode is
-// opted into per scenario, never silently. Switching with peers folded in
-// would strand the cursors, so that panics. Lazy mode drops the
-// bucket/pos arrays entirely (they are rebuilt fresh on a switch back to
-// eager, which the empty-index precondition makes trivial).
-func (a *Availability) SetLazy(lazy bool) {
-	a.refresh() // settle a deferred lazy sum so the emptiness guard sees the truth
-	if a.peers != 0 || a.sum != 0 {
-		panic("core: SetLazy on a non-empty availability index")
-	}
-	a.lazy = lazy
-	a.statsDirty = false
-	a.nMin = len(a.counts) // empty index: every piece sits at count zero
-	if lazy {
-		a.bucket, a.pos = nil, nil
-		return
-	}
-	if a.bucket == nil {
-		n := len(a.counts)
-		a.bucket = make([][]int, 1, 8)
-		a.pos = make([]int, n)
-		a.bucket[0] = make([]int, n)
-		for i := 0; i < n; i++ {
-			a.bucket[0][i] = i
-			a.pos[i] = i
-		}
-	}
-}
+// SetLazy does nothing. The index once had an eager bucketed mode beside
+// the flat-count one; flat counts are now the only mode.
+//
+// Deprecated: there is no mode to set.
+func (a *Availability) SetLazy(bool) {}
 
 // NumPieces returns the number of pieces indexed.
 func (a *Availability) NumPieces() int { return len(a.counts) }
@@ -114,56 +60,13 @@ func (a *Availability) Peers() int { return a.peers }
 // Count returns the copy count of piece i.
 func (a *Availability) Count(i int) int { return a.counts[i] }
 
-// move shifts piece i from its current bucket to bucket c and maintains
-// the min/max cursors and the count sum. Cursor motion is amortized O(1):
-// the min cursor only advances over buckets emptied by Incs and the max
-// cursor only retreats over buckets emptied by Decs, work those same
-// operations paid for creating.
-func (a *Availability) move(i, c int) {
-	old := a.counts[i]
-	b := a.bucket[old]
-	last := len(b) - 1
-	j := a.pos[i]
-	b[j] = b[last]
-	a.pos[b[j]] = j
-	a.bucket[old] = b[:last]
-	for len(a.bucket) <= c {
-		a.bucket = append(a.bucket, nil)
-	}
-	a.bucket[c] = append(a.bucket[c], i)
-	a.pos[i] = len(a.bucket[c]) - 1
-	a.counts[i] = c
-	a.sum += int64(c - old)
-	if c < a.minC {
-		a.minC = c
-	}
-	if c > a.maxC {
-		a.maxC = c
-	}
-	if last == 0 { // bucket[old] just became empty
-		if old == a.minC {
-			for len(a.bucket[a.minC]) == 0 { // stops at bucket[c] at the latest
-				a.minC++
-			}
-		}
-		if old == a.maxC {
-			for a.maxC > 0 && len(a.bucket[a.maxC]) == 0 {
-				a.maxC--
-			}
-		}
-	}
-}
-
-// refresh recomputes lazy mode's derived stats — min/max cursors, count
-// sum and rarest-set size — in one pass over the counts. Cost is
-// amortized across every Inc/Dec since the last stats query; the batched
-// swarms that run lazy mode query stats once per sample instant,
-// thousands of HAVE updates apart.
+// refresh recomputes the derived stats in one pass over the counts if an
+// update has happened since the last query.
 func (a *Availability) refresh() {
-	if !a.statsDirty {
+	if !a.dirty {
 		return
 	}
-	a.statsDirty = false
+	a.dirty = false
 	if len(a.counts) == 0 {
 		return
 	}
@@ -184,18 +87,10 @@ func (a *Availability) refresh() {
 }
 
 // Inc records one more copy of piece i in the peer set (a HAVE message or
-// one bit of a joining peer's bitfield). Lazy mode makes this the bare
-// count increment — the HAVE fan-out at huge-swarm scale calls Inc once
-// per (receiver, completion) pair, hundreds of millions of times per run,
-// so every deferred byte of maintenance here is paid back at refresh
-// time instead.
+// one bit of a joining peer's bitfield).
 func (a *Availability) Inc(i int) {
-	if a.lazy {
-		a.counts[i]++
-		a.statsDirty = true
-		return
-	}
-	a.move(i, a.counts[i]+1)
+	a.counts[i]++
+	a.dirty = true
 }
 
 // Dec records one fewer copy of piece i (a peer with the piece left the
@@ -204,12 +99,8 @@ func (a *Availability) Dec(i int) {
 	if a.counts[i] == 0 {
 		panic(fmt.Sprintf("core: availability of piece %d below zero", i))
 	}
-	if a.lazy {
-		a.counts[i]--
-		a.statsDirty = true
-		return
-	}
-	a.move(i, a.counts[i]-1)
+	a.counts[i]--
+	a.dirty = true
 }
 
 // AddPeer folds a joining peer's bitfield into the index.
@@ -225,120 +116,42 @@ func (a *Availability) RemovePeer(b *bitfield.Bitfield) {
 }
 
 // MinCount returns the minimum copy count over all pieces (m in the paper's
-// definition of the rarest pieces set). O(1): the min cursor always sits on
-// the lowest non-empty bucket.
+// definition of the rarest pieces set).
 func (a *Availability) MinCount() int {
-	if len(a.counts) == 0 {
-		return 0
-	}
-	if a.lazy {
-		a.refresh()
-	}
+	a.refresh()
 	return a.minC
 }
 
 // RarestSetSize returns the number of pieces that are equally rarest —
-// the series plotted in Figs 3 and 6. O(1).
+// the series plotted in Figs 3 and 6.
 func (a *Availability) RarestSetSize() int {
-	if len(a.counts) == 0 {
-		return 0
-	}
-	if a.lazy {
-		a.refresh()
-		return a.nMin
-	}
-	return len(a.bucket[a.minC])
-}
-
-// RarestSet appends the indices of the rarest pieces to dst and returns it.
-// In lazy mode the result comes from one ascending scan over the counts —
-// the same order an eager index freshly built from the counts would hold.
-func (a *Availability) RarestSet(dst []int) []int {
-	if len(a.counts) == 0 {
-		return dst
-	}
-	if a.lazy {
-		a.refresh()
-		for i, c := range a.counts {
-			if c == a.minC {
-				dst = append(dst, i)
-			}
-		}
-		return dst
-	}
-	return append(dst, a.bucket[a.minC]...)
+	a.refresh()
+	return a.nMin
 }
 
 // Stats returns the (min, mean, max) copy counts across all pieces — the
-// three series plotted in Figs 2 and 4. O(1): min/max are the bucket
-// cursors and the mean divides the running integer sum, so the result is
-// bit-identical to the old full scan.
+// three series plotted in Figs 2 and 4. The mean divides the integer count
+// sum, so it does not depend on the order of updates.
 func (a *Availability) Stats() (min int, mean float64, max int) {
 	n := len(a.counts)
 	if n == 0 {
 		return 0, 0, 0
 	}
-	if a.lazy {
-		a.refresh()
-	}
+	a.refresh()
 	return a.minC, float64(a.sum) / float64(n), a.maxC
 }
 
-// PickRarest scans buckets from the lowest copy count and returns a piece
-// uniformly random among the lowest-count pieces downloadable in state s.
-// It returns -1 if no piece qualifies. This implements "select the next
-// piece to download at random in the rarest pieces set", restricted — as in
-// the mainline implementation — to pieces the target peer can actually
-// provide.
+// PickRarest returns a piece uniformly random among the lowest-count
+// pieces downloadable in state s, or -1 if no piece qualifies. This
+// implements "select the next piece to download at random in the rarest
+// pieces set", restricted — as in the mainline implementation — to pieces
+// the target peer can actually provide.
 //
-// Each candidate costs one combined word probe, and the uniform choice is
-// count-then-draw: a counting pass sizes the qualifying set, one rng.Intn
-// draw picks a rank, a second pass locates it. One RNG draw instead of one
-// per candidate — same distribution, different RNG stream than the old
-// reservoir (a documented reproducibility-contract bump).
+// It makes two word-parallel passes over the wanted set. The first finds
+// the minimal copy count among wanted pieces and sizes its tie set, one
+// rng.Intn draw picks a rank, and the second locates that rank in
+// ascending piece order: one RNG draw per pick, whatever the tie-set size.
 func (a *Availability) PickRarest(rng *rand.Rand, s *PickState) int {
-	if a.lazy {
-		return a.pickRarestScan(rng, s)
-	}
-	for ci := a.minC; ci < len(a.bucket); ci++ {
-		// Buckets below the min cursor are empty by invariant, so starting
-		// the walk at minC visits exactly the buckets the full scan did.
-		b := a.bucket[ci]
-		if len(b) == 0 {
-			continue
-		}
-		k := 0
-		for _, i := range b {
-			if s.want(i) {
-				k++
-			}
-		}
-		if k == 0 {
-			continue
-		}
-		j := rng.Intn(k)
-		for _, i := range b {
-			if s.want(i) {
-				if j == 0 {
-					return i
-				}
-				j--
-			}
-		}
-	}
-	return -1
-}
-
-// pickRarestScan is lazy mode's PickRarest: two word-parallel passes over
-// the wanted set, with no bucket materialization. The first pass finds the
-// minimal copy count among wanted pieces and sizes the tie set, one
-// rng.Intn draw picks a rank, the second pass locates it in ascending
-// piece order. Draw-for-draw identical to the bucket walk over freshly
-// rebuilt (ascending-piece-order) buckets: both consume exactly one Intn,
-// at the first count level containing a wanted piece, over the same
-// candidate sequence — so replacing the old rebuild-then-walk lazy path
-// with this scan changed no trajectory.
-func (a *Availability) pickRarestScan(rng *rand.Rand, s *PickState) int {
 	nw := s.Remote.NumWords()
 	best, k := 0, 0
 	for wi := 0; wi < nw; wi++ {

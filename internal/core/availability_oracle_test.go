@@ -1,14 +1,12 @@
 package core
 
-// The scan-based reference oracle for Availability: the pre-bucketing
-// implementation (a flat count array, every query a full O(numPieces)
-// scan), kept as the ground truth the bucketed/cursored implementation is
-// property-tested against. If the two ever disagree the bucket structure
-// — not the oracle — is wrong.
+// The scan-based reference oracle for Availability: a flat count array
+// whose every query is a fresh full O(numPieces) scan, kept as the ground
+// truth for the index's deferred stats refresh. If the two ever disagree
+// the refresh bookkeeping — not the oracle — is wrong.
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"rarestfirst/internal/bitfield"
@@ -55,15 +53,14 @@ func (o *availOracle) MinCount() int {
 	return min
 }
 
-func (o *availOracle) RarestSet() []int {
-	min := o.MinCount()
-	var out []int
-	for i, c := range o.counts {
+func (o *availOracle) RarestSetSize() int {
+	min, k := o.MinCount(), 0
+	for _, c := range o.counts {
 		if c == min {
-			out = append(out, i)
+			k++
 		}
 	}
-	return out
+	return k
 }
 
 func (o *availOracle) Stats() (int, float64, int) {
@@ -84,8 +81,9 @@ func (o *availOracle) Stats() (int, float64, int) {
 	return min, float64(sum) / float64(n), max
 }
 
-// checkAgainstOracle compares every query surface of a and o, and checks
-// a's internal invariants (bucket membership, cursors, running sum).
+// checkAgainstOracle compares every query surface of a and o. The stats
+// queries run after the counts are read back, so each one exercises a
+// refresh over whatever updates preceded it.
 func checkAgainstOracle(t *testing.T, a *Availability, o *availOracle) {
 	t.Helper()
 	n := len(o.counts)
@@ -103,88 +101,16 @@ func checkAgainstOracle(t *testing.T, a *Availability, o *availOracle) {
 	if got, want := a.MinCount(), o.MinCount(); got != want {
 		t.Fatalf("MinCount = %d, want %d", got, want)
 	}
-	wantRarest := o.RarestSet()
-	if got, want := a.RarestSetSize(), len(wantRarest); n > 0 && got != want {
+	if got, want := a.RarestSetSize(), o.RarestSetSize(); got != want {
 		t.Fatalf("RarestSetSize = %d, want %d", got, want)
-	}
-	gotRarest := a.RarestSet(nil)
-	sort.Ints(gotRarest)
-	if n > 0 {
-		if len(gotRarest) != len(wantRarest) {
-			t.Fatalf("RarestSet = %v, want %v", gotRarest, wantRarest)
-		}
-		for i := range gotRarest {
-			if gotRarest[i] != wantRarest[i] {
-				t.Fatalf("RarestSet = %v, want %v", gotRarest, wantRarest)
-			}
-		}
 	}
 	amin, amean, amax := a.Stats()
 	omin, omean, omax := o.Stats()
 	if amin != omin || amean != omean || amax != omax {
 		t.Fatalf("Stats = (%d, %v, %d), want (%d, %v, %d)", amin, amean, amax, omin, omean, omax)
 	}
-
-	// Internal invariants. Lazy mode has no bucket/pos arrays at all: its
-	// only structure is the count array, with min/max/sum/rarest-count
-	// recomputed by refresh — and the query comparisons above already
-	// checked those four against the oracle's scans. Verify only that no
-	// buckets ever materialize; refreshed cursors must also match a fresh
-	// scan exactly (not merely be stale-but-consistent).
-	if a.lazy {
-		if a.bucket != nil || a.pos != nil {
-			t.Fatalf("lazy index materialized buckets: %v %v", a.bucket, a.pos)
-		}
-		if n > 0 {
-			a.refresh()
-			omin, _, omax := o.Stats()
-			if a.minC != omin || a.maxC != omax {
-				t.Fatalf("refreshed cursors (%d, %d), want (%d, %d)", a.minC, a.maxC, omin, omax)
-			}
-			nMin := 0
-			for _, c := range o.counts {
-				if c == omin {
-					nMin++
-				}
-			}
-			if a.nMin != nMin {
-				t.Fatalf("refreshed nMin = %d, want %d", a.nMin, nMin)
-			}
-		}
-		return
-	}
-	total := 0
-	for c, b := range a.bucket {
-		for j, i := range b {
-			if a.counts[i] != c {
-				t.Fatalf("piece %d in bucket %d but counts[%d] = %d", i, c, i, a.counts[i])
-			}
-			if a.pos[i] != j {
-				t.Fatalf("piece %d pos = %d, want %d", i, a.pos[i], j)
-			}
-		}
-		total += len(b)
-	}
-	if total != n {
-		t.Fatalf("buckets hold %d pieces, want %d", total, n)
-	}
-	if n > 0 {
-		if len(a.bucket[a.minC]) == 0 {
-			t.Fatalf("min cursor %d sits on an empty bucket", a.minC)
-		}
-		for c := 0; c < a.minC; c++ {
-			if len(a.bucket[c]) != 0 {
-				t.Fatalf("bucket %d non-empty below min cursor %d", c, a.minC)
-			}
-		}
-		if len(a.bucket[a.maxC]) == 0 && a.maxC != 0 {
-			t.Fatalf("max cursor %d sits on an empty bucket", a.maxC)
-		}
-		for c := a.maxC + 1; c < len(a.bucket); c++ {
-			if len(a.bucket[c]) != 0 {
-				t.Fatalf("bucket %d non-empty above max cursor %d", c, a.maxC)
-			}
-		}
+	if a.dirty {
+		t.Fatal("stats still marked dirty after a query")
 	}
 }
 
@@ -274,8 +200,9 @@ func TestAvailabilityMatchesOracle(t *testing.T) {
 
 // TestAvailabilityFlashCrowdChurn is the churn-heavy sequence: a flash
 // crowd of peers joins (mass AddPeer), then departs en masse in random
-// order — the arrival/departure pattern that drags the cursors across
-// their full range in both directions.
+// order — the arrival/departure pattern that drags the min and max
+// counts across their full range in both directions, with dozens of
+// whole-bitfield updates between stats refreshes.
 func TestAvailabilityFlashCrowdChurn(t *testing.T) {
 	const n, crowd = 128, 400
 	rng := rand.New(rand.NewSource(7))
@@ -285,8 +212,8 @@ func TestAvailabilityFlashCrowdChurn(t *testing.T) {
 	for k := 0; k < crowd; k++ {
 		p := 0.05 + 0.9*rng.Float64()
 		if k%10 == 0 {
-			// Every tenth peer is a seed: full bitfields stress the max
-			// cursor and keep MinCount pinned once every piece exists.
+			// Every tenth peer is a seed: full bitfields push the max
+			// count up and keep MinCount pinned once every piece exists.
 			p = 1.0
 		}
 		b := randomBitfield(rng, n, p)
@@ -355,7 +282,9 @@ func TestPickRarestAgainstOracle(t *testing.T) {
 }
 
 // FuzzAvailabilityOps feeds byte-driven op sequences through both
-// implementations and fails on any divergence or invariant break.
+// implementations and fails on any divergence. Bytes with the high bit
+// set also query the index mid-sequence, interleaving stats refreshes with
+// updates, and compare a PickRarest draw with the predicate reference.
 func FuzzAvailabilityOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 250, 130, 7, 7, 9})
 	f.Add([]byte{255, 255, 0, 0, 128, 64, 32})
@@ -396,6 +325,15 @@ func FuzzAvailabilityOps(f *testing.F) {
 					held = held[:len(held)-1]
 					a.RemovePeer(b)
 					o.RemovePeer(b)
+				}
+			}
+			if by&0x80 != 0 {
+				checkAgainstOracle(t, a, o)
+				s := randomPickState(rng, n)
+				seed := int64(by)
+				got := a.PickRarest(rand.New(rand.NewSource(seed)), s)
+				if want := pickRarestFunc(a, rand.New(rand.NewSource(seed)), s.wantFrom); got != want {
+					t.Fatalf("PickRarest = %d, reference = %d", got, want)
 				}
 			}
 		}

@@ -80,15 +80,17 @@ func TestAvailabilityRarestSet(t *testing.T) {
 	}
 	a.Inc(0)
 	a.Inc(1)
-	set := a.RarestSet(nil)
-	want := map[int]bool{2: true, 3: true, 4: true}
-	if len(set) != 3 {
-		t.Fatalf("rarest set %v", set)
+	if a.MinCount() != 1 || a.RarestSetSize() != 3 {
+		t.Fatalf("min=%d rarest=%d, want 1 and 3", a.MinCount(), a.RarestSetSize())
 	}
-	for _, i := range set {
-		if !want[i] {
-			t.Fatalf("rarest set %v contains %d", set, i)
-		}
+	// With every piece wanted, picks cover exactly the rarest set {2, 3, 4}.
+	rng := rand.New(rand.NewSource(4))
+	picked := map[int]bool{}
+	for k := 0; k < 200; k++ {
+		picked[pickRarestFunc(a, rng, func(int) bool { return true })] = true
+	}
+	if len(picked) != 3 || !picked[2] || !picked[3] || !picked[4] {
+		t.Fatalf("picks over all pieces hit %v, want {2, 3, 4}", picked)
 	}
 }
 
@@ -161,7 +163,7 @@ func TestPickRarestSkipsEmptyLowBucketForWanted(t *testing.T) {
 	}
 }
 
-// Property: after any sequence of Inc/Dec, bucket bookkeeping matches a
+// Property: after any sequence of Inc/Dec, the refreshed stats match a
 // naive recomputation.
 func TestQuickAvailabilityConsistency(t *testing.T) {
 	f := func(ops []uint16, nSeed uint8) bool {
@@ -197,6 +199,36 @@ func TestQuickAvailabilityConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAvailabilityZeroAlloc pins the property the flat-count index rests
+// on: no update or query on a populated index allocates. Each op is
+// balanced by the one after it (Inc then Dec, AddPeer then RemovePeer),
+// so the index ends as it started.
+func TestAvailabilityZeroAlloc(t *testing.T) {
+	const n = 1393
+	rng := rand.New(rand.NewSource(5))
+	a := NewAvailability(n)
+	for k := 0; k < 8; k++ {
+		a.AddPeer(randomBitfield(rng, n, 0.5))
+	}
+	joiner := randomBitfield(rng, n, 0.5)
+	s := &PickState{Have: randomBitfield(rng, n, 0.3), InFlight: bitfield.New(n), Remote: randomBitfield(rng, n, 0.7)}
+	for _, op := range []struct {
+		name string
+		f    func()
+	}{
+		{"Inc", func() { a.Inc(7) }},
+		{"Dec", func() { a.Dec(7) }},
+		{"AddPeer", func() { a.AddPeer(joiner) }},
+		{"RemovePeer", func() { a.RemovePeer(joiner) }},
+		{"PickRarest", func() { a.PickRarest(rng, s) }},
+		{"Stats", func() { a.dirty = true; a.Stats() }}, // force the refresh scan
+	} {
+		if allocs := testing.AllocsPerRun(100, op.f); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", op.name, allocs)
+		}
 	}
 }
 

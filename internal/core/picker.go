@@ -29,24 +29,12 @@ type PickState struct {
 	Downloaded int
 }
 
-// wantFrom reports whether piece i is downloadable in this state: the
-// remote has it, we don't, and we're not already fetching it.
-func (s *PickState) wantFrom(i int) bool {
-	return s.Remote.Has(i) && !s.Have.Has(i) && !s.InFlight.Has(i)
-}
-
 // wantWord returns the 64-piece word of downloadable pieces at word index
-// wi: remote &^ (have | inflight). All three bitfields share a length, so
+// wi: remote &^ (have | inflight) — the remote has them, we don't, and we
+// are not already fetching them. All three bitfields share a length, so
 // their tail invariants make the combination exact without masking.
 func (s *PickState) wantWord(wi int) uint64 {
 	return s.Remote.WordAt(wi) &^ (s.Have.WordAt(wi) | s.InFlight.WordAt(wi))
-}
-
-// want is wantFrom via a single combined word probe (one load per
-// bitfield, no per-field bounds recomputation) — the form the hot scans
-// use.
-func (s *PickState) want(i int) bool {
-	return s.wantWord(i>>6)&(1<<(63-uint(i)&63)) != 0
 }
 
 // Picker selects the next piece to download from a remote peer, or -1 when

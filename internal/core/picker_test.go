@@ -193,35 +193,32 @@ func TestPickerNames(t *testing.T) {
 
 // --- PR 2: word-parallel picking ---
 
+// wantFrom is the per-bit reference for wantWord: piece i is downloadable
+// when the remote has it, we don't, and we're not already fetching it.
+func (s *PickState) wantFrom(i int) bool {
+	return s.Remote.Has(i) && !s.Have.Has(i) && !s.InFlight.Has(i)
+}
+
 // pickRarestFunc is the predicate-based reference implementation of
 // Availability.PickRarest. It consumes the identical RNG stream (one Intn
-// draw per bucket with qualifying pieces), so equivalence tests can run
-// both against the same seed.
+// draw over the wanted pieces at the lowest wanted count, ranked in
+// ascending piece order), so equivalence tests can run both against the
+// same seed.
 func pickRarestFunc(a *Availability, rng *rand.Rand, want func(i int) bool) int {
-	for _, b := range a.bucket {
-		if len(b) == 0 {
-			continue
-		}
-		k := 0
-		for _, i := range b {
-			if want(i) {
-				k++
-			}
-		}
-		if k == 0 {
-			continue
-		}
-		j := rng.Intn(k)
-		for _, i := range b {
-			if want(i) {
-				if j == 0 {
-					return i
-				}
-				j--
-			}
+	var rarest []int
+	for i := 0; i < a.NumPieces(); i++ {
+		switch {
+		case !want(i):
+		case len(rarest) == 0 || a.Count(i) < a.Count(rarest[0]):
+			rarest = append(rarest[:0], i)
+		case a.Count(i) == a.Count(rarest[0]):
+			rarest = append(rarest, i)
 		}
 	}
-	return -1
+	if len(rarest) == 0 {
+		return -1
+	}
+	return rarest[rng.Intn(len(rarest))]
 }
 
 // randomPickState builds a random but consistent PickState: Have, InFlight

@@ -120,14 +120,10 @@ type Spec struct {
 
 	// BatchHaves defers the per-neighbour interest/request reactions of
 	// each piece completion into a per-instant pending-HAVE set flushed
-	// once per event, and switches the availability indices to lazily
-	// rebuilt rarity buckets (swarm.Config.BatchHaves) — the flat-count
-	// mode that removes the per-HAVE bucket shuffle from the hot path at
-	// flash-crowd scale. Runs stay bit-reproducible but differ from the
-	// default eager mode (lazy buckets rebuild in ascending piece order,
-	// which changes which piece a rarest-first draw selects), so like
-	// ChokeLanes this is off everywhere the goldens cover and on for the
-	// huge/mega suites.
+	// once per event (swarm.Config.BatchHaves). Runs stay bit-reproducible
+	// but differ from the default inline reactions, so like ChokeLanes
+	// this is a mode switch: on for the huge/mega suites and the
+	// batched-t8 golden.
 	BatchHaves bool `json:",omitempty"`
 
 	// Faults names a netem fault plan (netem.PlanByName: "wan", "flaky",

@@ -233,13 +233,10 @@ type Config struct {
 
 	// BatchHaves batches completePiece's per-neighbor HAVE reactions into
 	// a per-instant pending set flushed once per event (riding the
-	// post-event hook), and switches the availability indices to lazy
-	// bucket maintenance — killing the per-HAVE bucket-shuffle hot spot at
-	// flash-crowd scale. Copy counts still update synchronously (so
+	// post-event hook). Copy counts still update synchronously (so
 	// departures can never underflow them); only the interest/request
-	// reactions defer, and the lazy buckets rebuild in ascending piece
-	// order, so runs differ from the default mode — like ChokeLanes, this
-	// is off everywhere the goldens cover and on for the 100k-peer runs.
+	// reactions defer, so runs differ from the default mode — like
+	// ChokeLanes, this is on for the huge-swarm runs.
 	BatchHaves bool
 }
 

@@ -511,8 +511,8 @@ func (p *Peer) completePiece(idx int) {
 		// Batched mode: copy counts still update synchronously — a
 		// neighbour disconnecting before the flush removes the whole
 		// bitfield including this piece, so deferring the Incs would
-		// underflow the index — but with lazy buckets each Inc is a few
-		// O(1) writes. The expensive half (per-neighbour interest and
+		// underflow the index — but each Inc is one count increment.
+		// The expensive half (per-neighbour interest and
 		// request reactions) parks on the pending-HAVE set until the
 		// post-event flush.
 		for _, c := range p.connList {

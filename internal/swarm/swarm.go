@@ -148,7 +148,6 @@ func New(cfg Config) *Swarm {
 		})
 	}
 	if cfg.BatchHaves {
-		s.globalAvail.SetLazy(true)
 		// Chain the deferred flush points: HAVE reactions first (they may
 		// start flows whose rates the retime flush must then settle),
 		// Net's dirty-node flush second. NewNet installed n.Flush as the
@@ -266,9 +265,6 @@ func (s *Swarm) addPeerOpts(isSeed, freeRider, isLocal, bootstrap bool, upBps, d
 	}
 	have := bitfield.New(s.cfg.NumPieces)
 	avail := core.NewAvailability(s.cfg.NumPieces)
-	if s.cfg.BatchHaves {
-		avail.SetLazy(true)
-	}
 	p := &Peer{
 		s:              s,
 		id:             id,
