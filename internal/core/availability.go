@@ -42,7 +42,7 @@ type Availability struct {
 
 // NewAvailability returns an all-zero availability index over n pieces.
 func NewAvailability(n int) *Availability {
-	return &Availability{counts: make([]int, n), nMin: n}
+	return &Availability{counts: make([]int, n), dirty: true}
 }
 
 // SetLazy does nothing. The index once had an eager bucketed mode beside

@@ -33,8 +33,7 @@ func crashSweep(t *testing.T, cr *Crashes) map[string]int {
 	t.Helper()
 	sum := map[string]int{}
 	for seed := int64(1); seed <= 10; seed++ {
-		c := *cr
-		cfg := crashConfig(&c)
+		cfg := crashConfig(cr)
 		cfg.Seed = seed
 		res := New(cfg).Run()
 		fc := res.Collector.FaultCounts
