@@ -1,12 +1,10 @@
 package core
 
-// Lazy-mode availability (SetLazy, PR 6) property tests: the flat-count +
-// histogram implementation must answer every query exactly like the eager
-// bucketed mode and the scan-based oracle — only the within-bucket
-// iteration order (and hence which equal-rarest piece a PickRarest draw
-// lands on) is allowed to differ, which is why lazy mode is opt-in per
-// scenario. These reuse the oracle harness from
-// availability_oracle_test.go.
+// SetLazy property tests. Flat counts are the only availability mode, and
+// SetLazy(true) — still called by callers written for the two-mode index —
+// must leave an index that answers every query, and every PickRarest draw,
+// exactly like a fresh NewAvailability. These reuse the oracle harness from
+// availability_oracle_test.go and pair each lazy index with a plain twin.
 
 import (
 	"math/rand"
@@ -15,38 +13,56 @@ import (
 	"rarestfirst/internal/bitfield"
 )
 
-// newLazyAvailability returns a lazy-mode index over n pieces.
+// newLazyAvailability returns an index over n pieces with SetLazy(true)
+// applied, as a caller written for the two-mode index builds it.
 func newLazyAvailability(n int) *Availability {
 	a := NewAvailability(n)
 	a.SetLazy(true)
 	return a
 }
 
+// checkTwins fails unless a and b agree on every query surface.
+func checkTwins(t *testing.T, a, b *Availability) {
+	t.Helper()
+	if a.NumPieces() != b.NumPieces() || a.Peers() != b.Peers() {
+		t.Fatalf("twin shape: (%d pieces, %d peers) vs (%d pieces, %d peers)",
+			a.NumPieces(), a.Peers(), b.NumPieces(), b.Peers())
+	}
+	for i := 0; i < a.NumPieces(); i++ {
+		if a.Count(i) != b.Count(i) {
+			t.Fatalf("twin Count(%d): %d vs %d", i, a.Count(i), b.Count(i))
+		}
+	}
+	amin, amean, amax := a.Stats()
+	bmin, bmean, bmax := b.Stats()
+	if amin != bmin || amean != bmean || amax != bmax || a.RarestSetSize() != b.RarestSetSize() {
+		t.Fatalf("twin stats: (%d, %v, %d, rarest %d) vs (%d, %v, %d, rarest %d)",
+			amin, amean, amax, a.RarestSetSize(), bmin, bmean, bmax, b.RarestSetSize())
+	}
+}
+
 // TestLazyAvailabilityMatchesOracle drives random Inc/Dec/AddPeer/
-// RemovePeer sequences through a lazy index, the scan oracle AND an eager
-// twin, comparing all query surfaces after every operation. RemovePeer is
-// exercised deliberately: churn-storm departures ride the same lazy path
-// (satellite 6), so whole-bitfield removal must stay exact.
+// RemovePeer sequences through a SetLazy index and the scan oracle, and
+// mirrors every resulting count onto a twin updated through Inc and Dec
+// alone. The twin reaches the same counts by a different update path
+// (no whole-bitfield AddPeer/RemovePeer), so the two must report the same
+// stats after every operation.
 func TestLazyAvailabilityMatchesOracle(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 64, 257} {
 		rng := rand.New(rand.NewSource(int64(2000 + n)))
 		a := newLazyAvailability(n)
 		o := newAvailOracle(n)
-		eager := NewAvailability(n)
+		twin := NewAvailability(n)
 		st := &opState{extra: make([]int, n)}
 		checkAgainstOracle(t, a, o)
 		for step := 0; step < 600; step++ {
 			op := applyRandomOp(rng, a, o, st)
-			// Mirror the op onto the eager twin via the oracle-visible
-			// deltas: Inc/Dec/AddPeer/RemovePeer all reduce to per-piece
-			// count edits, so replaying counts is enough to compare the
-			// O(1) query surfaces of the two modes directly.
 			for i := 0; i < n; i++ {
-				for eager.Count(i) < o.counts[i] {
-					eager.Inc(i)
+				for twin.Count(i) < o.counts[i] {
+					twin.Inc(i)
 				}
-				for eager.Count(i) > o.counts[i] {
-					eager.Dec(i)
+				for twin.Count(i) > o.counts[i] {
+					twin.Dec(i)
 				}
 			}
 			if t.Failed() {
@@ -54,23 +70,23 @@ func TestLazyAvailabilityMatchesOracle(t *testing.T) {
 			}
 			checkAgainstOracle(t, a, o)
 			le, _, _ := a.Stats()
-			ee, _, _ := eager.Stats()
-			if le != ee || a.MinCount() != eager.MinCount() || a.RarestSetSize() != eager.RarestSetSize() {
-				t.Fatalf("n=%d step=%d: lazy (min %d, rarest %d) != eager (min %d, rarest %d)",
-					n, step, a.MinCount(), a.RarestSetSize(), eager.MinCount(), eager.RarestSetSize())
+			te, _, _ := twin.Stats()
+			if le != te || a.MinCount() != twin.MinCount() || a.RarestSetSize() != twin.RarestSetSize() {
+				t.Fatalf("n=%d step=%d: index (min %d, rarest %d) != count-replay twin (min %d, rarest %d)",
+					n, step, a.MinCount(), a.RarestSetSize(), twin.MinCount(), twin.RarestSetSize())
 			}
 		}
 	}
 }
 
 // TestLazyAvailabilityFlashCrowdChurn replays the churn-heavy
-// mass-join/mass-depart sequence in lazy mode — the exact workload
-// BatchHaves swarms route through shift, with the cursors dragged across
-// their full range in both directions.
+// mass-join/mass-depart sequence on a SetLazy index and a plain twin,
+// checking the lazy one against the oracle and the two against each other.
 func TestLazyAvailabilityFlashCrowdChurn(t *testing.T) {
 	const n, crowd = 128, 400
 	rng := rand.New(rand.NewSource(7))
 	a := newLazyAvailability(n)
+	twin := NewAvailability(n)
 	o := newAvailOracle(n)
 	var held []*bitfield.Bitfield
 	for k := 0; k < crowd; k++ {
@@ -81,44 +97,63 @@ func TestLazyAvailabilityFlashCrowdChurn(t *testing.T) {
 		b := randomBitfield(rng, n, p)
 		held = append(held, b)
 		a.AddPeer(b)
+		twin.AddPeer(b)
 		o.AddPeer(b)
 		if k%37 == 0 {
 			checkAgainstOracle(t, a, o)
+			checkTwins(t, a, twin)
 		}
 	}
 	checkAgainstOracle(t, a, o)
+	checkTwins(t, a, twin)
 	rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
 	for k, b := range held {
 		a.RemovePeer(b)
+		twin.RemovePeer(b)
 		o.RemovePeer(b)
 		if k%37 == 0 {
 			checkAgainstOracle(t, a, o)
+			checkTwins(t, a, twin)
 		}
 	}
 	checkAgainstOracle(t, a, o)
+	checkTwins(t, a, twin)
 	if a.MinCount() != 0 || a.RarestSetSize() != n {
 		t.Fatalf("drained swarm: MinCount = %d, RarestSetSize = %d", a.MinCount(), a.RarestSetSize())
 	}
 }
 
-// TestLazyPickRarestAgainstOracle checks PickRarest's contract in lazy
-// mode: the pick must be wanted and minimal-count among wanted pieces —
-// the bucket-free count scan must never surface a stale count.
+// TestLazyPickRarestAgainstOracle checks PickRarest on a SetLazy index:
+// the pick must be wanted and minimal-count among wanted pieces, and it
+// must equal a plain twin's pick drawn from an identically seeded source.
 func TestLazyPickRarestAgainstOracle(t *testing.T) {
 	const n = 96
 	rng := rand.New(rand.NewSource(11))
 	pick := rand.New(rand.NewSource(12))
+	twinPick := rand.New(rand.NewSource(12))
 	a := newLazyAvailability(n)
+	twin := NewAvailability(n)
 	o := newAvailOracle(n)
 	st := &opState{extra: make([]int, n)}
 	for step := 0; step < 400; step++ {
 		applyRandomOp(rng, a, o, st)
+		for i := 0; i < n; i++ {
+			for twin.Count(i) < o.counts[i] {
+				twin.Inc(i)
+			}
+			for twin.Count(i) > o.counts[i] {
+				twin.Dec(i)
+			}
+		}
 		s := &PickState{
 			Have:     randomBitfield(rng, n, 0.4),
 			InFlight: randomBitfield(rng, n, 0.1),
 			Remote:   randomBitfield(rng, n, 0.6),
 		}
 		got := a.PickRarest(pick, s)
+		if tg := twin.PickRarest(twinPick, s); tg != got {
+			t.Fatalf("step %d: picked %d, plain twin picked %d", step, got, tg)
+		}
 		wantMin, any := 0, false
 		for i := 0; i < n; i++ {
 			if s.Remote.Has(i) && !s.Have.Has(i) && !s.InFlight.Has(i) {
@@ -142,25 +177,9 @@ func TestLazyPickRarestAgainstOracle(t *testing.T) {
 	}
 }
 
-// TestSetLazyGuards pins the mode-switch contract: switching with peers
-// or counts folded in panics (the histogram would be stranded), and an
-// empty index can flip freely.
-func TestSetLazyGuards(t *testing.T) {
-	a := NewAvailability(8)
-	a.SetLazy(true)
-	a.SetLazy(false)
-	a.SetLazy(true)
-	a.Inc(3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetLazy on a non-empty index did not panic")
-		}
-	}()
-	a.SetLazy(false)
-}
-
 // FuzzLazyAvailabilityOps is the byte-driven fuzz twin of
-// FuzzAvailabilityOps running in lazy mode.
+// FuzzAvailabilityOps on a SetLazy index, with a plain index fed the same
+// ops and compared at the end.
 func FuzzLazyAvailabilityOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 250, 130, 7, 7, 9})
 	f.Add([]byte{255, 255, 0, 0, 128, 64, 32})
@@ -170,6 +189,7 @@ func FuzzLazyAvailabilityOps(f *testing.F) {
 		}
 		n := int(data[0])%130 + 1
 		a := newLazyAvailability(n)
+		twin := NewAvailability(n)
 		o := newAvailOracle(n)
 		extra := make([]int, n)
 		var held []*bitfield.Bitfield
@@ -180,18 +200,21 @@ func FuzzLazyAvailabilityOps(f *testing.F) {
 				i := int(by/4) % n
 				extra[i]++
 				a.Inc(i)
+				twin.Inc(i)
 				o.Inc(i)
 			case 1:
 				i := int(by/4) % n
 				if extra[i] > 0 {
 					extra[i]--
 					a.Dec(i)
+					twin.Dec(i)
 					o.Dec(i)
 				}
 			case 2:
 				b := randomBitfield(rng, n, float64(by)/255)
 				held = append(held, b)
 				a.AddPeer(b)
+				twin.AddPeer(b)
 				o.AddPeer(b)
 			case 3:
 				if len(held) > 0 {
@@ -200,10 +223,12 @@ func FuzzLazyAvailabilityOps(f *testing.F) {
 					held[k] = held[len(held)-1]
 					held = held[:len(held)-1]
 					a.RemovePeer(b)
+					twin.RemovePeer(b)
 					o.RemovePeer(b)
 				}
 			}
 		}
 		checkAgainstOracle(t, a, o)
+		checkTwins(t, a, twin)
 	})
 }
