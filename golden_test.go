@@ -44,10 +44,13 @@ var updateGoldens = flag.Bool("update-goldens", false,
 
 // goldenScenarios are the fixed-seed scenarios the digests cover: a
 // steady torrent, a transient torrent with the smart-seed policy, a
-// free-rider-heavy torrent on the old seed choker, a crash-recovery run
-// and a batched-HAVE run — together they exercise the engine, the fluid
-// network, every picker entry point, both seed chokers, the kill/rejoin
-// path and the deferred HAVE flush.
+// free-rider-heavy torrent on the old seed choker, a crash-recovery run,
+// a batched-HAVE run, and one run each of choke lanes over a sharded heap,
+// newcomer-boosted optimistic unchokes, the tit-for-tat leecher choker, a
+// poisoning adversary and the chaos fault plan — together they exercise
+// the engine, the fluid network, every picker entry point, every choker,
+// the kill/rejoin path, the deferred HAVE flush, the lane schedule, the
+// ban path and the fault-injected connection resets.
 func goldenScenarios() []Scenario {
 	return []Scenario{
 		{Label: "steady-t7", TorrentID: 7, Scale: BenchScale(), SeedOverride: 42},
@@ -55,6 +58,11 @@ func goldenScenarios() []Scenario {
 		{Label: "freeride-t14-oldseed", TorrentID: 14, Scale: BenchScale(), SeedChoke: SeedChokeOld, FreeRiderFraction: 0.2, SeedOverride: 99},
 		{Label: "crash-t10-killrestart", TorrentID: 10, Scale: BenchScale(), Crashes: "kill-restart", SeedOverride: 11},
 		{Label: "batched-t8", TorrentID: 8, Scale: BenchScale(), BatchHaves: true, SeedOverride: 5},
+		{Label: "lanes-t7", TorrentID: 7, Scale: BenchScale(), ChokeLanes: true, HeapShards: 32, BatchHaves: true, SeedOverride: 3},
+		{Label: "boost-t8", TorrentID: 8, Scale: BenchScale(), BoostNewcomers: true, SeedOverride: 13},
+		{Label: "tft-t14", TorrentID: 14, Scale: BenchScale(), LeecherChoke: LeecherChokeTitForTat, SeedOverride: 17},
+		{Label: "poison25-t10", TorrentID: 10, Scale: BenchScale(), Adversary: "poison25", SeedOverride: 19},
+		{Label: "chaos-t7", TorrentID: 7, Scale: BenchScale(), Faults: "chaos", SeedOverride: 29},
 	}
 }
 
