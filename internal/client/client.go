@@ -155,6 +155,8 @@ type Client struct {
 	rng        *lockedRand
 	// endgameMarked latches the first end-game entry for the trace.
 	endgameMarked bool
+	// chokeSnap is the choke-round snapshot buffer (chokeSnapshot).
+	chokeSnap []core.ChokePeer
 
 	bucket   *mrate.Bucket
 	bucketMu sync.Mutex
@@ -659,24 +661,11 @@ func (c *Client) runChokeRound() {
 	c.om.chokeRounds.Inc()
 	now := c.now()
 	c.mu.Lock()
-	peers := make([]core.ChokePeer, 0, len(c.connOrder))
-	for _, pc := range c.connOrder {
-		peers = append(peers, core.ChokePeer{
-			ID:             pc.id,
-			Interested:     pc.peerInterested,
-			Unchoked:       pc.amUnchoking,
-			DownloadRate:   pc.inEst.Rate(now),
-			UploadRate:     pc.outEst.Rate(now),
-			LastUnchoked:   pc.lastUnchokedAt,
-			UploadedTo:     pc.bytesOut,
-			DownloadedFrom: pc.bytesIn,
-		})
-	}
 	choker := c.chokerL
 	if c.seeding {
 		choker = c.chokerS
 	}
-	unchoke := choker.Round(now, peers, c.rng.Rand())
+	unchoke := choker.Round(now, c.chokeSnapshot(now), c.rng.Rand())
 	want := map[core.PeerID]bool{}
 	for _, id := range unchoke {
 		want[id] = true
@@ -713,6 +702,33 @@ func (c *Client) runChokeRound() {
 			ch.pc.send(func(e *wire.Encoder) error { return e.Simple(wire.MsgChoke) })
 		}
 	}
+}
+
+// chokeSnapshot refills the client's snapshot buffer with one ChokePeer
+// per connection, in connection order, and returns it. RemotePieces is
+// the count of pieces the remote has advertised (0 before its bitfield
+// or first HAVE). The caller holds c.mu.
+func (c *Client) chokeSnapshot(now float64) []core.ChokePeer {
+	peers := c.chokeSnap[:0]
+	for _, pc := range c.connOrder {
+		remotePieces := 0
+		if pc.haveBits != nil {
+			remotePieces = pc.haveBits.Count()
+		}
+		peers = append(peers, core.ChokePeer{
+			ID:             pc.id,
+			Interested:     pc.peerInterested,
+			Unchoked:       pc.amUnchoking,
+			DownloadRate:   pc.inEst.Rate(now),
+			UploadRate:     pc.outEst.Rate(now),
+			LastUnchoked:   pc.lastUnchokedAt,
+			UploadedTo:     pc.bytesOut,
+			DownloadedFrom: pc.bytesIn,
+			RemotePieces:   remotePieces,
+		})
+	}
+	c.chokeSnap = peers
+	return peers
 }
 
 // dropConn removes a closed connection from client state.

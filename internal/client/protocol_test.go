@@ -203,3 +203,44 @@ func TestProtocolKeepAliveIsHarmless(t *testing.T) {
 		t.Fatalf("connection dropped after keep-alives: %d conns", n)
 	}
 }
+
+// TestChokeSnapshotCountsRemotePieces checks that the choke snapshot
+// carries each remote's advertised piece count (the newcomer boost reads
+// it): a peer that sent two HAVEs shows 2, a silent peer shows 0.
+func TestChokeSnapshotCountsRemotePieces(t *testing.T) {
+	m, content := makeTorrent(t, 256<<10, "") // 4 pieces
+	seed, err := New(Options{Meta: m, Content: content})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Start("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(seed.Stop)
+	silent := dialHandshake(t, seed, m.InfoHash())
+	defer silent.Close()
+	talker := dialHandshake(t, seed, m.InfoHash())
+	defer talker.Close()
+	enc := wire.NewEncoder(talker)
+	for _, piece := range []uint32{0, 2} {
+		if err := enc.Have(piece); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		seed.mu.Lock()
+		var counts []int
+		for _, p := range seed.chokeSnapshot(0) {
+			counts = append(counts, p.RemotePieces)
+		}
+		seed.mu.Unlock()
+		if len(counts) == 2 && counts[0]+counts[1] == 2 && counts[0]*counts[1] == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("snapshot RemotePieces = %v, want one peer at 2 and one at 0", counts)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

@@ -45,91 +45,205 @@ type ChokePeer struct {
 	RemotePieces int
 }
 
-// pickCandidate selects a random candidate for an optimistic/random
-// unchoke. With boostNewcomers, candidates that have no pieces at all are
-// preferred: this implements the paper's §VI improvement direction ("the
-// time to deliver the first blocks of data should be reduced") by pointing
-// the exploratory slot at peers that cannot yet reciprocate.
-func pickCandidate(rng *rand.Rand, cands []ChokePeer, boostNewcomers bool) (PeerID, bool) {
-	if len(cands) == 0 {
-		return 0, false
-	}
-	if boostNewcomers {
-		var empty []ChokePeer
-		for _, p := range cands {
-			if p.RemotePieces == 0 {
-				empty = append(empty, p)
-			}
-		}
-		if len(empty) > 0 {
-			return empty[rng.Intn(len(empty))].ID, true
-		}
-	}
-	return cands[rng.Intn(len(cands))].ID, true
-}
-
 // Choker decides, once per ChokeInterval, which interested peers to
 // unchoke. Round returns the IDs to unchoke; every other peer is choked.
 // Implementations keep internal state (optimistic slots, round counters)
-// and must be driven at a fixed cadence by the embedding layer. The
-// returned slice may share the choker's internal scratch storage: it is
-// valid until the next Round call and must not be retained.
+// and must be driven at a fixed cadence by the embedding layer.
+//
+// peers is read-only: a Round neither reorders nor retains it. Where a
+// choker draws at random (an optimistic or seed random unchoke), the draw
+// is a function of the RNG and the snapshot order of peers, so the
+// embedding layer fixes the outcome by fixing that order. The returned
+// slice may share the choker's internal scratch storage: it is valid
+// until the next Round call and must not be retained.
 type Choker interface {
 	Round(now float64, peers []ChokePeer, rng *rand.Rand) []PeerID
 	Name() string
 }
 
-// chokeScratch holds the per-round working slices a choker reuses across
-// rounds, so a steady-state round allocates nothing.
+// chokeScratch holds the per-round working storage a choker reuses across
+// rounds, so a steady-state round allocates nothing. Peers are referred
+// to by their index in the round's snapshot.
 type chokeScratch struct {
-	interested []ChokePeer
-	cands      []ChokePeer
-	unchoke    []PeerID
+	top     []int32 // the selected peers, best first
+	rest    []int32 // candidates of a ranked draw
+	unchoke []PeerID
 }
 
-// filterInterested refills s.interested with the interested peers.
-func (s *chokeScratch) filterInterested(peers []ChokePeer) []ChokePeer {
-	s.interested = s.interested[:0]
-	for _, p := range peers {
-		if p.Interested {
-			s.interested = append(s.interested, p)
-		}
+// rankKey is the per-peer criterion a choker orders by, larger first.
+type rankKey func(p *ChokePeer) float64
+
+func byDownloadRate(p *ChokePeer) float64 { return p.DownloadRate }
+func byUploadRate(p *ChokePeer) float64   { return p.UploadRate }
+func byLastUnchoked(p *ChokePeer) float64 { return p.LastUnchoked }
+
+// ranksBefore reports whether peers[i] precedes peers[j]: larger key
+// first, then smaller ID, then snapshot position. This is a strict total
+// order, and the order a stable sort on (key desc, ID asc) leaves.
+func ranksBefore(peers []ChokePeer, i, j int32, key rankKey) bool {
+	a, b := &peers[i], &peers[j]
+	if ka, kb := key(a), key(b); ka != kb {
+		return ka > kb
 	}
-	return s.interested
+	if a.ID != b.ID {
+		return a.ID < b.ID
+	}
+	return i < j
 }
 
-// stableSortPeers sorts peers in place, preserving the order of equal
-// elements. Insertion sort: peer lists are capped at the peer-set size,
-// and this avoids the reflection swapper sort.SliceStable allocates per
-// call. The permutation is identical to sort.SliceStable's for any
-// deterministic less, so choke decisions are unchanged.
-func stableSortPeers(peers []ChokePeer, less func(a, b *ChokePeer) bool) {
-	for i := 1; i < len(peers); i++ {
-		p := peers[i]
-		j := i - 1
-		for j >= 0 && less(&p, &peers[j]) {
-			peers[j+1] = peers[j]
-			j--
+// offerTop offers peers[i] to top, which holds at most k indices in rank
+// order, and returns the updated slice. Offering the eligible peers in
+// snapshot order leaves top equal to the first k of their stable sort.
+func offerTop(top []int32, k int, peers []ChokePeer, i int32, key rankKey) []int32 {
+	n := len(top)
+	if n == k {
+		if n == 0 || !ranksBefore(peers, i, top[n-1], key) {
+			return top
 		}
-		peers[j+1] = p
+		n--
+		top = top[:n]
 	}
+	top = append(top, i)
+	for ; n > 0 && ranksBefore(peers, i, top[n-1], key); n-- {
+		top[n] = top[n-1]
+	}
+	top[n] = i
+	return top
+}
+
+// selectRank returns the element of idx at rank r (0-based) in the order
+// ranksBefore defines, partially reordering idx. Quickselect with the
+// middle element as pivot: deterministic, and linear on average.
+func selectRank(peers []ChokePeer, idx []int32, r int, key rankKey) int32 {
+	lo, hi := 0, len(idx)-1
+	for lo < hi {
+		m := lo + (hi-lo)/2
+		idx[m], idx[hi] = idx[hi], idx[m]
+		pivot, s := idx[hi], lo
+		for i := lo; i < hi; i++ {
+			if ranksBefore(peers, idx[i], pivot, key) {
+				idx[s], idx[i] = idx[i], idx[s]
+				s++
+			}
+		}
+		idx[s], idx[hi] = pivot, idx[s]
+		switch {
+		case r == s:
+			return pivot
+		case r < s:
+			hi = s - 1
+		default:
+			lo = s + 1
+		}
+	}
+	return idx[lo]
+}
+
+// draw picks one random unchoke: an interested peer outside unchoke (and,
+// with chokedOnly, not currently unchoked), uniformly at position Intn(n)
+// of the candidates. With a key that position is a rank in the key order
+// and only the drawn rank is ever ordered; with a nil key it is the
+// snapshot order. With boostNewcomers the draw is among the candidates
+// that have no pieces at all, when there are any: this implements the
+// paper's §VI improvement direction ("the time to deliver the first
+// blocks of data should be reduced") by pointing the exploratory slot at
+// peers that cannot yet reciprocate.
+func (s *chokeScratch) draw(rng *rand.Rand, peers []ChokePeer, unchoke []PeerID, chokedOnly bool, key rankKey, boostNewcomers bool) (PeerID, bool) {
+	rest, empty := s.rest[:0], 0
+	for i := range peers {
+		if p := &peers[i]; p.Interested && !(chokedOnly && p.Unchoked) && !containsID(unchoke, p.ID) {
+			rest = append(rest, int32(i))
+			if p.RemotePieces == 0 {
+				empty++
+			}
+		}
+	}
+	s.rest = rest
+	if len(rest) == 0 {
+		return 0, false
+	}
+	if boostNewcomers && empty > 0 {
+		rest = rest[:0]
+		for _, i := range s.rest {
+			if peers[i].RemotePieces == 0 {
+				rest = append(rest, i)
+			}
+		}
+	}
+	r := rng.Intn(len(rest))
+	if key == nil {
+		return peers[rest[r]].ID, true
+	}
+	return peers[selectRank(peers, rest, r, key)].ID, true
+}
+
+// interestedPeer reports whether id is an interested peer of the snapshot.
+func interestedPeer(peers []ChokePeer, id PeerID) bool {
+	for i := range peers {
+		if peers[i].ID == id && peers[i].Interested {
+			return true
+		}
+	}
+	return false
+}
+
+// rateChoker is the round shared by the leecher choker and the old seed
+// choker: the regular unchokes are the top slots-1 interested peers by
+// key, and an optimistic unchoke rotates every RoundsPerOptimistic rounds
+// or as soon as it leaves, loses interest or wins a regular slot.
+type rateChoker struct {
+	round int
+	// optimistic is the current OU peer, valid when hasOpt.
+	optimistic PeerID
+	hasOpt     bool
+	scratch    chokeScratch
+}
+
+// rankedRound runs one round with slots total unchoke slots (0 means
+// DefaultUploadSlots), ranking peers by key.
+func (c *rateChoker) rankedRound(slots int, peers []ChokePeer, rng *rand.Rand, key rankKey, boostNewcomers bool) []PeerID {
+	if slots <= 0 {
+		slots = DefaultUploadSlots
+	}
+	top := c.scratch.top[:0]
+	for i := range peers {
+		if peers[i].Interested {
+			top = offerTop(top, slots-1, peers, int32(i), key)
+		}
+	}
+	c.scratch.top = top
+	unchoke := c.scratch.unchoke[:0]
+	for _, i := range top {
+		unchoke = append(unchoke, peers[i].ID)
+	}
+
+	rotate := c.round%RoundsPerOptimistic == 0
+	if !rotate && c.hasOpt && (!interestedPeer(peers, c.optimistic) || containsID(unchoke, c.optimistic)) {
+		rotate = true
+	}
+	if rotate {
+		c.optimistic, c.hasOpt = c.scratch.draw(rng, peers, unchoke, false, key, boostNewcomers)
+	}
+	if c.hasOpt && !containsID(unchoke, c.optimistic) {
+		unchoke = append(unchoke, c.optimistic)
+	}
+	c.round++
+	c.scratch.unchoke = unchoke
+	return unchoke
 }
 
 // LeecherChoker is the leecher-state choke algorithm (§II-C.2): every round
 // the 3 fastest interested uploaders are unchoked (regular unchoke, RU) and
 // every third round a random choked interested peer becomes the optimistic
-// unchoke (OU) for the next three rounds.
+// unchoke (OU) for the next three rounds. Rate ties break on the smaller
+// ID, which keeps rounds deterministic.
 type LeecherChoker struct {
 	// Slots is the total active peer set size; 0 means DefaultUploadSlots.
 	Slots int
 	// BoostNewcomers points the optimistic unchoke at piece-less peers
 	// when any are present (§VI extension).
 	BoostNewcomers bool
-	round          int
-	// optimistic is the current OU peer, or -1.
-	optimistic PeerID
-	hasOpt     bool
-	scratch    chokeScratch
+	rateChoker
 }
 
 // NewLeecherChoker returns the standard 4-slot leecher choker.
@@ -138,57 +252,10 @@ func NewLeecherChoker() *LeecherChoker { return &LeecherChoker{} }
 // Name implements Choker.
 func (c *LeecherChoker) Name() string { return "choke-leecher" }
 
-// Round implements Choker.
+// Round implements Choker. Peers are ranked by download rate to the local
+// peer, fastest first.
 func (c *LeecherChoker) Round(now float64, peers []ChokePeer, rng *rand.Rand) []PeerID {
-	slots := c.Slots
-	if slots <= 0 {
-		slots = DefaultUploadSlots
-	}
-	regular := slots - 1
-
-	interested := c.scratch.filterInterested(peers)
-	// Order by download rate to the local peer, fastest first. Stable
-	// tie-break on ID keeps rounds deterministic.
-	stableSortPeers(interested, func(a, b *ChokePeer) bool {
-		if a.DownloadRate != b.DownloadRate {
-			return a.DownloadRate > b.DownloadRate
-		}
-		return a.ID < b.ID
-	})
-	unchoke := c.scratch.unchoke[:0]
-	for i := 0; i < len(interested) && i < regular; i++ {
-		unchoke = append(unchoke, interested[i].ID)
-	}
-
-	// Rotate the optimistic unchoke every RoundsPerOptimistic rounds, or
-	// when the current one is gone / no longer interested / promoted to a
-	// regular slot.
-	rotate := c.round%RoundsPerOptimistic == 0
-	if !rotate && c.hasOpt {
-		if !containsPeer(interested, c.optimistic) || containsID(unchoke, c.optimistic) {
-			rotate = true
-		}
-	}
-	if rotate {
-		c.hasOpt = false
-		cands := c.scratch.cands[:0]
-		for _, p := range interested {
-			if !containsID(unchoke, p.ID) {
-				cands = append(cands, p)
-			}
-		}
-		c.scratch.cands = cands
-		if id, ok := pickCandidate(rng, cands, c.BoostNewcomers); ok {
-			c.optimistic = id
-			c.hasOpt = true
-		}
-	}
-	if c.hasOpt && !containsID(unchoke, c.optimistic) {
-		unchoke = append(unchoke, c.optimistic)
-	}
-	c.round++
-	c.scratch.unchoke = unchoke
-	return unchoke
+	return c.rankedRound(c.Slots, peers, rng, byDownloadRate, c.BoostNewcomers)
 }
 
 // SeedChoker is the NEW seed-state algorithm introduced in mainline 4.0.0
@@ -206,7 +273,6 @@ type SeedChoker struct {
 	BoostNewcomers bool
 	round          int
 	scratch        chokeScratch
-	kept           []ChokePeer
 }
 
 // NewSeedChoker returns the standard 4-slot new-algorithm seed choker.
@@ -221,57 +287,34 @@ func (c *SeedChoker) Round(now float64, peers []ChokePeer, rng *rand.Rand) []Pee
 	if slots <= 0 {
 		slots = DefaultUploadSlots
 	}
-	defer func() { c.round++ }()
-
-	interested := c.scratch.filterInterested(peers)
-	// Candidates currently unchoked, most recently unchoked first.
-	kept := c.kept[:0]
-	for _, p := range interested {
-		if p.Unchoked {
-			kept = append(kept, p)
-		}
-	}
-	c.kept = kept
-	stableSortPeers(kept, func(a, b *ChokePeer) bool {
-		if a.LastUnchoked != b.LastUnchoked {
-			return a.LastUnchoked > b.LastUnchoked
-		}
-		return a.ID < b.ID
-	})
-
 	thirdPeriod := c.round%RoundsPerOptimistic == RoundsPerOptimistic-1
-	unchoke := c.scratch.unchoke[:0]
+	c.round++
 	keepN := slots - 1
 	if thirdPeriod {
 		keepN = slots
 	}
-	for i := 0; i < len(kept) && i < keepN; i++ {
-		unchoke = append(unchoke, kept[i].ID)
+	// Keep the most recently unchoked of the peers currently unchoked.
+	top := c.scratch.top[:0]
+	for i := range peers {
+		if peers[i].Interested && peers[i].Unchoked {
+			top = offerTop(top, keepN, peers, int32(i), byLastUnchoked)
+		}
+	}
+	c.scratch.top = top
+	unchoke := c.scratch.unchoke[:0]
+	for _, i := range top {
+		unchoke = append(unchoke, peers[i].ID)
 	}
 	if !thirdPeriod {
 		// SRU: one choked-and-interested peer chosen at random.
-		cands := c.scratch.cands[:0]
-		for _, p := range interested {
-			if !p.Unchoked && !containsID(unchoke, p.ID) {
-				cands = append(cands, p)
-			}
-		}
-		c.scratch.cands = cands
-		if id, ok := pickCandidate(rng, cands, c.BoostNewcomers); ok {
+		if id, ok := c.scratch.draw(rng, peers, unchoke, true, nil, c.BoostNewcomers); ok {
 			unchoke = append(unchoke, id)
 		}
 	}
 	// Fill spare slots (fewer unchoked peers than keepN) with random
 	// choked interested peers so the seed never idles with demand present.
 	for len(unchoke) < slots {
-		cands := c.scratch.cands[:0]
-		for _, p := range interested {
-			if !containsID(unchoke, p.ID) {
-				cands = append(cands, p)
-			}
-		}
-		c.scratch.cands = cands
-		id, ok := pickCandidate(rng, cands, c.BoostNewcomers)
+		id, ok := c.scratch.draw(rng, peers, unchoke, false, nil, c.BoostNewcomers)
 		if !ok {
 			break
 		}
@@ -286,12 +329,8 @@ func (c *SeedChoker) Round(now float64, peers []ChokePeer, rng *rand.Rand) []Pee
 // so fast downloaders (including fast free riders) monopolise the seed.
 // Kept as the baseline for the A2 ablation.
 type OldSeedChoker struct {
-	Slots      int
-	round      int
-	optimistic PeerID
-	hasOpt     bool
-	scratch    chokeScratch
-	candIDs    []PeerID
+	Slots int
+	rateChoker
 }
 
 // NewOldSeedChoker returns the standard 4-slot old-algorithm seed choker.
@@ -302,46 +341,7 @@ func (c *OldSeedChoker) Name() string { return "choke-seed-old" }
 
 // Round implements Choker.
 func (c *OldSeedChoker) Round(now float64, peers []ChokePeer, rng *rand.Rand) []PeerID {
-	slots := c.Slots
-	if slots <= 0 {
-		slots = DefaultUploadSlots
-	}
-	regular := slots - 1
-	interested := c.scratch.filterInterested(peers)
-	stableSortPeers(interested, func(a, b *ChokePeer) bool {
-		if a.UploadRate != b.UploadRate {
-			return a.UploadRate > b.UploadRate
-		}
-		return a.ID < b.ID
-	})
-	unchoke := c.scratch.unchoke[:0]
-	for i := 0; i < len(interested) && i < regular; i++ {
-		unchoke = append(unchoke, interested[i].ID)
-	}
-	rotate := c.round%RoundsPerOptimistic == 0
-	if !rotate && c.hasOpt && (!containsPeer(interested, c.optimistic) || containsID(unchoke, c.optimistic)) {
-		rotate = true
-	}
-	if rotate {
-		c.hasOpt = false
-		cands := c.candIDs[:0]
-		for _, p := range interested {
-			if !containsID(unchoke, p.ID) {
-				cands = append(cands, p.ID)
-			}
-		}
-		c.candIDs = cands
-		if len(cands) > 0 {
-			c.optimistic = cands[rng.Intn(len(cands))]
-			c.hasOpt = true
-		}
-	}
-	if c.hasOpt && !containsID(unchoke, c.optimistic) {
-		unchoke = append(unchoke, c.optimistic)
-	}
-	c.round++
-	c.scratch.unchoke = unchoke
-	return unchoke
+	return c.rankedRound(c.Slots, peers, rng, byUploadRate, false)
 }
 
 // TitForTatChoker is the bit-level tit-for-tat baseline from the literature
@@ -373,22 +373,16 @@ func (c *TitForTatChoker) Round(now float64, peers []ChokePeer, rng *rand.Rand) 
 	if slots <= 0 {
 		slots = DefaultUploadSlots
 	}
-	allowed := c.scratch.cands[:0]
-	for _, p := range peers {
-		if p.Interested && p.UploadedTo-p.DownloadedFrom <= c.DeficitLimit {
-			allowed = append(allowed, p)
+	top := c.scratch.top[:0]
+	for i := range peers {
+		if p := &peers[i]; p.Interested && p.UploadedTo-p.DownloadedFrom <= c.DeficitLimit {
+			top = offerTop(top, slots, peers, int32(i), byDownloadRate)
 		}
 	}
-	c.scratch.cands = allowed
-	stableSortPeers(allowed, func(a, b *ChokePeer) bool {
-		if a.DownloadRate != b.DownloadRate {
-			return a.DownloadRate > b.DownloadRate
-		}
-		return a.ID < b.ID
-	})
+	c.scratch.top = top
 	unchoke := c.scratch.unchoke[:0]
-	for i := 0; i < len(allowed) && i < slots; i++ {
-		unchoke = append(unchoke, allowed[i].ID)
+	for _, i := range top {
+		unchoke = append(unchoke, peers[i].ID)
 	}
 	c.scratch.unchoke = unchoke
 	return unchoke
@@ -408,15 +402,6 @@ func (NeverUnchoke) Round(now float64, peers []ChokePeer, rng *rand.Rand) []Peer
 func containsID(ids []PeerID, id PeerID) bool {
 	for _, x := range ids {
 		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
-func containsPeer(peers []ChokePeer, id PeerID) bool {
-	for _, p := range peers {
-		if p.ID == id {
 			return true
 		}
 	}

@@ -53,7 +53,16 @@ func TestSeedChokerBoostNewcomers(t *testing.T) {
 }
 
 func TestPickCandidateEmpty(t *testing.T) {
-	if _, ok := pickCandidate(rand.New(rand.NewSource(1)), nil, true); ok {
-		t.Fatal("picked from empty candidate set")
+	// No interested peer outside the unchoke set: no pick, and no draw.
+	rng := rand.New(rand.NewSource(1))
+	peers := []ChokePeer{{ID: 1, Interested: true}, {ID: 2}}
+	var s chokeScratch
+	for _, key := range []rankKey{byDownloadRate, nil} {
+		if _, ok := s.draw(rng, peers, []PeerID{1}, false, key, true); ok {
+			t.Fatal("picked from empty candidate set")
+		}
+	}
+	if got, want := rng.Int63(), rand.New(rand.NewSource(1)).Int63(); got != want {
+		t.Fatal("an empty draw consumed the RNG")
 	}
 }

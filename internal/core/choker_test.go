@@ -313,3 +313,34 @@ func TestLeecherChokerDeterministicGivenSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestChokerRoundZeroAlloc pins a warmed round of each choker at zero
+// allocations, rotation and random-unchoke rounds included.
+func TestChokerRoundZeroAlloc(t *testing.T) {
+	peers := mkPeers(60)
+	for i := range peers {
+		peers[i].Unchoked = i%5 == 0
+		peers[i].LastUnchoked = float64(i % 7)
+		peers[i].RemotePieces = i % 3
+		peers[i].UploadRate = float64(i % 4)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []Choker{
+		&LeecherChoker{BoostNewcomers: true},
+		&SeedChoker{BoostNewcomers: true},
+		NewOldSeedChoker(),
+		NewTitForTatChoker(1 << 20),
+	} {
+		now := 0.0
+		round := func() {
+			c.Round(now, peers, rng)
+			now += ChokeInterval
+		}
+		for i := 0; i < 2*RoundsPerOptimistic; i++ {
+			round()
+		}
+		if n := testing.AllocsPerRun(3*RoundsPerOptimistic, round); n != 0 {
+			t.Errorf("%s: %v allocations per warmed round, want 0", c.Name(), n)
+		}
+	}
+}

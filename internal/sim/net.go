@@ -113,7 +113,7 @@ type Flow struct {
 	rate       float64
 	lastUpdate float64
 	timer      *Timer
-	onDone     func()
+	onDone     FlowDone
 	done       bool
 	// links are the intrusive hooks in the endpoints' flow lists
 	// (dirUp = uploader's list, dirDn = downloader's list).
@@ -359,9 +359,23 @@ func (n *Net) churn(f *Flow) {
 	n.markDirty(f.to)
 }
 
+// FlowDone receives a flow's completion. Taking an interface rather than
+// a func lets a caller hand over a long-lived value it already holds (the
+// swarm passes its *conn) instead of allocating a closure per transfer.
+type FlowDone interface {
+	FlowDone()
+}
+
+// FlowFunc adapts a plain function to FlowDone.
+type FlowFunc func()
+
+// FlowDone implements FlowDone by calling f.
+func (f FlowFunc) FlowDone() { f() }
+
 // StartFlow begins transferring bytes from one node to another, invoking
-// onDone (in event context) when the last byte arrives.
-func (n *Net) StartFlow(from, to NodeID, bytes float64, onDone func()) *Flow {
+// onDone.FlowDone (in event context) when the last byte arrives. onDone
+// may be nil. The Net holds onDone only while the flow is live.
+func (n *Net) StartFlow(from, to NodeID, bytes float64, onDone FlowDone) *Flow {
 	if bytes <= 0 {
 		panic(fmt.Sprintf("sim: non-positive flow size %f", bytes))
 	}
@@ -708,7 +722,7 @@ func (n *Net) finish(f *Flow) {
 	n.live--
 	n.churn(f)
 	if f.onDone != nil {
-		f.onDone()
+		f.onDone.FlowDone()
 	}
 	n.recycleFlow(f)
 }

@@ -132,7 +132,7 @@ func runRetimeSchedule(s retimeSchedule, eager bool, workers int) retimeTrace {
 			flows = append(flows, lf)
 			e.At(op.at, func() {
 				b := op.bytes
-				lf.f = n.StartFlow(ids[op.from], ids[op.to], b, func() {
+				lf.f = n.StartFlow(ids[op.from], ids[op.to], b, FlowFunc(func() {
 					lf.done = true
 					tr.delivered += b
 					tr.firing = append(tr.firing, serial)
@@ -140,7 +140,7 @@ func runRetimeSchedule(s retimeSchedule, eager bool, workers int) retimeTrace {
 						serial int
 						at     float64
 					}{serial, e.Now()})
-				})
+				}))
 			})
 			continue
 		}

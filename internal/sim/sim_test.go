@@ -133,7 +133,7 @@ func TestFlowSingleTransferTime(t *testing.T) {
 	seed := n.AddNode(20480, 0) // 20 kB/s up, the paper's default cap
 	peer := n.AddNode(0, 0)
 	var doneAt float64 = -1
-	n.StartFlow(seed, peer, 204800, func() { doneAt = e.Now() }) // 200 kB
+	n.StartFlow(seed, peer, 204800, FlowFunc(func() { doneAt = e.Now() })) // 200 kB
 	e.RunUntilIdle()
 	if math.Abs(doneAt-10) > 1e-9 {
 		t.Fatalf("200 kB at 20 kB/s finished at %f, want 10", doneAt)
@@ -149,8 +149,8 @@ func TestFlowEqualSharing(t *testing.T) {
 	a := n.AddNode(0, 0)
 	b := n.AddNode(0, 0)
 	var ta, tb float64
-	n.StartFlow(up, a, 1000, func() { ta = e.Now() })
-	n.StartFlow(up, b, 1000, func() { tb = e.Now() })
+	n.StartFlow(up, a, 1000, FlowFunc(func() { ta = e.Now() }))
+	n.StartFlow(up, b, 1000, FlowFunc(func() { tb = e.Now() }))
 	e.RunUntilIdle()
 	if math.Abs(ta-2) > 1e-9 || math.Abs(tb-2) > 1e-9 {
 		t.Fatalf("finish times %f %f, want 2 2", ta, tb)
@@ -168,8 +168,8 @@ func TestFlowRateRecomputedOnDeparture(t *testing.T) {
 	x := n.AddNode(0, 0)
 	y := n.AddNode(0, 0)
 	var ta, tb float64
-	n.StartFlow(up, x, 1000, func() { ta = e.Now() })
-	n.StartFlow(up, y, 500, func() { tb = e.Now() })
+	n.StartFlow(up, x, 1000, FlowFunc(func() { ta = e.Now() }))
+	n.StartFlow(up, y, 500, FlowFunc(func() { tb = e.Now() }))
 	e.RunUntilIdle()
 	if math.Abs(tb-1) > 1e-9 {
 		t.Fatalf("B finished at %f, want 1", tb)
@@ -188,7 +188,7 @@ func TestFlowDownloadCapBinds(t *testing.T) {
 	up := n.AddNode(1e6, 0)
 	dn := n.AddNode(0, 100)
 	var done float64
-	n.StartFlow(up, dn, 1000, func() { done = e.Now() })
+	n.StartFlow(up, dn, 1000, FlowFunc(func() { done = e.Now() }))
 	e.RunUntilIdle()
 	if math.Abs(done-10) > 1e-9 {
 		t.Fatalf("done at %f, want 10", done)
@@ -202,9 +202,9 @@ func TestFlowCancel(t *testing.T) {
 	a := n.AddNode(0, 0)
 	b := n.AddNode(0, 0)
 	fired := false
-	f := n.StartFlow(up, a, 1000, func() { fired = true })
+	f := n.StartFlow(up, a, 1000, FlowFunc(func() { fired = true }))
 	var tb float64
-	n.StartFlow(up, b, 1000, func() { tb = e.Now() })
+	n.StartFlow(up, b, 1000, FlowFunc(func() { tb = e.Now() }))
 	e.After(0.5, func() { f.Cancel() })
 	e.RunUntilIdle()
 	if fired {
@@ -226,7 +226,7 @@ func TestFlowUncappedIsInstant(t *testing.T) {
 	a := n.AddNode(0, 0)
 	b := n.AddNode(0, 0)
 	var done float64 = -1
-	n.StartFlow(a, b, 1e12, func() { done = e.Now() })
+	n.StartFlow(a, b, 1e12, FlowFunc(func() { done = e.Now() }))
 	e.RunUntilIdle()
 	if done != 0 {
 		t.Fatalf("uncapped flow took %f", done)
@@ -293,7 +293,7 @@ func TestQuickFlowConservation(t *testing.T) {
 			// Stagger starts deterministically.
 			b := bytes
 			e.At(float64(s%7), func() {
-				n.StartFlow(up, dst, b, func() { delivered += b })
+				n.StartFlow(up, dst, b, FlowFunc(func() { delivered += b }))
 			})
 		}
 		e.RunUntilIdle()

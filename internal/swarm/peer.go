@@ -59,11 +59,18 @@ type conn struct {
 	// then the owner strikes the liar and retries elsewhere. -1 when no
 	// stall is active; only ever set with Config.Adversary.
 	stallPiece int
+}
 
-	// onFlowDone is the owner's flow-completion callback bound once at
-	// connect time (block path for the local peer, piece path otherwise),
-	// so each request reuses it instead of allocating a closure.
-	onFlowDone func()
+// FlowDone implements sim.FlowDone: the conn itself is the completion
+// handle for every download on it, so a request allocates no callback.
+// The local peer settles at block granularity, every other peer at piece
+// granularity.
+func (c *conn) FlowDone() {
+	if c.owner.isLocal {
+		c.owner.onBlockFlowDone(c)
+		return
+	}
+	c.owner.onPieceFlowDone(c)
 }
 
 // Peer is one simulated BitTorrent peer. The instrumented local peer runs
@@ -123,9 +130,10 @@ type Peer struct {
 	nextAnnounceOK float64
 
 	// Steady-state scratch reused across events so rounds allocate
-	// nothing: the choke-round peer snapshot, the completion/teardown
-	// connection snapshot, the picker state, and the choke-round callback
-	// (bound once instead of a method-value allocation per re-arm).
+	// nothing: the lane-round peer snapshot (serial rounds share
+	// Swarm.chokeSnap), the completion/teardown connection snapshot, the
+	// picker state, and the choke-round callback (bound once instead of a
+	// method-value allocation per re-arm).
 	chokePeers  []core.ChokePeer
 	connScratch []*conn
 	pickState   core.PickState
@@ -303,7 +311,7 @@ func (p *Peer) requestPiece(c *conn) {
 	c.flowPiece = piece
 	c.flowBytes = bytes
 	c.flowSettled = 0
-	c.inFlow = s.net.StartFlow(u.node, p.node, bytes, c.onFlowDone)
+	c.inFlow = s.net.StartFlow(u.node, p.node, bytes, c)
 	if uc := c.mirror; uc != nil {
 		uc.outFlow = c.inFlow
 	}
@@ -338,7 +346,7 @@ func (p *Peer) requestBlock(c *conn) {
 	c.flowPiece = ref.Piece
 	c.flowBytes = bytes
 	c.flowSettled = 0
-	c.inFlow = s.net.StartFlow(u.node, p.node, bytes, c.onFlowDone)
+	c.inFlow = s.net.StartFlow(u.node, p.node, bytes, c)
 	if uc := c.mirror; uc != nil {
 		uc.outFlow = c.inFlow
 	}
@@ -686,8 +694,9 @@ func (p *Peer) chokeRound() {
 	p.chokeTimer = p.s.eng.After(core.ChokeInterval, p.chokeFn)
 }
 
-// runChokeRound is one round's body. All working storage is per-peer or
-// per-choker scratch: a steady-state round performs no allocation.
+// runChokeRound is one round's body. All working storage is the swarm's
+// snapshot buffer or per-choker scratch: a steady-state round performs no
+// allocation.
 func (p *Peer) runChokeRound() {
 	if len(p.connList) == 0 {
 		return
@@ -704,7 +713,7 @@ func (p *Peer) runChokeRound() {
 			}
 		}
 	}
-	peers := p.chokePeers[:0]
+	peers := s.chokeSnap[:0]
 	for _, c := range p.connList {
 		peers = append(peers, core.ChokePeer{
 			ID:             c.remote.id,
@@ -718,7 +727,7 @@ func (p *Peer) runChokeRound() {
 			RemotePieces:   c.remote.shownBits().Count(),
 		})
 	}
-	p.chokePeers = peers
+	s.chokeSnap = peers
 	choker := p.chokerL
 	if p.seed || p.advLiar {
 		// Liars pose as seeds, so they run the seed unchoke policy too.

@@ -216,3 +216,26 @@ func TestSeedStateSwitchesChoker(t *testing.T) {
 		t.Fatal("finishedAt not stamped")
 	}
 }
+
+// TestConnectCycleAllocatesOnePair pins the connection lifecycle's
+// allocation budget: once the peers' maps and lists have grown, a
+// connect-plus-disconnect cycle allocates only the conn pair.
+func TestConnectCycleAllocatesOnePair(t *testing.T) {
+	s := newTestSwarm(t, nil)
+	seed := s.addPeer(true, false, false, 1e5, 0)
+	leech := s.addPeer(false, false, false, 1e5, 0)
+	if leech.conns[seed.id] == nil {
+		t.Fatal("announce did not connect the pair")
+	}
+	cycle := func() {
+		s.disconnect(leech, seed)
+		s.connectNow(leech, seed)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n > 1 {
+		t.Fatalf("connect+disconnect allocates %v objects, want at most 1", n)
+	}
+	if leech.conns[seed.id] == nil || leech.conns[seed.id].mirror != seed.conns[leech.id] {
+		t.Fatal("cycle left the pair disconnected or unmirrored")
+	}
+}

@@ -38,6 +38,11 @@ type Swarm struct {
 	// availCache memoises availablePieces.
 	availCache []int
 
+	// chokeSnap is the ChokePeer snapshot buffer every serial choke round
+	// refills (rounds never overlap there; lane rounds compute in
+	// parallel and keep a buffer per peer).
+	chokeSnap []core.ChokePeer
+
 	// Lane-mode sampling state: the compute/apply halves bound once and
 	// the snapshot parked between them (see lanes.go).
 	sampleLaneFn  func() func()
@@ -486,26 +491,19 @@ func (s *Swarm) connectNow(a, b *Peer) {
 		return
 	}
 	now := s.eng.Now()
-	ca := &conn{owner: a, remote: b, initiatedByOwner: true, stallPiece: -1}
+	// Both sides come from one allocation. A pair is never reused after
+	// disconnect, so a stale *conn (a teardown snapshot, the chaos reset
+	// below) can never alias a later connection.
+	pair := &[2]conn{
+		{owner: a, remote: b, initiatedByOwner: true, stallPiece: -1},
+		{owner: b, remote: a, stallPiece: -1},
+	}
+	ca, cb := &pair[0], &pair[1]
 	ca.inEst.Init(0)
 	ca.outEst.Init(0)
-	cb := &conn{owner: b, remote: a, stallPiece: -1}
 	cb.inEst.Init(0)
 	cb.outEst.Init(0)
 	ca.mirror, cb.mirror = cb, ca
-	// Bind each side's flow-completion callback once; every request on the
-	// connection reuses it (block granularity for the local peer, piece
-	// granularity for remote peers).
-	if a.isLocal {
-		ca.onFlowDone = func() { a.onBlockFlowDone(ca) }
-	} else {
-		ca.onFlowDone = func() { a.onPieceFlowDone(ca) }
-	}
-	if b.isLocal {
-		cb.onFlowDone = func() { b.onBlockFlowDone(cb) }
-	} else {
-		cb.onFlowDone = func() { b.onPieceFlowDone(cb) }
-	}
 	a.conns[b.id] = ca
 	a.connList = append(a.connList, ca)
 	b.conns[a.id] = cb
