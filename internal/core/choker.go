@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 )
 
 // ChokeInterval is the length in seconds of one choke round (§II-C.2:
@@ -68,6 +69,13 @@ type chokeScratch struct {
 	top     []int32 // the selected peers, best first
 	rest    []int32 // candidates of a ranked draw
 	unchoke []PeerID
+}
+
+// begin empties the scratch for a round of at most slots unchokes,
+// growing it once to that size rather than element by element.
+func (s *chokeScratch) begin(slots int) {
+	s.top = slices.Grow(s.top[:0], slots)
+	s.unchoke = slices.Grow(s.unchoke[:0], slots)
 }
 
 // rankKey is the per-peer criterion a choker orders by, larger first.
@@ -149,7 +157,7 @@ func selectRank(peers []ChokePeer, idx []int32, r int, key rankKey) int32 {
 // blocks of data should be reduced") by pointing the exploratory slot at
 // peers that cannot yet reciprocate.
 func (s *chokeScratch) draw(rng *rand.Rand, peers []ChokePeer, unchoke []PeerID, chokedOnly bool, key rankKey, boostNewcomers bool) (PeerID, bool) {
-	rest, empty := s.rest[:0], 0
+	rest, empty := slices.Grow(s.rest[:0], len(peers)), 0
 	for i := range peers {
 		if p := &peers[i]; p.Interested && !(chokedOnly && p.Unchoked) && !containsID(unchoke, p.ID) {
 			rest = append(rest, int32(i))
@@ -205,14 +213,15 @@ func (c *rateChoker) rankedRound(slots int, peers []ChokePeer, rng *rand.Rand, k
 	if slots <= 0 {
 		slots = DefaultUploadSlots
 	}
-	top := c.scratch.top[:0]
+	c.scratch.begin(slots)
+	top := c.scratch.top
 	for i := range peers {
 		if peers[i].Interested {
 			top = offerTop(top, slots-1, peers, int32(i), key)
 		}
 	}
 	c.scratch.top = top
-	unchoke := c.scratch.unchoke[:0]
+	unchoke := c.scratch.unchoke
 	for _, i := range top {
 		unchoke = append(unchoke, peers[i].ID)
 	}
@@ -294,14 +303,15 @@ func (c *SeedChoker) Round(now float64, peers []ChokePeer, rng *rand.Rand) []Pee
 		keepN = slots
 	}
 	// Keep the most recently unchoked of the peers currently unchoked.
-	top := c.scratch.top[:0]
+	c.scratch.begin(slots)
+	top := c.scratch.top
 	for i := range peers {
 		if peers[i].Interested && peers[i].Unchoked {
 			top = offerTop(top, keepN, peers, int32(i), byLastUnchoked)
 		}
 	}
 	c.scratch.top = top
-	unchoke := c.scratch.unchoke[:0]
+	unchoke := c.scratch.unchoke
 	for _, i := range top {
 		unchoke = append(unchoke, peers[i].ID)
 	}
@@ -373,14 +383,15 @@ func (c *TitForTatChoker) Round(now float64, peers []ChokePeer, rng *rand.Rand) 
 	if slots <= 0 {
 		slots = DefaultUploadSlots
 	}
-	top := c.scratch.top[:0]
+	c.scratch.begin(slots)
+	top := c.scratch.top
 	for i := range peers {
 		if p := &peers[i]; p.Interested && p.UploadedTo-p.DownloadedFrom <= c.DeficitLimit {
 			top = offerTop(top, slots, peers, int32(i), byDownloadRate)
 		}
 	}
 	c.scratch.top = top
-	unchoke := c.scratch.unchoke[:0]
+	unchoke := c.scratch.unchoke
 	for _, i := range top {
 		unchoke = append(unchoke, peers[i].ID)
 	}
