@@ -331,11 +331,16 @@ func containsPeer(peers []ChokePeer, id PeerID) bool {
 	return false
 }
 
+// rounder is the part of Choker the oracles implement.
+type rounder interface {
+	Round(now float64, peers []ChokePeer, rng *rand.Rand) []PeerID
+}
+
 // chokerPair drives a production choker and its oracle on twin RNGs.
 type chokerPair struct {
 	name         string
 	got          Choker
-	want         interface{ Round(float64, []ChokePeer, *rand.Rand) []PeerID }
+	want         rounder
 	rngGot, rngW *rand.Rand
 }
 
