@@ -51,10 +51,10 @@ type ChokePeer struct {
 // Implementations keep internal state (optimistic slots, round counters)
 // and must be driven at a fixed cadence by the embedding layer.
 //
-// peers is read-only: a Round neither reorders nor retains it. Where a
-// choker draws at random (an optimistic or seed random unchoke), the draw
-// is a function of the RNG and the snapshot order of peers, so the
-// embedding layer fixes the outcome by fixing that order. The returned
+// peers is read-only: a Round neither reorders nor retains it. Rankings
+// break ties on the smaller ID and then on snapshot position, and the
+// seed random unchokes draw by snapshot position, so a round's outcome is
+// a function of the RNG, the snapshot and its order. The returned
 // slice may share the choker's internal scratch storage: it is valid
 // until the next Round call and must not be retained.
 type Choker interface {
@@ -67,7 +67,7 @@ type Choker interface {
 // to by their index in the round's snapshot.
 type chokeScratch struct {
 	top     []int32 // the selected peers, best first
-	rest    []int32 // candidates of a ranked draw
+	rest    []int32 // candidates of a random draw
 	unchoke []PeerID
 }
 
