@@ -71,13 +71,6 @@ type chokeScratch struct {
 	unchoke []PeerID
 }
 
-// begin empties the scratch for a round of at most slots unchokes,
-// growing it once to that size rather than element by element.
-func (s *chokeScratch) begin(slots int) {
-	s.top = slices.Grow(s.top[:0], slots)
-	s.unchoke = slices.Grow(s.unchoke[:0], slots)
-}
-
 // rankKey is the per-peer criterion a choker orders by, larger first.
 type rankKey func(p *ChokePeer) float64
 
@@ -99,24 +92,36 @@ func ranksBefore(peers []ChokePeer, i, j int32, key rankKey) bool {
 	return i < j
 }
 
-// offerTop offers peers[i] to top, which holds at most k indices in rank
-// order, and returns the updated slice. Offering the eligible peers in
-// snapshot order leaves top equal to the first k of their stable sort.
-func offerTop(top []int32, k int, peers []ChokePeer, i int32, key rankKey) []int32 {
-	n := len(top)
-	if n == k {
-		if n == 0 || !ranksBefore(peers, i, top[n-1], key) {
-			return top
+// selectTop returns the scratch unchoke list, with room for slots IDs,
+// filled with the k best eligible peers by key, best first. Offering the
+// eligible peers in snapshot order to a k-slot insertion leaves the first
+// k of their stable sort without sorting or copying the others.
+func (s *chokeScratch) selectTop(peers []ChokePeer, slots, k int, key rankKey, eligible func(p *ChokePeer) bool) []PeerID {
+	top := slices.Grow(s.top[:0], k)
+	for i := range peers {
+		if !eligible(&peers[i]) {
+			continue
 		}
-		n--
-		top = top[:n]
+		idx, n := int32(i), len(top)
+		if n == k {
+			if n == 0 || !ranksBefore(peers, idx, top[n-1], key) {
+				continue
+			}
+			n--
+			top = top[:n]
+		}
+		top = append(top, idx)
+		for ; n > 0 && ranksBefore(peers, idx, top[n-1], key); n-- {
+			top[n] = top[n-1]
+		}
+		top[n] = idx
 	}
-	top = append(top, i)
-	for ; n > 0 && ranksBefore(peers, i, top[n-1], key); n-- {
-		top[n] = top[n-1]
+	s.top = top
+	unchoke := slices.Grow(s.unchoke[:0], slots)
+	for _, i := range top {
+		unchoke = append(unchoke, peers[i].ID)
 	}
-	top[n] = i
-	return top
+	return unchoke
 }
 
 // selectRank returns the element of idx at rank r (0-based) in the order
@@ -185,6 +190,8 @@ func (s *chokeScratch) draw(rng *rand.Rand, peers []ChokePeer, unchoke []PeerID,
 	return peers[selectRank(peers, rest, r, key)].ID, true
 }
 
+func isInterested(p *ChokePeer) bool { return p.Interested }
+
 // interestedPeer reports whether id is an interested peer of the snapshot.
 func interestedPeer(peers []ChokePeer, id PeerID) bool {
 	for i := range peers {
@@ -213,19 +220,7 @@ func (c *rateChoker) rankedRound(slots int, peers []ChokePeer, rng *rand.Rand, k
 	if slots <= 0 {
 		slots = DefaultUploadSlots
 	}
-	c.scratch.begin(slots)
-	top := c.scratch.top
-	for i := range peers {
-		if peers[i].Interested {
-			top = offerTop(top, slots-1, peers, int32(i), key)
-		}
-	}
-	c.scratch.top = top
-	unchoke := c.scratch.unchoke
-	for _, i := range top {
-		unchoke = append(unchoke, peers[i].ID)
-	}
-
+	unchoke := c.scratch.selectTop(peers, slots, slots-1, key, isInterested)
 	rotate := c.round%RoundsPerOptimistic == 0
 	if !rotate && c.hasOpt && (!interestedPeer(peers, c.optimistic) || containsID(unchoke, c.optimistic)) {
 		rotate = true
@@ -303,18 +298,9 @@ func (c *SeedChoker) Round(now float64, peers []ChokePeer, rng *rand.Rand) []Pee
 		keepN = slots
 	}
 	// Keep the most recently unchoked of the peers currently unchoked.
-	c.scratch.begin(slots)
-	top := c.scratch.top
-	for i := range peers {
-		if peers[i].Interested && peers[i].Unchoked {
-			top = offerTop(top, keepN, peers, int32(i), byLastUnchoked)
-		}
-	}
-	c.scratch.top = top
-	unchoke := c.scratch.unchoke
-	for _, i := range top {
-		unchoke = append(unchoke, peers[i].ID)
-	}
+	unchoke := c.scratch.selectTop(peers, slots, keepN, byLastUnchoked, func(p *ChokePeer) bool {
+		return p.Interested && p.Unchoked
+	})
 	if !thirdPeriod {
 		// SRU: one choked-and-interested peer chosen at random.
 		if id, ok := c.scratch.draw(rng, peers, unchoke, true, nil, c.BoostNewcomers); ok {
@@ -383,18 +369,9 @@ func (c *TitForTatChoker) Round(now float64, peers []ChokePeer, rng *rand.Rand) 
 	if slots <= 0 {
 		slots = DefaultUploadSlots
 	}
-	c.scratch.begin(slots)
-	top := c.scratch.top
-	for i := range peers {
-		if p := &peers[i]; p.Interested && p.UploadedTo-p.DownloadedFrom <= c.DeficitLimit {
-			top = offerTop(top, slots, peers, int32(i), byDownloadRate)
-		}
-	}
-	c.scratch.top = top
-	unchoke := c.scratch.unchoke
-	for _, i := range top {
-		unchoke = append(unchoke, peers[i].ID)
-	}
+	unchoke := c.scratch.selectTop(peers, slots, slots, byDownloadRate, func(p *ChokePeer) bool {
+		return p.Interested && p.UploadedTo-p.DownloadedFrom <= c.DeficitLimit
+	})
 	c.scratch.unchoke = unchoke
 	return unchoke
 }
