@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # strays.sh lists processes a build, test or benchmark run left behind:
-# test binaries (*.test), the bench driver and its taskset wrapper, the
+# test binaries (*.test), the bench binary and its taskset wrapper, the
 # bttracker/btclient binaries and the go tool itself. It matches on the
 # process name only (ps comm), never the command line, so the shell that
 # runs this script cannot match itself. Prints every match and exits 1 if
