@@ -295,6 +295,12 @@ func (r *Requester) OnBlock(peer PeerID, ref BlockRef) (pieceDone bool, cancels 
 	}
 	p.received[ref.Block] = true
 	p.nReceived++
+	if !p.requested[ref.Block] {
+		// An unsolicited block: mark it requested too, so strict priority
+		// never asks for a block already held.
+		p.requested[ref.Block] = true
+		p.nRequest++
+	}
 	r.noteSupplier(peer, ref.Piece)
 	r.forget(peer, ref)
 	// Cancel every other pending copy of this block, in peer order so the
