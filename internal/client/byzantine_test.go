@@ -74,6 +74,10 @@ func TestPoisonerBannedMidTransfer(t *testing.T) {
 	if !bytes.Equal(leech.Bytes(), content) {
 		t.Fatal("content mismatch after poisoned transfer recovered")
 	}
+	// The poisoner corrupted only the copies it sent, never its storage.
+	if !bytes.Equal(poisoner.Bytes(), content) {
+		t.Fatal("poisoner's own content corrupted by serving poisoned blocks")
+	}
 }
 
 // TestPoisonerNoBanMeasurementMode: with NoPoisonBan the leecher counts

@@ -334,12 +334,18 @@ func (c *Client) handleRequest(pc *peerConn, m *wire.Message) bool {
 		c.mu.Unlock()
 		return false
 	}
+	// Serve straight from storage, without a copy: once a piece is in
+	// Have its range of c.content is never written again. handlePiece
+	// drops blocks of owned pieces, and a hash failure clears a piece
+	// from Have in the same locked section that set it, so no request
+	// ever sees it. block may therefore be read after unlocking.
 	start := int64(idx)*int64(c.geo.PieceLength) + int64(begin)
-	block := append([]byte(nil), c.content[start:start+int64(length)]...)
+	block := c.content[start : start+int64(length)]
 	c.mu.Unlock()
 	if c.adv != nil {
 		// Piece poisoner: corrupt the outbound copy (never our own
 		// storage) at the model's seeded rate.
+		block = append([]byte(nil), block...)
 		c.adv.MaybePoison(block)
 	}
 

@@ -28,22 +28,28 @@ func dialHandshake(t *testing.T, c *Client, infoHash [20]byte) net.Conn {
 	return conn
 }
 
-// expectClosed asserts the peer closes the connection promptly.
+// expectClosed asserts the peer closes the connection within 3 s: reading
+// must end in EOF or a reset, not in the read deadline.
 func expectClosed(t *testing.T, conn net.Conn) {
 	t.Helper()
 	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
 	buf := make([]byte, 4096)
 	for {
-		if _, err := conn.Read(buf); err != nil {
-			return // closed or reset: what we wanted
+		_, err := conn.Read(buf)
+		if err == nil {
+			continue
 		}
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("connection still open after 3 s")
+		}
+		return // closed or reset: what we wanted
 	}
 }
 
 func startSeed(t *testing.T) (*Client, [20]byte) {
 	t.Helper()
 	m, content := makeTorrent(t, 128<<10, "")
-	seed, err := New(Options{Meta: m, Content: content})
+	seed, err := New(Options{Meta: m, Content: content, UploadBps: 8 << 20, ChokeInterval: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,20 +155,28 @@ func TestProtocolSurvivesAdversarialFrames(t *testing.T) {
 	frames := []struct {
 		name string
 		raw  []byte
+		// halfClose ends the attacker's side of the stream after raw, so
+		// the client reads EOF mid-frame.
+		halfClose bool
 	}{
-		{"oversized declared length", []byte{0xff, 0xff, 0xff, 0xff}},
-		{"request out-of-range index", []byte{0, 0, 0, 13, 6, 0, 0, 0x27, 0x0f, 0, 0, 0, 0, 0, 0, 0x40, 0}},
-		{"request absurd length", []byte{0, 0, 0, 13, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}},
-		{"piece out-of-range index", []byte{0, 0, 0, 13, 7, 0, 0, 0x27, 0x0f, 0, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef}},
-		{"piece misaligned begin", []byte{0, 0, 0, 13, 7, 0, 0, 0, 0, 0, 0, 0, 7, 0xde, 0xad, 0xbe, 0xef}},
-		{"truncated body", []byte{0, 0, 0, 100, 7, 0, 0}},
-		{"unknown id", []byte{0, 0, 0, 1, 0x2a}},
-		{"choke with payload", []byte{0, 0, 0, 2, 0, 9}},
+		{"oversized declared length", []byte{0xff, 0xff, 0xff, 0xff}, false},
+		{"request out-of-range index", []byte{0, 0, 0, 13, 6, 0, 0, 0x27, 0x0f, 0, 0, 0, 0, 0, 0, 0x40, 0}, false},
+		{"request absurd length", []byte{0, 0, 0, 13, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}, false},
+		{"piece out-of-range index", []byte{0, 0, 0, 13, 7, 0, 0, 0x27, 0x0f, 0, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef}, false},
+		{"piece misaligned begin", []byte{0, 0, 0, 13, 7, 0, 0, 0, 0, 0, 0, 0, 7, 0xde, 0xad, 0xbe, 0xef}, false},
+		{"truncated body", []byte{0, 0, 0, 100, 7, 0, 0}, true},
+		{"unknown id", []byte{0, 0, 0, 1, 0x2a}, false},
+		{"choke with payload", []byte{0, 0, 0, 2, 0, 9}, false},
 	}
 	for _, f := range frames {
 		conn := dialHandshake(t, seed, ih)
 		if _, err := conn.Write(f.raw); err != nil {
 			t.Fatalf("%s: write: %v", f.name, err)
+		}
+		if f.halfClose {
+			if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatalf("%s: half-close: %v", f.name, err)
+			}
 		}
 		expectClosed(t, conn)
 		conn.Close()

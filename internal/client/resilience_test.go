@@ -87,7 +87,7 @@ func TestDeadTrackerGracefulDegradation(t *testing.T) {
 	announce := ts.URL + "/announce"
 
 	m, content := makeTorrent(t, 256<<10, announce)
-	seed, err := New(Options{Meta: m, Content: content, ChokeInterval: 200 * time.Millisecond})
+	seed, err := New(Options{Meta: m, Content: content, UploadBps: 8 << 20, ChokeInterval: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"rarestfirst/internal/bitfield"
 	"rarestfirst/internal/metainfo"
@@ -36,6 +37,10 @@ type PeerBlock struct {
 type pieceProgress struct {
 	requested []bool
 	received  []bool
+	// holders counts, per block, the peers it is pending on: at most one
+	// outside end game, so OnBlock scans the pending sets for duplicate
+	// copies to cancel only when a block's count stays above zero.
+	holders   []int32
 	nReceived int
 	nRequest  int
 }
@@ -62,7 +67,6 @@ type Requester struct {
 	// are deterministic (map iteration order must not leak into runs).
 	order   []int
 	pending map[PeerID]map[BlockRef]struct{}
-	holders map[BlockRef]map[PeerID]struct{} // end-game duplicate tracking
 	// suppliers records, per piece, which peers delivered counted blocks.
 	// Unlike progress it survives piece completion, so the client can
 	// attribute blame when the assembled bytes fail verification.
@@ -84,7 +88,6 @@ func NewRequester(geo metainfo.Geometry, picker Picker) *Requester {
 		inflight:  bitfield.New(geo.NumPieces),
 		progress:  map[int]*pieceProgress{},
 		pending:   map[PeerID]map[BlockRef]struct{}{},
-		holders:   map[BlockRef]map[PeerID]struct{}{},
 		suppliers: map[int][]PeerID{},
 	}
 }
@@ -226,7 +229,8 @@ func (r *Requester) nextEndGame(rng *rand.Rand, peer PeerID, remote *bitfield.Bi
 // startPiece allocates block state for piece i and marks it in flight.
 func (r *Requester) startPiece(i int) {
 	nb := r.geo.BlocksIn(i)
-	r.progress[i] = &pieceProgress{requested: make([]bool, nb), received: make([]bool, nb)}
+	flags := make([]bool, 2*nb) // requested and received share one allocation
+	r.progress[i] = &pieceProgress{requested: flags[:nb:nb], received: flags[nb:], holders: make([]int32, nb)}
 	r.inflight.Set(i)
 	r.order = append(r.order, i)
 	delete(r.suppliers, i)
@@ -250,14 +254,13 @@ func (r *Requester) commit(peer PeerID, ref BlockRef) BlockRef {
 		p.requested[ref.Block] = true
 		p.nRequest++
 	}
-	if r.pending[peer] == nil {
-		r.pending[peer] = map[BlockRef]struct{}{}
+	refs := r.pending[peer]
+	if refs == nil {
+		refs = map[BlockRef]struct{}{}
+		r.pending[peer] = refs
 	}
-	r.pending[peer][ref] = struct{}{}
-	if r.holders[ref] == nil {
-		r.holders[ref] = map[PeerID]struct{}{}
-	}
-	r.holders[ref][peer] = struct{}{}
+	refs[ref] = struct{}{}
+	p.holders[ref.Block]++
 	return ref
 }
 
@@ -303,14 +306,18 @@ func (r *Requester) OnBlock(peer PeerID, ref BlockRef) (pieceDone bool, cancels 
 	}
 	r.noteSupplier(peer, ref.Piece)
 	r.forget(peer, ref)
-	// Cancel every other pending copy of this block, in peer order so the
-	// caller's reaction sequence is deterministic.
-	for other := range r.holders[ref] {
-		cancels = append(cancels, PeerBlock{Peer: other, Ref: ref})
-		delete(r.pending[other], ref)
+	// Cancel every other pending copy of this block (end game only), in
+	// peer order so the caller's reaction sequence is deterministic.
+	if p.holders[ref.Block] > 0 {
+		for other, refs := range r.pending {
+			if _, ok := refs[ref]; ok {
+				cancels = append(cancels, PeerBlock{Peer: other, Ref: ref})
+				delete(refs, ref)
+			}
+		}
+		slices.SortFunc(cancels, func(a, b PeerBlock) int { return cmp.Compare(a.Peer, b.Peer) })
+		p.holders[ref.Block] = 0
 	}
-	sort.Slice(cancels, func(i, j int) bool { return cancels[i].Peer < cancels[j].Peer })
-	delete(r.holders, ref)
 	if p.nReceived == len(p.received) {
 		r.dropPiece(ref.Piece)
 		r.have.Set(ref.Piece)
@@ -353,9 +360,8 @@ func (r *Requester) PieceSuppliers(i int) []PeerID {
 	if len(src) == 0 {
 		return nil
 	}
-	out := make([]PeerID, len(src))
-	copy(out, src)
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	out := slices.Clone(src)
+	slices.Sort(out)
 	return out
 }
 
@@ -367,11 +373,10 @@ func (r *Requester) OnPieceFailed(i int) {
 	}
 	r.dropPiece(i)
 	delete(r.suppliers, i)
-	for peer, refs := range r.pending {
+	for _, refs := range r.pending {
 		for ref := range refs {
 			if ref.Piece == i {
 				delete(refs, ref)
-				r.dropHolder(peer, ref)
 			}
 		}
 	}
@@ -382,18 +387,7 @@ func (r *Requester) OnPieceFailed(i int) {
 // become requestable again.
 func (r *Requester) OnPeerGone(peer PeerID) {
 	for ref := range r.pending[peer] {
-		r.dropHolder(peer, ref)
-		if len(r.holders[ref]) == 0 {
-			delete(r.holders, ref)
-			if p := r.progress[ref.Piece]; p != nil && !p.received[ref.Block] && p.requested[ref.Block] {
-				p.requested[ref.Block] = false
-				p.nRequest--
-				// Drop empty progress so the picker may choose afresh.
-				if p.nReceived == 0 && p.nRequest == 0 {
-					r.dropPiece(ref.Piece)
-				}
-			}
-		}
+		r.dropHolder(ref)
 	}
 	delete(r.pending, peer)
 }
@@ -409,16 +403,7 @@ func (r *Requester) OnRequestTimeout(peer PeerID, ref BlockRef) {
 		return
 	}
 	delete(refs, ref)
-	r.dropHolder(peer, ref)
-	if len(r.holders[ref]) == 0 {
-		if p := r.progress[ref.Piece]; p != nil && !p.received[ref.Block] && p.requested[ref.Block] {
-			p.requested[ref.Block] = false
-			p.nRequest--
-			if p.nReceived == 0 && p.nRequest == 0 {
-				r.dropPiece(ref.Piece)
-			}
-		}
-	}
+	r.dropHolder(ref)
 }
 
 // PendingOf returns the blocks currently pending on peer (for tests and
@@ -431,24 +416,37 @@ func (r *Requester) PendingOf(peer PeerID) []BlockRef {
 	return refs
 }
 
+// forget drops ref from peer's pending set, if it is there.
 func (r *Requester) forget(peer PeerID, ref BlockRef) {
-	if refs := r.pending[peer]; refs != nil {
+	refs := r.pending[peer]
+	if _, ok := refs[ref]; ok {
 		delete(refs, ref)
+		r.dropHolder(ref)
 	}
-	r.dropHolder(peer, ref)
 }
 
-func (r *Requester) dropHolder(peer PeerID, ref BlockRef) {
-	if hs := r.holders[ref]; hs != nil {
-		delete(hs, peer)
-		if len(hs) == 0 {
-			delete(r.holders, ref)
-		}
+// dropHolder decrements the holder count of a ref just removed from one
+// pending set. A block left with no pending copy and not yet received
+// becomes requestable again, and a piece with nothing received or
+// requested is dropped so the picker may choose afresh.
+func (r *Requester) dropHolder(ref BlockRef) {
+	p := r.progress[ref.Piece]
+	if p == nil {
+		return
+	}
+	p.holders[ref.Block]--
+	if p.holders[ref.Block] > 0 || p.received[ref.Block] {
+		return
+	}
+	p.requested[ref.Block] = false
+	p.nRequest--
+	if p.nReceived == 0 && p.nRequest == 0 {
+		r.dropPiece(ref.Piece)
 	}
 }
 
 // CheckConsistency cross-checks the Requester's redundant bookkeeping
-// (bitfields, progress maps, order list, pending sets, holder sets) and
+// (bitfields, progress maps, order list, pending sets, holder counts) and
 // returns the first violation found, or nil. It is a pure read intended
 // for the swarm invariant checker and tests; it never mutates state.
 func (r *Requester) CheckConsistency() error {
@@ -479,17 +477,19 @@ func (r *Requester) CheckConsistency() error {
 			}
 			if p.received[b] {
 				nRecv++
+				if !p.requested[b] {
+					return fmt.Errorf("core: piece %d block %d received but not requested", i, b)
+				}
 			}
 		}
 		if nReq != p.nRequest || nRecv != p.nReceived {
 			return fmt.Errorf("core: piece %d counters req=%d/%d recv=%d/%d", i, p.nRequest, nReq, p.nReceived, nRecv)
 		}
 	}
+	held := map[BlockRef]int32{}
 	for peer, refs := range r.pending {
 		for ref := range refs {
-			if _, ok := r.holders[ref][peer]; !ok {
-				return fmt.Errorf("core: pending %v on peer %d missing from holders", ref, peer)
-			}
+			held[ref]++
 			p := r.progress[ref.Piece]
 			if p == nil {
 				return fmt.Errorf("core: pending %v on peer %d for piece with no progress", ref, peer)
@@ -500,13 +500,10 @@ func (r *Requester) CheckConsistency() error {
 			}
 		}
 	}
-	for ref, hs := range r.holders {
-		if len(hs) == 0 {
-			return fmt.Errorf("core: empty holder set for %v", ref)
-		}
-		for peer := range hs {
-			if _, ok := r.pending[peer][ref]; !ok {
-				return fmt.Errorf("core: holder %d of %v missing from pending", peer, ref)
+	for _, i := range r.order {
+		for b, n := range r.progress[i].holders {
+			if ref := (BlockRef{Piece: i, Block: b}); n != held[ref] {
+				return fmt.Errorf("core: %v holder count %d but pending on %d peers", ref, n, held[ref])
 			}
 		}
 	}

@@ -515,3 +515,31 @@ func TestRequesterHashFailDuringEndGame(t *testing.T) {
 		t.Fatalf("inconsistent after re-download: %v", err)
 	}
 }
+
+// TestRequesterAllocsPerBlock pins the allocation cost of a whole download:
+// 256 pieces of 16 blocks from 8 seeds, one outstanding block per peer.
+// Piece state is a few slices per piece and pending sets are reused, so
+// the cost stays well under one object per block.
+func TestRequesterAllocsPerBlock(t *testing.T) {
+	const pieces, peers = 256, 8
+	geo := metainfo.NewGeometry(pieces*16*metainfo.BlockSize, 16*metainfo.BlockSize)
+	full := fullRemote(pieces)
+	rng := rand.New(rand.NewSource(1))
+	download := func() {
+		avail := NewAvailability(pieces)
+		for p := 0; p < peers; p++ {
+			avail.AddPeer(full)
+		}
+		r := NewRequester(geo, &RarestFirst{Avail: avail})
+		for i := 0; !r.Complete(); i++ {
+			peer := PeerID(i % peers)
+			if ref, ok := r.Next(rng, peer, full); ok {
+				r.OnBlock(peer, ref)
+			}
+		}
+	}
+	perBlock := testing.AllocsPerRun(5, download) / float64(geo.TotalBlocks())
+	if perBlock >= 0.5 {
+		t.Fatalf("%.2f allocations per block, want < 0.5", perBlock)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 )
 
 // MsgID identifies a peer wire message type.
@@ -174,6 +175,11 @@ func parseBody(body []byte, m *Message) error {
 type Encoder struct {
 	w   io.Writer
 	buf []byte
+	// iov and vec carry a piece frame's header and block to one vectored
+	// write. Both live in the Encoder because a net.Buffers local to
+	// Piece escapes to the heap on every frame.
+	iov [2][]byte
+	vec net.Buffers
 }
 
 // NewEncoder returns an Encoder writing to w.
@@ -248,13 +254,20 @@ func (e *Encoder) Cancel(index, begin, length uint32) error {
 	return e.flush()
 }
 
-// Piece writes a piece message carrying block data.
+// Piece writes a piece message carrying block data. The 13-byte header
+// and the block go out as one vectored write, so the block is never
+// copied: on a *net.TCPConn that is a single writev, on any other writer
+// two Writes. The Encoder does not retain block after Piece returns.
 func (e *Encoder) Piece(index, begin uint32, block []byte) error {
-	b := e.frame(MsgPiece, 8+len(block))
-	binary.BigEndian.PutUint32(b[5:], index)
-	binary.BigEndian.PutUint32(b[9:], begin)
-	copy(b[13:], block)
-	return e.flush()
+	h := e.frame(MsgPiece, 8)
+	binary.BigEndian.PutUint32(h, uint32(9+len(block)))
+	binary.BigEndian.PutUint32(h[5:], index)
+	binary.BigEndian.PutUint32(h[9:], begin)
+	e.iov = [2][]byte{h, block}
+	e.vec = e.iov[:]
+	_, err := e.vec.WriteTo(e.w)
+	e.iov[1] = nil
+	return err
 }
 
 // Port writes a DHT port message (decoded but unused; 4.0.2 pre-dates DHT

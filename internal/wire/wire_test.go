@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"net"
 	"testing"
 	"testing/quick"
 )
@@ -74,6 +75,100 @@ func TestPiece(t *testing.T) {
 	}
 	if !bytes.Equal(m.Block, block) {
 		t.Error("piece payload corrupted")
+	}
+}
+
+// TestPieceZeroAlloc pins the vectored piece write: a warmed Encoder sends
+// a piece frame without allocating and keeps no reference to the block.
+func TestPieceZeroAlloc(t *testing.T) {
+	e := NewEncoder(io.Discard)
+	block := make([]byte, 16384)
+	piece := func() {
+		if err := e.Piece(1, 16384, block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	piece()
+	if n := testing.AllocsPerRun(100, piece); n != 0 {
+		t.Errorf("%v allocations per warmed Piece, want 0", n)
+	}
+	if e.iov[1] != nil {
+		t.Error("Encoder retained the block after Piece returned")
+	}
+}
+
+// TestPieceFrameOverConns sends a full block, an empty block and a have
+// message through a loopback TCP pair (one writev per piece frame) and a
+// net.Pipe (two Writes per piece frame): each frame must decode intact
+// and the have must start exactly where the last piece frame ends.
+func TestPieceFrameOverConns(t *testing.T) {
+	block := make([]byte, 16384)
+	rand.New(rand.NewSource(2)).Read(block)
+	t.Run("tcp", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		w, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		if _, ok := w.(*net.TCPConn); !ok {
+			t.Fatalf("dialed %T, want *net.TCPConn", w)
+		}
+		r, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		checkPieceFrames(t, w, r, block)
+	})
+	t.Run("pipe", func(t *testing.T) {
+		w, r := net.Pipe()
+		defer w.Close()
+		defer r.Close()
+		checkPieceFrames(t, w, r, block)
+	})
+}
+
+func checkPieceFrames(t *testing.T, w io.Writer, r io.Reader, block []byte) {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() {
+		e := NewEncoder(w)
+		err := e.Piece(3, 32768, block)
+		if err == nil {
+			err = e.Piece(4, 0, nil)
+		}
+		if err == nil {
+			err = e.Have(9)
+		}
+		errc <- err
+	}()
+	d := NewDecoder(r)
+	var m Message
+	if err := d.Decode(&m); err != nil {
+		t.Fatalf("full block: %v", err)
+	}
+	if m.ID != MsgPiece || m.Index != 3 || m.Begin != 32768 || !bytes.Equal(m.Block, block) {
+		t.Fatalf("full block decoded as %v index %d begin %d, %d bytes", m.ID, m.Index, m.Begin, len(m.Block))
+	}
+	if err := d.Decode(&m); err != nil {
+		t.Fatalf("empty block: %v", err)
+	}
+	if m.ID != MsgPiece || m.Index != 4 || m.Begin != 0 || len(m.Block) != 0 {
+		t.Fatalf("empty block decoded as %+v", m)
+	}
+	if err := d.Decode(&m); err != nil {
+		t.Fatalf("have after pieces: %v", err)
+	}
+	if m.ID != MsgHave || m.Index != 9 {
+		t.Fatalf("have after pieces decoded as %+v", m)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("encode: %v", err)
 	}
 }
 
