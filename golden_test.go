@@ -47,10 +47,12 @@ var updateGoldens = flag.Bool("update-goldens", false,
 // free-rider-heavy torrent on the old seed choker, a crash-recovery run,
 // a batched-HAVE run, and one run each of choke lanes over a sharded heap,
 // newcomer-boosted optimistic unchokes, the tit-for-tat leecher choker, a
-// poisoning adversary and the chaos fault plan — together they exercise
-// the engine, the fluid network, every picker entry point, every choker,
-// the kill/rejoin path, the deferred HAVE flush, the lane schedule, the
-// ban path and the fault-injected connection resets.
+// poisoning adversary, the chaos fault plan, and a lying adversary under
+// chaos — together they exercise the engine, the fluid network, every
+// picker entry point, every choker, the kill/rejoin path, the deferred
+// HAVE flush, the lane schedule, the ban path, the fault-injected
+// connection resets and the fake-HAVE timeouts, the two timers that hold
+// a connection across events.
 func goldenScenarios() []Scenario {
 	return []Scenario{
 		{Label: "steady-t7", TorrentID: 7, Scale: BenchScale(), SeedOverride: 42},
@@ -63,6 +65,7 @@ func goldenScenarios() []Scenario {
 		{Label: "tft-t14", TorrentID: 14, Scale: BenchScale(), LeecherChoke: LeecherChokeTitForTat, SeedOverride: 17},
 		{Label: "poison25-t10", TorrentID: 10, Scale: BenchScale(), Adversary: "poison25", SeedOverride: 19},
 		{Label: "chaos-t7", TorrentID: 7, Scale: BenchScale(), Faults: "chaos", SeedOverride: 29},
+		{Label: "liar25-chaos-t7", TorrentID: 7, Scale: BenchScale(), Adversary: "liar25", Faults: "chaos", SeedOverride: 31},
 	}
 }
 
