@@ -104,9 +104,9 @@ func (s *Swarm) scheduleFakeHaveTimeout(p *Peer, c *conn, piece int) {
 	if adv := s.cfg.Adversary; adv != nil {
 		timeout = adv.fakeHaveTimeout()
 	}
-	liar := c.remote
+	liar, gen := c.remote, c.gen
 	s.eng.After(timeout, func() {
-		if p.departed || c.stallPiece != piece || p.conns[liar.id] != c {
+		if p.departed || p.connTo(liar) != c || c.gen != gen || c.stallPiece != piece {
 			return
 		}
 		c.stallPiece = -1

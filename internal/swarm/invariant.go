@@ -69,25 +69,25 @@ func (s *Swarm) checkGlobalAvail(ids []core.PeerID) {
 	}
 }
 
-// checkPeerStructure audits p's connection list: membership agreement
-// with the conns map, mirror symmetry, the banned-peer exclusion (a ban
-// tears the connection down, so a surviving conn — and with it any
-// unchoke slot — is a violation), and stall/flow bookkeeping.
+// checkPeerStructure audits p's connection list: every entry live and
+// owned by p with no duplicate remote, mirror symmetry, the banned-peer
+// exclusion (a ban tears the connection down, so a surviving conn — and
+// with it any unchoke slot — is a violation), and stall/flow bookkeeping.
 func (s *Swarm) checkPeerStructure(p *Peer) {
-	if len(p.connList) != len(p.conns) {
-		panic(fmt.Sprintf("swarm invariant: peer %d connList len %d != conns len %d",
-			p.id, len(p.connList), len(p.conns)))
-	}
 	for _, c := range p.connList {
-		if p.conns[c.remote.id] != c {
-			panic(fmt.Sprintf("swarm invariant: peer %d connList entry for %d not in conns map",
+		if c.mirror == nil || c.owner != p || c.gen == 0 {
+			panic(fmt.Sprintf("swarm invariant: peer %d has a torn-down or free conn in its list (gen %d)",
+				p.id, c.gen))
+		}
+		if p.connTo(c.remote) != c {
+			panic(fmt.Sprintf("swarm invariant: peer %d has a second conn to %d",
 				p.id, c.remote.id))
 		}
 		if p.bannedPeer(c.remote) {
 			panic(fmt.Sprintf("swarm invariant: peer %d still connected to banned peer %d (unchoking=%v)",
 				p.id, c.remote.id, c.amUnchoking))
 		}
-		if c.mirror != nil && (c.mirror.mirror != c || c.mirror.owner != c.remote || c.mirror.remote != p) {
+		if c.mirror.mirror != c || c.mirror.owner != c.remote || c.mirror.remote != p || c.mirror.gen != c.gen {
 			panic(fmt.Sprintf("swarm invariant: peer %d conn to %d has inconsistent mirror",
 				p.id, c.remote.id))
 		}

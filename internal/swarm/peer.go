@@ -19,11 +19,14 @@ type conn struct {
 	remote *Peer
 
 	// mirror is the remote side's conn for the same pair, bound at connect
-	// time and nilled at disconnect. Every mirrored state change used to
-	// look it up through remote.conns[owner.id]; at 10k-peer scale those
-	// map probes were ~25% of the run, so the hot paths take this pointer
-	// instead (the map remains the membership/lookup-by-id structure).
+	// time and nilled at disconnect, so every mirrored state change is one
+	// pointer hop. A nil mirror marks a torn-down conn.
 	mirror *conn
+
+	// gen stamps the connection (see Swarm.newConn): conns are recycled
+	// after the event that closed them, so a timer holding one across
+	// events compares gen as well as identity. 0 marks a free conn.
+	gen uint64
 
 	initiatedByOwner bool
 
@@ -88,7 +91,7 @@ type Peer struct {
 	chokerL core.Choker
 	chokerS core.Choker
 
-	conns    map[core.PeerID]*conn
+	// connList is the peer set, at most MaxPeerSet long; lookups scan it.
 	connList []*conn
 
 	initiated int
@@ -186,11 +189,18 @@ func (p *Peer) interestedIn(remote *Peer) bool {
 	return !p.seed && !p.advLiar && p.have.AnyMissingIn(remote.shownBits())
 }
 
-// connectedTo reports whether p has a connection to q.
-func (p *Peer) connectedTo(q *Peer) bool {
-	_, ok := p.conns[q.id]
-	return ok
+// connTo returns p's conn to q, or nil when they are not connected.
+func (p *Peer) connTo(q *Peer) *conn {
+	for _, c := range p.connList {
+		if c.remote == q {
+			return c
+		}
+	}
+	return nil
 }
+
+// connectedTo reports whether p has a connection to q.
+func (p *Peer) connectedTo(q *Peer) bool { return p.connTo(q) != nil }
 
 // ---------------------------------------------------------------------------
 // Interest management
@@ -432,12 +442,18 @@ func (p *Peer) onBlockFlowDone(c *conn) {
 	done, cancels := p.req.OnBlock(c.remote.id, c.flowRef)
 	// End-game cancels: abort duplicate in-flight fetches of this block.
 	for _, cb := range cancels {
-		if oc := p.conns[cb.Peer]; oc != nil && oc.inFlow != nil && oc.flowRef == cb.Ref {
-			p.settleDown(oc)
-			f := oc.inFlow
-			p.clearFlow(oc)
-			f.Cancel()
-			p.maybeRequest(oc)
+		for _, oc := range p.connList {
+			if oc.remote.id != cb.Peer {
+				continue
+			}
+			if oc.inFlow != nil && oc.flowRef == cb.Ref {
+				p.settleDown(oc)
+				f := oc.inFlow
+				p.clearFlow(oc)
+				f.Cancel()
+				p.maybeRequest(oc)
+			}
+			break
 		}
 	}
 	if done {

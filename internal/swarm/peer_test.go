@@ -29,8 +29,8 @@ func TestConnectMirrorsState(t *testing.T) {
 	seed := s.addPeer(true, false, false, 1e5, 0)
 	leech := s.addPeer(false, false, false, 1e5, 0)
 	// addPeer announces, so they are already connected.
-	ca := leech.conns[seed.id]
-	cb := seed.conns[leech.id]
+	ca := leech.connTo(seed)
+	cb := seed.connTo(leech)
 	if ca == nil || cb == nil {
 		t.Fatal("announce did not connect the pair")
 	}
@@ -54,11 +54,11 @@ func TestApplyChokeStampsTransitionsOnly(t *testing.T) {
 	// clock advances below.
 	seed := s.addPeer(true, false, false, 4<<10, 0)
 	leech := s.addPeer(false, false, false, 4<<10, 0)
-	c := seed.conns[leech.id]
+	c := seed.connTo(leech)
 	s.eng.Run(5) // advance the clock a little
 	seed.applyChoke(c, true)
 	stamp := c.lastUnchokedAt
-	if !c.amUnchoking || !leech.conns[seed.id].peerUnchoking {
+	if !c.amUnchoking || !leech.connTo(seed).peerUnchoking {
 		t.Fatal("unchoke not applied/mirrored")
 	}
 	s.eng.Run(20)
@@ -67,7 +67,7 @@ func TestApplyChokeStampsTransitionsOnly(t *testing.T) {
 		t.Fatal("re-unchoke refreshed the stamp")
 	}
 	seed.applyChoke(c, false)
-	if c.amUnchoking || leech.conns[seed.id].peerUnchoking {
+	if c.amUnchoking || leech.connTo(seed).peerUnchoking {
 		t.Fatal("choke not applied/mirrored")
 	}
 	s.eng.Run(40)
@@ -81,14 +81,19 @@ func TestUnchokeTriggersTransferAndConservesBytes(t *testing.T) {
 	s := newTestSwarm(t, nil)
 	seed := s.addPeer(true, false, false, 64<<10, 0) // 64 kB/s
 	leech := s.addPeer(false, false, false, 64<<10, 0)
-	c := seed.conns[leech.id]
+	c := seed.connTo(leech)
 	seed.applyChoke(c, true)
-	lc := leech.conns[seed.id]
+	lc := leech.connTo(seed)
 	if lc.inFlow == nil {
 		t.Fatal("unchoke did not start a transfer")
 	}
-	// One 64 kB piece at 64 kB/s: done at ~1 s.
-	s.eng.Run(300)
+	// One 64 kB piece at 64 kB/s: done at ~1 s. Stop mid-download: once
+	// the leecher completes it tears the connection down, and a closed
+	// conn is recycled after its event.
+	s.eng.Run(8)
+	if leech.connTo(seed) != lc {
+		t.Fatal("the connection closed before the check")
+	}
 	if leech.downloaded == 0 {
 		t.Fatal("no pieces downloaded")
 	}
@@ -106,10 +111,10 @@ func TestChokeMidPieceKeepsRemainder(t *testing.T) {
 	s := newTestSwarm(t, nil)
 	seed := s.addPeer(true, false, false, 8<<10, 0) // slow: 8 s per 64 kB piece
 	leech := s.addPeer(false, false, false, 8<<10, 0)
-	c := seed.conns[leech.id]
+	c := seed.connTo(leech)
 	seed.applyChoke(c, true)
 	s.eng.Run(s.eng.Now() + 3) // ~3/8 of the piece transferred
-	lc := leech.conns[seed.id]
+	lc := leech.connTo(seed)
 	piece := lc.flowPiece
 	seed.applyChoke(c, false)
 	rem, ok := leech.pieceRemaining[piece]
@@ -137,14 +142,14 @@ func TestMaybeRequestGuards(t *testing.T) {
 	s := newTestSwarm(t, nil)
 	seed := s.addPeer(true, false, false, 1e5, 0)
 	leech := s.addPeer(false, false, false, 1e5, 0)
-	lc := leech.conns[seed.id]
+	lc := leech.connTo(seed)
 	// Not unchoked: no flow.
 	leech.maybeRequest(lc)
 	if lc.inFlow != nil {
 		t.Fatal("requested while choked")
 	}
 	// Seeds never request.
-	sc := seed.conns[leech.id]
+	sc := seed.connTo(leech)
 	sc.peerUnchoking = true
 	sc.amInterested = true // forced; a seed is never interested in reality
 	seed.maybeRequest(sc)
@@ -162,7 +167,7 @@ func TestDepartCleansUpEverything(t *testing.T) {
 		t.Fatalf("tracker size %d", s.trk.Len())
 	}
 	// Start a transfer seed->a, then kill the seed.
-	c := seed.conns[a.id]
+	c := seed.connTo(a)
 	seed.applyChoke(c, true)
 	seed.depart()
 	if s.trk.Len() != 2 {
@@ -171,8 +176,8 @@ func TestDepartCleansUpEverything(t *testing.T) {
 	if a.connectedTo(seed) || b.connectedTo(seed) {
 		t.Fatal("departed peer still connected")
 	}
-	if ac := a.conns[seed.id]; ac != nil {
-		t.Fatal("conn map leak")
+	if ac := a.connTo(seed); ac != nil {
+		t.Fatal("conn list leak")
 	}
 	// Global availability dropped the seed's pieces.
 	if s.globalAvail.Count(0) != 0 {
@@ -218,13 +223,15 @@ func TestSeedStateSwitchesChoker(t *testing.T) {
 }
 
 // TestConnectCycleAllocatesOnePair pins the connection lifecycle's
-// allocation budget: once the peers' maps and lists have grown, a
-// connect-plus-disconnect cycle allocates only the conn pair.
+// allocation budget: once the peers' lists have grown, a
+// connect-plus-disconnect cycle allocates at most the conn pair. Outside
+// an event no post-event hook reclaims the retired pair, so this is the
+// cold-free-list cost; TestNewConnZeroAllocWhenWarm covers the warm one.
 func TestConnectCycleAllocatesOnePair(t *testing.T) {
 	s := newTestSwarm(t, nil)
 	seed := s.addPeer(true, false, false, 1e5, 0)
 	leech := s.addPeer(false, false, false, 1e5, 0)
-	if leech.conns[seed.id] == nil {
+	if leech.connTo(seed) == nil {
 		t.Fatal("announce did not connect the pair")
 	}
 	cycle := func() {
@@ -235,7 +242,86 @@ func TestConnectCycleAllocatesOnePair(t *testing.T) {
 	if n := testing.AllocsPerRun(100, cycle); n > 1 {
 		t.Fatalf("connect+disconnect allocates %v objects, want at most 1", n)
 	}
-	if leech.conns[seed.id] == nil || leech.conns[seed.id].mirror != seed.conns[leech.id] {
+	if leech.connTo(seed) == nil || leech.connTo(seed).mirror != seed.connTo(leech) {
 		t.Fatal("cycle left the pair disconnected or unmirrored")
+	}
+}
+
+// TestRetiredConnReusedOnlyAfterItsEvent pins the recycling contract: a
+// conn disconnect retires stays as disconnect left it, and is not handed
+// to a new connection, until its event ends; after that it is reused.
+func TestRetiredConnReusedOnlyAfterItsEvent(t *testing.T) {
+	s := newTestSwarm(t, nil)
+	// Slow seed: no piece completes (and no connection closes) by t=3.
+	seed := s.addPeer(true, false, false, 4<<10, 0)
+	leech := s.addPeer(false, false, false, 4<<10, 0)
+	old := leech.connTo(seed)
+	oldMirror := old.mirror
+	retired := func(c *conn) bool { return c == old || c == oldMirror }
+	s.eng.At(1, func() {
+		s.disconnect(leech, seed)
+		s.connectNow(leech, seed)
+		fresh := leech.connTo(seed)
+		if fresh == nil || retired(fresh) || retired(fresh.mirror) {
+			t.Error("a conn retired in this event was handed out again within it")
+		}
+		if old.owner != leech || old.remote != seed || old.mirror != nil || old.gen == 0 {
+			t.Error("a retired conn changed before its event ended")
+		}
+	})
+	s.eng.At(2, func() {
+		if old.owner != nil || old.gen != 0 || oldMirror.owner != nil {
+			t.Error("a retired conn was not reclaimed after its event")
+		}
+		s.disconnect(leech, seed)
+		s.connectNow(leech, seed)
+		again := leech.connTo(seed)
+		if again == nil || !retired(again) || !retired(again.mirror) {
+			t.Error("the reclaimed pair was not reused")
+		}
+	})
+	s.eng.Run(3)
+}
+
+// TestChaosResetSkipsReconnectOnSameMemory arms a chaos reset for one
+// connection, closes it and reconnects the same pair in the other
+// direction, which puts the leecher's side on the old conn's memory. The
+// timer must leave the new connection alone: identity alone cannot tell
+// the two apart, the generation can.
+func TestChaosResetSkipsReconnectOnSameMemory(t *testing.T) {
+	s := newTestSwarm(t, func(cfg *Config) {
+		cfg.Chaos = &Chaos{ConnResetRate: 1, ConnResetMeanDelay: 1}
+	})
+	seed := s.addPeer(true, false, false, 4<<10, 0)
+	leech := s.addPeer(false, false, false, 4<<10, 0)
+	armed := leech.connTo(seed) // the leecher initiated: its side is the timer's
+	if armed == nil {
+		t.Fatal("announce did not connect the pair")
+	}
+	s.disconnect(leech, seed)
+	s.cfg.Chaos.ConnResetRate = 0 // the reconnect arms no timer of its own
+	s.eng.At(0, func() { s.connectNow(seed, leech) })
+	s.eng.Run(0)
+	if leech.connTo(seed) != armed {
+		t.Fatal("the reconnect did not reuse the armed conn's memory")
+	}
+	s.eng.Run(50) // the Exp(1 s) reset has fired by now
+	if leech.connTo(seed) != armed {
+		t.Fatal("a reset armed for a closed connection tore down its successor")
+	}
+}
+
+// TestNewConnZeroAllocWhenWarm pins the free list: once a reclaimed conn
+// is waiting, newConn allocates nothing.
+func TestNewConnZeroAllocWhenWarm(t *testing.T) {
+	s := newTestSwarm(t, nil)
+	cycle := func() {
+		c := s.newConn()
+		s.connRetired = append(s.connRetired, c)
+		s.reclaimConns()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("newConn with a warm free list allocates %v objects, want 0", n)
 	}
 }

@@ -67,6 +67,13 @@ type Swarm struct {
 	// Peer.completePiece and Swarm.flushHaves).
 	pendingHaves []pendingHave
 
+	// Connection recycling (see newConn): connFree holds zeroed conns
+	// ready for reuse, connRetired the sides disconnect tore down during
+	// the current event, and connGen stamps each new connection.
+	connFree    []*conn
+	connRetired []*conn
+	connGen     uint64
+
 	// crashCorruptDone marks that the Crashes plan's DropAllFirst victim
 	// has been consumed (at most one corrupted-resume peer per run).
 	crashCorruptDone bool
@@ -152,16 +159,16 @@ func New(cfg Config) *Swarm {
 			PeakLane: reg.Gauge("sim_peak_lane_width"),
 		})
 	}
-	if cfg.BatchHaves {
-		// Chain the deferred flush points: HAVE reactions first (they may
-		// start flows whose rates the retime flush must then settle),
-		// Net's dirty-node flush second. NewNet installed n.Flush as the
-		// engine's post-event hook; this replaces it with the chain.
-		eng.SetPostEventHook(func() {
-			s.flushHaves()
-			s.net.Flush()
-		})
-	}
+	// Chain the deferred flush points: HAVE reactions first (BatchHaves
+	// mode only; they may start flows whose rates the retime flush must
+	// then settle), the reclaim of the event's retired connections second,
+	// Net's dirty-node flush last. NewNet installed n.Flush as the
+	// engine's post-event hook; this replaces it with the chain.
+	eng.SetPostEventHook(func() {
+		s.flushHaves()
+		s.reclaimConns()
+		s.net.Flush()
+	})
 	return s
 }
 
@@ -276,7 +283,6 @@ func (s *Swarm) addPeerOpts(isSeed, freeRider, isLocal, bootstrap bool, upBps, d
 		node:           s.net.AddNode(upBps, downBps),
 		have:           have,
 		avail:          avail,
-		conns:          map[core.PeerID]*conn{},
 		inflight:       bitfield.New(s.cfg.NumPieces),
 		pieceRemaining: map[int]float64{},
 		freeRider:      freeRider,
@@ -491,22 +497,18 @@ func (s *Swarm) connectNow(a, b *Peer) {
 		return
 	}
 	now := s.eng.Now()
-	// Both sides come from one allocation. A pair is never reused after
-	// disconnect, so a stale *conn (a teardown snapshot, the chaos reset
-	// below) can never alias a later connection.
-	pair := &[2]conn{
-		{owner: a, remote: b, initiatedByOwner: true, stallPiece: -1},
-		{owner: b, remote: a, stallPiece: -1},
-	}
-	ca, cb := &pair[0], &pair[1]
+	// Each side is fully initialised by a literal, so nothing from a
+	// recycled conn's previous connection survives.
+	s.connGen++
+	gen := s.connGen
+	ca, cb := s.newConn(), s.newConn()
+	*ca = conn{owner: a, remote: b, mirror: cb, gen: gen, initiatedByOwner: true, stallPiece: -1}
+	*cb = conn{owner: b, remote: a, mirror: ca, gen: gen, stallPiece: -1}
 	ca.inEst.Init(0)
 	ca.outEst.Init(0)
 	cb.inEst.Init(0)
 	cb.outEst.Init(0)
-	ca.mirror, cb.mirror = cb, ca
-	a.conns[b.id] = ca
 	a.connList = append(a.connList, ca)
-	b.conns[a.id] = cb
 	b.connList = append(b.connList, cb)
 	a.initiated++
 	s.metrics.conns.Add(1)
@@ -532,11 +534,12 @@ func (s *Swarm) connectNow(a, b *Peer) {
 	if ch := s.cfg.Chaos; ch != nil && ch.ConnResetRate > 0 {
 		if s.eng.RNG().Float64() < ch.ConnResetRate {
 			// Scheduled abortive close: the connection dies after an
-			// exponential delay unless it was already torn down (the conn
-			// identity check guards against a reconnect reusing the slot).
+			// exponential delay unless it was already torn down. A
+			// reconnect of the same pair may land on ca's memory, so the
+			// check takes the generation as well as the identity.
 			delay := s.eng.RNG().ExpFloat64() * ch.resetMeanDelay()
 			s.eng.After(delay, func() {
-				if a.conns[b.id] == ca {
+				if a.connTo(b) == ca && ca.gen == gen {
 					s.chaosFault("conn_reset", a, b)
 					s.disconnect(a, b)
 				}
@@ -548,11 +551,11 @@ func (s *Swarm) connectNow(a, b *Peer) {
 // disconnect tears down the connection between a and b, requeueing partial
 // downloads on both sides.
 func (s *Swarm) disconnect(a, b *Peer) {
-	ca := a.conns[b.id]
-	cb := b.conns[a.id]
-	if ca == nil || cb == nil {
+	ca := a.connTo(b)
+	if ca == nil {
 		return
 	}
+	cb := ca.mirror
 	now := s.eng.Now()
 	a.cancelDownload(ca, true)
 	b.cancelDownload(cb, true)
@@ -564,14 +567,14 @@ func (s *Swarm) disconnect(a, b *Peer) {
 	if cb.initiatedByOwner {
 		b.initiated--
 	}
-	delete(a.conns, b.id)
-	delete(b.conns, a.id)
 	removeConn(&a.connList, ca)
 	removeConn(&b.connList, cb)
 	s.metrics.conns.Add(-1)
 	// Sever the mirror pointers so a stale handle (e.g. in a teardown
-	// snapshot) degrades to the same nil the map lookup used to return.
+	// snapshot) sees the connection as gone. Both sides stay readable as
+	// they are until the event ends; reclaimConns recycles them then.
 	ca.mirror, cb.mirror = nil, nil
+	s.connRetired = append(s.connRetired, ca, cb)
 	if a.isLocal {
 		s.col.PeerLeft(int(b.id), now)
 	}
@@ -583,6 +586,41 @@ func (s *Swarm) disconnect(a, b *Peer) {
 	// A cancelled in-flight piece is requestable again from other peers.
 	a.retryRequests()
 	b.retryRequests()
+}
+
+// newConn returns a conn for connectNow to initialise: a recycled one
+// when the free list has any, otherwise the first half of a fresh pair
+// whose second half goes on the free list.
+//
+// The recycling contract: disconnect retires both sides, and only the
+// post-event hook (reclaimConns) frees them. Within an event a stale
+// handle therefore reads exactly what disconnect left — callers keep
+// using a conn after a possible teardown (maybeRequest after
+// completePiece → becomeSeed → disconnect), and in serial mode
+// disconnect → queueReannounce → announce → connectNow runs in the same
+// event, where an immediate reuse would hand the closed conn to the new
+// connection. Across events only two timers hold a conn (the chaos reset
+// and the fake-HAVE timeout); they check conn.gen, because the same pair
+// of peers may reconnect onto the same memory.
+func (s *Swarm) newConn() *conn {
+	if n := len(s.connFree); n > 0 {
+		c := s.connFree[n-1]
+		s.connFree = s.connFree[:n-1]
+		return c
+	}
+	pair := new([2]conn)
+	s.connFree = append(s.connFree, &pair[1])
+	return &pair[0]
+}
+
+// reclaimConns zeroes the conns retired during the event, dropping their
+// peer and flow references, and moves them to the free list.
+func (s *Swarm) reclaimConns() {
+	for _, c := range s.connRetired {
+		*c = conn{}
+		s.connFree = append(s.connFree, c)
+	}
+	s.connRetired = s.connRetired[:0]
 }
 
 func removeConn(list *[]*conn, c *conn) {

@@ -290,7 +290,7 @@ func TestInterestConsistency(t *testing.T) {
 					p.id, c.remote.id, c.amInterested, want)
 			}
 			// Mirror consistency.
-			rc := c.remote.conns[p.id]
+			rc := c.remote.connTo(p)
 			if rc == nil || rc.peerInterested != c.amInterested || rc.peerUnchoking != c.amUnchoking {
 				t.Fatalf("mirror state inconsistent between %d and %d", p.id, c.remote.id)
 			}
