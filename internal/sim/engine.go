@@ -43,7 +43,7 @@ type Timer struct {
 	// Lane events (AtLane) carry a compute half instead of fn: compute is
 	// the read-only phase, the closure it returns is the mutation phase.
 	// compute != nil marks the timer as a lane event.
-	compute func() func()
+	compute func(worker int) func()
 	laneKey int64
 }
 
@@ -678,7 +678,13 @@ func (e *Engine) AfterKey(d float64, key int64, fn func()) *Timer {
 //
 // With SetLaneParallelism(n>1) the computes of one batch run concurrently
 // on up to n goroutines; results are indistinguishable from serial mode.
-func (e *Engine) AtLane(t float64, key int64, compute func() func()) *Timer {
+//
+// compute receives the index of the worker running it, with 0 <= worker <
+// LaneParallelism() (always 0 in serial mode). Two computes that run at
+// the same time never share an index, so a compute may use per-worker
+// scratch indexed by it — provided nothing of that scratch is still needed
+// once the compute returns.
+func (e *Engine) AtLane(t float64, key int64, compute func(worker int) func()) *Timer {
 	if compute == nil {
 		panic("sim: AtLane with nil compute")
 	}
@@ -821,14 +827,14 @@ func (e *Engine) runLaneBatch(first *Timer) {
 					if i >= len(batch) {
 						return
 					}
-					applies[i] = batch[i].compute()
+					applies[i] = batch[i].compute(w)
 				}
 			}()
 		}
 		wg.Wait()
 	} else {
 		for i, t := range batch {
-			applies[i] = t.compute()
+			applies[i] = t.compute(0)
 		}
 	}
 

@@ -65,7 +65,7 @@ func shardScriptLog(shards int, seed int64, top int) []string {
 			slots = append(slots, s)
 		case 4, 5: // lane event (batched with same-instant lane neighbours)
 			s := &shardSlot{}
-			s.t = e.AtLane(e.Now()+d, key, func() func() {
+			s.t = e.AtLane(e.Now()+d, key, func(int) func() {
 				return func() {
 					s.state = 1
 					log = append(log, fmt.Sprintf("l%d@%.3f", id, e.Now()))

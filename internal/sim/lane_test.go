@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 )
 
@@ -20,7 +22,7 @@ func laneTrace(t *testing.T, workers int) []string {
 		applies []string // applies record separately: computes may run on any goroutine, so they log via their apply
 	)
 	lane := func(at float64, key int64) {
-		e.AtLane(at, key, func() func() {
+		e.AtLane(at, key, func(int) func() {
 			// Compute phase: read-only; capture a value derived from its
 			// own key only and log at apply time (logging here from a pool
 			// goroutine would race on the slice).
@@ -66,9 +68,9 @@ func TestLaneStats(t *testing.T) {
 		t.Fatalf("LaneParallelism = %d", e.LaneParallelism())
 	}
 	for k := int64(0); k < 5; k++ {
-		e.AtLane(10, k, func() func() { return nil })
+		e.AtLane(10, k, func(int) func() { return nil })
 	}
-	e.AtLane(20, 0, func() func() { return nil })
+	e.AtLane(20, 0, func(int) func() { return nil })
 	e.RunUntilIdle()
 	st := e.Stats()
 	if st.PeakLaneWidth != 5 {
@@ -83,7 +85,7 @@ func TestLaneCancelSkipsApply(t *testing.T) {
 	e := NewEngine(1)
 	var fired []int64
 	mk := func(key int64) *Timer {
-		return e.AtLane(5, key, func() func() {
+		return e.AtLane(5, key, func(int) func() {
 			return func() { fired = append(fired, key) }
 		})
 	}
@@ -93,7 +95,7 @@ func TestLaneCancelSkipsApply(t *testing.T) {
 	// Cancel one before the batch runs, and have an earlier apply cancel a
 	// later batch member mid-batch.
 	t1.Cancel()
-	e.AtLane(5, 0, func() func() {
+	e.AtLane(5, 0, func(int) func() {
 		return func() {
 			fired = append(fired, 0)
 			t3.Cancel()
@@ -117,7 +119,7 @@ func TestLaneSerialParallelIdentical(t *testing.T) {
 		rngs := make([]*rand.Rand, len(state))
 		var arm func(key int64, at float64)
 		arm = func(key int64, at float64) {
-			e.AtLane(at, key, func() func() {
+			e.AtLane(at, key, func(int) func() {
 				// Read-only over shared state, private RNG per lane.
 				sum := int64(0)
 				for _, v := range state {
@@ -149,13 +151,56 @@ func TestLaneSerialParallelIdentical(t *testing.T) {
 	}
 }
 
+// TestLaneComputeWorkerIndex pins the worker-index contract of AtLane:
+// every compute sees 0 <= worker < LaneParallelism(), and no two computes
+// running at the same time share an index (each claims its worker's slot
+// on entry and must find it free). Serial mode always passes 0.
+func TestLaneComputeWorkerIndex(t *testing.T) {
+	const computes = 64
+	for _, workers := range []int{1, 4} {
+		e := NewEngine(1)
+		e.SetLaneParallelism(workers)
+		busy := make([]atomic.Bool, workers)
+		var outOfRange, shared, ran atomic.Int64
+		for k := int64(0); k < computes; k++ {
+			e.AtLane(10, k, func(w int) func() {
+				ran.Add(1)
+				if w < 0 || w >= workers {
+					outOfRange.Add(1)
+					return nil
+				}
+				if !busy[w].CompareAndSwap(false, true) {
+					shared.Add(1)
+					return nil
+				}
+				runtime.Gosched() // widen the window another compute could overlap
+				busy[w].Store(false)
+				return nil
+			})
+		}
+		e.RunUntilIdle()
+		if ran.Load() != computes {
+			t.Fatalf("workers=%d: %d computes ran, want %d", workers, ran.Load(), computes)
+		}
+		if n := outOfRange.Load(); n != 0 {
+			t.Fatalf("workers=%d: %d computes saw an index outside [0,%d)", workers, n, workers)
+		}
+		if n := shared.Load(); n != 0 {
+			t.Fatalf("workers=%d: %d computes found their worker index already taken", workers, n)
+		}
+		if st := e.Stats(); st.LaneBatches != 1 || st.PeakLaneWidth != computes {
+			t.Fatalf("workers=%d: stats = %+v, want one batch of %d", workers, st, computes)
+		}
+	}
+}
+
 // TestLanePendingAccounting checks that lane timers participate in the
 // pending/cancel bookkeeping like plain timers.
 func TestLanePendingAccounting(t *testing.T) {
 	e := NewEngine(1)
 	timers := make([]*Timer, 0, 10)
 	for k := int64(0); k < 10; k++ {
-		timers = append(timers, e.AtLane(10, k, func() func() { return nil }))
+		timers = append(timers, e.AtLane(10, k, func(int) func() { return nil }))
 	}
 	if e.Pending() != 10 {
 		t.Fatalf("Pending = %d, want 10", e.Pending())
@@ -184,7 +229,7 @@ func TestLaneBatchSplitsOnInterleavedPlainEvent(t *testing.T) {
 	e := NewEngine(1)
 	var log []string
 	lane := func(key int64) {
-		e.AtLane(10, key, func() func() {
+		e.AtLane(10, key, func(int) func() {
 			return func() { log = append(log, fmt.Sprintf("a%d", key)) }
 		})
 	}
@@ -209,10 +254,10 @@ func TestLaneBatchSplitsOnInterleavedPlainEvent(t *testing.T) {
 func TestLaneApplyReentrantScheduling(t *testing.T) {
 	e := NewEngine(1)
 	var keys []int64
-	e.AtLane(10, 1, func() func() {
+	e.AtLane(10, 1, func(int) func() {
 		return func() {
 			keys = append(keys, 1)
-			e.AtLane(10, 2, func() func() {
+			e.AtLane(10, 2, func(int) func() {
 				return func() { keys = append(keys, 2) }
 			})
 		}

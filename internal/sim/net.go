@@ -302,9 +302,6 @@ func (n *Net) AddNode(upCap, downCap float64) NodeID {
 	return NodeID(len(n.nodes) - 1)
 }
 
-// UploadCapacity returns the uploader-side capacity of id.
-func (n *Net) UploadCapacity(id NodeID) float64 { return n.nodes[id].upCap }
-
 // ActiveUploads returns the number of flows currently leaving id.
 func (n *Net) ActiveUploads(id NodeID) int { return n.nodes[id].upFlows.n }
 

@@ -12,10 +12,11 @@ package swarm
 // Determinism: computes read only pre-batch shared state (connection
 // flags, byte counters, estimator snapshots via rate.RateWith, bitfield
 // counts, flow remainders — all pure reads) and mutate only per-peer state
-// (the peer's choker, scratch slices and private choke RNG), so their
-// execution order is unobservable; applies run in a fixed order either
-// way. A run is therefore bit-identical for every LaneWorkers value,
-// which TestChokeLanesParallelMatchesSerial pins.
+// (the peer's choker, its unchoke set and private choke RNG) plus the
+// snapshot buffer of the worker running them (Swarm.chokeSnaps, dead once
+// the compute returns), so their execution order is unobservable; applies
+// run in a fixed order either way. A run is therefore bit-identical for
+// every LaneWorkers value, which TestChokeLanesParallelMatchesSerial pins.
 
 import (
 	"math"
@@ -54,7 +55,7 @@ func reannounceLaneKey(id core.PeerID) int64 { return laneKeyReannounceOff + int
 // choke batch in two (a plain event interleaved between lane events ends
 // the batch), which would halve the exposed parallelism at exactly the
 // widest instants.
-func (s *Swarm) sampleLaneCompute() func() {
+func (s *Swarm) sampleLaneCompute(int) func() {
 	if s.local == nil || s.local.departed {
 		return nil
 	}
@@ -76,7 +77,7 @@ func (s *Swarm) applySample() {
 // reannounceCompute is trivially read-only: tracker sampling draws from
 // the shared engine RNG, so the whole re-announce belongs in the serial
 // apply phase.
-func (p *Peer) reannounceCompute() func() { return p.reannounceApplyFn }
+func (p *Peer) reannounceCompute(int) func() { return p.reannounceApplyFn }
 
 // applyReannounce clears the queue mark and runs the deferred tracker
 // re-contact (rate-limited and departure-guarded by maybeReannounce).
@@ -150,7 +151,9 @@ func (c *conn) pendingOut(now float64) int64 {
 // apply phase, so the estimator reads go through rate.RateWith), runs the
 // appropriate choke algorithm against the peer's private RNG, parks the
 // unchoke set in per-peer scratch and hands the engine the apply half.
-func (p *Peer) chokeLaneCompute() func() {
+// The snapshot goes in the running worker's buffer, which the worker's
+// next compute may refill: Round neither keeps nor reorders it.
+func (p *Peer) chokeLaneCompute(worker int) func() {
 	if p.departed {
 		return nil
 	}
@@ -159,7 +162,7 @@ func (p *Peer) chokeLaneCompute() func() {
 		return p.laneApplyFn
 	}
 	now := p.s.eng.Now()
-	peers := p.chokePeers[:0]
+	peers := p.s.chokeSnaps[worker][:0]
 	for _, c := range p.connList {
 		din := c.pendingIn(now)
 		dout := c.pendingOut(now)
@@ -175,7 +178,7 @@ func (p *Peer) chokeLaneCompute() func() {
 			RemotePieces:   c.remote.shownBits().Count(),
 		})
 	}
-	p.chokePeers = peers
+	p.s.chokeSnaps[worker] = peers
 	choker := p.chokerL
 	if p.seed || p.advLiar {
 		// Liars pose as seeds, so they run the seed unchoke policy too.

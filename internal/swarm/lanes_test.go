@@ -129,3 +129,36 @@ func TestChokeLanesCompletes(t *testing.T) {
 		t.Fatalf("peak lane width = %d", res.Events.PeakLaneWidth)
 	}
 }
+
+// TestLaneChokeComputeZeroAllocWhenWarm pins the per-worker snapshot
+// buffers: the swarm holds one per lane compute worker, and once a
+// worker's buffer has grown a lane choke compute allocates nothing.
+func TestLaneChokeComputeZeroAllocWhenWarm(t *testing.T) {
+	s := newTestSwarm(t, func(cfg *Config) {
+		cfg.ChokeLanes = true
+		cfg.LaneWorkers = 3
+	})
+	if got, want := len(s.chokeSnaps), s.eng.LaneParallelism(); got != want || want != 3 {
+		t.Fatalf("len(chokeSnaps) = %d, LaneParallelism() = %d, want both 3", got, want)
+	}
+	s.addPeer(true, false, false, 1e5, 0)
+	leech := s.addPeer(false, false, false, 1e5, 0)
+	for i := 0; i < 4; i++ {
+		s.addPeer(false, false, false, 1e5, 0)
+	}
+	if len(leech.connList) < 2 {
+		t.Fatalf("leecher has %d connections, want several", len(leech.connList))
+	}
+	compute := func() {
+		if leech.chokeLaneCompute(0) == nil {
+			t.Fatal("a live peer's compute returned no apply half")
+		}
+	}
+	compute()
+	if n := testing.AllocsPerRun(100, compute); n != 0 {
+		t.Fatalf("warm lane choke compute allocates %v objects, want 0", n)
+	}
+	if len(s.chokeSnaps[0]) != len(leech.connList) {
+		t.Fatalf("worker 0 snapshot holds %d peers, want %d", len(s.chokeSnaps[0]), len(leech.connList))
+	}
+}

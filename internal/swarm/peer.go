@@ -133,11 +133,9 @@ type Peer struct {
 	nextAnnounceOK float64
 
 	// Steady-state scratch reused across events so rounds allocate
-	// nothing: the lane-round peer snapshot (serial rounds share
-	// Swarm.chokeSnap), the completion/teardown connection snapshot, the
-	// picker state, and the choke-round callback (bound once instead of a
+	// nothing: the completion/teardown connection snapshot, the picker
+	// state, and the choke-round callback (bound once instead of a
 	// method-value allocation per re-arm).
-	chokePeers  []core.ChokePeer
 	connScratch []*conn
 	pickState   core.PickState
 	chokeFn     func()
@@ -146,12 +144,12 @@ type Peer struct {
 	// choke RNG a parallel compute phase may advance, the compute/apply
 	// halves bound once, and the unchoke set parked between them.
 	chokeRNG    *rand.Rand
-	laneFn      func() func()
+	laneFn      func(worker int) func()
 	laneApplyFn func()
 	laneUnchoke []core.PeerID
 	// Deferred tracker re-contact (lane mode): the bound compute/apply
 	// halves and the at-most-one-pending-per-peer mark.
-	reannounceFn      func() func()
+	reannounceFn      func(worker int) func()
 	reannounceApplyFn func()
 	reannouncePending bool
 }
@@ -711,8 +709,8 @@ func (p *Peer) chokeRound() {
 }
 
 // runChokeRound is one round's body. All working storage is the swarm's
-// snapshot buffer or per-choker scratch: a steady-state round performs no
-// allocation.
+// serial snapshot buffer (chokeSnaps[0]) or per-choker scratch: a
+// steady-state round performs no allocation.
 func (p *Peer) runChokeRound() {
 	if len(p.connList) == 0 {
 		return
@@ -729,7 +727,7 @@ func (p *Peer) runChokeRound() {
 			}
 		}
 	}
-	peers := s.chokeSnap[:0]
+	peers := s.chokeSnaps[0][:0]
 	for _, c := range p.connList {
 		peers = append(peers, core.ChokePeer{
 			ID:             c.remote.id,
@@ -743,7 +741,7 @@ func (p *Peer) runChokeRound() {
 			RemotePieces:   c.remote.shownBits().Count(),
 		})
 	}
-	s.chokeSnap = peers
+	s.chokeSnaps[0] = peers
 	choker := p.chokerL
 	if p.seed || p.advLiar {
 		// Liars pose as seeds, so they run the seed unchoke policy too.

@@ -38,14 +38,16 @@ type Swarm struct {
 	// availCache memoises availablePieces.
 	availCache []int
 
-	// chokeSnap is the ChokePeer snapshot buffer every serial choke round
-	// refills (rounds never overlap there; lane rounds compute in
-	// parallel and keep a buffer per peer).
-	chokeSnap []core.ChokePeer
+	// chokeSnaps holds one ChokePeer snapshot buffer per lane compute
+	// worker (a single entry when lanes are off). A snapshot is dead once
+	// the choker's Round returns, so a serial round refills entry 0 and a
+	// lane compute refills its worker's entry; two computes running at the
+	// same time never share a worker index.
+	chokeSnaps [][]core.ChokePeer
 
 	// Lane-mode sampling state: the compute/apply halves bound once and
 	// the snapshot parked between them (see lanes.go).
-	sampleLaneFn  func() func()
+	sampleLaneFn  func(worker int) func()
 	sampleApplyFn func()
 	sampleScratch trace.AvailSample
 
@@ -149,6 +151,7 @@ func New(cfg Config) *Swarm {
 		globalAvail:    core.NewAvailability(cfg.NumPieces),
 		seedServeCount: make([]int, cfg.NumPieces),
 		seedServeDone:  make([]int, cfg.NumPieces),
+		chokeSnaps:     make([][]core.ChokePeer, eng.LaneParallelism()),
 	}
 	if reg := obs.Active(); reg != nil {
 		s.metrics = newSwarmMetrics(reg)
@@ -174,9 +177,6 @@ func New(cfg Config) *Swarm {
 
 // Engine exposes the simulation engine (read-only use in tests).
 func (s *Swarm) Engine() *sim.Engine { return s.eng }
-
-// Local returns the instrumented peer (nil before setup).
-func (s *Swarm) Local() *Peer { return s.local }
 
 // GlobalMinCopies returns the torrent-wide minimum piece copy count — the
 // transient/steady state criterion (steady state: "there is no rare piece",
