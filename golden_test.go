@@ -42,17 +42,29 @@ func reportDigest(t *testing.T, rep *Report) string {
 var updateGoldens = flag.Bool("update-goldens", false,
 	"rewrite testdata/golden_digests.json from the current implementation")
 
-// goldenScenarios are the fixed-seed scenarios the digests cover: a
-// steady torrent, a transient torrent with the smart-seed policy, a
-// free-rider-heavy torrent on the old seed choker, a crash-recovery run,
-// a batched-HAVE run, and one run each of choke lanes over a sharded heap,
-// newcomer-boosted optimistic unchokes, the tit-for-tat leecher choker, a
-// poisoning adversary, the chaos fault plan, and a lying adversary under
-// chaos — together they exercise the engine, the fluid network, every
-// picker entry point, every choker, the kill/rejoin path, the deferred
-// HAVE flush, the lane schedule, the ban path, the fault-injected
-// connection resets and the fake-HAVE timeouts, the two timers that hold
-// a connection across events.
+// goldenScenarios are the fixed-seed scenarios the digests cover. By row:
+//   - steady-t7: the default rarest-first picker, leecher choker and seed
+//     choker on a steady torrent;
+//   - transient-t8-smart: a transient torrent with the smart-seed policy;
+//   - freeride-t14-oldseed: free riders (the never-unchoke choker) and the
+//     old seed choker;
+//   - crash-t10-killrestart: the kill/rejoin path;
+//   - batched-t8: the deferred HAVE flush;
+//   - lanes-t7: the lane schedule over a 32-shard heap, with batched HAVEs;
+//   - boost-t8: newcomer-boosted optimistic unchokes;
+//   - tft-t14: the tit-for-tat leecher choker;
+//   - poison25-t10: a poisoning adversary and the ban path;
+//   - chaos-t7: the chaos fault plan's connection resets;
+//   - liar25-chaos-t7: a lying adversary under chaos, whose fake-HAVE
+//     timeouts and resets are the two timers that hold a connection
+//     across events;
+//   - random-t10, sequential-t10, globalrarest-t10: the three ablation
+//     pickers.
+//
+// Together they reach every Pick of a core.Picker and every Round of a
+// core.Choker; scripts/golden_cover.sh fails when one drops to 0 %. All
+// rows are simulator runs at BenchScale: they say nothing about the live
+// backend.
 func goldenScenarios() []Scenario {
 	return []Scenario{
 		{Label: "steady-t7", TorrentID: 7, Scale: BenchScale(), SeedOverride: 42},
@@ -66,6 +78,9 @@ func goldenScenarios() []Scenario {
 		{Label: "poison25-t10", TorrentID: 10, Scale: BenchScale(), Adversary: "poison25", SeedOverride: 19},
 		{Label: "chaos-t7", TorrentID: 7, Scale: BenchScale(), Faults: "chaos", SeedOverride: 29},
 		{Label: "liar25-chaos-t7", TorrentID: 7, Scale: BenchScale(), Adversary: "liar25", Faults: "chaos", SeedOverride: 31},
+		{Label: "random-t10", TorrentID: 10, Scale: BenchScale(), Picker: PickerRandom, SeedOverride: 37},
+		{Label: "sequential-t10", TorrentID: 10, Scale: BenchScale(), Picker: PickerSequential, SeedOverride: 41},
+		{Label: "globalrarest-t10", TorrentID: 10, Scale: BenchScale(), Picker: PickerGlobalRarest, SeedOverride: 43},
 	}
 }
 
