@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# golden_cover.sh checks that the golden digests reach the decision code:
+# it runs TestGoldenSeedDigests with coverage over internal/core,
+# internal/swarm and internal/sim, and fails when any Pick of a
+# core.Picker or any Round of a core.Choker (every method of that name in
+# internal/core's non-test files) is at 0 %. A rule no golden runs can be
+# broken without moving a digest. Prints the checked functions and exits 1
+# on a gap, 0 when all are covered.
+#
+#   bash scripts/golden_cover.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+go test -count=1 -timeout 5m -run '^TestGoldenSeedDigests$' \
+	-coverpkg=./internal/core,./internal/swarm,./internal/sim \
+	-coverprofile="$tmp/cover.out" . >"$tmp/test.txt" ||
+	{ cat "$tmp/test.txt" >&2; exit 1; }
+go tool cover -func="$tmp/cover.out" >"$tmp/func.txt"
+
+# Lines look like "rarestfirst/internal/core/picker.go:61:<tab>Pick<tab>100.0%".
+awk '
+	$1 ~ /\/internal\/core\/[^\/]+\.go:[0-9]+:$/ && $1 !~ /_test\.go:/ &&
+	($2 == "Pick" || $2 == "Round") {
+		print
+		n++
+		if ($3 == "0.0%") { gap++; print "golden_cover: no golden runs " $1 " " $2 > "/dev/stderr" }
+	}
+	END {
+		if (n == 0) { print "golden_cover: no Pick or Round found in the profile" > "/dev/stderr"; exit 1 }
+		exit gap > 0
+	}
+' "$tmp/func.txt"
