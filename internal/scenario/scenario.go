@@ -112,10 +112,9 @@ type Spec struct {
 	// the shard heads. Sharding is trajectory-preserving — sequence
 	// numbers stay globally ordered, so the merged pop order is exactly
 	// the single-heap order and any scenario may enable it without
-	// changing its results; what it buys is per-shard timer pools and a
-	// shard-parallel retime apply phase on multi-core hosts. 0 keeps the
-	// single monolithic heap, which doubles as the determinism oracle the
-	// shard tests compare against.
+	// changing its results; what it buys is per-shard timer pools. 0
+	// keeps the single monolithic heap, which doubles as the determinism
+	// oracle the shard tests compare against.
 	HeapShards int `json:",omitempty"`
 
 	// BatchHaves defers the per-neighbour interest/request reactions of

@@ -240,8 +240,7 @@ type EngineStats struct {
 // sequence numbers are still assigned serially, (at, seq) stays a global
 // total order, and the merge always pops its global minimum, so a sharded
 // engine fires events in exactly the single-heap order — what sharding
-// buys is per-shard free lists and the ability to apply pre-sequenced
-// timer (re)schedules shard-parallel (see Net.Flush).
+// buys is per-shard timer free lists.
 type Engine struct {
 	now float64
 	seq uint64
@@ -258,7 +257,7 @@ type Engine struct {
 	// leaves = -1 sentinels that lose every match). The tree is replayed
 	// from the winner's leaf after each pop and rebuilt lazily (treeDirty)
 	// after any other head movement — pushes landing at a shard head,
-	// reschedules, compactions, staged parallel applies.
+	// reschedules, compactions.
 	tree      []int32
 	treeWin   []int32 // rebuild scratch, len 2*treeP
 	treeP     int
@@ -392,9 +391,6 @@ func (e *Engine) HeapShards() int {
 	}
 	return len(e.shards) - 1
 }
-
-// sharded reports whether the event queue is split into subheaps.
-func (e *Engine) sharded() bool { return len(e.shards) > 1 }
 
 // shardFor routes a scheduling key to its owning subheap.
 func (e *Engine) shardFor(key int64) int32 {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -42,9 +40,9 @@ type link struct {
 
 // node carries a peer's access-link capacities, its active flow lists and
 // its dirty-set membership epoch. The per-direction fair shares — the only
-// node state the retime compute phase reads per flow — live in the
-// separate dense Net.shares slice so a flush's inner loop walks a compact
-// array instead of dragging the flow-list headers through the cache.
+// node state a retime reads per flow — live in the separate dense
+// Net.shares slice so a flush's inner loop walks a compact array instead
+// of dragging the flow-list headers through the cache.
 type node struct {
 	upCap   float64 // bytes/second; math.Inf(1) = uncapped
 	downCap float64
@@ -59,7 +57,7 @@ type node struct {
 // each direction's capacity (cap / live flow count), maintained
 // incrementally on every attach/detach. A flow's rate is
 // min(shares[from].up, shares[to].dn) — two loads and a min, no division,
-// which is what the parallel retime flush spends its time on.
+// which is what a retime flush spends its time on.
 type nodeShare struct {
 	up, dn float64
 }
@@ -118,18 +116,10 @@ type Flow struct {
 	// links are the intrusive hooks in the endpoints' flow lists
 	// (dirUp = uploader's list, dirDn = downloader's list).
 	links [2]link
-	// eta is the flush scratch: the compute phase stores the freshly
-	// computed time-to-completion here and the serial apply phase turns it
-	// into a timer (re)schedule.
-	eta float64
 	// flushedAt == Net.epoch once the current flush has (re)scheduled this
-	// flow's timer — the apply-phase dedupe for flows whose two endpoints
-	// are both dirty.
+	// flow's timer — the dedupe for flows whose two endpoints are both
+	// dirty.
 	flushedAt uint64
-	// stagedSeq is the event sequence number the staging phase of a
-	// sharded flush pre-assigned to this flow's completion timer; the
-	// shard-parallel apply phase installs it verbatim.
-	stagedSeq uint64
 	// finishFn is the completion-timer callback, bound once per Flow
 	// object and reused across pool recycles.
 	finishFn func()
@@ -163,12 +153,11 @@ type NetStats struct {
 	// DirtyFlushes counts flush passes that retimed at least one node
 	// (clean per-event flushes are free and uncounted).
 	DirtyFlushes uint64
-	// RetimeBatches counts node shards processed across all flushes: each
+	// RetimeBatches counts dirty nodes processed across all flushes: each
 	// dirty node is one batch whose flows are re-timed as a unit.
-	// RetimeBatches/DirtyFlushes is the mean shard width.
+	// RetimeBatches/DirtyFlushes is the mean flush width.
 	RetimeBatches uint64
-	// PeakShardWidth is the widest dirty-node set a single flush fanned
-	// across the retime workers — the per-event parallelism upper bound.
+	// PeakShardWidth is the widest dirty-node set a single flush re-timed.
 	PeakShardWidth int
 	// PeakLiveFlows is the high-water mark of concurrently active flows.
 	PeakLiveFlows int
@@ -186,9 +175,9 @@ type NetStats struct {
 // Retiming is deferred by default: flow churn (StartFlow, Cancel, natural
 // completion) only marks the two endpoints dirty, and the engine's
 // post-event hook flushes the dirty set once per event — recomputing every
-// affected flow's rate exactly once no matter how many times its endpoints
-// were touched, then (re)scheduling completion timers serially in node-ID
-// order so heap sequence assignment is deterministic for any worker count.
+// affected flow's rate and (re)scheduling its completion timer exactly once
+// no matter how many times its endpoints were touched, in ascending node-ID
+// order so heap sequence assignment is deterministic.
 // SetEagerRetime(true) restores the PR 2 retime-on-every-churn behaviour;
 // it exists as the property-test oracle.
 type Net struct {
@@ -209,19 +198,7 @@ type Net struct {
 	dirtyFlushes  uint64
 	retimeBatches uint64
 	peakShard     int
-
-	// Sharded-apply scratch: stage[s] collects the flows whose completion
-	// timers land in engine shard s (keyed by uploader), stagedShards the
-	// shards with staged work this flush.
-	stage        [][]*Flow
-	stagedShards []int32
 }
-
-// laneRetimeMinShards is the dirty-set width below which a flush runs
-// inline even when the engine has a lane worker pool: per-event flushes
-// are typically two to four nodes wide and goroutine fan-out would cost
-// more than the walk.
-const laneRetimeMinShards = 64
 
 // allocFlow returns a reset flow, reusing a recycled one when available.
 func (n *Net) allocFlow() *Flow {
@@ -435,16 +412,11 @@ func (f *Flow) settle(now float64) {
 // explicit calls; tests and direct Net drivers may call it to settle
 // timers before inspecting engine state. A clean flush is a nil check.
 //
-// The pass has two phases. The compute phase settles each affected flow
-// at the current instant and recomputes its rate and ETA — pure per-flow
-// writes with read-only shared state, fanned across the engine's lane
-// worker pool sharded by NodeID for wide flushes (a flow whose endpoints
-// are both dirty is owned by its uploader's shard, so no flow is touched
-// by two workers). The apply phase then (re)schedules completion timers
-// serially in ascending node-ID order, walking each node's flow lists in
-// insertion order with epoch-based dedupe, so heap sequence assignment —
-// and with it same-instant tie-breaking — is byte-identical for any
-// worker count.
+// The walk visits the dirty nodes in ascending node ID, each node's upload
+// list then its download list, in insertion order, and re-times each flow
+// once (a flow whose endpoints are both dirty is seen twice; the epoch
+// dedupe skips the second visit). That order fixes the heap sequence
+// numbers the timers get, and with them same-instant tie-breaking.
 func (n *Net) Flush() {
 	if len(n.dirty) == 0 {
 		return
@@ -461,52 +433,13 @@ func (n *Net) Flush() {
 	if len(n.dirty) > n.peakShard {
 		n.peakShard = len(n.dirty)
 	}
-
-	if workers := min(n.eng.LaneParallelism(), len(n.dirty)); workers > 1 && len(n.dirty) >= laneRetimeMinShards {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(n.dirty) {
-						return
-					}
-					n.computeShard(n.dirty[i], now)
-				}
-			}()
+	for _, id := range n.dirty {
+		nd := &n.nodes[id]
+		for f := nd.upFlows.head; f != nil; f = f.links[dirUp].next {
+			n.retimeOnce(f, now)
 		}
-		wg.Wait()
-		if n.eng.sharded() {
-			n.applyStaged(now)
-		} else {
-			for _, id := range n.dirty {
-				nd := &n.nodes[id]
-				for f := nd.upFlows.head; f != nil; f = f.links[dirUp].next {
-					n.applyRetime(f, now)
-				}
-				for f := nd.dnFlows.head; f != nil; f = f.links[dirDn].next {
-					n.applyRetime(f, now)
-				}
-			}
-		}
-	} else {
-		// Serial fast path: fuse compute and apply into one walk. The
-		// visit order and dedupe are exactly the two-phase apply's, and
-		// computeFlow's result does not depend on when it runs within the
-		// flush (shares are fixed, settle is idempotent at one instant),
-		// so the schedule — and the run — is bit-identical to the
-		// parallel path.
-		for _, id := range n.dirty {
-			nd := &n.nodes[id]
-			for f := nd.upFlows.head; f != nil; f = f.links[dirUp].next {
-				n.retimeFused(f, now)
-			}
-			for f := nd.dnFlows.head; f != nil; f = f.links[dirDn].next {
-				n.retimeFused(f, now)
-			}
+		for f := nd.dnFlows.head; f != nil; f = f.links[dirDn].next {
+			n.retimeOnce(f, now)
 		}
 	}
 	n.dirty = n.dirty[:0]
@@ -516,194 +449,46 @@ func (n *Net) Flush() {
 	}
 }
 
-// retimeFused is the serial flush's one-pass compute+apply for a single
-// flow, with the same epoch dedupe applyRetime uses. Completion timers are
-// keyed by uploader, so on a sharded engine they allocate from — and push
-// into — the uploader's subheap, exactly like the staged parallel apply.
-func (n *Net) retimeFused(f *Flow, now float64) {
+// retimeOnce re-times f unless this flush already has.
+func (n *Net) retimeOnce(f *Flow, now float64) {
 	if f.flushedAt == n.epoch {
 		return
 	}
 	f.flushedAt = n.epoch
-	n.computeFlow(f, now)
-	if f.timer == nil {
-		f.timer = n.eng.AfterKey(f.eta, int64(f.from), f.finishFn)
-		return
-	}
-	n.eng.Reschedule(f.timer, now+f.eta)
-}
-
-// applyStaged is the sharded-engine apply phase, replacing the serial
-// timer-(re)schedule walk with two phases that together are bit-identical
-// to it for any worker count:
-//
-// Phase A (serial, cheap) walks the dirty nodes in exactly the serial
-// apply's order — ascending node ID, upload list then download list,
-// insertion order, epoch dedupe — and assigns each flow the sequence
-// number the serial walk would have given its timer, staging the flow into
-// the engine shard that owns its completion timer (keyed by uploader, the
-// same owner rule the compute phase shards by).
-//
-// Phase B installs the staged (at, seq) pairs with heapPush/heapFix, one
-// shard at a time — in parallel across the lane worker pool when the
-// flush is wide, since shards share no heap, free list or counter state.
-// Cross-shard pop order is already fixed by the pre-assigned global
-// (when, seq) total order, so the merge tree simply rebuilds at the next
-// peek.
-func (n *Net) applyStaged(now float64) {
-	e := n.eng
-	if len(n.stage) != len(e.shards) {
-		n.stage = make([][]*Flow, len(e.shards))
-	}
-	for _, id := range n.dirty {
-		nd := &n.nodes[id]
-		for f := nd.upFlows.head; f != nil; f = f.links[dirUp].next {
-			n.stageRetime(f)
-		}
-		for f := nd.dnFlows.head; f != nil; f = f.links[dirDn].next {
-			n.stageRetime(f)
-		}
-	}
-	if workers := min(e.LaneParallelism(), len(n.stagedShards)); workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(n.stagedShards) {
-						return
-					}
-					n.applyStagedShard(n.stagedShards[i], now)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for _, s := range n.stagedShards {
-			n.applyStagedShard(s, now)
-		}
-	}
-	n.stagedShards = n.stagedShards[:0]
-	e.treeDirty = true
-}
-
-// stageRetime assigns f's completion timer its sequence number and parks
-// the flow on its owning shard's stage list (phase A).
-func (n *Net) stageRetime(f *Flow) {
-	if f.flushedAt == n.epoch {
-		return
-	}
-	f.flushedAt = n.epoch
-	e := n.eng
-	e.seq++
-	f.stagedSeq = e.seq
-	s := e.shardFor(int64(f.from))
-	if len(n.stage[s]) == 0 {
-		n.stagedShards = append(n.stagedShards, s)
-	}
-	n.stage[s] = append(n.stage[s], f)
-}
-
-// applyStagedShard installs one shard's staged timers (phase B). Safe to
-// run concurrently for different shards: every touched structure — the
-// subheap, its free list, its high-water marks, the flows themselves — is
-// owned by exactly this shard during the apply.
-func (n *Net) applyStagedShard(s int32, now float64) {
-	e := n.eng
-	sh := &e.shards[s]
-	for i, f := range n.stage[s] {
-		at := now + f.eta
-		if t := f.timer; t != nil {
-			t.at = at
-			t.seq = f.stagedSeq
-			heapFix(sh.heap, t.index)
-		} else {
-			t := e.alloc(s)
-			t.at = at
-			t.seq = f.stagedSeq
-			t.fn = f.finishFn
-			heapPush(&sh.heap, t)
-			if len(sh.heap) > sh.peak {
-				sh.peak = len(sh.heap)
-			}
-			f.timer = t
-		}
-		n.stage[s][i] = nil
-	}
-	n.stage[s] = n.stage[s][:0]
-}
-
-// computeShard is one dirty node's compute phase: settle, new rate and
-// ETA for every flow the shard owns. A download whose uploader is also
-// dirty belongs to the uploader's shard (skip here), so each flow is
-// written by exactly one worker.
-func (n *Net) computeShard(id NodeID, now float64) {
-	nd := &n.nodes[id]
-	for f := nd.upFlows.head; f != nil; f = f.links[dirUp].next {
-		n.computeFlow(f, now)
-	}
-	for f := nd.dnFlows.head; f != nil; f = f.links[dirDn].next {
-		if n.nodes[f.from].dirtyAt == n.epoch {
-			continue
-		}
-		n.computeFlow(f, now)
-	}
-}
-
-// computeFlow settles f at now and refreshes its rate and ETA from the
-// precomputed endpoint shares.
-func (n *Net) computeFlow(f *Flow, now float64) {
-	f.settle(now)
-	f.rate = math.Min(n.shares[f.from].up, n.shares[f.to].dn)
-	if math.IsInf(f.rate, 1) {
-		f.eta = 0
-		return
-	}
-	f.eta = f.remaining / f.rate
-}
-
-// applyRetime (re)schedules f's completion timer from the ETA the compute
-// phase stored, once per flush (flows with two dirty endpoints appear in
-// two walks).
-func (n *Net) applyRetime(f *Flow, now float64) {
-	if f.flushedAt == n.epoch {
-		return
-	}
-	f.flushedAt = n.epoch
-	if f.timer == nil {
-		f.timer = n.eng.AfterKey(f.eta, int64(f.from), f.finishFn)
-		return
-	}
-	n.eng.Reschedule(f.timer, now+f.eta)
+	n.retimeFlow(f, now)
 }
 
 // retimeNode is the eager oracle: recompute the rate and completion time
 // of every flow touching id, immediately. Counts at the far endpoints are
 // unchanged by definition, so only these flows need work.
 func (n *Net) retimeNode(id NodeID) {
+	now := n.eng.Now()
 	nd := &n.nodes[id]
 	for f := nd.upFlows.head; f != nil; f = f.links[dirUp].next {
-		n.retimeFlow(f)
+		n.retimeFlow(f, now)
 	}
 	for f := nd.dnFlows.head; f != nil; f = f.links[dirDn].next {
-		n.retimeFlow(f)
+		n.retimeFlow(f, now)
 	}
 }
 
-// retimeFlow refreshes one flow's rate and re-sorts its completion timer
-// in place (Engine.Reschedule), so steady-state rate churn neither
-// allocates nor leaves cancelled entries in the event heap.
-func (n *Net) retimeFlow(f *Flow) {
-	now := n.eng.Now()
-	n.computeFlow(f, now)
+// retimeFlow settles f at now, refreshes its rate from the endpoint
+// shares and re-sorts its completion timer in place (Engine.Reschedule),
+// so steady-state rate churn neither allocates nor leaves cancelled
+// entries in the event heap. Completion timers are keyed by uploader, so
+// on a sharded engine they live in the uploader's subheap.
+func (n *Net) retimeFlow(f *Flow, now float64) {
+	f.settle(now)
+	f.rate = math.Min(n.shares[f.from].up, n.shares[f.to].dn)
+	eta := 0.0
+	if !math.IsInf(f.rate, 1) {
+		eta = f.remaining / f.rate
+	}
 	if f.timer == nil {
-		f.timer = n.eng.AfterKey(f.eta, int64(f.from), f.finishFn)
+		f.timer = n.eng.AfterKey(eta, int64(f.from), f.finishFn)
 		return
 	}
-	n.eng.Reschedule(f.timer, now+f.eta)
+	n.eng.Reschedule(f.timer, now+eta)
 }
 
 func (n *Net) finish(f *Flow) {

@@ -7,10 +7,11 @@ package sim
 // of delivered bytes. Only event-heap sequence assignment — same-instant
 // tie-breaking between a completion and an unrelated event — may differ,
 // so completions are compared as a multiset ordered by (time, flow
-// serial), not by firing order. A second family of tests pins the harder
-// property: with the flush's compute phase fanned across a worker pool,
-// the full firing order (not just the multiset) is byte-identical to the
-// serial flush for any worker count.
+// serial), not by firing order. A second test pins the harder property on
+// a sharded heap: when a lane batch whose computes fan across a worker
+// pool churns hundreds of nodes, the one flush after the batch leaves a
+// full firing order (not just the multiset) that is byte-identical for any
+// worker count.
 
 import (
 	"fmt"
@@ -25,6 +26,7 @@ import (
 type retimeOp struct {
 	at     float64
 	start  bool // start a new flow (vs cancel an old one)
+	lane   bool // start from a lane batch's apply (start)
 	from   int  // node index (start)
 	to     int  // node index (start)
 	bytes  float64
@@ -36,6 +38,7 @@ type retimeSchedule struct {
 	upCaps, dnCaps []float64
 	ops            []retimeOp
 	checkpoints    []float64
+	heapShards     int // SetHeapShards argument; 0 = single heap
 }
 
 // genRetimeSchedule derives a schedule from an RNG: a handful of nodes
@@ -105,12 +108,18 @@ type retimeTrace struct {
 	remaining []float64
 	delivered float64
 	endNow    float64
+	// peakFlush and peakLane are the widest flush and lane batch the run
+	// saw (NetStats.PeakShardWidth, EngineStats.PeakLaneWidth).
+	peakFlush, peakLane int
 }
 
 // runRetimeSchedule executes the schedule on a fresh engine/net pair.
 func runRetimeSchedule(s retimeSchedule, eager bool, workers int) retimeTrace {
 	e := NewEngine(1)
 	e.SetLaneParallelism(workers)
+	if s.heapShards > 0 {
+		e.SetHeapShards(s.heapShards)
+	}
 	n := NewNet(e)
 	n.SetEagerRetime(eager)
 	ids := make([]NodeID, len(s.upCaps))
@@ -130,7 +139,7 @@ func runRetimeSchedule(s retimeSchedule, eager bool, workers int) retimeTrace {
 			serial := len(flows)
 			lf := &liveFlow{}
 			flows = append(flows, lf)
-			e.At(op.at, func() {
+			start := func() {
 				b := op.bytes
 				lf.f = n.StartFlow(ids[op.from], ids[op.to], b, FlowFunc(func() {
 					lf.done = true
@@ -141,7 +150,12 @@ func runRetimeSchedule(s retimeSchedule, eager bool, workers int) retimeTrace {
 						at     float64
 					}{serial, e.Now()})
 				}))
-			})
+			}
+			if op.lane {
+				e.AtLane(op.at, int64(op.from), func(int) func() { return start })
+			} else {
+				e.At(op.at, start)
+			}
 			continue
 		}
 		e.At(op.at, func() {
@@ -166,6 +180,8 @@ func runRetimeSchedule(s retimeSchedule, eager bool, workers int) retimeTrace {
 	}
 	e.RunUntilIdle()
 	tr.endNow = e.Now()
+	tr.peakFlush = n.Stats().PeakShardWidth
+	tr.peakLane = e.Stats().PeakLaneWidth
 	sort.Slice(tr.completions, func(i, j int) bool {
 		if tr.completions[i].at != tr.completions[j].at {
 			return tr.completions[i].at < tr.completions[j].at
@@ -240,18 +256,21 @@ func FuzzRetimeDeferredMatchesEager(f *testing.F) {
 }
 
 // TestRetimeFlushParallelMatchesSerialNet pins the stronger worker-count
-// property at the Net level: one event that churns hundreds of nodes at
-// once (well past the parallel-fan-out threshold) must leave a firing
-// order — not just a completion multiset — identical to the serial flush.
+// property at the Net level: one lane batch that churns hundreds of nodes
+// at once, its computes on 8 workers and its completion timers spread over
+// 32 subheaps, must leave a firing order — not just a completion multiset
+// — identical to the serial run.
 func TestRetimeFlushParallelMatchesSerialNet(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := genRetimeSchedule(rng, 400, 40)
-	// One burst instant: start a flow on every node pair (i, i+1) in a
-	// single event so the flush sees a dirty set of ~400 nodes.
+	s.heapShards = 32
+	// One burst instant: start a flow on every node pair (i, i+1) from a
+	// single lane batch so the flush after it sees ~400 dirty nodes.
 	for i := 0; i+1 < len(s.upCaps); i++ {
 		s.ops = append(s.ops, retimeOp{
-			at:    10.125, // shared instant: all starts in one flush
+			at:    10.125, // shared instant: all starts in one batch
 			start: true,
+			lane:  true,
 			from:  i,
 			to:    i + 1,
 			bytes: 100 + float64(i),
@@ -259,8 +278,11 @@ func TestRetimeFlushParallelMatchesSerialNet(t *testing.T) {
 	}
 	serial := runRetimeSchedule(s, false, 1)
 	parallel := runRetimeSchedule(s, false, 8)
+	if serial.peakLane < 300 || serial.peakFlush < 300 {
+		t.Fatalf("peak lane batch %d, peak flush width %d: the burst never got wide", serial.peakLane, serial.peakFlush)
+	}
 	if err := diffTraces(serial, parallel); err != nil {
-		t.Fatalf("parallel flush diverged: %v", err)
+		t.Fatalf("8-worker run diverged: %v", err)
 	}
 	if len(serial.firing) != len(parallel.firing) {
 		t.Fatalf("firing lengths differ: %d vs %d", len(serial.firing), len(parallel.firing))
@@ -272,7 +294,7 @@ func TestRetimeFlushParallelMatchesSerialNet(t *testing.T) {
 	}
 	again := runRetimeSchedule(s, false, 8)
 	if err := diffTraces(parallel, again); err != nil {
-		t.Fatalf("parallel flush not reproducible: %v", err)
+		t.Fatalf("8-worker run not reproducible: %v", err)
 	}
 }
 
@@ -298,6 +320,39 @@ func TestNetFlushStats(t *testing.T) {
 	}
 	if st.FlowPoolSize > st.FlowPoolCap {
 		t.Fatalf("flow pool exceeds cap: %+v", st)
+	}
+}
+
+// TestWideFlushZeroAlloc pins that a flush hundreds of nodes wide costs
+// no allocation once warm, even on an engine with a lane worker pool and a
+// sharded heap: re-timing live flows only re-sorts their existing timers.
+func TestWideFlushZeroAlloc(t *testing.T) {
+	e := NewEngine(1)
+	e.SetHeapShards(32)
+	e.SetLaneParallelism(8)
+	n := NewNet(e)
+	const nodes = 200
+	ids := make([]NodeID, nodes)
+	for i := range ids {
+		ids[i] = n.AddNode(1000+float64(i), 1500)
+	}
+	// A ring of flows: every node uploads to its successor, so every
+	// dirty node has one live flow in each direction.
+	for i := range ids {
+		n.StartFlow(ids[i], ids[(i+1)%nodes], 1e12, nil)
+	}
+	cycle := func() {
+		for _, id := range ids {
+			n.markDirty(id)
+		}
+		n.Flush()
+	}
+	cycle()
+	if got := n.Stats().PeakShardWidth; got != nodes {
+		t.Fatalf("peak flush width %d, want %d", got, nodes)
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("wide flush allocated %.1f times per cycle, want 0", allocs)
 	}
 }
 

@@ -188,8 +188,7 @@ type Config struct {
 	// the single monolithic heap, which doubles as the determinism oracle.
 	// Sharding is trajectory-preserving (pop order is identical), so any
 	// scenario may turn it on without a reproducibility-contract bump;
-	// what it buys is per-shard timer pools and a shard-parallel flush
-	// apply phase on multi-core hosts.
+	// what it buys is per-shard timer pools.
 	HeapShards int
 
 	// Chaos, when non-nil, enables fault injection: failed and delayed

@@ -148,9 +148,9 @@ type EventHeapStats struct {
 	LaneEvents    uint64 `json:",omitempty"`
 	// Deferred-retiming counters from the fluid model (sim.NetStats):
 	// DirtyFlushes counts post-event flush passes that re-timed at least
-	// one node, RetimeBatches the node shards they processed (mean shard
+	// one node, RetimeBatches the dirty nodes they processed (mean flush
 	// width = RetimeBatches/DirtyFlushes), and PeakShardWidth the widest
-	// dirty-node set one flush fanned across the retime workers.
+	// dirty-node set one flush re-timed.
 	DirtyFlushes   uint64 `json:",omitempty"`
 	RetimeBatches  uint64 `json:",omitempty"`
 	PeakShardWidth int    `json:",omitempty"`

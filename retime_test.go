@@ -1,10 +1,10 @@
 package rarestfirst
 
-// Deferred-retime determinism at the report level: the dirty-node retime
-// flush (PR 5) fans its compute phase across the lane worker pool, so a
-// full run's report must be byte-identical whether that pool has one
-// worker or many — the same acceptance gate the PR 4 choke lanes carry.
-// CI repeats these under the race detector.
+// Deferred-retime determinism at the report level: on a lane run, the
+// choke rounds of one instant fan across the lane worker pool and the
+// dirty-node retime flush that follows them is hundreds of nodes wide, so
+// a full run's report must be byte-identical whether that pool has one
+// worker or many. CI repeats these under the race detector.
 
 import (
 	"testing"
@@ -27,9 +27,9 @@ func retimeReport(t *testing.T, sc Scenario, workers int) (string, *Report) {
 }
 
 // TestRetimeFlushParallelMatchesSerial pins the worker-count invariance
-// of the parallel retime flush on a swarm big enough that choke-round
-// instants mark hundreds of nodes dirty at once — well past the inline
-// threshold, so the parallel fan-out path genuinely executes.
+// of a lane run whose choke-round instants mark hundreds of nodes dirty at
+// once: the lane compute pool runs those rounds on 8 workers, and the wide
+// flush after each batch must re-time exactly as after a serial batch.
 func TestRetimeFlushParallelMatchesSerial(t *testing.T) {
 	sc := Scenario{
 		Label:     "retime-flush-t7",
@@ -48,16 +48,17 @@ func TestRetimeFlushParallelMatchesSerial(t *testing.T) {
 	serial, srep := retimeReport(t, sc, 1)
 	parallel, prep := retimeReport(t, sc, 8)
 	if serial != parallel {
-		t.Errorf("parallel retime-flush digest %s != serial digest %s", parallel, serial)
+		t.Errorf("8-worker lane digest %s != serial digest %s", parallel, serial)
 	}
 	if again, _ := retimeReport(t, sc, 8); again != parallel {
-		t.Errorf("parallel retime-flush run not reproducible: %s vs %s", again, parallel)
+		t.Errorf("8-worker lane run not reproducible: %s vs %s", again, parallel)
 	}
-	// The run must actually have exercised wide flushes, or the test
-	// proves nothing about the parallel path.
+	// The run must actually have fanned wide lane batches and followed
+	// them with wide flushes, or the test proves nothing.
 	for _, rep := range []*Report{srep, prep} {
-		if rep.Events.PeakShardWidth < 64 {
-			t.Fatalf("peak retime shard width %d never reached the parallel fan-out threshold", rep.Events.PeakShardWidth)
+		if rep.Events.PeakLaneWidth < 64 || rep.Events.PeakShardWidth < 64 {
+			t.Fatalf("peak lane batch %d, peak flush width %d: want both >= 64",
+				rep.Events.PeakLaneWidth, rep.Events.PeakShardWidth)
 		}
 	}
 }

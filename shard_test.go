@@ -2,9 +2,9 @@ package rarestfirst
 
 // Sharded event-heap determinism at the report level (PR 6): sharding is
 // trajectory-preserving (a sharded run must digest identically to the
-// unsharded oracle), and the shard-parallel staged retime apply is
-// worker-count-invariant (serial and parallel flush applies must digest
-// identically). CI repeats these under the race detector.
+// unsharded oracle), and a run with every lever on is worker-count
+// invariant (serial and 8-worker lane computes must digest identically).
+// CI repeats these under the race detector.
 
 import (
 	"testing"
@@ -67,10 +67,10 @@ func TestShardedRunMatchesUnsharded(t *testing.T) {
 }
 
 // TestHeapShardParallelMatchesSerial pins the worker-count invariance of
-// the shard-parallel staged retime apply on a full MegaSwarm-lever run —
-// choke lanes, sharded heap and batched HAVEs all on — at a swarm size
-// whose choke instants mark hundreds of nodes dirty, so Phase B genuinely
-// fans across workers.
+// a full MegaSwarm-lever run — choke lanes, sharded heap and batched HAVEs
+// all on — at a swarm size whose choke instants mark hundreds of nodes
+// dirty, so the lane compute pool fans wide batches and each is followed
+// by a wide flush into the 32 subheaps.
 func TestHeapShardParallelMatchesSerial(t *testing.T) {
 	sc := Scenario{
 		Label:     "shard-flush-t7",
@@ -91,19 +91,20 @@ func TestHeapShardParallelMatchesSerial(t *testing.T) {
 	serial, srep := retimeReport(t, sc, 1)
 	parallel, prep := retimeReport(t, sc, 8)
 	if serial != parallel {
-		t.Errorf("parallel staged-apply digest %s != serial digest %s", parallel, serial)
+		t.Errorf("8-worker lane digest %s != serial digest %s", parallel, serial)
 	}
 	if again, _ := retimeReport(t, sc, 8); again != parallel {
-		t.Errorf("parallel staged-apply run not reproducible: %s vs %s", again, parallel)
+		t.Errorf("8-worker lane run not reproducible: %s vs %s", again, parallel)
 	}
 	for _, rep := range []*Report{srep, prep} {
 		if rep.Events.Shards != 32 || rep.Events.MergePops == 0 || rep.Events.PeakShardHeap == 0 {
 			t.Fatalf("shard stats missing from report: %+v", rep.Events)
 		}
-		// The run must actually have exercised wide flushes, or the test
-		// proves nothing about the parallel apply path.
-		if rep.Events.PeakShardWidth < 64 {
-			t.Fatalf("peak retime shard width %d never reached the parallel fan-out threshold", rep.Events.PeakShardWidth)
+		// The run must actually have fanned wide lane batches and followed
+		// them with wide flushes, or the test proves nothing.
+		if rep.Events.PeakLaneWidth < 64 || rep.Events.PeakShardWidth < 64 {
+			t.Fatalf("peak lane batch %d, peak flush width %d: want both >= 64",
+				rep.Events.PeakLaneWidth, rep.Events.PeakShardWidth)
 		}
 	}
 }
