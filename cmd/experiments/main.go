@@ -10,12 +10,14 @@
 //
 //	experiments [-scale default|bench] [-torrents all|7,8,10] [-seeds 1,2,3]
 //	            [-workers N] [-suite name] [-live] [-list] [-skip-ablations]
-//	            [-out results] [-json runs.jsonl]
+//	            [-perturb name,...] [-out results] [-json runs.jsonl]
 //	            [-progress 10s] [-metrics metrics.jsonl]
 //
-// With -seeds, every configuration repeats once per RNG seed and
-// aggregates.txt reports mean/stddev over the repeats. With -suite, only
-// the named scenario suite runs (-list shows the catalog). With -live,
+// Without -scale, every suite runs at its own scale. With -seeds, every
+// configuration repeats once per RNG seed and aggregates.txt reports
+// mean/stddev over the repeats. With -suite, only the named scenario
+// suite runs (-list shows the catalog); -perturb adds faults, crashes or
+// adversaries to it (applyPerturb). With -live,
 // every live-* scenario family runs instead: real-TCP loopback swarms
 // next to their simulator twins, with a sim-vs-live cross-validation
 // section per suite. With -json, every executed run additionally appends
@@ -44,15 +46,13 @@ import (
 	"time"
 
 	"rarestfirst"
-	"rarestfirst/internal/adversary"
 	"rarestfirst/internal/cliutil"
-	"rarestfirst/internal/crash"
-	"rarestfirst/internal/netem"
 	"rarestfirst/internal/obs"
+	"rarestfirst/internal/scenario"
 )
 
 func main() {
-	scaleName := flag.String("scale", "default", "experiment scale: default or bench")
+	scaleName := flag.String("scale", "", "experiment scale: default or bench (empty = each suite's own scale)")
 	torrentList := flag.String("torrents", "all", "comma-separated Table I ids, or 'all'")
 	outDir := flag.String("out", "results", "output directory")
 	skipAblations := flag.Bool("skip-ablations", false, "skip the A1-A5 ablation runs")
@@ -62,9 +62,7 @@ func main() {
 	liveOnly := flag.Bool("live", false, "run the live-* and chaos-* families: real-TCP loopback swarms vs their sim twins")
 	list := flag.Bool("list", false, "list the registered scenario suites and exit")
 	jsonPath := flag.String("json", "", "also write one JSON line per run to this file")
-	faults := flag.String("faults", "", "apply this named netem fault plan ("+netem.PlanNamesString()+") to every scenario that has none")
-	adversaryName := flag.String("adversary", "", "mix this named Byzantine peer model ("+adversary.ModelNamesString()+") into every scenario that has none")
-	crashesName := flag.String("crashes", "", "apply this named crash plan ("+crash.PlanNamesString()+") to every scenario that has none")
+	perturbList := flag.String("perturb", "", "comma-separated perturbations, at most one per kind ("+scenario.PerturbCatalog()+"); each fills its kind in every scenario that has none")
 	progress := flag.Duration("progress", 0, "emit a heartbeat line (elapsed, runs, events fired, arrivals, peak lane width) every interval")
 	metricsPath := flag.String("metrics", "", "sample the obs registry into this JSONL time-series file (cadence: -progress interval, default 5s)")
 	flag.Parse()
@@ -102,33 +100,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-live runs the whole live-*/chaos-* family; it cannot be combined with -suite or -torrents")
 		os.Exit(2)
 	}
-	if *faults != "" {
-		if _, ok := netem.PlanByName(*faults); !ok {
-			fmt.Fprintf(os.Stderr, "unknown fault plan %q (have: %s)\n", *faults, netem.PlanNamesString())
+	var perturb rarestfirst.Scenario
+	if *perturbList != "" {
+		if perturb, err = parsePerturb(*perturbList); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		if *suiteName == "" && !*liveOnly {
-			fmt.Fprintln(os.Stderr, "-faults applies to registry scenarios; combine it with -suite or -live")
-			os.Exit(2)
-		}
-	}
-	if *adversaryName != "" {
-		if _, aerr := adversary.ModelByName(*adversaryName); aerr != nil {
-			fmt.Fprintln(os.Stderr, aerr)
-			os.Exit(2)
-		}
-		if *suiteName == "" && !*liveOnly {
-			fmt.Fprintln(os.Stderr, "-adversary applies to registry scenarios; combine it with -suite or -live")
-			os.Exit(2)
-		}
-	}
-	if *crashesName != "" {
-		if _, cerr := crash.PlanByName(*crashesName); cerr != nil {
-			fmt.Fprintln(os.Stderr, cerr)
-			os.Exit(2)
-		}
-		if *suiteName == "" && !*liveOnly {
-			fmt.Fprintln(os.Stderr, "-crashes applies to registry scenarios; combine it with -suite or -live")
+			fmt.Fprintln(os.Stderr, "-perturb applies to registry scenarios; combine it with -suite or -live")
 			os.Exit(2)
 		}
 	}
@@ -164,14 +143,14 @@ func main() {
 			}
 			// Live suites carry their own wall-clock scales; only the
 			// seed fan-out applies.
-			if err = runSuite(*outDir, runner, name, rarestfirst.SuiteOptions{Seeds: seeds}, *faults, *adversaryName, *crashesName, sink); err != nil {
+			if err = runSuite(*outDir, runner, name, rarestfirst.SuiteOptions{Seeds: seeds}, perturb, sink); err != nil {
 				break
 			}
 		}
 	} else if *suiteName != "" {
 		err = runSuite(*outDir, runner, *suiteName, rarestfirst.SuiteOptions{
 			Scale: scale, Seeds: seeds, Torrents: ids,
-		}, *faults, *adversaryName, *crashesName, sink)
+		}, perturb, sink)
 	} else {
 		err = run(*outDir, runner, scale, ids, seeds, !*skipAblations, sink)
 	}
@@ -251,39 +230,49 @@ func (s *jsonSink) flush() error {
 	return s.err
 }
 
-// runSuite runs one named scenario suite and writes its aggregate table
-// plus every per-run report. A nil o.Torrents (the -torrents default)
-// leaves the suite's own torrent selection in place. A non-empty faults
-// plan is applied to every scenario that does not already carry one, so
-// -faults chaos turns any registry family into its chaos variant without
-// clobbering the chaos-* suites' built-in plans; -adversary mixes a
-// Byzantine model and -crashes a kill/restart schedule in the same way.
-func runSuite(outDir string, runner rarestfirst.Runner, name string, o rarestfirst.SuiteOptions, faults, adversaryName, crashesName string, sink *jsonSink) error {
+// parsePerturb reads a -perturb list into a scenario that names one
+// perturbation per kind it was given. A name in no catalog, or a second
+// name of a kind, is an error.
+func parsePerturb(list string) (rarestfirst.Scenario, error) {
+	var with rarestfirst.Scenario
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		kind, ok := scenario.KindOf(name)
+		if !ok {
+			return rarestfirst.Scenario{}, fmt.Errorf("-perturb: unknown perturbation %q (have %s)", name, scenario.PerturbCatalog())
+		}
+		field := with.Perturbation(kind)
+		if *field != "" {
+			return rarestfirst.Scenario{}, fmt.Errorf("-perturb: %q and %q are both %s", *field, name, kind)
+		}
+		*field = name
+	}
+	return with, nil
+}
+
+// applyPerturb fills each kind that with names into every scenario that
+// has none of that kind, so -perturb chaos turns any registry family into
+// its chaos variant without clobbering the chaos-* suites' built-in plans.
+func applyPerturb(scs []rarestfirst.Scenario, with rarestfirst.Scenario) {
+	for i := range scs {
+		for _, k := range scenario.Kinds {
+			if field := scs[i].Perturbation(k); *field == "" {
+				*field = *with.Perturbation(k)
+			}
+		}
+	}
+}
+
+// runSuite runs one named scenario suite, with the -perturb names applied
+// (applyPerturb), and writes its aggregate table plus every per-run
+// report. A nil o.Torrents (the -torrents default) leaves the suite's own
+// torrent selection in place.
+func runSuite(outDir string, runner rarestfirst.Runner, name string, o rarestfirst.SuiteOptions, perturb rarestfirst.Scenario, sink *jsonSink) error {
 	suite, err := rarestfirst.NewSuite(name, o)
 	if err != nil {
 		return err
 	}
-	if faults != "" {
-		for i := range suite.Scenarios {
-			if suite.Scenarios[i].Faults == "" {
-				suite.Scenarios[i].Faults = faults
-			}
-		}
-	}
-	if adversaryName != "" {
-		for i := range suite.Scenarios {
-			if suite.Scenarios[i].Adversary == "" {
-				suite.Scenarios[i].Adversary = adversaryName
-			}
-		}
-	}
-	if crashesName != "" {
-		for i := range suite.Scenarios {
-			if suite.Scenarios[i].Crashes == "" {
-				suite.Scenarios[i].Crashes = crashesName
-			}
-		}
-	}
+	applyPerturb(suite.Scenarios, perturb)
 	fmt.Fprintf(os.Stderr, "suite %s: %d scenarios...\n", suite.Name, len(suite.Scenarios))
 	// Per-suite peak-heap watermark (internal/obs). The GC it runs at start
 	// scopes the watermark to this suite rather than a predecessor's

@@ -24,7 +24,7 @@ import (
 
 func main() {
 	torrentID := flag.Int("torrent", 7, "Table I torrent id (1..26)")
-	scaleName := flag.String("scale", "default", "default or bench")
+	scaleName := flag.String("scale", "", "default or bench (empty = the suite's own scale; a single run uses default)")
 	picker := flag.String("picker", "", "rarest-first | random | sequential | global-rarest")
 	seedChoke := flag.String("seedchoke", "", "new | old")
 	leecherChoke := flag.String("leecherchoke", "", "standard | tit-for-tat")

@@ -4,7 +4,7 @@
 // not hold (stalling their victims into request timeouts), and request
 // flooders that spam the wire regardless of choke state.
 //
-// Models live in a named registry, mirroring internal/netem's fault
+// Models live in a named catalog (Models), beside internal/netem's fault
 // plans: a scenario spec names a model, both backends realize it. The
 // determinism contract matches the rest of the repo — the simulator
 // drives every adversarial decision from the engine RNG (bitwise
@@ -15,10 +15,7 @@
 package adversary
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -67,8 +64,9 @@ func (m Model) IsZero() bool {
 	return m.Fraction == 0 && m.PoisonRate == 0 && !m.FakeHaves && m.FloodRPS == 0
 }
 
-// models is the registry of named adversarial peer models.
-var models = map[string]Model{
+// Models is the adversary catalog: scenario specs name an entry in
+// Spec.Adversary.
+var Models = map[string]Model{
 	"poison25": {
 		Name:       "poison25",
 		Fraction:   0.25,
@@ -85,29 +83,6 @@ var models = map[string]Model{
 		FloodRPS: 200,
 	},
 }
-
-// ModelByName looks up a registered model.
-func ModelByName(name string) (Model, error) {
-	m, ok := models[name]
-	if !ok {
-		return Model{}, fmt.Errorf("adversary: unknown model %q (have: %s)", name, ModelNamesString())
-	}
-	return m, nil
-}
-
-// ModelNames returns the registered model names, sorted.
-func ModelNames() []string {
-	names := make([]string, 0, len(models))
-	for n := range models {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ModelNamesString returns the registered model names joined for usage
-// strings.
-func ModelNamesString() string { return strings.Join(ModelNames(), ", ") }
 
 // Behavior is one live client's seeded realization of a Model. All
 // random decisions flow through a private RNG under a mutex, so a

@@ -2,16 +2,11 @@ package adversary
 
 import (
 	"bytes"
-	"sort"
 	"testing"
 )
 
 func TestRegistryLookup(t *testing.T) {
-	for _, name := range ModelNames() {
-		m, err := ModelByName(name)
-		if err != nil {
-			t.Fatalf("ModelByName(%q): %v", name, err)
-		}
+	for name, m := range Models {
 		if m.Name != name {
 			t.Fatalf("model %q has Name %q", name, m.Name)
 		}
@@ -22,21 +17,17 @@ func TestRegistryLookup(t *testing.T) {
 			t.Fatalf("model %q has no behaviour", name)
 		}
 	}
-	if _, err := ModelByName("nope"); err == nil {
-		t.Fatal("expected error for unknown model")
-	}
-	names := ModelNames()
-	if !sort.StringsAreSorted(names) {
-		t.Fatalf("ModelNames not sorted: %v", names)
+	if _, ok := Models["nope"]; ok {
+		t.Fatal("unknown model resolved")
 	}
 }
 
 func TestKinds(t *testing.T) {
 	cases := map[string]string{"poison25": "poison", "liar25": "liar", "flood25": "flood"}
 	for name, want := range cases {
-		m, err := ModelByName(name)
-		if err != nil {
-			t.Fatal(err)
+		m, ok := Models[name]
+		if !ok {
+			t.Fatalf("model %q missing", name)
 		}
 		if got := m.Kind(); got != want {
 			t.Fatalf("%s.Kind() = %q, want %q", name, got, want)
@@ -48,10 +39,7 @@ func TestKinds(t *testing.T) {
 }
 
 func TestBehaviorDeterministic(t *testing.T) {
-	m, err := ModelByName("poison25")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := Models["poison25"]
 	run := func(seed int64) ([]bool, [][]byte) {
 		b := New(m, seed)
 		var hits []bool
@@ -86,14 +74,14 @@ func TestBehaviorDeterministic(t *testing.T) {
 }
 
 func TestBehaviorFloodAndLiar(t *testing.T) {
-	liar, _ := ModelByName("liar25")
+	liar := Models["liar25"]
 	if b := New(liar, 1); !b.FakeHaves() || b.FloodInterval() != 0 {
 		t.Fatal("liar behavior wrong")
 	}
 	if b := New(liar, 1); b.MaybePoison(make([]byte, 8)) {
 		t.Fatal("liar must not poison")
 	}
-	flood, _ := ModelByName("flood25")
+	flood := Models["flood25"]
 	b := New(flood, 1)
 	if b.FloodInterval() <= 0 {
 		t.Fatal("flood interval must be positive")

@@ -12,9 +12,12 @@ import (
 	"rarestfirst"
 )
 
-// ParseScale maps a -scale flag value onto a Scale.
+// ParseScale maps a -scale flag value onto a Scale. The empty name is the
+// zero Scale, which leaves every suite at its own scale.
 func ParseScale(name string) (rarestfirst.Scale, error) {
 	switch name {
+	case "":
+		return rarestfirst.Scale{}, nil
 	case "default":
 		return rarestfirst.DefaultScale(), nil
 	case "bench":

@@ -59,6 +59,30 @@ func TestParseScale(t *testing.T) {
 	}
 }
 
+// TestEmptyScaleKeepsSuiteScale: without -scale, a suite with its own
+// size runs at it; -scale default still means DefaultScale.
+func TestEmptyScaleKeepsSuiteScale(t *testing.T) {
+	scale, err := ParseScale("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, err := rarestfirst.NewSuite("flash-crowd-20k", rarestfirst.SuiteOptions{Scale: scale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := suite.Scenarios[0].Scale.MaxPeers; got != 20000 {
+		t.Fatalf("flash-crowd-20k without -scale caps at %d peers, want 20000", got)
+	}
+	def, _ := ParseScale("default")
+	suite, err = rarestfirst.NewSuite("flash-crowd-20k", rarestfirst.SuiteOptions{Scale: def})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := suite.Scenarios[0].Scale; got != rarestfirst.DefaultScale() {
+		t.Fatalf("-scale default expanded to %+v", got)
+	}
+}
+
 func TestPrintSuites(t *testing.T) {
 	var b strings.Builder
 	PrintSuites(&b)

@@ -26,7 +26,6 @@ import (
 
 	"rarestfirst/internal/adversary"
 	"rarestfirst/internal/client"
-	"rarestfirst/internal/crash"
 	"rarestfirst/internal/metainfo"
 	"rarestfirst/internal/netem"
 	"rarestfirst/internal/obs"
@@ -72,33 +71,11 @@ type Config struct {
 	// swarms live wall-clock seconds, not the paper's hours).
 	MinResidency float64
 
-	// Faults is the netem fault plan the swarm runs under; the zero plan
-	// (no Spec.Faults) emulates nothing. Fractional timing (blackout
-	// window, seed failure) is anchored to Deadline, and each client's
-	// injector seed derives from the run seed.
-	Faults netem.Plan
-
-	// Adversary is the Byzantine peer model mixed into the swarm; the
-	// zero model (no Spec.Adversary) provisions none. Adversarial clients
-	// join on top of the honest population — poisoners as content-bearing
-	// seeds, liars and flooders as leechers — and are excluded from the
-	// completion accounting and the global-availability view (their
-	// copies are not trustworthy availability).
-	Adversary adversary.Model
-	// AdversaryNoBan turns off the honest clients' poisoner-ban response
-	// (measurement mode: hash failures and wasted bytes still count).
-	AdversaryNoBan bool
-
-	// Crashes is the crash-schedule plan: a deterministic fraction of the
-	// non-instrumented leechers is SIGKILLed (client.Kill: the resume
-	// store closes before connections drain, as a real process death
-	// would leave it) at schedule-drawn instants inside the kill window
-	// and restarted from its ResumeDir after the plan's downtime. The
-	// zero plan (no Spec.Crashes) kills nobody. Victim choice and kill
-	// instants come from a dedicated offset stream (501) of the run
-	// seed, so the schedule replays under a fixed seed even though
-	// real-TCP timing does not.
-	Crashes crash.Plan
+	// Perturbations are the fault plan, crash plan and adversary model
+	// the swarm runs under (scenario.Spec.Perturbations); a zero member
+	// is off. Fractional timing is anchored to Deadline, and every
+	// schedule derives from the run seed (see Run and applyResilience).
+	Perturbations scenario.Perturbations
 }
 
 // Defaults for FromSpec, exported so tests and docs agree with the code.
@@ -191,33 +168,16 @@ func FromSpec(sp scenario.Spec) (Config, error) {
 		SeedStopAfter: time.Duration(sp.InitialSeedLeavesAt * float64(time.Second)),
 		MinResidency:  DefaultResidencyS,
 	}
-	if sp.Faults != "" {
-		plan, ok := netem.PlanByName(sp.Faults)
-		if !ok {
-			return Config{}, fmt.Errorf("live: unknown fault plan %q (have: %s)", sp.Faults, netem.PlanNamesString())
-		}
-		cfg.Faults = plan
-		if plan.SeedSlowFactor > 0 {
-			cfg.SeedUploadBps *= plan.SeedSlowFactor
-		}
-		if plan.SeedFailFrac > 0 && cfg.SeedStopAfter == 0 {
-			cfg.SeedStopAfter = time.Duration(plan.SeedFailFrac * float64(cfg.Deadline))
-		}
+	p, err := sp.Perturbations()
+	if err != nil {
+		return Config{}, err
 	}
-	if sp.Adversary != "" {
-		model, err := adversary.ModelByName(sp.Adversary)
-		if err != nil {
-			return Config{}, fmt.Errorf("live: %v", err)
-		}
-		cfg.Adversary = model
-		cfg.AdversaryNoBan = sp.AdversaryNoBan
+	cfg.Perturbations = p
+	if p.Faults.SeedSlowFactor > 0 {
+		cfg.SeedUploadBps *= p.Faults.SeedSlowFactor
 	}
-	if sp.Crashes != "" {
-		plan, err := crash.PlanByName(sp.Crashes)
-		if err != nil {
-			return Config{}, fmt.Errorf("live: %v", err)
-		}
-		cfg.Crashes = plan
+	if p.Faults.SeedFailFrac > 0 && cfg.SeedStopAfter == 0 {
+		cfg.SeedStopAfter = time.Duration(p.Faults.SeedFailFrac * float64(cfg.Deadline))
 	}
 	return cfg, nil
 }
@@ -241,8 +201,8 @@ func clampInt(v, def, lo, hi int) int {
 // from the client-identity stream (1..peers), so fault schedules and
 // client RNGs stay decorrelated but both replay under a fixed run seed.
 func (cfg *Config) applyResilience(opts *client.Options, idx int) {
-	adversaries := !cfg.Adversary.IsZero()
-	if cfg.Faults.Enabled() || adversaries || cfg.Crashes.Enabled() {
+	p := cfg.Perturbations
+	if p.Any() {
 		opts.DialTimeout = 2 * time.Second
 		opts.DialRetries = 4
 		opts.DialBackoff = 100 * time.Millisecond
@@ -252,12 +212,26 @@ func (cfg *Config) applyResilience(opts *client.Options, idx int) {
 		opts.AnnounceRetryBase = 200 * time.Millisecond
 		opts.AnnounceRetryMax = 2 * time.Second
 	}
-	if adversaries {
+	if !p.Adversary.IsZero() {
 		opts.BanFor = 10 * time.Minute
 	}
-	if cfg.Faults.Enabled() {
-		opts.Faults = netem.NewInjector(cfg.Faults, scenario.MixSeed(cfg.Seed, 101+idx), cfg.Deadline)
+	if p.Faults.Enabled() {
+		opts.Faults = netem.NewInjector(p.Faults, scenario.MixSeed(cfg.Seed, 101+idx), cfg.Deadline)
 	}
+}
+
+// clientOptions returns the options every lab client starts from: the
+// metainfo, an upload cap, the choke interval, the identity seed and the
+// run's resilience policy with injector stream inj (applyResilience).
+func (cfg *Config) clientOptions(meta *metainfo.MetaInfo, uploadBps float64, seed int64, inj int) client.Options {
+	opts := client.Options{
+		Meta:          meta,
+		UploadBps:     uploadBps,
+		ChokeInterval: cfg.ChokeInterval,
+		Seed:          seed,
+	}
+	cfg.applyResilience(&opts, inj)
+	return opts
 }
 
 // Result is everything one live swarm produced, mirroring the fields of a
@@ -381,14 +355,15 @@ func Run(cfg Config) (*Result, error) {
 	if reg != nil {
 		trk.SetMetrics(reg)
 	}
+	p := cfg.Perturbations
 	handler := trk.Handler()
-	if cfg.Faults.Blackout() {
+	if p.Faults.Blackout() {
 		// The blackout window anchors to tracker start: announces inside
 		// [startFrac, endFrac)·Deadline fail with 503 and the clients'
 		// announce backoff takes over.
 		handler = netem.BlackoutHandler(handler, time.Now(),
-			time.Duration(cfg.Faults.BlackoutStartFrac*float64(cfg.Deadline)),
-			time.Duration(cfg.Faults.BlackoutEndFrac*float64(cfg.Deadline)))
+			time.Duration(p.Faults.BlackoutStartFrac*float64(cfg.Deadline)),
+			time.Duration(p.Faults.BlackoutEndFrac*float64(cfg.Deadline)))
 	}
 	srv := &http.Server{Handler: handler}
 	go srv.Serve(ln)
@@ -410,13 +385,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Initial seed.
-	seedOpts := client.Options{
-		Meta: meta, Content: content,
-		UploadBps:     cfg.SeedUploadBps,
-		ChokeInterval: cfg.ChokeInterval,
-		Seed:          clientSeed(0),
-	}
-	cfg.applyResilience(&seedOpts, 0)
+	seedOpts := cfg.clientOptions(meta, cfg.SeedUploadBps, clientSeed(0), 0)
+	seedOpts.Content = content
 	seed, err := client.New(seedOpts)
 	if err != nil {
 		return nil, fmt.Errorf("live: seed client: %w", err)
@@ -451,25 +421,16 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	defer stopAdv()
-	if !cfg.Adversary.IsZero() {
-		n := int(math.Round(cfg.Adversary.Fraction * float64(cfg.Leechers+1)))
-		if n < 1 {
-			n = 1
-		}
-		poisoner := cfg.Adversary.Kind() == "poison"
+	if !p.Adversary.IsZero() {
+		n := max(int(math.Round(p.Adversary.Fraction*float64(cfg.Leechers+1))), 1)
+		poisoner := p.Adversary.Kind() == "poison"
 		for i := 0; i < n; i++ {
-			opts := client.Options{
-				Meta:          meta,
-				UploadBps:     cfg.PeerUploadBps,
-				ChokeInterval: cfg.ChokeInterval,
-				Seed:          scenario.MixSeed(cfg.Seed, 201+i),
-				Adversary:     adversary.New(cfg.Adversary, scenario.MixSeed(cfg.Seed, 301+i)),
-			}
+			opts := cfg.clientOptions(meta, cfg.PeerUploadBps, scenario.MixSeed(cfg.Seed, 201+i), 400+i)
+			opts.Adversary = adversary.New(p.Adversary, scenario.MixSeed(cfg.Seed, 301+i))
 			if poisoner {
 				opts.Content = content
 				opts.UploadBps = cfg.SeedUploadBps
 			}
-			cfg.applyResilience(&opts, 400+i)
 			a, err := client.New(opts)
 			if err != nil {
 				stopAdv()
@@ -521,26 +482,13 @@ func Run(cfg Config) (*Result, error) {
 		killAtPieces     = make(map[int]int)
 		crashDowntime    time.Duration
 	)
-	if cfg.Crashes.Enabled() && cfg.Leechers > 1 {
+	if p.Crashes.Enabled() && cfg.Leechers > 1 {
 		crand := rand.New(rand.NewSource(scenario.MixSeed(cfg.Seed, 501)))
 		candidates := cfg.Leechers - 1
-		n := int(math.Round(cfg.Crashes.Frac * float64(candidates)))
-		if n < 1 {
-			n = 1
-		}
-		if n > candidates {
-			n = candidates
-		}
+		n := min(max(int(math.Round(p.Crashes.Frac*float64(candidates))), 1), candidates)
 		for _, idx := range crand.Perm(candidates)[:n] {
-			frac := cfg.Crashes.StartFrac + crand.Float64()*(cfg.Crashes.EndFrac-cfg.Crashes.StartFrac)
-			want := int(math.Ceil(frac * float64(cfg.NumPieces)))
-			if want < 1 {
-				want = 1
-			}
-			if want > cfg.NumPieces-1 {
-				want = cfg.NumPieces - 1
-			}
-			killAtPieces[idx] = want
+			frac := p.Crashes.StartFrac + crand.Float64()*(p.Crashes.EndFrac-p.Crashes.StartFrac)
+			killAtPieces[idx] = min(max(int(math.Ceil(frac*float64(cfg.NumPieces))), 1), cfg.NumPieces-1)
 			dir, err := os.MkdirTemp("", "rf-resume-")
 			if err != nil {
 				return nil, fmt.Errorf("live: resume dir: %w", err)
@@ -548,7 +496,7 @@ func Run(cfg Config) (*Result, error) {
 			defer os.RemoveAll(dir)
 			resumeDirs[idx] = dir
 		}
-		crashDowntime = time.Duration(cfg.Crashes.DowntimeFrac * float64(cfg.Deadline))
+		crashDowntime = time.Duration(p.Crashes.DowntimeFrac * float64(cfg.Deadline))
 	}
 
 	stopAll := func() {
@@ -570,22 +518,29 @@ func Run(cfg Config) (*Result, error) {
 			c.Stop()
 		}
 	}
+	// leecherOptions are honest leecher i's options, shared by its first
+	// start and a crash restart over the same ResumeDir.
+	leecherOptions := func(i int) client.Options {
+		opts := cfg.clientOptions(meta, cfg.PeerUploadBps, clientSeed(i+1), i+1)
+		opts.NoPoisonBan = p.AdversaryNoBan
+		opts.ResumeDir = resumeDirs[i]
+		return opts
+	}
+	// completed is leecher i's completion callback.
+	completed := func(i int) func() {
+		return func() {
+			cCompletions.Inc()
+			doneMu.Lock()
+			doneAt[i] = time.Now()
+			doneMu.Unlock()
+		}
+	}
 	localIdx := cfg.Leechers - 1
 	for i := 0; i < cfg.Leechers; i++ {
 		if i > 0 {
 			time.Sleep(cfg.Stagger)
 		}
-		opts := client.Options{
-			Meta:          meta,
-			UploadBps:     cfg.PeerUploadBps,
-			ChokeInterval: cfg.ChokeInterval,
-			Seed:          clientSeed(i + 1),
-			NoPoisonBan:   cfg.AdversaryNoBan,
-		}
-		cfg.applyResilience(&opts, i+1)
-		if dir, ok := resumeDirs[i]; ok {
-			opts.ResumeDir = dir
-		}
+		opts := leecherOptions(i)
 		if i == localIdx {
 			opts.Trace = col
 			opts.SampleEvery = cfg.SampleEvery
@@ -600,13 +555,7 @@ func Run(cfg Config) (*Result, error) {
 			stopAll()
 			return nil, fmt.Errorf("live: leecher %d: %w", i, err)
 		}
-		idx := i
-		l.OnComplete(func() {
-			cCompletions.Inc()
-			doneMu.Lock()
-			doneAt[idx] = time.Now()
-			doneMu.Unlock()
-		})
+		l.OnComplete(completed(i))
 		if err := l.Start("127.0.0.1:0", announce); err != nil {
 			stopAll()
 			return nil, fmt.Errorf("live: leecher %d start: %w", i, err)
@@ -653,7 +602,7 @@ func Run(cfg Config) (*Result, error) {
 			crashMu.Lock()
 			nKilled++
 			dir := resumeDirs[idx]
-			if cfg.Crashes.CorruptResume && !corruptDone && client.ResumeClaims(dir) > 0 {
+			if p.Crashes.CorruptResume && !corruptDone && client.ResumeClaims(dir) > 0 {
 				client.CorruptResumeData(dir)
 				corruptDone = true
 			}
@@ -663,16 +612,7 @@ func Run(cfg Config) (*Result, error) {
 				return
 			case <-time.After(crashDowntime):
 			}
-			opts := client.Options{
-				Meta:          meta,
-				UploadBps:     cfg.PeerUploadBps,
-				ChokeInterval: cfg.ChokeInterval,
-				Seed:          clientSeed(idx + 1),
-				NoPoisonBan:   cfg.AdversaryNoBan,
-				ResumeDir:     dir,
-			}
-			cfg.applyResilience(&opts, idx+1)
-			nc, err := client.New(opts)
+			nc, err := client.New(leecherOptions(idx))
 			if err != nil {
 				return
 			}
@@ -683,12 +623,7 @@ func Run(cfg Config) (*Result, error) {
 			doneMu.Lock()
 			delete(doneAt, idx)
 			doneMu.Unlock()
-			nc.OnComplete(func() {
-				cCompletions.Inc()
-				doneMu.Lock()
-				doneAt[idx] = time.Now()
-				doneMu.Unlock()
-			})
+			nc.OnComplete(completed(idx))
 			crashMu.Lock()
 			if crashStopped {
 				crashMu.Unlock()

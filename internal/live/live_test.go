@@ -194,3 +194,27 @@ func TestResiliencePolicyFollowsPerturbations(t *testing.T) {
 		}
 	}
 }
+
+// TestFromSpecRejectsMisfiledPerturbation: the live backend resolves
+// perturbations through the same resolver as the simulator, so a catalog
+// name under another kind's field, or an unknown name, fails here too.
+func TestFromSpecRejectsMisfiledPerturbation(t *testing.T) {
+	for _, sp := range []scenario.Spec{
+		{TorrentID: 10, Live: true, Faults: "poison25"},
+		{TorrentID: 10, Live: true, Crashes: "chaos"},
+		{TorrentID: 10, Live: true, Adversary: "kill-restart"},
+		{TorrentID: 10, Live: true, Faults: "no-such-plan"},
+	} {
+		if _, err := FromSpec(sp); err == nil {
+			t.Errorf("%+v accepted", sp)
+		}
+	}
+	cfg, err := FromSpec(scenario.Spec{TorrentID: 10, Live: true, Faults: "chaos", Adversary: "poison25", AdversaryNoBan: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := cfg.Perturbations
+	if p.Faults.Name != "chaos" || p.Adversary.Name != "poison25" || !p.AdversaryNoBan || p.Crashes.Enabled() {
+		t.Fatalf("perturbations resolved to %+v", p)
+	}
+}

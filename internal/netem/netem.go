@@ -22,8 +22,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -48,7 +46,7 @@ type Plan struct {
 	DialFailRate   float64 // probability an outgoing dial fails outright
 	ConnResetRate  float64 // probability a connection gets an abortive close (RST)
 	ConnStallRate  float64 // probability a connection goes half-open (reads/writes hang)
-	FaultDelayFrac float64 // mean fault delay as a fraction of the window (0 = 0.25)
+	FaultDelayFrac float64 // mean fault delay as a fraction of the window (0 = 0.25; see FaultDelay)
 
 	// Tracker blackout: announces return 503 inside
 	// [BlackoutStartFrac, BlackoutEndFrac)·window.
@@ -68,9 +66,20 @@ func (p Plan) Enabled() bool { return p != Plan{} }
 // Blackout reports whether the plan declares a tracker blackout window.
 func (p Plan) Blackout() bool { return p.BlackoutEndFrac > p.BlackoutStartFrac }
 
-// plans is the named registry scenarios refer to (Scenario.Faults / the
-// experiments -faults flag). Keep README "Robustness" in sync.
-var plans = map[string]Plan{
+// FaultDelay is the mean delay of a scheduled connection fault as a
+// fraction of the run window on both backends: FaultDelayFrac, or 0.25.
+func (p Plan) FaultDelay() float64 {
+	if p.FaultDelayFrac > 0 {
+		return p.FaultDelayFrac
+	}
+	return 0.25
+}
+
+// Plans is the fault-plan catalog: scenario specs name an entry in
+// Spec.Faults, and the experiments -perturb flag takes the same names.
+// The README's Robustness section describes each plan; update it with
+// this map.
+var Plans = map[string]Plan{
 	// wan: clean but slow — transatlantic-ish delay and a 1 MiB/s pipe.
 	"wan": {Name: "wan", DelayMs: 40, JitterMs: 10, RateBps: 1 << 20},
 	// flaky: lossy access network — failed dials, resets and stalls, no
@@ -87,25 +96,6 @@ var plans = map[string]Plan{
 		BlackoutStartFrac: 0.25, BlackoutEndFrac: 0.55,
 		SeedSlowFactor: 0.5, SeedFailFrac: 0.5},
 }
-
-// PlanByName looks up a registered fault plan.
-func PlanByName(name string) (Plan, bool) {
-	p, ok := plans[name]
-	return p, ok
-}
-
-// PlanNames lists the registered plan names, sorted.
-func PlanNames() []string {
-	names := make([]string, 0, len(plans))
-	for n := range plans {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// PlanNamesString is PlanNames joined for flag help text.
-func PlanNamesString() string { return strings.Join(PlanNames(), ", ") }
 
 // Injector realizes a Plan into concrete faults for one client. All
 // randomness comes from its seeded RNG, so the fault schedule is a pure
@@ -133,9 +123,6 @@ func NewInjector(plan Plan, seed int64, window time.Duration) *Injector {
 	return &Injector{plan: plan, window: window, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Plan returns the plan this injector realizes.
-func (in *Injector) Plan() Plan { return in.plan }
-
 func (in *Injector) observe(kind string) {
 	if in.Observe != nil {
 		in.Observe(kind)
@@ -160,20 +147,10 @@ func (in *Injector) DialFault() error {
 }
 
 // faultDelayLocked draws when a scheduled connection fault fires:
-// exponential with mean FaultDelayFrac·window, clamped to the window.
+// exponential with mean FaultDelay()·window, clamped to the window.
 func (in *Injector) faultDelayLocked() time.Duration {
-	frac := in.plan.FaultDelayFrac
-	if frac <= 0 {
-		frac = 0.25
-	}
-	d := time.Duration(in.rng.ExpFloat64() * frac * float64(in.window))
-	if d < 10*time.Millisecond {
-		d = 10 * time.Millisecond
-	}
-	if d > in.window {
-		d = in.window
-	}
-	return d
+	d := time.Duration(in.rng.ExpFloat64() * in.plan.FaultDelay() * float64(in.window))
+	return min(max(d, 10*time.Millisecond), in.window)
 }
 
 // WrapConn wraps a dialed connection with the plan's delay, shaping and

@@ -10,13 +10,12 @@ import (
 )
 
 func TestPlanRegistry(t *testing.T) {
-	if _, ok := PlanByName("no-such-plan"); ok {
+	if _, ok := Plans["no-such-plan"]; ok {
 		t.Fatal("unknown plan resolved")
 	}
-	for _, name := range PlanNames() {
-		p, ok := PlanByName(name)
-		if !ok || p.Name != name {
-			t.Fatalf("plan %q: lookup %v, stored name %q", name, ok, p.Name)
+	for name, p := range Plans {
+		if p.Name != name {
+			t.Fatalf("plan %q: stored name %q", name, p.Name)
 		}
 		if !p.Enabled() {
 			t.Fatalf("registered plan %q is a no-op", name)
@@ -24,7 +23,7 @@ func TestPlanRegistry(t *testing.T) {
 	}
 	// The acceptance plan must carry all three chaos ingredients: a
 	// tracker blackout, 10% connection resets, and a failing seed.
-	chaos, _ := PlanByName("chaos")
+	chaos := Plans["chaos"]
 	if !chaos.Blackout() || chaos.ConnResetRate != 0.10 || chaos.SeedFailFrac <= 0 {
 		t.Fatalf("chaos plan lost an acceptance ingredient: %+v", chaos)
 	}
@@ -36,7 +35,7 @@ func TestPlanRegistry(t *testing.T) {
 // TestInjectorDeterministic: the fault schedule is a pure function of
 // (plan, seed) — same seed, same dial-fault decisions.
 func TestInjectorDeterministic(t *testing.T) {
-	plan, _ := PlanByName("flaky")
+	plan := Plans["flaky"]
 	draw := func(seed int64) []bool {
 		in := NewInjector(plan, seed, time.Minute)
 		out := make([]bool, 64)

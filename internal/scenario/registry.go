@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"rarestfirst/internal/torrents"
@@ -92,12 +91,7 @@ func Lookup(name string) (Def, bool) {
 func Names() []string {
 	mu.RLock()
 	defer mu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(registry)
 }
 
 // All returns every registered definition, sorted by name.

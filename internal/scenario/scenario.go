@@ -11,9 +11,6 @@ package scenario
 import (
 	"fmt"
 
-	"rarestfirst/internal/adversary"
-	"rarestfirst/internal/crash"
-	"rarestfirst/internal/netem"
 	"rarestfirst/internal/swarm"
 	"rarestfirst/internal/torrents"
 )
@@ -125,39 +122,22 @@ type Spec struct {
 	// batched-t8 golden.
 	BatchHaves bool `json:",omitempty"`
 
-	// Faults names a netem fault plan (netem.PlanByName: "wan", "flaky",
-	// "blackout", "chaos"; see the README Robustness section). On the live
-	// backend it drives seeded per-client fault injectors plus the tracker
-	// blackout window; on the simulator it maps to the matching
-	// swarm.Chaos knobs, with the plan's fractional timing anchored to the
-	// run window, so a chaos-* suite cross-validates the two. The fault
-	// schedule derives from the run seed; "" (the default, and every
-	// golden scenario) injects nothing.
-	Faults string `json:",omitempty"`
-
-	// Adversary names a Byzantine peer model (adversary.ModelByName:
-	// "poison25", "liar25", "flood25"; see the README Adversarial peers
-	// section). On the live backend adversarial clients are provisioned
-	// alongside the honest swarm; on the simulator the model maps to the
-	// matching swarm.Adversary knobs, so an adv-* suite cross-validates
-	// the two. "" (the default, and every golden scenario) adds no
-	// adversaries.
+	// Faults, Adversary and Crashes each name one perturbation from its
+	// kind's catalog (perturb.go): a netem fault plan ("wan", "flaky",
+	// "blackout", "chaos"; README Robustness), a Byzantine peer model
+	// ("poison25", "liar25", "flood25"; README Adversarial peers) and a
+	// crash plan ("kill-restart", "kill-restart-amnesia", "kill-corrupt",
+	// "flashcrowd-kill"; README Crash recovery). Both backends realize
+	// the same resolved plans (Spec.Perturbations) with seed-derived
+	// schedules, so a chaos-*, adv-* or crash-* suite cross-validates
+	// them. "" (the default) adds nothing.
+	Faults    string `json:",omitempty"`
 	Adversary string `json:",omitempty"`
 	// AdversaryNoBan disables the poisoner ban response (measurement
 	// mode): hash failures and wasted bytes are counted but suspects are
 	// never banned.
-	AdversaryNoBan bool `json:",omitempty"`
-
-	// Crashes names a crash-schedule plan (crash.PlanByName:
-	// "kill-restart", "kill-restart-amnesia", "kill-corrupt",
-	// "flashcrowd-kill"; see the README Crash recovery section). On the
-	// live backend a seed-deterministic schedule SIGKILLs a fraction of
-	// the leechers mid-transfer and restarts them from durable resume
-	// state; on the simulator the plan maps to the matching swarm.Crashes
-	// knobs (kill, downtime, rejoin with retained pieces), so a crash-*
-	// suite cross-validates the two. "" (the default, and every golden
-	// scenario) crashes nobody.
-	Crashes string `json:",omitempty"`
+	AdversaryNoBan bool   `json:",omitempty"`
+	Crashes        string `json:",omitempty"`
 	// DebugChecks enables the swarm invariant checker on simulated runs
 	// (swarm.Config.Invariants): pure-read audits (availability counts vs
 	// advertised bitfields, no banned peer still connected, requester
@@ -271,61 +251,11 @@ func (s Spec) Config() (swarm.Config, torrents.Spec, error) {
 	cfg.DisableRandomFirst = s.DisableRandomFirst
 	cfg.BoostNewcomers = s.BoostNewcomers
 	cfg.InitialSeedLeaveAt = s.InitialSeedLeavesAt
-	if s.Faults != "" {
-		plan, ok := netem.PlanByName(s.Faults)
-		if !ok {
-			return swarm.Config{}, spec, fmt.Errorf("scenario: unknown fault plan %q (have: %s)", s.Faults, netem.PlanNamesString())
-		}
-		// Anchor the plan's fractional timing to the simulated run window,
-		// mirroring how the live backend anchors it to the deadline.
-		window := cfg.LocalJoinTime + cfg.Duration
-		cfg.Chaos = &swarm.Chaos{
-			// Connection setup is the only place propagation delay can act
-			// in the fluid model (control traffic is instantaneous).
-			ConnSetupDelay:       (plan.DelayMs + plan.JitterMs/2) / 1000,
-			DialFailRate:         plan.DialFailRate,
-			ConnResetRate:        plan.ConnResetRate + plan.ConnStallRate,
-			ConnResetMeanDelay:   plan.FaultDelayFrac * window,
-			TrackerBlackoutStart: plan.BlackoutStartFrac * window,
-			TrackerBlackoutEnd:   plan.BlackoutEndFrac * window,
-		}
-		if plan.SeedSlowFactor > 0 {
-			cfg.InitialSeedUp *= plan.SeedSlowFactor
-		}
-		if plan.SeedFailFrac > 0 && cfg.InitialSeedLeaveAt == 0 {
-			cfg.InitialSeedLeaveAt = plan.SeedFailFrac * window
-		}
+	p, err := s.Perturbations()
+	if err != nil {
+		return swarm.Config{}, spec, err
 	}
-	if s.Crashes != "" {
-		plan, err := crash.PlanByName(s.Crashes)
-		if err != nil {
-			return swarm.Config{}, spec, fmt.Errorf("scenario: %v", err)
-		}
-		// Anchor the plan's fractional timing to the simulated run window,
-		// exactly as the netem mapping above does.
-		window := cfg.LocalJoinTime + cfg.Duration
-		cfg.Crashes = &swarm.Crashes{
-			Frac:         plan.Frac,
-			WindowStart:  plan.StartFrac * window,
-			WindowEnd:    plan.EndFrac * window,
-			MeanDowntime: plan.DowntimeFrac * window,
-			RetainFrac:   plan.RetainFrac,
-			DropAllFirst: plan.CorruptResume,
-		}
-	}
-	if s.Adversary != "" {
-		model, err := adversary.ModelByName(s.Adversary)
-		if err != nil {
-			return swarm.Config{}, spec, fmt.Errorf("scenario: %v", err)
-		}
-		cfg.Adversary = &swarm.Adversary{
-			Fraction:   model.Fraction,
-			PoisonRate: model.PoisonRate,
-			FakeHaves:  model.FakeHaves,
-			Flood:      model.FloodRPS > 0,
-			NoBan:      s.AdversaryNoBan,
-		}
-	}
+	p.simulate(&cfg)
 	cfg.Invariants = s.DebugChecks
 	return cfg, spec, nil
 }

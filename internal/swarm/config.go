@@ -251,8 +251,11 @@ type Chaos struct {
 	DialFailRate float64
 	// ConnResetRate is the probability an established connection gets a
 	// scheduled reset, after an Exp(ConnResetMeanDelay) delay.
-	ConnResetRate      float64
-	ConnResetMeanDelay float64 // seconds; 0 = 60
+	ConnResetRate float64
+	// ConnResetMeanDelay is that delay's mean in seconds. Fault plans set
+	// it to netem.Plan.FaultDelay of the run window, the same default the
+	// live injector uses.
+	ConnResetMeanDelay float64
 	// Tracker blackout window in simulated time: announces inside
 	// [TrackerBlackoutStart, TrackerBlackoutEnd) fail, and the peer
 	// retries AnnounceRetry seconds later.
@@ -265,7 +268,7 @@ type Chaos struct {
 const AnnounceRetry = 30.0
 
 // Crashes is the simulator's crash-and-rejoin plan — the sim twin of the
-// live lab's process kill/restart schedules (internal/crash plans), in
+// live lab's process kill/restart schedules (scenario.CrashPlan), in
 // simulated seconds and probabilities.
 type Crashes struct {
 	// Frac is the probability each arriving/initial leecher (never a
@@ -289,7 +292,7 @@ type Crashes struct {
 	DropAllFirst bool
 }
 
-// Defaulting helpers, mirroring Chaos.
+// Defaulting helpers.
 func (cr *Crashes) meanDowntime() float64 {
 	if cr.MeanDowntime > 0 {
 		return cr.MeanDowntime
@@ -334,7 +337,7 @@ type Adversary struct {
 	NoBan bool
 }
 
-// Defaulting helpers, mirroring Chaos.
+// Defaulting helpers.
 func (a *Adversary) floodAnnounceEvery() float64 {
 	if a.FloodAnnounceEvery > 0 {
 		return a.FloodAnnounceEvery
@@ -352,14 +355,6 @@ func (a *Adversary) fakeHaveTimeout() float64 {
 // blackedOut reports whether the tracker is inside its blackout window.
 func (ch *Chaos) blackedOut(now float64) bool {
 	return now >= ch.TrackerBlackoutStart && now < ch.TrackerBlackoutEnd
-}
-
-// resetMeanDelay applies the default.
-func (ch *Chaos) resetMeanDelay() float64 {
-	if ch.ConnResetMeanDelay > 0 {
-		return ch.ConnResetMeanDelay
-	}
-	return 60
 }
 
 // DefaultConfig returns mainline defaults on a small steady torrent.

@@ -175,9 +175,6 @@ func New(cfg Config) *Swarm {
 	return s
 }
 
-// Engine exposes the simulation engine (read-only use in tests).
-func (s *Swarm) Engine() *sim.Engine { return s.eng }
-
 // GlobalMinCopies returns the torrent-wide minimum piece copy count — the
 // transient/steady state criterion (steady state: "there is no rare piece",
 // i.e. every piece has at least one copy among live peers).
@@ -537,7 +534,7 @@ func (s *Swarm) connectNow(a, b *Peer) {
 			// exponential delay unless it was already torn down. A
 			// reconnect of the same pair may land on ca's memory, so the
 			// check takes the generation as well as the identity.
-			delay := s.eng.RNG().ExpFloat64() * ch.resetMeanDelay()
+			delay := s.eng.RNG().ExpFloat64() * ch.ConnResetMeanDelay
 			s.eng.After(delay, func() {
 				if a.connTo(b) == ca && ca.gen == gen {
 					s.chaosFault("conn_reset", a, b)

@@ -4,14 +4,19 @@
 # internal/swarm and internal/sim, and fails when any Pick of a
 # core.Picker or any Round of a core.Choker (every method of that name in
 # internal/core's non-test files) is at 0 %. A rule no golden runs can be
-# broken without moving a digest. Prints the checked functions and exits 1
-# on a gap, 0 when all are covered.
+# broken without moving a digest. It also fails when the production
+# functions at 0 % differ from scripts/golden_uncovered.txt, the triaged
+# list of what no golden reaches and why: a newly uncovered function must
+# be listed with a reason, and a listed one that a golden now covers must
+# be removed. Prints the checked functions and exits 1 on a gap, 0 when
+# all agree.
 #
 #   bash scripts/golden_cover.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+status=0
 
 go test -count=1 -timeout 5m -run '^TestGoldenSeedDigests$' \
 	-coverpkg=./internal/core,./internal/swarm,./internal/sim \
@@ -31,4 +36,19 @@ awk '
 		if (n == 0) { print "golden_cover: no Pick or Round found in the profile" > "/dev/stderr"; exit 1 }
 		exit gap > 0
 	}
-' "$tmp/func.txt"
+' "$tmp/func.txt" || status=1
+
+# Keys are "internal/<pkg>/<file>.go <function>", one per 0 % function.
+awk '$1 ~ /\/internal\/(core|swarm|sim)\/[^\/]+\.go:[0-9]+:$/ && $1 !~ /_test\.go:/ && $3 == "0.0%" {
+	f = $1; sub(/^.*\/internal\//, "internal/", f); sub(/:[0-9]+:$/, "", f); print f " " $2
+}' "$tmp/func.txt" | sort >"$tmp/zero.txt"
+awk '!/^#/ && NF { print $1 " " $2 }' scripts/golden_uncovered.txt | sort >"$tmp/listed.txt"
+while read -r key; do
+	echo "golden_cover: $key is at 0 % but not in scripts/golden_uncovered.txt" >&2
+	status=1
+done < <(comm -23 "$tmp/zero.txt" "$tmp/listed.txt")
+while read -r key; do
+	echo "golden_cover: $key is listed in scripts/golden_uncovered.txt but a golden now covers it" >&2
+	status=1
+done < <(comm -13 "$tmp/zero.txt" "$tmp/listed.txt")
+exit "$status"
