@@ -20,6 +20,7 @@ import (
 // normalizing the scenario flag itself out of the serialization). A
 // checker that perturbs one RNG draw or availability count fails this.
 func TestGoldenDigestsUnchangedWithDebugChecks(t *testing.T) {
+	t.Parallel()
 	raw, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("read goldens: %v", err)
@@ -51,9 +52,11 @@ func TestAdvSuiteEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live loopback swarms take tens of seconds")
 	}
+	t.Parallel()
 	for _, name := range []string{"adv-poison", "adv-liar", "adv-flood"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			suite, err := NewSuite(name, SuiteOptions{})
 			if err != nil {
 				t.Fatal(err)

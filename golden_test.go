@@ -87,6 +87,7 @@ func goldenScenarios() []Scenario {
 const goldenPath = "testdata/golden_digests.json"
 
 func TestGoldenSeedDigests(t *testing.T) {
+	t.Parallel()
 	got := map[string]string{}
 	for _, sc := range goldenScenarios() {
 		rep, err := Run(sc)

@@ -722,8 +722,8 @@ func (c *Client) chokeSnapshot(now float64) []core.ChokePeer {
 			DownloadRate:   pc.inEst.Rate(now),
 			UploadRate:     pc.outEst.Rate(now),
 			LastUnchoked:   pc.lastUnchokedAt,
-			UploadedTo:     pc.bytesOut,
-			DownloadedFrom: pc.bytesIn,
+			UploadedTo:     pc.outEst.Total(),
+			DownloadedFrom: pc.inEst.Total(),
 			RemotePieces:   remotePieces,
 		})
 	}

@@ -50,10 +50,8 @@ type peerConn struct {
 	amUnchoking    bool
 	peerUnchoking  bool
 	lastUnchokedAt float64
-	inEst          *mrate.Estimator
-	outEst         *mrate.Estimator
-	bytesIn        int64
-	bytesOut       int64
+	inEst          mrate.Estimator // also counts the bytes received
+	outEst         mrate.Estimator // also counts the bytes sent
 
 	// Request-timeout accounting, guarded by c.mu; pending is only
 	// populated when Options.RequestTimeout is positive.
@@ -118,8 +116,6 @@ func (c *Client) handleConn(conn net.Conn, outgoing bool) {
 		remoteAddr: conn.RemoteAddr().String(),
 		peerID:     remote.PeerID,
 		enc:        wire.NewEncoder(conn),
-		inEst:      mrate.NewEstimator(0),
-		outEst:     mrate.NewEstimator(0),
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -363,7 +359,6 @@ func (c *Client) handleRequest(pc *peerConn, m *wire.Message) bool {
 	pc.send(func(e *wire.Encoder) error { return e.Piece(uint32(idx), uint32(begin), block) })
 	now := c.now()
 	c.mu.Lock()
-	pc.bytesOut += int64(length)
 	pc.outEst.Update(now, int64(length))
 	c.uploaded += int64(length)
 	c.mu.Unlock()
@@ -392,7 +387,6 @@ func (c *Client) handlePiece(pc *peerConn, m *wire.Message) bool {
 	}
 	start := int64(idx)*int64(c.geo.PieceLength) + int64(begin)
 	copy(c.content[start:], m.Block)
-	pc.bytesIn += int64(len(m.Block))
 	pc.inEst.Update(now, int64(len(m.Block)))
 	c.downloaded += int64(len(m.Block))
 	done, cancels := c.req.OnBlock(pc.id, ref)

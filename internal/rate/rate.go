@@ -2,7 +2,7 @@
 // algorithm and the shaping used by the real client.
 //
 // Estimator reproduces the mainline 4.0.2 "Measure" class: an exponentially
-// ageing average over at most MaxRatePeriod seconds (20 s by default). The
+// ageing average over at most the last 20 s (DefaultMaxRatePeriod). The
 // paper's choke algorithm orders peers by exactly this estimate, so the
 // simulator and the real client share it.
 //
@@ -18,47 +18,37 @@ const DefaultMaxRatePeriod = 20.0
 
 // Estimator measures a transfer rate the way mainline 4.0.2 does: each
 // update folds the new byte count into a running average whose memory is
-// capped at MaxRatePeriod seconds. The zero value is not usable; call
-// NewEstimator.
+// capped at DefaultMaxRatePeriod seconds. The zero value is an unstarted
+// estimator, ready to use; the simulator embeds two per connection by
+// value, so the record is kept to four words.
 type Estimator struct {
-	maxRatePeriod float64
-	rateSince     float64
-	last          float64
-	rate          float64
-	total         int64
-	started       bool
+	rateSince float64
+	last      float64
+	rate      float64
+	total     int64 // 0 until the first byte: the estimator has not started
 }
 
-// NewEstimator returns an estimator with the given averaging window in
-// seconds. If window <= 0, DefaultMaxRatePeriod is used.
+// NewEstimator returns a new, unstarted estimator. The window is always
+// DefaultMaxRatePeriod: window must be 0 (the default) or
+// DefaultMaxRatePeriod, and any other value panics.
 func NewEstimator(window float64) *Estimator {
-	e := &Estimator{}
-	e.Init(window)
-	return e
-}
-
-// Init (re)initializes e in place with the given averaging window —
-// the constructor for estimators embedded by value (the simulator keeps
-// two per connection and connection churn is hot).
-func (e *Estimator) Init(window float64) {
-	if window <= 0 {
-		window = DefaultMaxRatePeriod
+	if window != 0 && window != DefaultMaxRatePeriod {
+		panic(fmt.Sprintf("rate: estimator window %v s; only %v s is supported", window, DefaultMaxRatePeriod))
 	}
-	*e = Estimator{maxRatePeriod: window}
+	return &Estimator{}
 }
 
-// start initializes the window on the first observation, with the mainline
-// fudge of one second so early rates aren't infinite.
-func (e *Estimator) start(now float64) {
-	e.rateSince = now - 1
-	e.last = e.rateSince
-	e.started = true
-}
-
-// Update records amount bytes transferred at time now (seconds).
+// Update records amount bytes transferred at time now (seconds). The
+// first positive amount starts the window, one second before now (the
+// mainline fudge, so early rates aren't infinite); before that an update
+// with amount <= 0 is a no-op.
 func (e *Estimator) Update(now float64, amount int64) {
-	if !e.started {
-		e.start(now)
+	if e.total == 0 {
+		if amount <= 0 {
+			return
+		}
+		e.rateSince = now - 1
+		e.last = e.rateSince
 	}
 	if now < e.last {
 		now = e.last // clock must not run backwards; clamp
@@ -68,8 +58,8 @@ func (e *Estimator) Update(now float64, amount int64) {
 		e.rate = (e.rate*(e.last-e.rateSince) + float64(amount)) / (now - e.rateSince)
 	}
 	e.last = now
-	if e.rateSince < now-e.maxRatePeriod {
-		e.rateSince = now - e.maxRatePeriod
+	if e.rateSince < now-DefaultMaxRatePeriod {
+		e.rateSince = now - DefaultMaxRatePeriod
 	}
 }
 
@@ -77,7 +67,7 @@ func (e *Estimator) Update(now float64, amount int64) {
 // mainline client, asking for the rate ages it (an idle peer's estimate
 // decays toward zero).
 func (e *Estimator) Rate(now float64) float64 {
-	if !e.started {
+	if e.total == 0 {
 		return 0
 	}
 	e.Update(now, 0)
@@ -96,11 +86,11 @@ func (e *Estimator) RateAt(now float64) float64 { return e.RateWith(now, 0) }
 // simulator uses it to fold a flow's not-yet-settled in-flight progress
 // into the choke ordering while keeping the read side effect free.
 func (e *Estimator) RateWith(now float64, amount int64) float64 {
-	if !e.started {
-		if amount == 0 {
+	if e.total == 0 {
+		if amount <= 0 {
 			return 0
 		}
-		// Mirror start(now): the window opens one second before now.
+		// Mirror Update: the window opens one second before now.
 		return float64(amount)
 	}
 	if now < e.last {
@@ -118,7 +108,7 @@ func (e *Estimator) Total() int64 { return e.total }
 
 // String summarises the estimator for logs.
 func (e *Estimator) String() string {
-	return fmt.Sprintf("rate{%.1fB/s over %.0fs, total %d}", e.rate, e.maxRatePeriod, e.total)
+	return fmt.Sprintf("rate{%.1fB/s over %.0fs, total %d}", e.rate, DefaultMaxRatePeriod, e.total)
 }
 
 // Bucket is a token bucket used by the real client to cap upload rate (the

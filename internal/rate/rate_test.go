@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEstimatorZeroBeforeStart(t *testing.T) {
@@ -72,9 +73,82 @@ func TestEstimatorClockClamp(t *testing.T) {
 }
 
 func TestEstimatorDefaultWindow(t *testing.T) {
-	e := NewEstimator(0)
-	if e.maxRatePeriod != DefaultMaxRatePeriod {
-		t.Fatalf("default window = %f", e.maxRatePeriod)
+	// The estimate carries the last 20 s of traffic: after a steady
+	// 1000 B/s stream, an idle gap of g seconds spreads those 20 s over
+	// 20+g, so the rate reads 1000*20/(20+g). Two gaps pin the window.
+	for _, c := range []struct{ gap, want float64 }{{20, 500}, {60, 250}} {
+		e := NewEstimator(0)
+		for i := 0; i < 60; i++ {
+			e.Update(float64(i), 1000)
+		}
+		if got := e.Rate(59 + c.gap); math.Abs(got-c.want) > 1e-9 {
+			t.Fatalf("after a %v s gap: rate %v, want %v (a %v s window)", c.gap, got, c.want, DefaultMaxRatePeriod)
+		}
+	}
+}
+
+// TestEstimatorZeroValueMatchesNew: a zero Estimator and NewEstimator(0)
+// report the same Rate, RateWith and Total over one fixed sequence.
+func TestEstimatorZeroValueMatchesNew(t *testing.T) {
+	var zero Estimator
+	made := NewEstimator(0)
+	steps := []struct {
+		now    float64
+		amount int64
+	}{{3, 0}, {3.5, 16384}, {4, 0}, {9.25, 4000}, {30, 16384}, {31, 0}, {75, 1}, {76, 500}}
+	for _, st := range steps {
+		zero.Update(st.now, st.amount)
+		made.Update(st.now, st.amount)
+		probe := st.now + 0.5
+		if a, b := zero.RateWith(probe, 700), made.RateWith(probe, 700); a != b {
+			t.Fatalf("at %v: RateWith %v vs %v", st.now, a, b)
+		}
+		if a, b := zero.Rate(probe), made.Rate(probe); a != b {
+			t.Fatalf("at %v: Rate %v vs %v", st.now, a, b)
+		}
+		if zero.Total() != made.Total() {
+			t.Fatalf("at %v: Total %d vs %d", st.now, zero.Total(), made.Total())
+		}
+	}
+	if zero != *made {
+		t.Fatalf("states differ: %+v vs %+v", zero, *made)
+	}
+}
+
+// TestEstimatorZeroUpdateDoesNotStart: an Update of 0 bytes before the
+// first byte leaves the estimator unstarted, so the window still opens at
+// the first real transfer.
+func TestEstimatorZeroUpdateDoesNotStart(t *testing.T) {
+	var e Estimator
+	e.Update(5, 0)
+	if e != (Estimator{}) {
+		t.Fatalf("Update(5, 0) started the estimator: %+v", e)
+	}
+	if e.Rate(10) != 0 || e.Total() != 0 {
+		t.Fatalf("unstarted estimator reads rate %v, total %d", e.Rate(10), e.Total())
+	}
+	var fresh Estimator
+	e.Update(12, 800)
+	fresh.Update(12, 800)
+	if e != fresh {
+		t.Fatalf("window opened early: %+v, want %+v", e, fresh)
+	}
+}
+
+func TestNewEstimatorPanicsOnOtherWindow(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewEstimator(5) did not panic")
+		}
+	}()
+	NewEstimator(5)
+}
+
+// TestEstimatorSize pins the record at four words: the simulator embeds
+// two per connection.
+func TestEstimatorSize(t *testing.T) {
+	if got := unsafe.Sizeof(Estimator{}); got != 32 {
+		t.Fatalf("Estimator is %d bytes, want 32", got)
 	}
 }
 

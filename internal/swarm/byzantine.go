@@ -106,12 +106,12 @@ func (s *Swarm) scheduleFakeHaveTimeout(p *Peer, c *conn, piece int) {
 	}
 	liar, gen := c.remote, c.gen
 	s.eng.After(timeout, func() {
-		if p.departed || p.connTo(liar) != c || c.gen != gen || c.stallPiece != piece {
+		if p.departed || p.connTo(liar) != c || c.gen != gen || int(c.stallPiece) != piece {
 			return
 		}
 		c.stallPiece = -1
 		if p.isLocal {
-			p.req.OnRequestTimeout(liar.id, c.flowRef)
+			p.req.OnRequestTimeout(liar.id, core.BlockRef{Piece: piece, Block: int(c.flowBlock)})
 		} else {
 			p.inflight.Clear(piece)
 		}

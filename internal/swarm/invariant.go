@@ -96,12 +96,12 @@ func (s *Swarm) checkPeerStructure(p *Peer) {
 				panic(fmt.Sprintf("swarm invariant: peer %d conn to %d stalled on %d with active flow",
 					p.id, c.remote.id, c.stallPiece))
 			}
-			if !p.isLocal && !p.inflight.Has(c.stallPiece) {
+			if !p.isLocal && !p.inflight.Has(int(c.stallPiece)) {
 				panic(fmt.Sprintf("swarm invariant: peer %d stall piece %d not marked in flight",
 					p.id, c.stallPiece))
 			}
 		}
-		if c.inFlow != nil && !p.isLocal && !p.inflight.Has(c.flowPiece) {
+		if c.inFlow != nil && !p.isLocal && !p.inflight.Has(int(c.flowPiece)) {
 			panic(fmt.Sprintf("swarm invariant: peer %d downloading piece %d without inflight mark",
 				p.id, c.flowPiece))
 		}

@@ -173,8 +173,8 @@ func (p *Peer) chokeLaneCompute(worker int) func() {
 			DownloadRate:   c.inEst.RateWith(now, din),
 			UploadRate:     c.outEst.RateWith(now, dout),
 			LastUnchoked:   c.lastUnchokedAt,
-			UploadedTo:     c.bytesOut + dout,
-			DownloadedFrom: c.bytesIn + din,
+			UploadedTo:     c.outEst.Total() + dout,
+			DownloadedFrom: c.inEst.Total() + din,
 			RemotePieces:   c.remote.shownBits().Count(),
 		})
 	}

@@ -11,9 +11,12 @@ import (
 )
 
 // conn is one peer's directed view of a connection: interest and choke
-// state in both directions, rate estimators, byte counters and the active
-// flows. Both endpoints hold their own conn for the pair; state changes are
-// mirrored synchronously (control messages are instantaneous in the model).
+// state in both directions, rate estimators (which also count the bytes)
+// and the active flows. Both endpoints hold their own conn for the pair;
+// state changes are mirrored synchronously (control messages are
+// instantaneous in the model). Connection churn allocates conns in pairs,
+// so the record is kept to 160 bytes: a pair fills one 320-byte size
+// class (TestConnRecordSize).
 type conn struct {
 	owner  *Peer
 	remote *Peer
@@ -35,33 +38,37 @@ type conn struct {
 	amUnchoking    bool // owner unchokes remote
 	peerUnchoking  bool // remote unchokes owner
 
-	// lastUnchokedAt is when the owner last transitioned the remote from
-	// choked to unchoked (new seed algorithm ordering).
-	lastUnchokedAt float64
-
-	inEst  rate.Estimator // rate owner receives from remote
-	outEst rate.Estimator // rate owner sends to remote
-
-	bytesIn  int64 // owner received from remote
-	bytesOut int64 // owner sent to remote
-
-	// Active download (owner <- remote).
-	inFlow      *sim.Flow
-	flowBytes   float64
-	flowSettled float64
-	flowPiece   int
-	flowRef     core.BlockRef // local-peer block downloads only
-
-	// Active upload (owner -> remote); bookkeeping lives on the remote's
-	// conn (its inFlow fields); this pointer only marks the slot busy.
-	outFlow *sim.Flow
-
 	// stallPiece is the piece the owner requested on the strength of a
 	// fake HAVE (the remote advertised it but cannot serve it): the
 	// request hangs until the adversary plan's FakeHaveTimeout fires,
 	// then the owner strikes the liar and retries elsewhere. -1 when no
-	// stall is active; only ever set with Config.Adversary.
-	stallPiece int
+	// stall is active; only ever set with Config.Adversary. A stalled
+	// local-peer request keeps its block in flowBlock.
+	stallPiece int32
+
+	// lastUnchokedAt is when the owner last transitioned the remote from
+	// choked to unchoked (new seed algorithm ordering).
+	lastUnchokedAt float64
+
+	inEst  rate.Estimator // rate and bytes owner receives from remote
+	outEst rate.Estimator // rate and bytes owner sends to remote
+
+	// Active download (owner <- remote). flowBlock is the block within
+	// flowPiece on the local peer's block downloads (see flowRef).
+	inFlow      *sim.Flow
+	flowBytes   float64
+	flowSettled float64
+	flowPiece   int32
+	flowBlock   int32
+
+	// Active upload (owner -> remote); bookkeeping lives on the remote's
+	// conn (its inFlow fields); this pointer only marks the slot busy.
+	outFlow *sim.Flow
+}
+
+// flowRef is the block the local peer is downloading on c.
+func (c *conn) flowRef() core.BlockRef {
+	return core.BlockRef{Piece: int(c.flowPiece), Block: int(c.flowBlock)}
 }
 
 // FlowDone implements sim.FlowDone: the conn itself is the completion
@@ -92,6 +99,8 @@ type Peer struct {
 	chokerS core.Choker
 
 	// connList is the peer set, at most MaxPeerSet long; lookups scan it.
+	// It is allocated at that capacity when the peer joins and never
+	// grows (connectNow refuses a connection past the cap).
 	connList []*conn
 
 	initiated int
@@ -295,7 +304,7 @@ func (p *Peer) requestPiece(c *conn) {
 		// request stalls (the piece is held in flight so other conns skip
 		// it) until the timeout strikes the liar and frees it.
 		p.inflight.Set(piece)
-		c.stallPiece = piece
+		c.stallPiece = int32(piece)
 		s.scheduleFakeHaveTimeout(p, c, piece)
 		return
 	}
@@ -316,7 +325,7 @@ func (p *Peer) requestPiece(c *conn) {
 	}
 	delete(p.pieceRemaining, piece)
 	p.inflight.Set(piece)
-	c.flowPiece = piece
+	c.flowPiece = int32(piece)
 	c.flowBytes = bytes
 	c.flowSettled = 0
 	c.inFlow = s.net.StartFlow(u.node, p.node, bytes, c)
@@ -337,8 +346,8 @@ func (p *Peer) requestBlock(c *conn) {
 	if !u.hasPiece(ref.Piece) {
 		// Fake HAVE on the block path: the ref stays pending with the
 		// Requester until the timeout requeues it and strikes the liar.
-		c.flowRef = ref
-		c.stallPiece = ref.Piece
+		c.flowBlock = int32(ref.Block)
+		c.stallPiece = int32(ref.Piece)
 		s.scheduleFakeHaveTimeout(p, c, ref.Piece)
 		return
 	}
@@ -350,8 +359,8 @@ func (p *Peer) requestBlock(c *conn) {
 		s.noteSeedServeStart(ref.Piece)
 	}
 	bytes := float64(s.geo.BlockSize(ref.Piece, ref.Block))
-	c.flowRef = ref
-	c.flowPiece = ref.Piece
+	c.flowPiece = int32(ref.Piece)
+	c.flowBlock = int32(ref.Block)
 	c.flowBytes = bytes
 	c.flowSettled = 0
 	c.inFlow = s.net.StartFlow(u.node, p.node, bytes, c)
@@ -361,9 +370,9 @@ func (p *Peer) requestBlock(c *conn) {
 }
 
 // settleDown credits in-flight download progress on conn c to both ends'
-// estimators, byte counters and (when the local peer is involved) the
-// collector. Called at choke rounds and at flow completion/cancellation so
-// rates are smooth at any granularity.
+// estimators and (when the local peer is involved) the collector. Called
+// at choke rounds and at flow completion/cancellation so rates are smooth
+// at any granularity.
 func (p *Peer) settleDown(c *conn) {
 	if c.inFlow == nil {
 		return
@@ -375,10 +384,8 @@ func (p *Peer) settleDown(c *conn) {
 		return
 	}
 	c.flowSettled += float64(delta)
-	c.bytesIn += delta
 	c.inEst.Update(now, delta)
 	if uc := c.mirror; uc != nil {
-		uc.bytesOut += delta
 		uc.outEst.Update(now, delta)
 	}
 	if p.isLocal {
@@ -401,7 +408,7 @@ func (p *Peer) clearFlow(c *conn) {
 func (p *Peer) onPieceFlowDone(c *conn) {
 	p.settleDown(c)
 	p.clearFlow(c)
-	piece := c.flowPiece
+	piece := int(c.flowPiece)
 	p.inflight.Clear(piece)
 	if c.remote == p.s.initialSeed {
 		p.s.recordSeedServeDone(piece)
@@ -435,16 +442,16 @@ func (p *Peer) onBlockFlowDone(c *conn) {
 		if p.corrupt == nil {
 			p.corrupt = make(map[int]bool)
 		}
-		p.corrupt[c.flowRef.Piece] = true
+		p.corrupt[int(c.flowPiece)] = true
 	}
-	done, cancels := p.req.OnBlock(c.remote.id, c.flowRef)
+	done, cancels := p.req.OnBlock(c.remote.id, c.flowRef())
 	// End-game cancels: abort duplicate in-flight fetches of this block.
 	for _, cb := range cancels {
 		for _, oc := range p.connList {
 			if oc.remote.id != cb.Peer {
 				continue
 			}
-			if oc.inFlow != nil && oc.flowRef == cb.Ref {
+			if oc.inFlow != nil && oc.flowRef() == cb.Ref {
 				p.settleDown(oc)
 				f := oc.inFlow
 				p.clearFlow(oc)
@@ -455,7 +462,7 @@ func (p *Peer) onBlockFlowDone(c *conn) {
 		}
 	}
 	if done {
-		piece := c.flowRef.Piece
+		piece := int(c.flowPiece)
 		if p.corrupt[piece] {
 			// Hash check fails at assembly: blame the recorded suppliers
 			// (sole contributor banned outright, mixed get strikes) and
@@ -489,7 +496,7 @@ func (p *Peer) cancelDownload(c *conn, requeue bool) {
 		// local peer's pending ref is requeued by OnPeerGone below; its
 		// inflight bitfield is owned by the Requester.
 		if !p.isLocal {
-			p.inflight.Clear(c.stallPiece)
+			p.inflight.Clear(int(c.stallPiece))
 		}
 		c.stallPiece = -1
 	}
@@ -508,9 +515,10 @@ func (p *Peer) cancelDownload(c *conn, requeue bool) {
 		p.req.OnPeerGone(c.remote.id)
 		return
 	}
-	p.inflight.Clear(c.flowPiece)
-	if requeue && rem > 0 && !p.hasPiece(c.flowPiece) {
-		p.pieceRemaining[c.flowPiece] = rem
+	piece := int(c.flowPiece)
+	p.inflight.Clear(piece)
+	if requeue && rem > 0 && !p.hasPiece(piece) {
+		p.pieceRemaining[piece] = rem
 	}
 }
 
@@ -736,8 +744,8 @@ func (p *Peer) runChokeRound() {
 			DownloadRate:   c.inEst.Rate(now),
 			UploadRate:     c.outEst.Rate(now),
 			LastUnchoked:   c.lastUnchokedAt,
-			UploadedTo:     c.bytesOut,
-			DownloadedFrom: c.bytesIn,
+			UploadedTo:     c.outEst.Total(),
+			DownloadedFrom: c.inEst.Total(),
 			RemotePieces:   c.remote.shownBits().Count(),
 		})
 	}

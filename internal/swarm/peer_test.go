@@ -3,6 +3,7 @@ package swarm
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"rarestfirst/internal/trace"
 )
@@ -98,12 +99,12 @@ func TestUnchokeTriggersTransferAndConservesBytes(t *testing.T) {
 		t.Fatal("no pieces downloaded")
 	}
 	// Byte accounting symmetric at both endpoints.
-	if lc.bytesIn != c.bytesOut {
-		t.Fatalf("bytesIn %d != bytesOut %d", lc.bytesIn, c.bytesOut)
+	if in, out := lc.inEst.Total(), c.outEst.Total(); in != out {
+		t.Fatalf("downloaded %d != uploaded %d", in, out)
 	}
 	wantMin := int64(leech.downloaded) * int64(s.cfg.PieceSize)
-	if lc.bytesIn < wantMin {
-		t.Fatalf("accounted %d bytes for %d pieces", lc.bytesIn, leech.downloaded)
+	if lc.inEst.Total() < wantMin {
+		t.Fatalf("accounted %d bytes for %d pieces", lc.inEst.Total(), leech.downloaded)
 	}
 }
 
@@ -115,7 +116,7 @@ func TestChokeMidPieceKeepsRemainder(t *testing.T) {
 	seed.applyChoke(c, true)
 	s.eng.Run(s.eng.Now() + 3) // ~3/8 of the piece transferred
 	lc := leech.connTo(seed)
-	piece := lc.flowPiece
+	piece := int(lc.flowPiece)
 	seed.applyChoke(c, false)
 	rem, ok := leech.pieceRemaining[piece]
 	if !ok {
@@ -130,7 +131,7 @@ func TestChokeMidPieceKeepsRemainder(t *testing.T) {
 	}
 	// Re-unchoke: the resume transfers only the remainder.
 	seed.applyChoke(c, true)
-	if lc.flowPiece != piece {
+	if int(lc.flowPiece) != piece {
 		t.Fatalf("resume picked piece %d, want %d", lc.flowPiece, piece)
 	}
 	if math.Abs(lc.flowBytes-rem) > 1 {
@@ -323,5 +324,58 @@ func TestNewConnZeroAllocWhenWarm(t *testing.T) {
 	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("newConn with a warm free list allocates %v objects, want 0", n)
+	}
+}
+
+// TestConnRecordSize pins the conn layout: connections are allocated in
+// pairs, and two 160-byte conns fill one 320-byte size class.
+func TestConnRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(conn{}); got > 160 {
+		t.Fatalf("conn is %d bytes, want at most 160", got)
+	}
+}
+
+// TestPeerSetAllocatedOnce churns connections up to MaxPeerSet and checks
+// that no peer's connList is ever reallocated: it is made at the cap when
+// the peer joins.
+func TestPeerSetAllocatedOnce(t *testing.T) {
+	s := newTestSwarm(t, func(c *Config) { c.MaxPeerSet = 6 })
+	hub := s.addPeer(true, false, false, 1e5, 0)
+	var peers []*Peer
+	for i := 0; i < 10; i++ {
+		peers = append(peers, s.addPeer(false, false, false, 1e5, 0))
+	}
+	all := append([]*Peer{hub}, peers...)
+	lists := make([]**conn, len(all))
+	for i, p := range all {
+		if cap(p.connList) != s.cfg.MaxPeerSet {
+			t.Fatalf("peer %d joined with cap %d, want %d", p.id, cap(p.connList), s.cfg.MaxPeerSet)
+		}
+		lists[i] = &p.connList[:1][0]
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, p := range all {
+			if cap(p.connList) != s.cfg.MaxPeerSet || &p.connList[:1][0] != lists[i] {
+				t.Fatalf("%s: peer %d's connList was reallocated", when, p.id)
+			}
+		}
+	}
+	full := false
+	for round := 0; round < 5; round++ {
+		for _, q := range peers {
+			s.disconnect(hub, q)
+			check("disconnect")
+		}
+		s.reclaimConns()
+		for _, q := range peers {
+			s.connectNow(q, hub)
+			check("connect")
+			full = full || len(hub.connList) == s.cfg.MaxPeerSet
+		}
+		s.reclaimConns()
+	}
+	if !full {
+		t.Fatal("the hub never filled its peer set")
 	}
 }

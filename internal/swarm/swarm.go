@@ -282,6 +282,7 @@ func (s *Swarm) addPeerOpts(isSeed, freeRider, isLocal, bootstrap bool, upBps, d
 		avail:          avail,
 		inflight:       bitfield.New(s.cfg.NumPieces),
 		pieceRemaining: map[int]float64{},
+		connList:       make([]*conn, 0, s.cfg.MaxPeerSet),
 		freeRider:      freeRider,
 		isLocal:        isLocal,
 		seed:           isSeed,
@@ -501,10 +502,6 @@ func (s *Swarm) connectNow(a, b *Peer) {
 	ca, cb := s.newConn(), s.newConn()
 	*ca = conn{owner: a, remote: b, mirror: cb, gen: gen, initiatedByOwner: true, stallPiece: -1}
 	*cb = conn{owner: b, remote: a, mirror: ca, gen: gen, stallPiece: -1}
-	ca.inEst.Init(0)
-	ca.outEst.Init(0)
-	cb.inEst.Init(0)
-	cb.outEst.Init(0)
 	a.connList = append(a.connList, ca)
 	b.connList = append(b.connList, cb)
 	a.initiated++

@@ -27,6 +27,7 @@ func laneDigest(t *testing.T, sc Scenario, workers int) string {
 }
 
 func TestChokeLanesParallelMatchesSerial(t *testing.T) {
+	t.Parallel()
 	for _, sc := range []Scenario{
 		{Label: "lanes-steady-t7", TorrentID: 7, Scale: BenchScale(), ChokeLanes: true, SeedOverride: 5},
 		{Label: "lanes-freeride-t14", TorrentID: 14, Scale: BenchScale(), ChokeLanes: true, FreeRiderFraction: 0.2, SeedOverride: 6},

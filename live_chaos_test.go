@@ -74,6 +74,7 @@ func TestChaosSuiteEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos loopback swarm takes tens of seconds")
 	}
+	t.Parallel()
 	suite, err := NewSuite("chaos-flashcrowd", SuiteOptions{})
 	if err != nil {
 		t.Fatal(err)

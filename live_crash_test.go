@@ -75,6 +75,7 @@ func TestCrashSuiteEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash loopback swarm takes tens of seconds")
 	}
+	t.Parallel()
 	suite, err := NewSuite("crash-flashcrowd", SuiteOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -20,10 +21,19 @@ func TestLiveSuitesEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live loopback swarms take tens of seconds")
 	}
-	liveCompleted := 0
+	t.Parallel()
+	// The subtests run in parallel, after this body returns; a cleanup
+	// runs only once they have all finished, so the bar is checked there.
+	var liveCompleted atomic.Int32
+	t.Cleanup(func() {
+		if n := liveCompleted.Load(); n < 2 {
+			t.Errorf("only %d live swarms completed; the acceptance bar is 2", n)
+		}
+	})
 	for _, name := range []string{"live-casestudy", "live-flashcrowd"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			suite, err := NewSuite(name, SuiteOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -58,7 +68,7 @@ func TestLiveSuitesEndToEnd(t *testing.T) {
 				if !rep.LocalCompleted {
 					t.Errorf("live swarm %d did not complete its download", i)
 				} else {
-					liveCompleted++
+					liveCompleted.Add(1)
 				}
 				if len(rep.Availability) == 0 || rep.BlockCDF.N == 0 {
 					t.Errorf("live report %d missing figure series: %d avail samples, %d blocks",
@@ -101,9 +111,6 @@ func TestLiveSuitesEndToEnd(t *testing.T) {
 				t.Fatalf("suite text does not mark the live aggregate:\n%s", out)
 			}
 		})
-	}
-	if liveCompleted < 2 {
-		t.Fatalf("only %d live swarms completed; the acceptance bar is 2", liveCompleted)
 	}
 }
 

@@ -31,6 +31,7 @@ func retimeReport(t *testing.T, sc Scenario, workers int) (string, *Report) {
 // once: the lane compute pool runs those rounds on 8 workers, and the wide
 // flush after each batch must re-time exactly as after a serial batch.
 func TestRetimeFlushParallelMatchesSerial(t *testing.T) {
+	t.Parallel()
 	sc := Scenario{
 		Label:     "retime-flush-t7",
 		TorrentID: 7,

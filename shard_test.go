@@ -35,6 +35,7 @@ func shardDigest(t *testing.T, sc Scenario, workers int) (string, *Report) {
 // byte-identical to the single-heap oracle's — without BatchHaves, whose
 // trajectory change is a separate, opted-into contract.
 func TestShardedRunMatchesUnsharded(t *testing.T) {
+	t.Parallel()
 	base := Scenario{
 		Label:     "shard-oracle-t7",
 		TorrentID: 7,
@@ -72,6 +73,7 @@ func TestShardedRunMatchesUnsharded(t *testing.T) {
 // dirty, so the lane compute pool fans wide batches and each is followed
 // by a wide flush into the 32 subheaps.
 func TestHeapShardParallelMatchesSerial(t *testing.T) {
+	t.Parallel()
 	sc := Scenario{
 		Label:     "shard-flush-t7",
 		TorrentID: 7,
