@@ -140,6 +140,40 @@ func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 	expectPanic("avail drift", "avail", func() { s.local.avail.Inc(0) })
 }
 
+// TestInvariantCheckerDetectsDirtyFreeConn checks the free-list audit: a
+// finished run's free conns pass it (the run itself ends with the full
+// sweep), and a free conn that still holds a stamp or a reference fails.
+func TestInvariantCheckerDetectsDirtyFreeConn(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Invariants = true
+	s := New(cfg)
+	s.Run()
+	if len(s.connFree) == 0 {
+		t.Fatal("the run left no conn on the free list")
+	}
+	c := s.connFree[len(s.connFree)-1]
+	for name, dirty := range map[string]func(){
+		"gen":    func() { c.gen = 1 },
+		"owner":  func() { c.owner = s.local },
+		"remote": func() { c.remote = s.local },
+		"mirror": func() { c.mirror = c },
+	} {
+		*c = conn{}
+		dirty()
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "swarm invariant: free conn") {
+					t.Errorf("%s: checker accepted a dirty free conn (panic %q)", name, msg)
+				}
+			}()
+			s.checkInvariants(true)
+		}()
+	}
+	*c = conn{}
+	s.checkInvariants(true)
+}
+
 func TestInvariantCheckerDetectsBannedConnection(t *testing.T) {
 	// Stop mid-download so live leecher connections survive the run (a
 	// completed tiny swarm is all seeds, and seed pairs disconnect).

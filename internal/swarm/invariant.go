@@ -12,7 +12,8 @@ package swarm
 // peer only, while the structural checks (no connection to a banned peer,
 // mirror symmetry, stall/flow sanity, local Requester consistency) cover
 // every live peer. Run's end-of-experiment sweep (full=true) extends the
-// availability audit to the whole population.
+// availability audit to the whole population and checks that every conn
+// on the free list is zeroed.
 
 import (
 	"fmt"
@@ -46,6 +47,13 @@ func (s *Swarm) checkInvariants(full bool) {
 	}
 	if full {
 		s.checkGlobalAvail(ids)
+		// reclaimConns zeroes a conn before freeing it, so a free conn
+		// holds no stamp and no reference to a peer or another conn.
+		for i, c := range s.connFree {
+			if c.gen != 0 || c.owner != nil || c.remote != nil || c.mirror != nil {
+				panic(fmt.Sprintf("swarm invariant: free conn %d is not zeroed (gen %d)", i, c.gen))
+			}
+		}
 	}
 }
 

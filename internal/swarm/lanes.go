@@ -191,10 +191,10 @@ func (p *Peer) chokeLaneCompute(worker int) func() {
 }
 
 // applyLaneRound is the serial half: it commits the progress the compute
-// phase read (the same two settle loops the legacy round runs), applies
-// the choke transitions — which may cancel remote flows and trigger
-// re-requests against the engine RNG, all serial here — and re-arms the
-// peer on the next grid instant.
+// phase read (the same settles the serial round runs), applies the choke
+// transitions — which may cancel remote flows and trigger re-requests
+// against the engine RNG, all serial here — and re-arms the peer on the
+// next grid instant.
 func (p *Peer) applyLaneRound() {
 	if p.departed {
 		return

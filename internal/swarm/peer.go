@@ -14,9 +14,9 @@ import (
 // state in both directions, rate estimators (which also count the bytes)
 // and the active flows. Both endpoints hold their own conn for the pair;
 // state changes are mirrored synchronously (control messages are
-// instantaneous in the model). Connection churn allocates conns in pairs,
-// so the record is kept to 160 bytes: a pair fills one 320-byte size
-// class (TestConnRecordSize).
+// instantaneous in the model). Conns are carved from connBlock-sized
+// blocks (see Swarm.newConn), and the record is kept to 160 bytes so a
+// block fills whole pages (TestConnRecordSize).
 type conn struct {
 	owner  *Peer
 	remote *Peer
@@ -150,8 +150,12 @@ type Peer struct {
 	chokeFn     func()
 
 	// Lane-mode state (Config.ChokeLanes; see lanes.go): the private
-	// choke RNG a parallel compute phase may advance, the compute/apply
-	// halves bound once, and the unchoke set parked between them.
+	// choke RNG a parallel compute phase may advance (chokeRNG points at
+	// laneRand, which draws from laneSrc; both live in the peer so a
+	// join allocates neither), the compute/apply halves bound once, and
+	// the unchoke set parked between them.
+	laneSrc     laneSource
+	laneRand    rand.Rand
 	chokeRNG    *rand.Rand
 	laneFn      func(worker int) func()
 	laneApplyFn func()
@@ -726,7 +730,11 @@ func (p *Peer) runChokeRound() {
 	p.s.metrics.chokeRounds.Inc()
 	s := p.s
 	now := s.eng.Now()
-	// Settle estimators so rate ordering reflects in-flight progress.
+	// Settle each connection's estimators before its row reads them, so
+	// rate ordering reflects in-flight progress. A row reads only c and
+	// c.mirror, which only these two settles write, so settling row by
+	// row matches settling every connection first.
+	peers := s.chokeSnaps[0][:0]
 	for _, c := range p.connList {
 		p.settleDown(c)
 		if c.outFlow != nil {
@@ -734,9 +742,6 @@ func (p *Peer) runChokeRound() {
 				c.remote.settleDown(rc)
 			}
 		}
-	}
-	peers := s.chokeSnaps[0][:0]
-	for _, c := range p.connList {
 		peers = append(peers, core.ChokePeer{
 			ID:             c.remote.id,
 			Interested:     c.peerInterested,
@@ -756,8 +761,8 @@ func (p *Peer) runChokeRound() {
 		choker = p.chokerS
 	}
 	unchoke := choker.Round(now, peers, s.eng.RNG())
-	for _, c := range p.connList {
-		p.applyChoke(c, containsPeerID(unchoke, c.remote.id))
+	for i, c := range p.connList {
+		p.applyChoke(c, containsPeerID(unchoke, peers[i].ID))
 	}
 }
 

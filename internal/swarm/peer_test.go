@@ -224,10 +224,12 @@ func TestSeedStateSwitchesChoker(t *testing.T) {
 }
 
 // TestConnectCycleAllocatesOnePair pins the connection lifecycle's
-// allocation budget: once the peers' lists have grown, a
-// connect-plus-disconnect cycle allocates at most the conn pair. Outside
-// an event no post-event hook reclaims the retired pair, so this is the
-// cold-free-list cost; TestNewConnZeroAllocWhenWarm covers the warm one.
+// allocation budget: a connect-plus-disconnect cycle allocates nothing.
+// Outside an event no post-event hook reclaims the retired pair, so every
+// cycle takes two fresh conns; this is the cold-free-list cost, which
+// connBlock-sized blocks amortize to under one allocation per 100 cycles
+// (TestConnSlabAmortizes). TestNewConnZeroAllocWhenWarm covers the warm
+// free list.
 func TestConnectCycleAllocatesOnePair(t *testing.T) {
 	s := newTestSwarm(t, nil)
 	seed := s.addPeer(true, false, false, 1e5, 0)
@@ -240,8 +242,8 @@ func TestConnectCycleAllocatesOnePair(t *testing.T) {
 		s.connectNow(leech, seed)
 	}
 	cycle()
-	if n := testing.AllocsPerRun(100, cycle); n > 1 {
-		t.Fatalf("connect+disconnect allocates %v objects, want at most 1", n)
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("connect+disconnect allocates %v objects, want 0", n)
 	}
 	if leech.connTo(seed) == nil || leech.connTo(seed).mirror != seed.connTo(leech) {
 		t.Fatal("cycle left the pair disconnected or unmirrored")
@@ -327,11 +329,37 @@ func TestNewConnZeroAllocWhenWarm(t *testing.T) {
 	}
 }
 
-// TestConnRecordSize pins the conn layout: connections are allocated in
-// pairs, and two 160-byte conns fill one 320-byte size class.
+// TestConnRecordSize pins the conn layout: conns are carved from blocks
+// of connBlock, and 256 160-byte conns fill five 8 KiB pages exactly.
 func TestConnRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(conn{}); got > 160 {
 		t.Fatalf("conn is %d bytes, want at most 160", got)
+	}
+}
+
+// TestConnSlabAmortizes pins the slab: with an empty free list, 1000
+// newConn calls allocate one block per connBlock conns, and every conn
+// is distinct.
+func TestConnSlabAmortizes(t *testing.T) {
+	s := newTestSwarm(t, nil)
+	s.connFree, s.connSlab = nil, nil
+	const n = 1000
+	seen := make(map[*conn]bool, n)
+	got := make([]*conn, 0, n)
+	allocs := testing.AllocsPerRun(1, func() {
+		got = got[:0]
+		for i := 0; i < n; i++ {
+			got = append(got, s.newConn())
+		}
+	})
+	if want := float64((n + connBlock - 1) / connBlock); allocs > want {
+		t.Fatalf("%d newConn calls allocate %v objects, want at most %v", n, allocs, want)
+	}
+	for _, c := range got {
+		if seen[c] {
+			t.Fatal("newConn handed out the same conn twice")
+		}
+		seen[c] = true
 	}
 }
 

@@ -69,9 +69,11 @@ type Swarm struct {
 	// Peer.completePiece and Swarm.flushHaves).
 	pendingHaves []pendingHave
 
-	// Connection recycling (see newConn): connFree holds zeroed conns
-	// ready for reuse, connRetired the sides disconnect tore down during
-	// the current event, and connGen stamps each new connection.
+	// Connection storage (see newConn): connSlab is the unused rest of
+	// the current connBlock, connFree holds zeroed conns ready for reuse,
+	// connRetired the sides disconnect tore down during the current
+	// event, and connGen stamps each new connection.
+	connSlab    []conn
 	connFree    []*conn
 	connRetired []*conn
 	connGen     uint64
@@ -345,7 +347,9 @@ func (s *Swarm) addPeerOpts(isSeed, freeRider, isLocal, bootstrap bool, upBps, d
 		// instant's rounds form one engine batch, and each peer draws its
 		// choke randomness from a private stream (the shared engine RNG
 		// cannot be consulted from a parallel compute phase).
-		p.chokeRNG = rand.New(&laneSource{state: laneSeed(s.cfg.Seed, id)})
+		p.laneSrc = laneSource{state: laneSeed(s.cfg.Seed, id)}
+		p.laneRand = *rand.New(&p.laneSrc)
+		p.chokeRNG = &p.laneRand
 		p.laneFn = p.chokeLaneCompute
 		p.laneApplyFn = p.applyLaneRound
 		p.reannounceFn = p.reannounceCompute
@@ -582,9 +586,15 @@ func (s *Swarm) disconnect(a, b *Peer) {
 	b.retryRequests()
 }
 
+// connBlock is how many conns newConn carves from one allocation: 256
+// 160-byte conns fill five 8 KiB pages exactly, so a block wastes no
+// size-class rounding (TestConnRecordSize).
+const connBlock = 256
+
 // newConn returns a conn for connectNow to initialise: a recycled one
-// when the free list has any, otherwise the first half of a fresh pair
-// whose second half goes on the free list.
+// when the free list has any, otherwise the next one of the current
+// connBlock, allocating a new block when that one is used up. A conn
+// never moves, so a *conn stays valid for the swarm's lifetime.
 //
 // The recycling contract: disconnect retires both sides, and only the
 // post-event hook (reclaimConns) frees them. Within an event a stale
@@ -602,9 +612,12 @@ func (s *Swarm) newConn() *conn {
 		s.connFree = s.connFree[:n-1]
 		return c
 	}
-	pair := new([2]conn)
-	s.connFree = append(s.connFree, &pair[1])
-	return &pair[0]
+	if len(s.connSlab) == 0 {
+		s.connSlab = new([connBlock]conn)[:]
+	}
+	c := &s.connSlab[0]
+	s.connSlab = s.connSlab[1:]
+	return c
 }
 
 // reclaimConns zeroes the conns retired during the event, dropping their
