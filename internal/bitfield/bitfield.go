@@ -22,7 +22,7 @@ var ErrSpareBits = errors.New("bitfield: spare bits set in wire encoding")
 var ErrLength = errors.New("bitfield: wire encoding has wrong length")
 
 // Bitfield is a fixed-size set of piece indices. The zero value is unusable;
-// construct with New or FromWire.
+// construct with New, Make or FromWire.
 type Bitfield struct {
 	words []uint64
 	n     int // number of valid bits
@@ -34,8 +34,29 @@ func New(n int) *Bitfield {
 	if n < 0 {
 		panic("bitfield: negative size")
 	}
-	return &Bitfield{words: make([]uint64, (n+63)/64), n: n}
+	return &Bitfield{words: make([]uint64, Words(n)), n: n}
 }
+
+// Words returns the number of 64-bit words a bitfield of n pieces is
+// backed by: the length Make expects.
+func Words(n int) int { return (n + 63) / 64 }
+
+// Make returns an empty bitfield for n pieces backed by words, which the
+// caller provides (a slab carved into many bitfields, say) and must not
+// touch again. len(words) must be Words(n); Make zeroes them. A bitfield
+// never writes past len(words), but SpareWords lets a caller check that
+// the backing slice was cut to its length.
+func Make(words []uint64, n int) Bitfield {
+	if n < 0 || len(words) != Words(n) {
+		panic(fmt.Sprintf("bitfield: %d words for %d pieces, want %d", len(words), n, Words(n)))
+	}
+	clear(words)
+	return Bitfield{words: words, n: n}
+}
+
+// SpareWords returns the backing capacity beyond the bitfield's own
+// words: 0 for New, and for Make over a slice cut as s[:k:k].
+func (b *Bitfield) SpareWords() int { return cap(b.words) - len(b.words) }
 
 // Len returns the number of pieces the bitfield covers.
 func (b *Bitfield) Len() int { return b.n }

@@ -40,6 +40,33 @@ func TestNewNegativePanics(t *testing.T) {
 	New(-1)
 }
 
+// TestMakeOverCallerStorage checks Make: it zeroes the words it is
+// given, works on them in place, keeps within their length, reports the
+// capacity beyond it, and rejects a slice of the wrong length.
+func TestMakeOverCallerStorage(t *testing.T) {
+	block := []uint64{^uint64(0), ^uint64(0), ^uint64(0), 7}
+	b := Make(block[:3:3], 130)
+	if b.Count() != 0 || b.Has(0) || b.Len() != 130 || b.SpareWords() != 0 {
+		t.Fatalf("Make over dirty words: count %d, spare %d", b.Count(), b.SpareWords())
+	}
+	b.SetAll()
+	if block[0] != ^uint64(0) || block[2] != uint64(3)<<62 || block[3] != 7 {
+		t.Fatalf("SetAll wrote %x, want the tail masked and the next word untouched", block)
+	}
+	if got := Make(block[:3], 130); got.SpareWords() != 1 {
+		t.Fatalf("SpareWords = %d over a slice with one word of spare capacity", got.SpareWords())
+	}
+	if Words(0) != 0 || Words(64) != 1 || Words(65) != 2 || New(130).SpareWords() != 0 {
+		t.Fatal("Words or New's backing is off")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Make over 2 words for 130 pieces did not panic")
+		}
+	}()
+	Make(block[:2], 130)
+}
+
 func TestSetClearCount(t *testing.T) {
 	b := New(130) // crosses a word boundary and has a partial tail
 	if !b.Set(0) || !b.Set(64) || !b.Set(129) {

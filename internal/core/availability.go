@@ -42,8 +42,24 @@ type Availability struct {
 
 // NewAvailability returns an all-zero availability index over n pieces.
 func NewAvailability(n int) *Availability {
-	return &Availability{counts: make([]int, n), dirty: true}
+	a := MakeAvailability(make([]int, n))
+	return &a
 }
+
+// MakeAvailability returns an all-zero availability index over
+// len(counts) pieces, backed by counts, which the caller provides (a slab
+// carved into many indexes, say) and must not touch again. It zeroes
+// them. The index never writes past len(counts); SpareCounts lets a
+// caller check that the backing slice was cut to its length.
+func MakeAvailability(counts []int) Availability {
+	clear(counts)
+	return Availability{counts: counts, dirty: true}
+}
+
+// SpareCounts returns the backing capacity beyond the index's own counts:
+// 0 for NewAvailability, and for MakeAvailability over a slice cut as
+// s[:n:n].
+func (a *Availability) SpareCounts() int { return cap(a.counts) - len(a.counts) }
 
 // SetLazy does nothing. The index once had an eager bucketed mode beside
 // the flat-count one; flat counts are now the only mode.

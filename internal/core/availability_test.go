@@ -22,6 +22,28 @@ func TestAvailabilityZero(t *testing.T) {
 	}
 }
 
+// TestMakeAvailabilityOverCallerStorage checks MakeAvailability: it
+// zeroes the counts it is given, counts in place, and reports the
+// capacity beyond them.
+func TestMakeAvailabilityOverCallerStorage(t *testing.T) {
+	block := []int{5, 5, 5, 9}
+	a := MakeAvailability(block[:3:3])
+	if a.NumPieces() != 3 || a.MinCount() != 0 || a.SpareCounts() != 0 {
+		t.Fatalf("MakeAvailability over dirty counts: %d pieces, min %d, spare %d",
+			a.NumPieces(), a.MinCount(), a.SpareCounts())
+	}
+	a.Inc(2)
+	if block[2] != 1 || block[3] != 9 || a.Count(2) != 1 {
+		t.Fatalf("Inc(2) left the block at %v", block)
+	}
+	if b := MakeAvailability(block[:2]); b.SpareCounts() != 2 {
+		t.Fatalf("SpareCounts = %d over a slice with two counts of spare capacity", b.SpareCounts())
+	}
+	if NewAvailability(4).SpareCounts() != 0 {
+		t.Fatal("NewAvailability's counts have spare capacity")
+	}
+}
+
 func TestAvailabilityIncDec(t *testing.T) {
 	a := NewAvailability(4)
 	a.Inc(1)

@@ -64,31 +64,39 @@ func (r *Roster[K, V]) Remove(k K) (old V, removed bool) {
 }
 
 // Sample returns min(n, others) distinct members other than exclude,
-// chosen uniformly at random. A roster of at most n+1 members is answered
-// in position order without drawing from rng; a larger one draws positions
-// one at a time (a partial Fisher–Yates shuffle), skipping exclude, until
-// it holds n.
+// chosen uniformly at random, in a new slice; see AppendSample.
 func (r *Roster[K, V]) Sample(rng *rand.Rand, n int, exclude K) []V {
+	return r.AppendSample(make([]V, 0, max(0, min(n, len(r.keys)))), rng, n, exclude)
+}
+
+// AppendSample appends min(n, others) distinct members other than
+// exclude, chosen uniformly at random, to dst and returns the extended
+// slice, so a caller that reuses dst samples without allocating. A roster
+// of at most n+1 members is answered in position order without drawing
+// from rng; a larger one draws positions one at a time (a partial
+// Fisher–Yates shuffle), skipping exclude, until it holds n. The draws
+// depend on neither dst nor its capacity.
+func (r *Roster[K, V]) AppendSample(dst []V, rng *rand.Rand, n int, exclude K) []V {
 	m := len(r.keys)
-	out := make([]V, 0, max(0, min(n, m)))
+	end := len(dst) + max(0, n)
 	if m <= n+1 {
-		for i := 0; i < m && len(out) < n; i++ {
+		for i := 0; i < m && len(dst) < end; i++ {
 			if r.keys[i] != exclude {
-				out = append(out, r.vals[i])
+				dst = append(dst, r.vals[i])
 			}
 		}
-		return out
+		return dst
 	}
 	for len(r.perm) < m {
 		r.perm = append(r.perm, len(r.perm))
 	}
 	perm := r.perm[:m]
 	k := 0
-	for ; k < m && len(out) < n; k++ {
+	for ; k < m && len(dst) < end; k++ {
 		j := k + rng.Intn(m-k)
 		perm[k], perm[j] = perm[j], perm[k]
 		if i := perm[k]; r.keys[i] != exclude {
-			out = append(out, r.vals[i])
+			dst = append(dst, r.vals[i])
 		}
 	}
 	// Back to the identity. Every position p >= k the loop touched gave its
@@ -100,5 +108,5 @@ func (r *Roster[K, V]) Sample(rng *rand.Rand, n int, exclude K) []V {
 		}
 		perm[i] = i
 	}
-	return out
+	return dst
 }

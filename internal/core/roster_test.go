@@ -182,6 +182,35 @@ func TestRosterSampleEdges(t *testing.T) {
 	}
 }
 
+// TestRosterAppendSampleReusesBuffer checks that AppendSample into a
+// reused buffer gives exactly Sample's result for the same RNG state,
+// over rosters below, at and above the n+1 threshold, and that a warm
+// buffer samples without allocating.
+func TestRosterAppendSampleReusesBuffer(t *testing.T) {
+	r := NewRoster[PeerID, PeerID]()
+	var buf []PeerID
+	for id := PeerID(0); id < 120; id++ {
+		r.Put(id, id)
+		for _, n := range []int{0, 1, 5, 50} {
+			exclude := PeerID(int(id) * 7 % 130)
+			seed := int64(id)*100 + int64(n)
+			want := r.Sample(rand.New(rand.NewSource(seed)), n, exclude)
+			buf = r.AppendSample(buf[:0], rand.New(rand.NewSource(seed)), n, exclude)
+			if fmt.Sprint(buf) != fmt.Sprint(want) {
+				t.Fatalf("roster of %d, n=%d: AppendSample %v, Sample %v", r.Len(), n, buf, want)
+			}
+		}
+	}
+	prefix := append([]PeerID{-1, -2}, r.Sample(rand.New(rand.NewSource(9)), 50, 3)...)
+	if got := r.AppendSample([]PeerID{-1, -2}, rand.New(rand.NewSource(9)), 50, 3); fmt.Sprint(got) != fmt.Sprint(prefix) {
+		t.Fatalf("AppendSample after a prefix: %v, want %v", got, prefix)
+	}
+	rng := rand.New(rand.NewSource(1))
+	if n := testing.AllocsPerRun(100, func() { buf = r.AppendSample(buf[:0], rng, 50, 3) }); n != 0 {
+		t.Fatalf("AppendSample into a warm buffer allocates %v objects, want 0", n)
+	}
+}
+
 // FuzzRosterOps interprets the input as three-byte roster operations and
 // checks every step against the oracle.
 func FuzzRosterOps(f *testing.F) {

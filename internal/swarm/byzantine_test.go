@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rarestfirst/internal/bitfield"
 	"rarestfirst/internal/core"
 )
 
@@ -202,5 +203,60 @@ func TestInvariantCheckerDetectsBannedConnection(t *testing.T) {
 			t.Fatal("checker accepted a live connection to a banned peer")
 		}
 	}()
+	s.checkInvariants(true)
+}
+
+// TestInvariantCheckerDetectsSlabOverrun checks the storage audit: a real
+// run passes it (the run ends with the full sweep), and a peer whose
+// connList, bitfield words or copy counts could reach past its slab
+// piece, or whose interrupted-piece list repeats a piece or holds one it
+// has, fails it.
+func TestInvariantCheckerDetectsSlabOverrun(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Invariants = true
+	cfg.Duration = 300 // stop mid-download: leechers own some pieces, lack others
+	s := New(cfg)
+	s.Run()
+	var p *Peer
+	for _, q := range s.peers {
+		if !q.departed && !q.isLocal && !q.seed && q.have.Count() > 0 && (p == nil || q.id < p.id) {
+			p = q
+		}
+	}
+	if p == nil {
+		t.Fatal("no live leecher holds a piece at run end")
+	}
+	owned, missing := -1, -1
+	for i := 0; i < cfg.NumPieces; i++ {
+		if p.have.Has(i) {
+			owned = i
+		} else {
+			missing = i
+		}
+	}
+	n, nw := cfg.NumPieces, bitfield.Words(cfg.NumPieces)
+	saved := *p
+	for name, corrupt := range map[string]func(){
+		"connList": func() { p.connList = append(make([]*conn, 0, cfg.MaxPeerSet+1), p.connList...) },
+		"have":     func() { p.haveBits = bitfield.Make(make([]uint64, nw, nw+1), n) },
+		"inflight": func() { p.inflightBits = bitfield.Make(make([]uint64, nw, nw+1), n) },
+		"counts":   func() { p.availIdx = core.MakeAvailability(make([]int, n, n+1)) },
+		"repeat": func() {
+			p.pieceRemaining = []partialPiece{{piece: int32(missing), rem: 1}, {piece: int32(missing), rem: 2}}
+		},
+		"owned": func() { p.pieceRemaining = []partialPiece{{piece: int32(owned), rem: 1}} },
+	} {
+		corrupt()
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "swarm invariant:") {
+					t.Errorf("%s: checker accepted a corrupt peer (panic %q)", name, msg)
+				}
+			}()
+			s.checkPeerStructure(p)
+		}()
+		*p = saved
+	}
 	s.checkInvariants(true)
 }

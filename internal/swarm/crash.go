@@ -62,9 +62,7 @@ func (s *Swarm) crashPeer(p *Peer) {
 	s.globalAvail.RemovePeer(p.have)
 	// Partial pieces die with the process: blocks already fetched for
 	// unverified pieces are not in the resume file.
-	for piece := range p.pieceRemaining {
-		delete(p.pieceRemaining, piece)
-	}
+	p.pieceRemaining = p.pieceRemaining[:0]
 	// Retention draw: each verified piece survives with probability
 	// RetainFrac. The first crasher under DropAllFirst loses everything —
 	// the sim twin of the live plan's corrupted resume file, with every

@@ -77,11 +77,32 @@ func (s *Swarm) checkGlobalAvail(ids []core.PeerID) {
 	}
 }
 
-// checkPeerStructure audits p's connection list: every entry live and
+// checkPeerStructure audits p's storage and connection list: the slab
+// pieces cut to their length (connList at MaxPeerSet, bitfield words and
+// copy counts exact, so no write can reach a block neighbour), each
+// interrupted piece recorded once and still missing, every conn live and
 // owned by p with no duplicate remote, mirror symmetry, the banned-peer
 // exclusion (a ban tears the connection down, so a surviving conn — and
 // with it any unchoke slot — is a violation), and stall/flow bookkeeping.
 func (s *Swarm) checkPeerStructure(p *Peer) {
+	if cap(p.connList) != s.cfg.MaxPeerSet {
+		panic(fmt.Sprintf("swarm invariant: peer %d connList capacity %d, want MaxPeerSet %d",
+			p.id, cap(p.connList), s.cfg.MaxPeerSet))
+	}
+	if p.have.SpareWords() != 0 || p.inflight.SpareWords() != 0 || p.avail.SpareCounts() != 0 {
+		panic(fmt.Sprintf("swarm invariant: peer %d storage overruns its slab piece (spare have %d, inflight %d, counts %d)",
+			p.id, p.have.SpareWords(), p.inflight.SpareWords(), p.avail.SpareCounts()))
+	}
+	for i, pp := range p.pieceRemaining {
+		if p.have.Has(int(pp.piece)) {
+			panic(fmt.Sprintf("swarm invariant: peer %d keeps a remainder of piece %d it has", p.id, pp.piece))
+		}
+		for _, q := range p.pieceRemaining[:i] {
+			if q.piece == pp.piece {
+				panic(fmt.Sprintf("swarm invariant: peer %d keeps two remainders of piece %d", p.id, pp.piece))
+			}
+		}
+	}
 	for _, c := range p.connList {
 		if c.mirror == nil || c.owner != p || c.gen == 0 {
 			panic(fmt.Sprintf("swarm invariant: peer %d has a torn-down or free conn in its list (gen %d)",

@@ -86,6 +86,15 @@ func (c *conn) FlowDone() {
 // Peer is one simulated BitTorrent peer. The instrumented local peer runs
 // the full block-granularity core.Requester; remote peers run piece-level
 // selection through the same core.Picker implementations.
+//
+// A join allocates the Peer and nothing else of its own: the bitfields,
+// the availability index, the default picker and the default chokers are
+// values inside it (haveBits … seedChoker), and the have/avail/inflight/
+// picker/chokerL/chokerS fields point at them. Their variable-size
+// backing (bitfield words, copy counts, the connList array) is carved
+// from the swarm's peer slabs (see Swarm.carvePeer). The local peer's
+// have points at its Requester's bitfield instead, and a non-default
+// picker or choker is allocated on its own.
 type Peer struct {
 	s    *Swarm
 	id   core.PeerID
@@ -99,8 +108,8 @@ type Peer struct {
 	chokerS core.Choker
 
 	// connList is the peer set, at most MaxPeerSet long; lookups scan it.
-	// It is allocated at that capacity when the peer joins and never
-	// grows (connectNow refuses a connection past the cap).
+	// It is carved at that capacity, and cut to it, when the peer joins
+	// and never grows (connectNow refuses a connection past the cap).
 	connList []*conn
 
 	initiated int
@@ -129,9 +138,12 @@ type Peer struct {
 	joinedAt   float64
 	finishedAt float64 // time of leecher->seed transition; -1 if never
 
-	// Remote-peer piece-level download state.
+	// Remote-peer piece-level download state. pieceRemaining holds the
+	// pieces a choke or a disconnect interrupted, each at most once, with
+	// the bytes still to fetch; it stays nil until the first requeue and
+	// is short, so lookups scan it.
 	inflight       *bitfield.Bitfield
-	pieceRemaining map[int]float64
+	pieceRemaining []partialPiece
 	downloaded     int
 
 	// Local-peer block-level state.
@@ -143,8 +155,8 @@ type Peer struct {
 
 	// Steady-state scratch reused across events so rounds allocate
 	// nothing: the completion/teardown connection snapshot, the picker
-	// state, and the choke-round callback (bound once instead of a
-	// method-value allocation per re-arm).
+	// state, and the serial choke-round callback (bound once instead of
+	// a method-value allocation per re-arm; nil for lane-mode peers).
 	connScratch []*conn
 	pickState   core.PickState
 	chokeFn     func()
@@ -165,6 +177,47 @@ type Peer struct {
 	reannounceFn      func(worker int) func()
 	reannounceApplyFn func()
 	reannouncePending bool
+
+	// Inline storage the pointer fields above point at (see the type
+	// comment); code reads it through those fields only.
+	haveBits      bitfield.Bitfield
+	inflightBits  bitfield.Bitfield
+	availIdx      core.Availability
+	rarest        core.RarestFirst
+	leecherChoker core.LeecherChoker
+	seedChoker    core.SeedChoker
+}
+
+// partialPiece is an interrupted piece download: the piece and the bytes
+// still to fetch (see cancelDownload).
+type partialPiece struct {
+	piece int32
+	rem   float64
+}
+
+// remaining returns the bytes still to fetch of piece, if a choke or a
+// disconnect interrupted it.
+func (p *Peer) remaining(piece int) (float64, bool) {
+	for _, pp := range p.pieceRemaining {
+		if int(pp.piece) == piece {
+			return pp.rem, true
+		}
+	}
+	return 0, false
+}
+
+// dropRemaining forgets piece's remainder, if any. It swaps the last
+// entry into the gap: order does not matter, since the resume scan in
+// requestPiece takes the lowest piece.
+func (p *Peer) dropRemaining(piece int) {
+	for i, pp := range p.pieceRemaining {
+		if int(pp.piece) == piece {
+			last := len(p.pieceRemaining) - 1
+			p.pieceRemaining[i] = p.pieceRemaining[last]
+			p.pieceRemaining = p.pieceRemaining[:last]
+			return
+		}
+	}
 }
 
 // hasPiece reports whether the peer owns piece i (requester-backed for the
@@ -284,7 +337,8 @@ func (p *Peer) requestPiece(c *conn) {
 	// Resume a partially downloaded piece first (blocks already received
 	// are fungible across peers, as in the real protocol): lowest index
 	// for determinism.
-	for q, rem := range p.pieceRemaining {
+	for _, pp := range p.pieceRemaining {
+		q, rem := int(pp.piece), pp.rem
 		if u.shownHas(q) && !p.hasPiece(q) && !p.inflight.Has(q) && rem > 0 {
 			if piece == -1 || q < piece {
 				piece = q
@@ -319,7 +373,7 @@ func (p *Peer) requestPiece(c *conn) {
 		if sub := s.seedServeOverride(p); sub >= 0 && sub != piece {
 			piece = sub
 			bytes = float64(s.geo.PieceSize(piece))
-			if rem, ok := p.pieceRemaining[piece]; ok && rem > 0 {
+			if rem, ok := p.remaining(piece); ok && rem > 0 {
 				bytes = rem
 			}
 		}
@@ -327,7 +381,7 @@ func (p *Peer) requestPiece(c *conn) {
 	if u == s.initialSeed {
 		s.noteSeedServeStart(piece)
 	}
-	delete(p.pieceRemaining, piece)
+	p.dropRemaining(piece)
 	p.inflight.Set(piece)
 	c.flowPiece = int32(piece)
 	c.flowBytes = bytes
@@ -522,7 +576,10 @@ func (p *Peer) cancelDownload(c *conn, requeue bool) {
 	piece := int(c.flowPiece)
 	p.inflight.Clear(piece)
 	if requeue && rem > 0 && !p.hasPiece(piece) {
-		p.pieceRemaining[piece] = rem
+		// Starting the flow dropped any earlier remainder of the piece,
+		// and a piece is in flight on one conn at a time, so this is its
+		// only entry.
+		p.pieceRemaining = append(p.pieceRemaining, partialPiece{piece: int32(piece), rem: rem})
 	}
 }
 

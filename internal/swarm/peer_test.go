@@ -118,7 +118,7 @@ func TestChokeMidPieceKeepsRemainder(t *testing.T) {
 	lc := leech.connTo(seed)
 	piece := int(lc.flowPiece)
 	seed.applyChoke(c, false)
-	rem, ok := leech.pieceRemaining[piece]
+	rem, ok := leech.remaining(piece)
 	if !ok {
 		t.Fatal("partial piece discarded on choke")
 	}
@@ -405,5 +405,74 @@ func TestPeerSetAllocatedOnce(t *testing.T) {
 	}
 	if !full {
 		t.Fatal("the hub never filled its peer set")
+	}
+}
+
+// TestPeerJoinAllocs pins what a join costs in a warm serial swarm: three
+// allocations. One is the Peer. The other two are serial-mode scheduling:
+// the choke round bound as chokeFn, and the first choke timer (no timer
+// fires in this test, so the engine's timer pool is empty; in a running
+// swarm fired timers are recycled). Everything else amortizes below one
+// allocation per join, which AllocsPerRun's integer average drops: the
+// bitfields, availability index, picker and chokers are values inside the
+// Peer, their backing and the connList come from 16-peer slab blocks, the
+// tracker sample reuses the swarm's buffer, and conns come from conn
+// blocks (3.47 per join measured over 400 joins).
+func TestPeerJoinAllocs(t *testing.T) {
+	s := newTestSwarm(t, nil)
+	s.addPeer(true, false, false, 1e5, 0)
+	join := func() { s.addPeer(false, false, false, 1e5, 0) }
+	for i := 0; i < 300; i++ {
+		join()
+	}
+	if n := testing.AllocsPerRun(200, join); n > 3 {
+		t.Fatalf("a join allocates %v objects, want at most 3", n)
+	}
+}
+
+// TestPeerStorageDisjoint fills everything one carved peer owns and
+// checks that its block neighbour, carved right after it, is untouched:
+// the bitfields and copy counts stay within their pieces, and appending
+// past connList's capacity moves the list instead of writing into the
+// neighbour's.
+func TestPeerStorageDisjoint(t *testing.T) {
+	s := newTestSwarm(t, nil)
+	a := s.addPeer(false, false, false, 1e5, 0)
+	b := s.addPeer(false, false, false, 1e5, 0) // connects to a
+	n, ps := s.cfg.NumPieces, s.cfg.MaxPeerSet
+	lastA, firstB := &a.connList[:ps][ps-1], &b.connList[:1][0]
+	if unsafe.Add(unsafe.Pointer(lastA), unsafe.Sizeof(lastA)) != unsafe.Pointer(firstB) {
+		t.Fatal("the two peers' connLists are not neighbours in one block")
+	}
+	b.have.Set(1)
+	b.inflight.Set(2)
+	b.avail.Inc(3)
+	wantList := append([]*conn(nil), b.connList[:ps]...)
+	wantCounts := make([]int, n)
+	for i := range wantCounts {
+		wantCounts[i] = b.avail.Count(i)
+	}
+
+	a.have.SetAll()
+	a.inflight.SetAll()
+	for i := 0; i < n; i++ {
+		a.avail.Inc(i)
+	}
+	for len(a.connList) <= ps {
+		a.connList = append(a.connList, &conn{})
+	}
+
+	if b.have.Count() != 1 || !b.have.Has(1) || b.inflight.Count() != 1 || !b.inflight.Has(2) {
+		t.Fatalf("filling the first peer's bitfields changed its neighbour's: have %v, inflight %v", b.have, b.inflight)
+	}
+	for i, want := range wantCounts {
+		if got := b.avail.Count(i); got != want {
+			t.Fatalf("filling the first peer's counts changed its neighbour's piece %d: %d, want %d", i, got, want)
+		}
+	}
+	for i, want := range wantList {
+		if got := b.connList[:ps][i]; got != want {
+			t.Fatalf("appending past the first peer's connList wrote its neighbour's slot %d", i)
+		}
 	}
 }

@@ -78,6 +78,16 @@ type Swarm struct {
 	connRetired []*conn
 	connGen     uint64
 
+	// Peer slabs (see carvePeer): the unused rest of the current block of
+	// bitfield words, availability counts and connList entries.
+	wordSlab     []uint64
+	countSlab    []int
+	connListSlab []*conn
+
+	// announceBuf is the tracker-sample buffer announce reuses; nil while
+	// an announce holds it (see announce).
+	announceBuf []*Peer
+
 	// crashCorruptDone marks that the Crashes plan's DropAllFirst victim
 	// has been consumed (at most one corrupted-resume peer per run).
 	crashCorruptDone bool
@@ -182,8 +192,11 @@ func New(cfg Config) *Swarm {
 // i.e. every piece has at least one copy among live peers).
 func (s *Swarm) GlobalMinCopies() int { return s.globalAvail.MinCount() }
 
-// newPicker builds the configured piece selection strategy over avail.
-func (s *Swarm) newPicker(avail *core.Availability) core.Picker {
+// newPicker returns p's configured piece selection strategy. The default,
+// rarest first over p's own availability index, is p's inline value and
+// costs no allocation; the stateless pickers cost none either, and the
+// global-rarest one is allocated.
+func (s *Swarm) newPicker(p *Peer) core.Picker {
 	switch s.cfg.Picker {
 	case PickRandom:
 		return core.RandomPicker{}
@@ -192,13 +205,17 @@ func (s *Swarm) newPicker(avail *core.Availability) core.Picker {
 	case PickGlobalRarest:
 		return &core.GlobalRarest{Global: s.globalAvail}
 	default:
-		return &core.RarestFirst{Avail: avail, DisableRandomFirst: s.cfg.DisableRandomFirst}
+		p.rarest = core.RarestFirst{Avail: p.avail, DisableRandomFirst: s.cfg.DisableRandomFirst}
+		return &p.rarest
 	}
 }
 
-// newChokers builds the configured leecher/seed chokers for one peer.
-func (s *Swarm) newChokers(freeRider bool) (core.Choker, core.Choker) {
-	if freeRider {
+// newChokers returns p's configured leecher and seed chokers. The default
+// ones are p's inline values; the tit-for-tat and old seed chokers are
+// allocated. Free riders and flooders never reciprocate, so both of their
+// chokers unchoke nobody.
+func (s *Swarm) newChokers(p *Peer) (core.Choker, core.Choker) {
+	if p.freeRider || p.advFlood {
 		return core.NeverUnchoke{}, core.NeverUnchoke{}
 	}
 	var l core.Choker
@@ -206,16 +223,50 @@ func (s *Swarm) newChokers(freeRider bool) (core.Choker, core.Choker) {
 	case LeecherChokeTitForTat:
 		l = &core.TitForTatChoker{Slots: s.cfg.UploadSlots, DeficitLimit: s.cfg.TFTDeficitLimit}
 	default:
-		l = &core.LeecherChoker{Slots: s.cfg.UploadSlots, BoostNewcomers: s.cfg.BoostNewcomers}
+		p.leecherChoker = core.LeecherChoker{Slots: s.cfg.UploadSlots, BoostNewcomers: s.cfg.BoostNewcomers}
+		l = &p.leecherChoker
 	}
 	var sd core.Choker
 	switch s.cfg.SeedChoker {
 	case SeedChokeOld:
 		sd = &core.OldSeedChoker{Slots: s.cfg.UploadSlots}
 	default:
-		sd = &core.SeedChoker{Slots: s.cfg.UploadSlots, BoostNewcomers: s.cfg.BoostNewcomers}
+		p.seedChoker = core.SeedChoker{Slots: s.cfg.UploadSlots, BoostNewcomers: s.cfg.BoostNewcomers}
+		sd = &p.seedChoker
 	}
 	return l, sd
+}
+
+// peerBlock is how many peers' storage carvePeer takes from one slab
+// block. A run leaves the rest of its last block unused, and a Table I
+// catalog run has only about 20 peers, so blocks stay small.
+const peerBlock = 16
+
+// carvePeer backs p's inline bitfields and availability index with slab
+// space and points have, inflight and avail at them, and carves its
+// connList at MaxPeerSet capacity. Each piece is cut to its length
+// (s[:n:n]), so an append can never write into the next peer's space.
+func (s *Swarm) carvePeer(p *Peer) {
+	n := s.cfg.NumPieces
+	nw := bitfield.Words(n)
+	words := carve(&s.wordSlab, 2*nw)
+	p.haveBits = bitfield.Make(words[:nw:nw], n)
+	p.inflightBits = bitfield.Make(words[nw:], n)
+	p.availIdx = core.MakeAvailability(carve(&s.countSlab, n))
+	p.have, p.inflight, p.avail = &p.haveBits, &p.inflightBits, &p.availIdx
+	p.connList = carve(&s.connListSlab, s.cfg.MaxPeerSet)[:0]
+}
+
+// carve cuts the next n elements off *slab, with capacity n, first
+// replacing *slab with a fresh block of peerBlock*n when fewer than n
+// remain. Carved storage never moves and is never handed out twice.
+func carve[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, peerBlock*n)
+	}
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
 }
 
 // availablePieces lazily builds the set of pieces that exist in the torrent
@@ -274,35 +325,26 @@ func (s *Swarm) addPeerOpts(isSeed, freeRider, isLocal, bootstrap bool, upBps, d
 			advFlood = adv.Flood
 		}
 	}
-	have := bitfield.New(s.cfg.NumPieces)
-	avail := core.NewAvailability(s.cfg.NumPieces)
 	p := &Peer{
-		s:              s,
-		id:             id,
-		node:           s.net.AddNode(upBps, downBps),
-		have:           have,
-		avail:          avail,
-		inflight:       bitfield.New(s.cfg.NumPieces),
-		pieceRemaining: map[int]float64{},
-		connList:       make([]*conn, 0, s.cfg.MaxPeerSet),
-		freeRider:      freeRider,
-		isLocal:        isLocal,
-		seed:           isSeed,
-		joinedAt:       s.eng.Now(),
-		finishedAt:     -1,
+		s:          s,
+		id:         id,
+		node:       s.net.AddNode(upBps, downBps),
+		freeRider:  freeRider,
+		isLocal:    isLocal,
+		seed:       isSeed,
+		joinedAt:   s.eng.Now(),
+		finishedAt: -1,
+		advPoison:  advPoison,
+		advLiar:    advLiar,
+		advFlood:   advFlood,
 	}
-	p.advPoison, p.advLiar, p.advFlood = advPoison, advLiar, advFlood
+	s.carvePeer(p)
 	if advLiar {
 		p.liarBits = bitfield.New(s.cfg.NumPieces)
 		p.liarBits.SetAll()
 	}
-	p.picker = s.newPicker(avail)
-	p.chokerL, p.chokerS = s.newChokers(freeRider)
-	if advFlood {
-		// Flooders never reciprocate: they leech like free riders while
-		// hammering the tracker (armed below, once registration is done).
-		p.chokerL, p.chokerS = core.NeverUnchoke{}, core.NeverUnchoke{}
-	}
+	p.picker = s.newPicker(p)
+	p.chokerL, p.chokerS = s.newChokers(p)
 	if isLocal {
 		p.req = core.NewRequester(s.geo, p.picker)
 		p.have = p.req.Have() // single source of truth for the local bitfield
@@ -324,7 +366,6 @@ func (s *Swarm) addPeerOpts(isSeed, freeRider, isLocal, bootstrap bool, upBps, d
 		s.arrivals++
 		s.metrics.arrivals.Inc()
 	}
-	p.chokeFn = p.chokeRound // bound once; re-arms reuse it
 	s.peers[id] = p
 	s.trk.Put(p.id, p)
 	s.globalAvail.AddPeer(p.have)
@@ -357,7 +398,9 @@ func (s *Swarm) addPeerOpts(isSeed, freeRider, isLocal, bootstrap bool, upBps, d
 		p.chokeTimer = s.eng.AtLane(nextChokeInstant(s.eng.Now()), int64(id), p.laneFn)
 	} else {
 		// Stagger the first choke round within the interval so rounds
-		// don't all fire in lockstep.
+		// don't all fire in lockstep. The round is bound once; its
+		// re-arms reuse it (lane-mode peers never call it).
+		p.chokeFn = p.chokeRound
 		p.chokeTimer = s.eng.After(s.eng.RNG().Float64()*core.ChokeInterval, p.chokeFn)
 	}
 	// Pre-completion abort process.
@@ -397,13 +440,19 @@ func (s *Swarm) announce(p *Peer) {
 		return
 	}
 	s.metrics.announces.Inc()
-	cand := s.trk.Sample(s.eng.RNG(), s.cfg.TrackerResponse, p.id)
+	// Connecting can re-enter announce (disconnect → queueReannounce →
+	// announce in serial mode), so the sample buffer is taken for the
+	// walk and given back after it; a nested announce samples into a
+	// fresh one.
+	cand := s.trk.AppendSample(s.announceBuf[:0], s.eng.RNG(), s.cfg.TrackerResponse, p.id)
+	s.announceBuf = nil
 	for _, q := range cand {
 		if p.initiated >= s.cfg.MaxInitiated || len(p.connList) >= s.cfg.MaxPeerSet {
 			break
 		}
 		s.connect(p, q)
 	}
+	s.announceBuf = cand
 	p.nextAnnounceOK = s.eng.Now() + 60
 }
 
