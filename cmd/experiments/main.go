@@ -29,7 +29,7 @@
 //
 // With -progress, a heartbeat line (elapsed wall time, runs finished,
 // events fired, arrivals, peak lane width) prints to stderr every
-// interval, so long batches like MegaSwarm narrate themselves. With
+// interval, so long batches like huge-swarm narrate themselves. With
 // -metrics, the process-wide obs registry is sampled on the same cadence
 // (default 5s) into a JSONL time series. Both flags activate the runtime
 // observability layer (internal/obs); it is off otherwise, and either way

@@ -11,18 +11,8 @@ import (
 	"rarestfirst/internal/trace"
 )
 
-// Percentile returns the p-quantile (0 <= p <= 1) of xs using linear
-// interpolation between order statistics. It sorts a copy; xs is unchanged.
-// It returns NaN for empty input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return percentileSorted(s, p)
-}
-
+// percentileSorted returns the p-quantile (0 <= p <= 1) of the sorted,
+// non-empty s using linear interpolation between order statistics.
 func percentileSorted(s []float64, p float64) float64 {
 	if p <= 0 {
 		return s[0]

@@ -1,9 +1,9 @@
-// Package obs is the runtime observability layer: striped counters,
-// float64 gauges and fixed-bucket histograms with O(1) lock-free updates,
-// a snapshot API, and Prometheus-text exposition (prom.go). It exists so
-// long-running swarms — a 201 s MegaSwarm benchmark, the live TCP lab, a
-// real tracker under load — can narrate themselves while they run instead
-// of only reporting after the fact.
+// Package obs is the runtime observability layer: striped counters and
+// float64 gauges with O(1) lock-free updates, a snapshot API, and
+// Prometheus-text exposition (prom.go). It exists so long-running swarms —
+// a full-size simulator suite, the live TCP lab, a real tracker under
+// load — can narrate themselves while they run instead of only reporting
+// after the fact.
 //
 // # Determinism contract
 //
@@ -14,8 +14,8 @@
 //
 // # Disabled cost
 //
-// Every handle type is nil-receiver safe: a nil *Counter, *Gauge or
-// *Histogram is a no-op, and a nil *Registry hands out nil handles. Hot
+// Every handle type is nil-receiver safe: a nil *Counter or *Gauge is a
+// no-op, and a nil *Registry hands out nil handles. Hot
 // paths therefore cache handles once at construction and pay a single nil
 // check — zero allocations — when observability is off (the default for
 // goldens and benchmarks; guarded by TestDisabledHooksZeroAlloc).
@@ -23,7 +23,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,8 +30,9 @@ import (
 )
 
 // numStripes is the per-counter stripe count. Eight cache-line-padded
-// slots are enough to keep the lane workers (capped at min(8, NumCPU))
-// from bouncing one hot line between cores.
+// slots are enough to keep concurrent writers (the live lab's connection
+// goroutines, a tracker's handlers) from bouncing one hot line between
+// cores.
 const numStripes = 8
 
 // counterStripe pads each slot to a cache line so concurrent writers on
@@ -135,61 +135,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram counts observations into fixed upper-bound buckets
-// (cumulative at exposition time, like Prometheus "le" buckets). The
-// bucket layout is fixed at creation so Observe is a binary search plus
-// one atomic increment. A nil *Histogram is a no-op.
-type Histogram struct {
-	bounds  []float64 // sorted inclusive upper bounds; +Inf bucket is implicit
-	counts  []atomic.Uint64
-	sumBits atomic.Uint64
-}
-
-// NewHistogram builds a detached histogram with the given sorted upper
-// bounds. Most callers use Registry.Histogram instead.
-func NewHistogram(bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-}
-
-// Observe records v. No-op on a nil receiver.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the total number of observations. Zero on nil.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all observed values. Zero on nil.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
 // Registry owns a namespace of metrics. Handle lookup takes a mutex (do
 // it once, at construction); the handles themselves are lock-free.
 // A nil *Registry hands out nil (no-op) handles, so callers can wire
@@ -198,7 +143,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -206,7 +150,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
 	}
 }
 
@@ -243,23 +186,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given
-// bounds on first use (later calls ignore bounds). Nil registries return
-// a nil (no-op) histogram.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = NewHistogram(bounds)
-		r.hists[name] = h
-	}
-	return h
-}
-
 // Value looks up a counter or gauge by exact series name.
 func (r *Registry) Value(name string) (float64, bool) {
 	if r == nil {
@@ -277,24 +203,20 @@ func (r *Registry) Value(name string) (float64, bool) {
 	return 0, false
 }
 
-// Values snapshots every counter and gauge (plus histogram _sum/_count
-// pseudo-series) into a flat map, for JSONL time-series sinks.
+// Values snapshots every counter and gauge into a flat map, for JSONL
+// time-series sinks.
 func (r *Registry) Values() map[string]float64 {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.counters)+len(r.gauges)+2*len(r.hists))
+	out := make(map[string]float64, len(r.counters)+len(r.gauges))
 	for name, c := range r.counters {
 		out[name] = float64(c.Value())
 	}
 	for name, g := range r.gauges {
 		out[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		out[name+"_sum"] = h.Sum()
-		out[name+"_count"] = float64(h.Count())
 	}
 	return out
 }

@@ -64,28 +64,6 @@ func TestGaugeConcurrentAdd(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram([]float64{1, 10, 100})
-	for _, v := range []float64{0.5, 1, 5, 50, 500, 5000} {
-		h.Observe(v)
-	}
-	if got := h.Count(); got != 6 {
-		t.Fatalf("Count = %d, want 6", got)
-	}
-	if got := h.Sum(); got != 5556.5 {
-		t.Fatalf("Sum = %v, want 5556.5", got)
-	}
-	// SearchFloat64s puts v on the boundary into the bucket *above* it
-	// except for exact matches, which land at the bound's own index:
-	// 0.5,1 → ≤1; 5 → ≤10; 50 → ≤100; 500,5000 → +Inf.
-	want := []uint64{2, 1, 1, 2}
-	for i, w := range want {
-		if got := h.counts[i].Load(); got != w {
-			t.Fatalf("bucket %d = %d, want %d", i, got, w)
-		}
-	}
-}
-
 func TestRegistryHandlesAndValues(t *testing.T) {
 	r := NewRegistry()
 	if c1, c2 := r.Counter("a_total"), r.Counter("a_total"); c1 != c2 {
@@ -93,7 +71,6 @@ func TestRegistryHandlesAndValues(t *testing.T) {
 	}
 	r.Counter("a_total").Add(3)
 	r.Gauge("g").Set(1.5)
-	r.Histogram("h", []float64{1}).Observe(0.5)
 
 	if v, ok := r.Value("a_total"); !ok || v != 3 {
 		t.Fatalf("Value(a_total) = %v,%v", v, ok)
@@ -105,7 +82,7 @@ func TestRegistryHandlesAndValues(t *testing.T) {
 		t.Fatal("Value(missing) reported ok")
 	}
 	vals := r.Values()
-	if vals["a_total"] != 3 || vals["g"] != 1.5 || vals["h_count"] != 1 || vals["h_sum"] != 0.5 {
+	if vals["a_total"] != 3 || vals["g"] != 1.5 || len(vals) != 2 {
 		t.Fatalf("Values() = %v", vals)
 	}
 }
@@ -114,18 +91,16 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
 	g := r.Gauge("y")
-	h := r.Histogram("z", []float64{1})
 	c.Add(5)
 	c.Inc()
 	g.Set(1)
 	g.Add(1)
 	g.Max(1)
-	h.Observe(1)
 	var pt *PhaseTimes
 	_ = pt.Snapshot()
 	var w *MemWatermark
 	w.Stop()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || w.PeakHeapBytes() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || w.PeakHeapBytes() != 0 {
 		t.Fatal("nil handles accumulated state")
 	}
 	if r.Values() != nil {
@@ -147,13 +122,11 @@ func TestDisabledHooksZeroAlloc(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
 	g := r.Gauge("y")
-	h := r.Histogram("z", []float64{1})
 	if n := testing.AllocsPerRun(100, func() {
 		c.Add(1)
 		g.Set(1)
 		g.Add(1)
 		g.Max(1)
-		h.Observe(1)
 	}); n != 0 {
 		t.Fatalf("disabled hooks allocate %.1f per run", n)
 	}
@@ -194,8 +167,6 @@ func TestWritePrometheus(t *testing.T) {
 	r.Counter(SeriesName("faults_total", "kind", "reset")).Add(1)
 	r.Counter(SeriesName("faults_total", "kind", "stall")).Add(4)
 	r.Gauge("peers").Set(7)
-	r.Histogram("lat_seconds", []float64{0.1, 1}).Observe(0.05)
-	r.Histogram("lat_seconds", nil).Observe(5)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -208,12 +179,6 @@ func TestWritePrometheus(t *testing.T) {
 		`faults_total{kind="reset"} 1`,
 		`faults_total{kind="stall"} 4`,
 		"# TYPE peers gauge\npeers 7\n",
-		"# TYPE lat_seconds histogram\n",
-		`lat_seconds_bucket{le="0.1"} 1`,
-		`lat_seconds_bucket{le="1"} 1`,
-		`lat_seconds_bucket{le="+Inf"} 2`,
-		"lat_seconds_sum 5.05\n",
-		"lat_seconds_count 2\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)

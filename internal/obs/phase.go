@@ -1,7 +1,7 @@
 package obs
 
 // Engine phase timing. The simulator's hot loop splits into distinct
-// phases — parallel lane compute, serial lane apply, sharded-heap merge
+// phases — lane compute, lane apply, sharded-heap merge
 // pops, the deferred retime flush, the batched HAVE flush — and knowing
 // where wall-clock time goes is what turns "201 s of silence" into a
 // tunable system. PhaseTimes is a bundle of atomic nanosecond
@@ -17,10 +17,10 @@ import "sync/atomic"
 // PhaseTimes accumulates per-phase wall-clock nanoseconds. Fields are
 // atomics so exposition can read them race-free mid-run.
 type PhaseTimes struct {
-	// LaneCompute: parallel (or inline) read-only choke computes in a
-	// lane batch, including batch collection.
+	// LaneCompute: the key-ordered choke computes of a lane batch,
+	// including batch collection.
 	LaneCompute atomic.Int64
-	// LaneApply: the serial, key-ordered apply loop of a lane batch.
+	// LaneApply: the key-ordered apply loop of a lane batch.
 	LaneApply atomic.Int64
 	// HeapMerge: loser-tree merge pops across heap shards.
 	HeapMerge atomic.Int64

@@ -3,8 +3,7 @@ package obs
 // Prometheus text-format exposition, hand-rolled on the stdlib (the repo
 // takes no external dependencies). Only the subset of the format the
 // registry needs: `# TYPE` lines per metric family plus one
-// `name{labels} value` line per series, histograms expanded into
-// cumulative `_bucket`/`_sum`/`_count` series.
+// `name{labels} value` line per series.
 
 import (
 	"fmt"
@@ -40,21 +39,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for name, g := range r.gauges {
 		gauges[name] = g.Value()
 	}
-	type histSnap struct {
-		name   string
-		bounds []float64
-		counts []uint64
-		sum    float64
-	}
-	hists := make([]histSnap, 0, len(r.hists))
-	for name, h := range r.hists {
-		hs := histSnap{name: name, bounds: h.bounds, sum: h.Sum()}
-		hs.counts = make([]uint64, len(h.counts))
-		for i := range h.counts {
-			hs.counts[i] = h.counts[i].Load()
-		}
-		hists = append(hists, hs)
-	}
 	r.mu.Unlock()
 
 	var b strings.Builder
@@ -82,20 +66,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	writeFamily(nil, "counter", counters)
 	writeFamily(gauges, "gauge", nil)
-
-	sort.Slice(hists, func(i, j int) bool { return hists[i].name < hists[j].name })
-	for _, h := range hists {
-		fmt.Fprintf(&b, "# TYPE %s histogram\n", h.name)
-		var cum uint64
-		for i, bound := range h.bounds {
-			cum += h.counts[i]
-			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", h.name, formatFloat(bound), cum)
-		}
-		cum += h.counts[len(h.bounds)]
-		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", h.name, cum)
-		fmt.Fprintf(&b, "%s_sum %s\n", h.name, formatFloat(h.sum))
-		fmt.Fprintf(&b, "%s_count %d\n", h.name, cum)
-	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }

@@ -74,17 +74,12 @@ func (e *Estimator) Rate(now float64) float64 {
 	return e.rate
 }
 
-// RateAt returns the rate Rate(now) would report, without mutating the
-// estimator. Pure reads let concurrent readers (the simulator's parallel
-// choke-round lanes) share one estimator; skipping the aging commit is
-// observable only through later Update calls, which re-age from the last
-// committed observation anyway.
-func (e *Estimator) RateAt(now float64) float64 { return e.RateWith(now, 0) }
-
 // RateWith returns the rate Rate(now) would report if amount extra bytes
 // had just been observed at now, without mutating the estimator. The
-// simulator uses it to fold a flow's not-yet-settled in-flight progress
-// into the choke ordering while keeping the read side effect free.
+// simulator's lane choke rounds use it to fold a flow's not-yet-settled
+// in-flight progress into the choke ordering: the read leaves the
+// estimator as it was, so every compute of a lane batch sees the
+// pre-batch rates, and the settle waits for the apply phase.
 func (e *Estimator) RateWith(now float64, amount int64) float64 {
 	if e.total == 0 {
 		if amount <= 0 {

@@ -230,33 +230,6 @@ func init() {
 		},
 	})
 	Register(Def{
-		Name: "mega-swarm",
-		Description: "torrent 8 under a 240x churn stream capped at 100k peers: " +
-			"the sharded-heap + batched-HAVE milestone workload (PR 6)",
-		Build: func(o Options) []Spec {
-			scale := o.Scale
-			if scale == (torrents.Scale{}) {
-				scale = torrents.Scale{
-					MaxPeers:     100000,
-					MaxContentMB: 24,
-					MaxPieces:    256,
-					Duration:     180,
-					Warmup:       60,
-					Seed:         42,
-				}
-			}
-			return []Spec{{
-				Label:      "torrent=8 mega-swarm",
-				TorrentID:  8,
-				Scale:      scale,
-				ChokeLanes: true,
-				ChurnScale: 240,
-				HeapShards: 32,
-				BatchHaves: true,
-			}}
-		},
-	})
-	Register(Def{
 		Name: "livetransfer",
 		Description: "simulator twin of the loopback TCP demo: a four-peer swarm " +
 			"(one fast seed, three leechers) at miniature scale",

@@ -94,13 +94,12 @@ type Spec struct {
 	SeedOverride int64
 
 	// ChokeLanes aligns every simulated peer's choke rounds to the global
-	// 10-second grid and executes each instant's rounds as one parallel
-	// lane batch (swarm.Config.ChokeLanes: decisions computed
-	// concurrently, transitions applied serially in peer-id order) — the
-	// intra-swarm sharding that makes 10k-peer single runs tractable. Runs
-	// stay bit-reproducible and are identical for any worker count, but
-	// the round schedule differs from the default staggered rounds, so
-	// this is off unless a scenario opts in (the huge-swarm suites do).
+	// 10-second grid and executes each instant's rounds as one lane batch
+	// (swarm.Config.ChokeLanes: every decision computed against the
+	// pre-batch state, then every transition applied in peer-id order).
+	// Runs stay bit-reproducible, but the round schedule differs from the
+	// default staggered rounds, so this is off unless a scenario opts in
+	// (the huge-swarm and flash-crowd-20k suites do).
 	ChokeLanes bool `json:",omitempty"`
 
 	// HeapShards shards the simulation engine's event heap into this many
@@ -118,8 +117,8 @@ type Spec struct {
 	// each piece completion into a per-instant pending-HAVE set flushed
 	// once per event (swarm.Config.BatchHaves). Runs stay bit-reproducible
 	// but differ from the default inline reactions, so like ChokeLanes
-	// this is a mode switch: on for the huge/mega suites and the
-	// batched-t8 golden.
+	// this is a mode switch: on for the huge-swarm and flash-crowd-20k
+	// suites and the batched-t8 and lanes-t7 goldens.
 	BatchHaves bool `json:",omitempty"`
 
 	// Faults, Adversary and Crashes each name one perturbation from its

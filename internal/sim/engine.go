@@ -10,8 +10,6 @@ package sim
 import (
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rarestfirst/internal/obs"
@@ -43,7 +41,7 @@ type Timer struct {
 	// Lane events (AtLane) carry a compute half instead of fn: compute is
 	// the read-only phase, the closure it returns is the mutation phase.
 	// compute != nil marks the timer as a lane event.
-	compute func(worker int) func()
+	compute func() func()
 	laneKey int64
 }
 
@@ -205,8 +203,8 @@ type EngineStats struct {
 	// Compactions counts lazy-deletion sweeps across all shards.
 	Compactions uint64
 	// PeakLaneWidth is the largest batch of same-timestamp lane events
-	// (AtLane) executed as one unit — the upper bound on how much compute
-	// the lane pool could overlap in a single instant.
+	// (AtLane) executed as one unit: how many computes of one instant ran
+	// against the same pre-batch state.
 	PeakLaneWidth int
 	// LaneBatches / LaneEvents count executed lane batches and the lane
 	// events they contained (LaneEvents/LaneBatches = mean batch width).
@@ -270,10 +268,8 @@ type Engine struct {
 	// settle rate retiming exactly once per event.
 	postEvent func()
 
-	// Lane execution state: laneWorkers bounds the compute pool (<=1 runs
-	// computes inline), laneBatch/laneApply are per-batch scratch, and the
-	// counters feed EngineStats.
-	laneWorkers int
+	// Lane execution state: laneBatch/laneApply are per-batch scratch, and
+	// the counters feed EngineStats.
 	laneBatch   []*Timer
 	laneApply   []func()
 	peakLane    int
@@ -398,27 +394,6 @@ func (e *Engine) shardFor(key int64) int32 {
 		return 0
 	}
 	return int32(1 + (key & e.keyMask))
-}
-
-// SetLaneParallelism bounds the pool that runs lane-event compute phases:
-// n <= 1 runs them inline on the engine goroutine (serial mode), n > 1
-// fans a batch's computes across up to n goroutines. Parallelism is pure
-// scheduling: a lane batch's observable effects are identical for every
-// n, because computes must be read-only with respect to shared state and
-// applies always run serially in key order.
-func (e *Engine) SetLaneParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.laneWorkers = n
-}
-
-// LaneParallelism returns the configured lane compute pool bound.
-func (e *Engine) LaneParallelism() int {
-	if e.laneWorkers < 1 {
-		return 1
-	}
-	return e.laneWorkers
 }
 
 // SetPostEventHook installs fn to run after every fired event (once per
@@ -660,27 +635,21 @@ func (e *Engine) AfterKey(d float64, key int64, fn func()) *Timer {
 // AtLane schedules a lane event at absolute time t (clamped to now if in
 // the past). Lane events scheduled for the same instant that are adjacent
 // in (time, seq) order — i.e. not interleaved with a plain event at the
-// same timestamp — execute as one batch: every compute runs first against
-// the pre-batch state, then the returned apply closures run serially in
-// ascending (key, seq) order. A compute must therefore be read-only with
-// respect to state shared with other lane events (private state, e.g. a
-// per-peer RNG or choker, is fair game); all shared-state mutation,
-// engine RNG use and rescheduling belongs in the apply closure. A compute
-// may return nil to skip its apply phase.
+// same timestamp — execute as one batch on the engine goroutine: every
+// compute runs in ascending (key, seq) order, then the returned apply
+// closures run in the same order. Because every compute of a batch runs
+// before the batch's first apply, each compute sees the pre-batch state
+// of anything the applies mutate. A compute must therefore leave state
+// shared with other lane events alone (private state, e.g. a per-peer RNG
+// or choker, is fair game, and so is scratch no later compute of the
+// batch still needs); all shared-state mutation, engine RNG use and
+// rescheduling belongs in the apply closure. A compute may return nil to
+// skip its apply phase.
 //
 // On a sharded engine the event lives in the subheap owning key, so
 // grid-aligned per-node lane timers spread across shards instead of
 // funnelling through one heap.
-//
-// With SetLaneParallelism(n>1) the computes of one batch run concurrently
-// on up to n goroutines; results are indistinguishable from serial mode.
-//
-// compute receives the index of the worker running it, with 0 <= worker <
-// LaneParallelism() (always 0 in serial mode). Two computes that run at
-// the same time never share an index, so a compute may use per-worker
-// scratch indexed by it — provided nothing of that scratch is still needed
-// once the compute returns.
-func (e *Engine) AtLane(t float64, key int64, compute func(worker int) func()) *Timer {
+func (e *Engine) AtLane(t float64, key int64, compute func() func()) *Timer {
 	if compute == nil {
 		panic("sim: AtLane with nil compute")
 	}
@@ -766,7 +735,7 @@ func (e *Engine) maybeCompact(s int32) {
 // runLaneBatch executes the lane batch starting at first, which has just
 // been popped: it keeps popping lane events scheduled for the same instant
 // (skipping cancelled entries of any kind) until the queue top is a plain
-// event or a later time, runs every compute, then applies serially in
+// event or a later time, runs every compute, then every apply, both in
 // ascending (key, seq) order. Apply closures may schedule, reschedule and
 // cancel freely — including cancelling a later member of the same batch,
 // whose apply is then skipped.
@@ -793,9 +762,8 @@ func (e *Engine) runLaneBatch(first *Timer) {
 		e.popTop()
 		batch = append(batch, top)
 	}
-	// Key order, not pop order, for both phases: computes are mutually
-	// independent so their order is unobservable, and fixing one order
-	// keeps serial and parallel modes trivially identical.
+	// Key order, not pop (seq) order, for both phases: applies must run in
+	// key order whatever order their events were scheduled in.
 	sort.Slice(batch, func(i, j int) bool {
 		if batch[i].laneKey != batch[j].laneKey {
 			return batch[i].laneKey < batch[j].laneKey
@@ -811,27 +779,8 @@ func (e *Engine) runLaneBatch(first *Timer) {
 		applies = applies[:len(batch)]
 	}
 	e.laneApply = applies
-	if workers := min(e.LaneParallelism(), len(batch)); workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(batch) {
-						return
-					}
-					applies[i] = batch[i].compute(w)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, t := range batch {
-			applies[i] = t.compute(0)
-		}
+	for i, t := range batch {
+		applies[i] = t.compute()
 	}
 
 	e.laneBatches++

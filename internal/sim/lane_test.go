@@ -4,28 +4,23 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
-	"sync/atomic"
 	"testing"
 )
 
 // laneTrace runs one scripted lane scenario and returns the observable
-// event log: "c<key>" for a compute, "a<key>" for an apply, "p<label>"
-// for a plain event.
-func laneTrace(t *testing.T, workers int) []string {
+// event log: "a<key>" for an apply, "p<label>" for a plain event.
+func laneTrace(t *testing.T) []string {
 	t.Helper()
 	e := NewEngine(1)
-	e.SetLaneParallelism(workers)
 	var (
 		log     []string
-		applies []string // applies record separately: computes may run on any goroutine, so they log via their apply
+		applies []string
 	)
 	lane := func(at float64, key int64) {
-		e.AtLane(at, key, func(int) func() {
-			// Compute phase: read-only; capture a value derived from its
-			// own key only and log at apply time (logging here from a pool
-			// goroutine would race on the slice).
+		e.AtLane(at, key, func() func() {
+			// Compute phase: capture a value derived from its own key and
+			// log it at apply time.
 			v := key * key
 			return func() {
 				applies = append(applies, fmt.Sprintf("a%d=%d", key, v))
@@ -54,23 +49,17 @@ func TestLaneBatchOrdering(t *testing.T) {
 	// runs all three applies in key order even though scheduling order was
 	// 3,1,2; the trailing plain event fires after the batch.
 	want := []string{"p-first", "a1", "a2", "a3", "p-last", "a7"}
-	for _, workers := range []int{1, 4} {
-		if got := laneTrace(t, workers); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: log = %v, want %v", workers, got, want)
-		}
+	if got := laneTrace(t); !reflect.DeepEqual(got, want) {
+		t.Fatalf("log = %v, want %v", got, want)
 	}
 }
 
 func TestLaneStats(t *testing.T) {
 	e := NewEngine(1)
-	e.SetLaneParallelism(3)
-	if e.LaneParallelism() != 3 {
-		t.Fatalf("LaneParallelism = %d", e.LaneParallelism())
-	}
 	for k := int64(0); k < 5; k++ {
-		e.AtLane(10, k, func(int) func() { return nil })
+		e.AtLane(10, k, func() func() { return nil })
 	}
-	e.AtLane(20, 0, func(int) func() { return nil })
+	e.AtLane(20, 0, func() func() { return nil })
 	e.RunUntilIdle()
 	st := e.Stats()
 	if st.PeakLaneWidth != 5 {
@@ -85,7 +74,7 @@ func TestLaneCancelSkipsApply(t *testing.T) {
 	e := NewEngine(1)
 	var fired []int64
 	mk := func(key int64) *Timer {
-		return e.AtLane(5, key, func(int) func() {
+		return e.AtLane(5, key, func() func() {
 			return func() { fired = append(fired, key) }
 		})
 	}
@@ -95,7 +84,7 @@ func TestLaneCancelSkipsApply(t *testing.T) {
 	// Cancel one before the batch runs, and have an earlier apply cancel a
 	// later batch member mid-batch.
 	t1.Cancel()
-	e.AtLane(5, 0, func(int) func() {
+	e.AtLane(5, 0, func() func() {
 		return func() {
 			fired = append(fired, 0)
 			t3.Cancel()
@@ -109,88 +98,109 @@ func TestLaneCancelSkipsApply(t *testing.T) {
 
 // TestLaneSerialParallelIdentical drives a randomized micro-simulation —
 // lanes whose computes read a shared array and whose applies mutate it and
-// re-arm — under serial and parallel lane execution, and requires the
-// final state and the engine RNG stream position to be identical.
+// re-arm — through the engine, and requires the final state and the
+// engine RNG stream position to equal a two-phase reference loop: at each
+// instant every compute reads the pre-batch state, then the applies run
+// in key order.
 func TestLaneSerialParallelIdentical(t *testing.T) {
-	run := func(workers int) ([]int64, int64) {
-		e := NewEngine(99)
-		e.SetLaneParallelism(workers)
-		state := make([]int64, 16)
-		rngs := make([]*rand.Rand, len(state))
-		var arm func(key int64, at float64)
-		arm = func(key int64, at float64) {
-			e.AtLane(at, key, func(int) func() {
-				// Read-only over shared state, private RNG per lane.
-				sum := int64(0)
-				for _, v := range state {
-					sum += v
-				}
-				draw := rngs[key].Int63n(1000)
-				return func() {
-					state[key] += sum%97 + draw + int64(e.RNG().Intn(10))
-					if at < 50 {
-						arm(key, at+10)
-					}
-				}
-			})
-		}
-		for k := range state {
+	const lanes = 16
+	instants := []float64{10, 20, 30, 40, 50}
+	laneRNGs := func() []*rand.Rand {
+		rngs := make([]*rand.Rand, lanes)
+		for k := range rngs {
 			rngs[k] = rand.New(rand.NewSource(int64(k) * 7))
-			arm(int64(k), 10)
 		}
-		e.RunUntilIdle()
-		return state, int64(e.RNG().Int63())
+		return rngs
 	}
-	s1, r1 := run(1)
-	s8, r8 := run(8)
-	if !reflect.DeepEqual(s1, s8) {
-		t.Fatalf("serial state %v != parallel state %v", s1, s8)
+	// compute is shared by both sides: it reads the whole array and the
+	// lane's neighbour, and advances the lane's private RNG.
+	compute := func(state []int64, rng *rand.Rand, key int) int64 {
+		sum := int64(0)
+		for _, v := range state {
+			sum += v
+		}
+		return sum%97 + state[(key+1)%lanes]%13 + rng.Int63n(1000)
 	}
-	if r1 != r8 {
-		t.Fatalf("engine RNG diverged: %d vs %d", r1, r8)
+
+	e := NewEngine(99)
+	state := make([]int64, lanes)
+	rngs := laneRNGs()
+	var arm func(key int64, at float64)
+	arm = func(key int64, at float64) {
+		e.AtLane(at, key, func() func() {
+			d := compute(state, rngs[key], int(key))
+			return func() {
+				state[key] += d + int64(e.RNG().Intn(10))
+				if at < instants[len(instants)-1] {
+					arm(key, at+10)
+				}
+			}
+		})
+	}
+	// Arm out of key order: the batch must still run in key order.
+	for k := lanes - 1; k >= 0; k-- {
+		arm(int64(k), instants[0])
+	}
+	e.RunUntilIdle()
+
+	ref := make([]int64, lanes)
+	refRNGs := laneRNGs()
+	engRNG := rand.New(rand.NewSource(99))
+	deltas := make([]int64, lanes)
+	for range instants {
+		for k := range ref {
+			deltas[k] = compute(ref, refRNGs[k], k)
+		}
+		for k := range ref {
+			ref[k] += deltas[k] + int64(engRNG.Intn(10))
+		}
+	}
+	if !reflect.DeepEqual(state, ref) {
+		t.Fatalf("engine state %v != two-phase reference %v", state, ref)
+	}
+	if got, want := e.RNG().Int63(), engRNG.Int63(); got != want {
+		t.Fatalf("engine RNG diverged from the reference: %d vs %d", got, want)
 	}
 }
 
-// TestLaneComputeWorkerIndex pins the worker-index contract of AtLane:
-// every compute sees 0 <= worker < LaneParallelism(), and no two computes
-// running at the same time share an index (each claims its worker's slot
-// on entry and must find it free). Serial mode always passes 0.
+// TestLaneComputeWorkerIndex pins the batch schedule of AtLane: every
+// compute of a batch runs before its first apply, and both phases run in
+// ascending (key, seq) order whatever order the events were scheduled in.
 func TestLaneComputeWorkerIndex(t *testing.T) {
 	const computes = 64
-	for _, workers := range []int{1, 4} {
-		e := NewEngine(1)
-		e.SetLaneParallelism(workers)
-		busy := make([]atomic.Bool, workers)
-		var outOfRange, shared, ran atomic.Int64
-		for k := int64(0); k < computes; k++ {
-			e.AtLane(10, k, func(w int) func() {
-				ran.Add(1)
-				if w < 0 || w >= workers {
-					outOfRange.Add(1)
-					return nil
-				}
-				if !busy[w].CompareAndSwap(false, true) {
-					shared.Add(1)
-					return nil
-				}
-				runtime.Gosched() // widen the window another compute could overlap
-				busy[w].Store(false)
-				return nil
-			})
+	type step struct {
+		apply bool
+		key   int64
+		seq   int
+	}
+	e := NewEngine(1)
+	var got, want []step
+	// Two events share each key; the one scheduled first (lower seq) must
+	// run first.
+	for seq, i := range rand.New(rand.NewSource(5)).Perm(computes) {
+		key := int64(i / 2)
+		want = append(want, step{key: key, seq: seq})
+		e.AtLane(10, key, func() func() {
+			got = append(got, step{false, key, seq})
+			return func() { got = append(got, step{true, key, seq}) }
+		})
+	}
+	e.RunUntilIdle()
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].key != want[j].key {
+			return want[i].key < want[j].key
 		}
-		e.RunUntilIdle()
-		if ran.Load() != computes {
-			t.Fatalf("workers=%d: %d computes ran, want %d", workers, ran.Load(), computes)
-		}
-		if n := outOfRange.Load(); n != 0 {
-			t.Fatalf("workers=%d: %d computes saw an index outside [0,%d)", workers, n, workers)
-		}
-		if n := shared.Load(); n != 0 {
-			t.Fatalf("workers=%d: %d computes found their worker index already taken", workers, n)
-		}
-		if st := e.Stats(); st.LaneBatches != 1 || st.PeakLaneWidth != computes {
-			t.Fatalf("workers=%d: stats = %+v, want one batch of %d", workers, st, computes)
-		}
+		return want[i].seq < want[j].seq
+	})
+	for _, w := range want[:computes] {
+		w.apply = true
+		want = append(want, w)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("schedule = %v\nwant       %v", got, want)
+	}
+	if st := e.Stats(); st.LaneBatches != 1 || st.PeakLaneWidth != computes {
+		t.Fatalf("stats = %+v, want one batch of %d", st, computes)
 	}
 }
 
@@ -200,7 +210,7 @@ func TestLanePendingAccounting(t *testing.T) {
 	e := NewEngine(1)
 	timers := make([]*Timer, 0, 10)
 	for k := int64(0); k < 10; k++ {
-		timers = append(timers, e.AtLane(10, k, func(int) func() { return nil }))
+		timers = append(timers, e.AtLane(10, k, func() func() { return nil }))
 	}
 	if e.Pending() != 10 {
 		t.Fatalf("Pending = %d, want 10", e.Pending())
@@ -229,7 +239,7 @@ func TestLaneBatchSplitsOnInterleavedPlainEvent(t *testing.T) {
 	e := NewEngine(1)
 	var log []string
 	lane := func(key int64) {
-		e.AtLane(10, key, func(int) func() {
+		e.AtLane(10, key, func() func() {
 			return func() { log = append(log, fmt.Sprintf("a%d", key)) }
 		})
 	}
@@ -254,10 +264,10 @@ func TestLaneBatchSplitsOnInterleavedPlainEvent(t *testing.T) {
 func TestLaneApplyReentrantScheduling(t *testing.T) {
 	e := NewEngine(1)
 	var keys []int64
-	e.AtLane(10, 1, func(int) func() {
+	e.AtLane(10, 1, func() func() {
 		return func() {
 			keys = append(keys, 1)
-			e.AtLane(10, 2, func(int) func() {
+			e.AtLane(10, 2, func() func() {
 				return func() { keys = append(keys, 2) }
 			})
 		}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -114,9 +115,8 @@ type retimeTrace struct {
 }
 
 // runRetimeSchedule executes the schedule on a fresh engine/net pair.
-func runRetimeSchedule(s retimeSchedule, eager bool, workers int) retimeTrace {
+func runRetimeSchedule(s retimeSchedule, eager bool) retimeTrace {
 	e := NewEngine(1)
-	e.SetLaneParallelism(workers)
 	if s.heapShards > 0 {
 		e.SetHeapShards(s.heapShards)
 	}
@@ -152,7 +152,7 @@ func runRetimeSchedule(s retimeSchedule, eager bool, workers int) retimeTrace {
 				}))
 			}
 			if op.lane {
-				e.AtLane(op.at, int64(op.from), func(int) func() { return start })
+				e.AtLane(op.at, int64(op.from), func() func() { return start })
 			} else {
 				e.At(op.at, start)
 			}
@@ -224,8 +224,8 @@ func TestRetimeDeferredMatchesEagerOracle(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := genRetimeSchedule(rng, 3+rng.Intn(10), 20+rng.Intn(120))
-		eager := runRetimeSchedule(s, true, 1)
-		deferred := runRetimeSchedule(s, false, 1)
+		eager := runRetimeSchedule(s, true)
+		deferred := runRetimeSchedule(s, false)
 		if err := diffTraces(eager, deferred); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -247,19 +247,19 @@ func FuzzRetimeDeferredMatchesEager(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nodes, nOps uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		s := genRetimeSchedule(rng, 2+int(nodes%14), 1+int(nOps))
-		eager := runRetimeSchedule(s, true, 1)
-		deferred := runRetimeSchedule(s, false, 1)
+		eager := runRetimeSchedule(s, true)
+		deferred := runRetimeSchedule(s, false)
 		if err := diffTraces(eager, deferred); err != nil {
 			t.Fatalf("deferred diverged from eager oracle: %v", err)
 		}
 	})
 }
 
-// TestRetimeFlushParallelMatchesSerialNet pins the stronger worker-count
-// property at the Net level: one lane batch that churns hundreds of nodes
-// at once, its computes on 8 workers and its completion timers spread over
-// 32 subheaps, must leave a firing order — not just a completion multiset
-// — identical to the serial run.
+// TestRetimeFlushParallelMatchesSerialNet pins deferred retiming at its
+// widest: one lane batch that churns hundreds of nodes at once, with its
+// completion timers spread over 32 subheaps, must match the eager oracle
+// bit for bit, and two runs must leave the same firing order — not just
+// the same completion multiset.
 func TestRetimeFlushParallelMatchesSerialNet(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := genRetimeSchedule(rng, 400, 40)
@@ -276,25 +276,16 @@ func TestRetimeFlushParallelMatchesSerialNet(t *testing.T) {
 			bytes: 100 + float64(i),
 		})
 	}
-	serial := runRetimeSchedule(s, false, 1)
-	parallel := runRetimeSchedule(s, false, 8)
-	if serial.peakLane < 300 || serial.peakFlush < 300 {
-		t.Fatalf("peak lane batch %d, peak flush width %d: the burst never got wide", serial.peakLane, serial.peakFlush)
+	deferred := runRetimeSchedule(s, false)
+	if deferred.peakLane < 300 || deferred.peakFlush < 300 {
+		t.Fatalf("peak lane batch %d, peak flush width %d: the burst never got wide", deferred.peakLane, deferred.peakFlush)
 	}
-	if err := diffTraces(serial, parallel); err != nil {
-		t.Fatalf("8-worker run diverged: %v", err)
+	if err := diffTraces(runRetimeSchedule(s, true), deferred); err != nil {
+		t.Fatalf("deferred burst diverged from the eager oracle: %v", err)
 	}
-	if len(serial.firing) != len(parallel.firing) {
-		t.Fatalf("firing lengths differ: %d vs %d", len(serial.firing), len(parallel.firing))
-	}
-	for i := range serial.firing {
-		if serial.firing[i] != parallel.firing[i] {
-			t.Fatalf("firing order diverged at %d: %d vs %d", i, serial.firing[i], parallel.firing[i])
-		}
-	}
-	again := runRetimeSchedule(s, false, 8)
-	if err := diffTraces(parallel, again); err != nil {
-		t.Fatalf("8-worker run not reproducible: %v", err)
+	again := runRetimeSchedule(s, false)
+	if !reflect.DeepEqual(deferred.firing, again.firing) {
+		t.Fatalf("firing order not reproducible:\n%v\n%v", deferred.firing, again.firing)
 	}
 }
 
@@ -324,12 +315,11 @@ func TestNetFlushStats(t *testing.T) {
 }
 
 // TestWideFlushZeroAlloc pins that a flush hundreds of nodes wide costs
-// no allocation once warm, even on an engine with a lane worker pool and a
-// sharded heap: re-timing live flows only re-sorts their existing timers.
+// no allocation once warm, even on a sharded heap: re-timing live flows
+// only re-sorts their existing timers.
 func TestWideFlushZeroAlloc(t *testing.T) {
 	e := NewEngine(1)
 	e.SetHeapShards(32)
-	e.SetLaneParallelism(8)
 	n := NewNet(e)
 	const nodes = 200
 	ids := make([]NodeID, nodes)

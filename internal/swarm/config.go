@@ -170,17 +170,12 @@ type Config struct {
 
 	// ChokeLanes aligns every peer's choke rounds to the global
 	// ChokeInterval grid and executes each instant's rounds as one batched
-	// sim.Engine lane: the per-peer decision (rate snapshot + choke
-	// algorithm) runs as a read-only compute phase fanned across
-	// LaneWorkers goroutines, then the state transitions apply serially in
-	// peer-id order. Results are bit-identical for any LaneWorkers value;
-	// they differ from the default (staggered, interleaved) rounds, so the
-	// flag is off everywhere the reproducibility goldens cover and on for
-	// the 10k-peer scale runs.
+	// sim.Engine lane: every peer's decision (rate snapshot + choke
+	// algorithm) runs against the pre-batch state, then the state
+	// transitions apply in peer-id order. The trajectories differ from the
+	// default (staggered, interleaved) rounds; the lanes-t7 golden pins
+	// them, and the 10k-peer scale runs turn them on.
 	ChokeLanes bool
-	// LaneWorkers bounds the lane compute pool; 0 means runtime.NumCPU().
-	// It is pure scheduling — never part of the reproducibility contract.
-	LaneWorkers int
 
 	// HeapShards splits the engine's event heap into this many keyed
 	// subheaps (rounded up to a power of two) plus a global shard, merged
@@ -406,8 +401,6 @@ func (c *Config) validate() {
 		panic("swarm: bad duration")
 	case math.IsNaN(c.ArrivalRate) || c.ArrivalRate < 0:
 		panic("swarm: bad arrival rate")
-	case c.LaneWorkers < 0:
-		panic("swarm: negative lane workers")
 	case c.HeapShards < 0:
 		panic("swarm: negative heap shards")
 	}

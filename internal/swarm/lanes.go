@@ -4,19 +4,19 @@ package swarm
 // Config.ChokeLanes. Every peer's 10-second choke round is aligned to the
 // global core.ChokeInterval grid, so one simulated instant carries the
 // whole population's rounds. The engine executes them as one lane batch
-// (sim.Engine.AtLane): each peer's decision — settle-free rate snapshot,
-// choke-algorithm ordering, unchoke set — runs as a read-only compute that
-// may be fanned across worker goroutines, and the state transitions apply
-// serially in peer-id order afterwards.
+// (sim.Engine.AtLane) on the engine's goroutine: each peer's decision —
+// settle-free rate snapshot, choke-algorithm ordering, unchoke set — runs
+// as a compute, in peer-id order, and the state transitions apply in
+// peer-id order once every compute of the batch has run.
 //
-// Determinism: computes read only pre-batch shared state (connection
-// flags, byte counters, estimator snapshots via rate.RateWith, bitfield
-// counts, flow remainders — all pure reads) and mutate only per-peer state
-// (the peer's choker, its unchoke set and private choke RNG) plus the
-// snapshot buffer of the worker running them (Swarm.chokeSnaps, dead once
-// the compute returns), so their execution order is unobservable; applies
-// run in a fixed order either way. A run is therefore bit-identical for
-// every LaneWorkers value, which TestChokeLanesParallelMatchesSerial pins.
+// Determinism: computes read shared state (connection flags, byte
+// counters, estimator snapshots via rate.RateWith, bitfield counts, flow
+// remainders) without writing it, and mutate only per-peer state (the
+// peer's choker, its unchoke set and private choke RNG) plus the swarm's
+// snapshot buffer (Swarm.chokeSnaps, dead once the compute returns).
+// Every compute of a batch runs before its first apply, so each sees the
+// pre-batch state; TestChokeLanesParallelMatchesSerial pins the resulting
+// report digests.
 
 import (
 	"math"
@@ -53,9 +53,9 @@ func reannounceLaneKey(id core.PeerID) int64 { return laneKeyReannounceOff + int
 // and re-arms. Riding the sample on the lane batch instead of a plain
 // timer keeps the 10-second sample tick from splitting the same-instant
 // choke batch in two (a plain event interleaved between lane events ends
-// the batch), which would halve the exposed parallelism at exactly the
-// widest instants.
-func (s *Swarm) sampleLaneCompute(int) func() {
+// the batch), which would change which state the second half's computes
+// read.
+func (s *Swarm) sampleLaneCompute() func() {
 	if s.local == nil || s.local.departed {
 		return nil
 	}
@@ -64,8 +64,8 @@ func (s *Swarm) sampleLaneCompute(int) func() {
 }
 
 // applySample commits the compute-phase snapshot and re-arms the sampler.
-// The invariant check runs here, in the serial apply phase, never from
-// the parallel compute half.
+// The invariant check runs here, in the apply phase, never from the
+// compute half, where other computes' per-peer state is mid-batch.
 func (s *Swarm) applySample() {
 	s.col.Sample(s.sampleScratch)
 	if s.cfg.Invariants {
@@ -75,9 +75,9 @@ func (s *Swarm) applySample() {
 }
 
 // reannounceCompute is trivially read-only: tracker sampling draws from
-// the shared engine RNG, so the whole re-announce belongs in the serial
-// apply phase.
-func (p *Peer) reannounceCompute(int) func() { return p.reannounceApplyFn }
+// the shared engine RNG, so the whole re-announce belongs in the apply
+// phase.
+func (p *Peer) reannounceCompute() func() { return p.reannounceApplyFn }
 
 // applyReannounce clears the queue mark and runs the deferred tracker
 // re-contact (rate-limited and departure-guarded by maybeReannounce).
@@ -89,8 +89,8 @@ func (p *Peer) applyReannounce() {
 // laneSource is a splitmix64 rand.Source64. Each peer owns one for its
 // choke decisions in lane mode: 8 bytes of state instead of the ~5 kB a
 // default rand.NewSource carries, which matters when 10k peers each hold
-// one, and safe to advance from a compute goroutine because no other lane
-// touches it.
+// one. A compute may advance it because no other lane reads it, so the
+// draws do not depend on where in the batch the compute runs.
 type laneSource struct{ state uint64 }
 
 func (s *laneSource) Uint64() uint64 {
@@ -151,9 +151,9 @@ func (c *conn) pendingOut(now float64) int64 {
 // apply phase, so the estimator reads go through rate.RateWith), runs the
 // appropriate choke algorithm against the peer's private RNG, parks the
 // unchoke set in per-peer scratch and hands the engine the apply half.
-// The snapshot goes in the running worker's buffer, which the worker's
-// next compute may refill: Round neither keeps nor reorders it.
-func (p *Peer) chokeLaneCompute(worker int) func() {
+// The snapshot goes in the swarm's one buffer, which the next compute
+// refills: Round neither keeps nor reorders it.
+func (p *Peer) chokeLaneCompute() func() {
 	if p.departed {
 		return nil
 	}
@@ -162,7 +162,7 @@ func (p *Peer) chokeLaneCompute(worker int) func() {
 		return p.laneApplyFn
 	}
 	now := p.s.eng.Now()
-	peers := p.s.chokeSnaps[worker][:0]
+	peers := p.s.chokeSnaps[:0]
 	for _, c := range p.connList {
 		din := c.pendingIn(now)
 		dout := c.pendingOut(now)
@@ -178,7 +178,7 @@ func (p *Peer) chokeLaneCompute(worker int) func() {
 			RemotePieces:   c.remote.shownBits().Count(),
 		})
 	}
-	p.s.chokeSnaps[worker] = peers
+	p.s.chokeSnaps = peers
 	choker := p.chokerL
 	if p.seed || p.advLiar {
 		// Liars pose as seeds, so they run the seed unchoke policy too.
@@ -190,11 +190,10 @@ func (p *Peer) chokeLaneCompute(worker int) func() {
 	return p.laneApplyFn
 }
 
-// applyLaneRound is the serial half: it commits the progress the compute
+// applyLaneRound is the apply half: it commits the progress the compute
 // phase read (the same settles the serial round runs), applies the choke
 // transitions — which may cancel remote flows and trigger re-requests
-// against the engine RNG, all serial here — and re-arms the peer on the
-// next grid instant.
+// against the engine RNG — and re-arms the peer on the next grid instant.
 func (p *Peer) applyLaneRound() {
 	if p.departed {
 		return

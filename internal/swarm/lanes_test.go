@@ -10,14 +10,13 @@ import (
 // laneConfig is tinyConfig with churn plus lane rounds: arrivals and
 // departures exercise lane re-arming, departures mid-grid, and batches
 // whose width changes over time.
-func laneConfig(workers int) Config {
+func laneConfig() Config {
 	cfg := tinyConfig()
 	cfg.InitialLeechers = 20
 	cfg.ArrivalRate = 0.01
 	cfg.SeedLingerMean = 600
 	cfg.Duration = 2500
 	cfg.ChokeLanes = true
-	cfg.LaneWorkers = workers
 	return cfg
 }
 
@@ -62,18 +61,19 @@ func summarize(t *testing.T, res *Result) laneSummary {
 }
 
 // TestChokeLanesDeterministicAcrossWorkers runs the same lane-mode swarm
-// serially and with a parallel compute pool and requires every observable
-// output — download outcomes, float means, sample series digests, message
-// counts and the lane stats themselves — to match exactly.
+// twice, and once more with the invariant checker on, and requires every
+// observable output — download outcomes, float means, sample series
+// digests, message counts and the lane stats themselves — to match
+// exactly. The checker is a pure read, so it must not move a thing.
 func TestChokeLanesDeterministicAcrossWorkers(t *testing.T) {
-	serial := summarize(t, New(laneConfig(1)).Run())
-	parallel := summarize(t, New(laneConfig(4)).Run())
-	if serial != parallel {
-		t.Fatalf("lane round results diverge across worker counts:\n serial   %+v\n parallel %+v", serial, parallel)
+	serial := summarize(t, New(laneConfig()).Run())
+	if again := summarize(t, New(laneConfig()).Run()); again != serial {
+		t.Fatalf("lane rounds are not reproducible:\n first  %+v\n second %+v", serial, again)
 	}
-	again := summarize(t, New(laneConfig(4)).Run())
-	if parallel != again {
-		t.Fatalf("parallel lane rounds are not reproducible:\n first  %+v\n second %+v", parallel, again)
+	checked := laneConfig()
+	checked.Invariants = true
+	if got := summarize(t, New(checked).Run()); got != serial {
+		t.Fatalf("lane rounds diverge with invariants on:\n plain   %+v\n checked %+v", serial, got)
 	}
 	if serial.laneBatches == 0 || serial.laneEvents == 0 {
 		t.Fatalf("no lane batches executed: %+v", serial)
@@ -114,7 +114,6 @@ func TestChokeLanesRoundsOnGrid(t *testing.T) {
 func TestChokeLanesCompletes(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.ChokeLanes = true
-	cfg.LaneWorkers = 2
 	res := New(cfg).Run()
 	if !res.LocalCompleted {
 		t.Fatal("lane-mode local peer did not complete")
@@ -130,17 +129,13 @@ func TestChokeLanesCompletes(t *testing.T) {
 	}
 }
 
-// TestLaneChokeComputeZeroAllocWhenWarm pins the per-worker snapshot
-// buffers: the swarm holds one per lane compute worker, and once a
-// worker's buffer has grown a lane choke compute allocates nothing.
+// TestLaneChokeComputeZeroAllocWhenWarm pins the single snapshot buffer:
+// every lane choke compute refills the swarm's one chokeSnaps, and once it
+// has grown a compute allocates nothing.
 func TestLaneChokeComputeZeroAllocWhenWarm(t *testing.T) {
 	s := newTestSwarm(t, func(cfg *Config) {
 		cfg.ChokeLanes = true
-		cfg.LaneWorkers = 3
 	})
-	if got, want := len(s.chokeSnaps), s.eng.LaneParallelism(); got != want || want != 3 {
-		t.Fatalf("len(chokeSnaps) = %d, LaneParallelism() = %d, want both 3", got, want)
-	}
 	s.addPeer(true, false, false, 1e5, 0)
 	leech := s.addPeer(false, false, false, 1e5, 0)
 	for i := 0; i < 4; i++ {
@@ -149,16 +144,22 @@ func TestLaneChokeComputeZeroAllocWhenWarm(t *testing.T) {
 	if len(leech.connList) < 2 {
 		t.Fatalf("leecher has %d connections, want several", len(leech.connList))
 	}
+	other := s.peers[leech.id+1]
+	if other == nil || len(other.connList) == 0 {
+		t.Fatal("no second connected leecher")
+	}
+	// Both peers' computes refill the same buffer.
 	compute := func() {
-		if leech.chokeLaneCompute(0) == nil {
+		if leech.chokeLaneCompute() == nil || other.chokeLaneCompute() == nil {
 			t.Fatal("a live peer's compute returned no apply half")
 		}
 	}
 	compute()
+	buf := &s.chokeSnaps[0]
 	if n := testing.AllocsPerRun(100, compute); n != 0 {
-		t.Fatalf("warm lane choke compute allocates %v objects, want 0", n)
+		t.Fatalf("warm lane choke computes allocate %v objects, want 0", n)
 	}
-	if len(s.chokeSnaps[0]) != len(leech.connList) {
-		t.Fatalf("worker 0 snapshot holds %d peers, want %d", len(s.chokeSnaps[0]), len(leech.connList))
+	if len(s.chokeSnaps) != len(other.connList) || &s.chokeSnaps[0] != buf {
+		t.Fatalf("snapshot holds %d peers in a new buffer, want %d in the warm one", len(s.chokeSnaps), len(other.connList))
 	}
 }

@@ -162,19 +162,19 @@ type Peer struct {
 	chokeFn     func()
 
 	// Lane-mode state (Config.ChokeLanes; see lanes.go): the private
-	// choke RNG a parallel compute phase may advance (chokeRNG points at
+	// choke RNG the compute phase advances (chokeRNG points at
 	// laneRand, which draws from laneSrc; both live in the peer so a
 	// join allocates neither), the compute/apply halves bound once, and
 	// the unchoke set parked between them.
 	laneSrc     laneSource
 	laneRand    rand.Rand
 	chokeRNG    *rand.Rand
-	laneFn      func(worker int) func()
+	laneFn      func() func()
 	laneApplyFn func()
 	laneUnchoke []core.PeerID
 	// Deferred tracker re-contact (lane mode): the bound compute/apply
 	// halves and the at-most-one-pending-per-peer mark.
-	reannounceFn      func(worker int) func()
+	reannounceFn      func() func()
 	reannounceApplyFn func()
 	reannouncePending bool
 
@@ -778,7 +778,7 @@ func (p *Peer) chokeRound() {
 }
 
 // runChokeRound is one round's body. All working storage is the swarm's
-// serial snapshot buffer (chokeSnaps[0]) or per-choker scratch: a
+// snapshot buffer (chokeSnaps) or per-choker scratch: a
 // steady-state round performs no allocation.
 func (p *Peer) runChokeRound() {
 	if len(p.connList) == 0 {
@@ -791,7 +791,7 @@ func (p *Peer) runChokeRound() {
 	// rate ordering reflects in-flight progress. A row reads only c and
 	// c.mirror, which only these two settles write, so settling row by
 	// row matches settling every connection first.
-	peers := s.chokeSnaps[0][:0]
+	peers := s.chokeSnaps[:0]
 	for _, c := range p.connList {
 		p.settleDown(c)
 		if c.outFlow != nil {
@@ -811,7 +811,7 @@ func (p *Peer) runChokeRound() {
 			RemotePieces:   c.remote.shownBits().Count(),
 		})
 	}
-	s.chokeSnaps[0] = peers
+	s.chokeSnaps = peers
 	choker := p.chokerL
 	if p.seed || p.advLiar {
 		// Liars pose as seeds, so they run the seed unchoke policy too.

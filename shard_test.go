@@ -1,30 +1,23 @@
 package rarestfirst
 
-// Sharded event-heap determinism at the report level (PR 6): sharding is
+// Sharded event-heap determinism at the report level: sharding is
 // trajectory-preserving (a sharded run must digest identically to the
-// unsharded oracle), and a run with every lever on is worker-count
-// invariant (serial and 8-worker lane computes must digest identically).
-// CI repeats these under the race detector.
+// unsharded oracle), and a run with every lever on reproduces a fixed
+// digest, recorded when serial and 8-worker lane computes still had to
+// agree on it. CI repeats these under the race detector.
 
-import (
-	"testing"
+import "testing"
 
-	"rarestfirst/internal/swarm"
-)
-
-// shardDigest runs sc with an explicit worker count and digests the
-// report with the Scenario's HeapShards echo normalized away — the digest
-// then covers only simulation output, so it is equal across shard counts
-// exactly when the trajectories are.
-func shardDigest(t *testing.T, sc Scenario, workers int) (string, *Report) {
+// shardDigest runs sc and digests the report with the Scenario's
+// HeapShards echo normalized away — the digest then covers only
+// simulation output, so it is equal across shard counts exactly when the
+// trajectories are.
+func shardDigest(t *testing.T, sc Scenario) (string, *Report) {
 	t.Helper()
-	cfg, spec, err := sc.Config()
+	rep, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.LaneWorkers = workers
-	res := swarm.New(cfg).Run()
-	rep := buildReport(sc, spec, cfg, res)
 	norm := *rep
 	norm.Scenario.HeapShards = 0
 	return reportDigest(t, &norm), rep
@@ -50,11 +43,11 @@ func TestShardedRunMatchesUnsharded(t *testing.T) {
 		ChokeLanes:   true,
 		SeedOverride: 11,
 	}
-	oracle, orep := shardDigest(t, base, 4)
+	oracle, orep := shardDigest(t, base)
 	for _, shards := range []int{1, 8, 32} {
 		sc := base
 		sc.HeapShards = shards
-		got, rep := shardDigest(t, sc, 4)
+		got, rep := shardDigest(t, sc)
 		if got != oracle {
 			t.Errorf("HeapShards=%d digest %s != single-heap oracle digest %s", shards, got, oracle)
 		}
@@ -67,11 +60,11 @@ func TestShardedRunMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestHeapShardParallelMatchesSerial pins the worker-count invariance of
-// a full MegaSwarm-lever run — choke lanes, sharded heap and batched HAVEs
-// all on — at a swarm size whose choke instants mark hundreds of nodes
-// dirty, so the lane compute pool fans wide batches and each is followed
-// by a wide flush into the 32 subheaps.
+// TestHeapShardParallelMatchesSerial pins the digest of a run with every
+// engine mode on — choke lanes, sharded heap and batched HAVEs — at a
+// swarm size whose choke instants mark hundreds of nodes dirty, so the
+// lane batches are wide and each is followed by a wide flush into the 32
+// subheaps.
 func TestHeapShardParallelMatchesSerial(t *testing.T) {
 	t.Parallel()
 	sc := Scenario{
@@ -90,23 +83,17 @@ func TestHeapShardParallelMatchesSerial(t *testing.T) {
 		BatchHaves:   true,
 		SeedOverride: 11,
 	}
-	serial, srep := retimeReport(t, sc, 1)
-	parallel, prep := retimeReport(t, sc, 8)
-	if serial != parallel {
-		t.Errorf("8-worker lane digest %s != serial digest %s", parallel, serial)
+	got, rep := retimeReport(t, sc)
+	if want := "7516f52bd719269f3af45a365c2d770136bfde9f6df040e0930aaaac5c4c17c7"; got != want {
+		t.Errorf("all-modes digest %s, want %s", got, want)
 	}
-	if again, _ := retimeReport(t, sc, 8); again != parallel {
-		t.Errorf("8-worker lane run not reproducible: %s vs %s", again, parallel)
+	if rep.Events.Shards != 32 || rep.Events.MergePops == 0 || rep.Events.PeakShardHeap == 0 {
+		t.Fatalf("shard stats missing from report: %+v", rep.Events)
 	}
-	for _, rep := range []*Report{srep, prep} {
-		if rep.Events.Shards != 32 || rep.Events.MergePops == 0 || rep.Events.PeakShardHeap == 0 {
-			t.Fatalf("shard stats missing from report: %+v", rep.Events)
-		}
-		// The run must actually have fanned wide lane batches and followed
-		// them with wide flushes, or the test proves nothing.
-		if rep.Events.PeakLaneWidth < 64 || rep.Events.PeakShardWidth < 64 {
-			t.Fatalf("peak lane batch %d, peak flush width %d: want both >= 64",
-				rep.Events.PeakLaneWidth, rep.Events.PeakShardWidth)
-		}
+	// The run must actually have run wide lane batches and followed them
+	// with wide flushes, or the test proves nothing.
+	if rep.Events.PeakLaneWidth < 64 || rep.Events.PeakShardWidth < 64 {
+		t.Fatalf("peak lane batch %d, peak flush width %d: want both >= 64",
+			rep.Events.PeakLaneWidth, rep.Events.PeakShardWidth)
 	}
 }

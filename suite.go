@@ -66,8 +66,9 @@ type Runner struct {
 	// every interval while Run executes (plus a final line at
 	// completion): elapsed wall time, finished/total scenarios, and —
 	// when a process-wide obs registry is active — live counters
-	// (events fired, arrivals, peak lane width). Long batches like
-	// MegaSwarm then narrate themselves instead of running silent.
+	// (events fired, arrivals, peak lane width). Long batches like the
+	// full-size huge-swarm suite then narrate themselves instead of
+	// running silent.
 	Heartbeat time.Duration
 	// HeartbeatW receives heartbeat lines; nil means os.Stderr.
 	HeartbeatW io.Writer
