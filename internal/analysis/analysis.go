@@ -172,12 +172,12 @@ func Pearson(x, y []float64) float64 {
 	return cov / math.Sqrt(vx*vy)
 }
 
-// FairnessSets reproduces the construction of Figs 9 and 11: peers are
+// fairnessSets reproduces the construction of Figs 9 and 11: peers are
 // ranked by rankBy (descending) and grouped into numSets sets of setSize;
 // the return value is each set's share of the TOTAL of shareOf, in rank
 // order (set 0 = the 5 peers with the highest rankBy). Both slices are
 // indexed by peer and must have equal length.
-func FairnessSets(rankBy, shareOf []float64, setSize, numSets int) []float64 {
+func fairnessSets(rankBy, shareOf []float64, setSize, numSets int) []float64 {
 	if len(rankBy) != len(shareOf) || setSize <= 0 || numSets <= 0 {
 		return nil
 	}
@@ -216,7 +216,7 @@ func UploadFairness(recs []*trace.PeerRecord, ss bool, numSets int) []float64 {
 			up[i] = float64(r.UploadedLS)
 		}
 	}
-	return FairnessSets(up, up, 5, numSets)
+	return fairnessSets(up, up, 5, numSets)
 }
 
 // ReciprocationFairness is Fig 9's bottom graph: the same 5-peer sets,
@@ -232,7 +232,7 @@ func ReciprocationFairness(recs []*trace.PeerRecord, numSets int) []float64 {
 		rank = append(rank, float64(r.UploadedLS))
 		share = append(share, float64(r.DownloadedLS))
 	}
-	return FairnessSets(rank, share, 5, numSets)
+	return fairnessSets(rank, share, 5, numSets)
 }
 
 // UnchokePoints extracts the Fig 10 scatter: for each remote peer, the time

@@ -146,7 +146,7 @@ func TestFairnessSets(t *testing.T) {
 	// 10 peers, uploads 10,9,...,1 (total 55). Sets of 5: top set gets
 	// (10+9+8+7+6)/55, second (5+4+3+2+1)/55.
 	up := []float64{3, 10, 7, 1, 9, 5, 2, 8, 4, 6}
-	shares := FairnessSets(up, up, 5, 2)
+	shares := fairnessSets(up, up, 5, 2)
 	if math.Abs(shares[0]-40.0/55) > 1e-9 || math.Abs(shares[1]-15.0/55) > 1e-9 {
 		t.Fatalf("shares = %v", shares)
 	}
@@ -154,10 +154,10 @@ func TestFairnessSets(t *testing.T) {
 	if math.Abs(shares[0]+shares[1]-1) > 1e-9 {
 		t.Fatalf("shares don't sum to 1: %v", shares)
 	}
-	if FairnessSets(up, up[:3], 5, 2) != nil {
+	if fairnessSets(up, up[:3], 5, 2) != nil {
 		t.Error("length mismatch accepted")
 	}
-	zero := FairnessSets([]float64{0, 0}, []float64{0, 0}, 5, 2)
+	zero := fairnessSets([]float64{0, 0}, []float64{0, 0}, 5, 2)
 	if zero[0] != 0 || zero[1] != 0 {
 		t.Errorf("zero totals: %v", zero)
 	}

@@ -140,11 +140,10 @@ func TestPhaseTimesSnapshot(t *testing.T) {
 	pt := &PhaseTimes{}
 	pt.LaneCompute.Add(10)
 	pt.LaneApply.Add(20)
-	pt.HeapMerge.Add(30)
 	pt.RetimeFlush.Add(40)
 	pt.HaveFlush.Add(50)
 	s := pt.Snapshot()
-	if s.LaneComputeNs != 10 || s.LaneApplyNs != 20 || s.HeapMergeNs != 30 ||
+	if s.LaneComputeNs != 10 || s.LaneApplyNs != 20 ||
 		s.RetimeFlushNs != 40 || s.HaveFlushNs != 50 {
 		t.Fatalf("snapshot %+v", s)
 	}

@@ -1,8 +1,8 @@
 package obs
 
 // Engine phase timing. The simulator's hot loop splits into distinct
-// phases — lane compute, lane apply, sharded-heap merge
-// pops, the deferred retime flush, the batched HAVE flush — and knowing
+// phases — lane compute, lane apply, the deferred retime flush, the
+// batched HAVE flush — and knowing
 // where wall-clock time goes is what turns "201 s of silence" into a
 // tunable system. PhaseTimes is a bundle of atomic nanosecond
 // accumulators the engine adds into when (and only when) a bundle is
@@ -22,8 +22,6 @@ type PhaseTimes struct {
 	LaneCompute atomic.Int64
 	// LaneApply: the key-ordered apply loop of a lane batch.
 	LaneApply atomic.Int64
-	// HeapMerge: loser-tree merge pops across heap shards.
-	HeapMerge atomic.Int64
 	// RetimeFlush: the post-event dirty-flow retime flush (sim.Net).
 	RetimeFlush atomic.Int64
 	// HaveFlush: draining the batched-HAVE queue (internal/swarm).
@@ -34,7 +32,6 @@ type PhaseTimes struct {
 type PhaseSnapshot struct {
 	LaneComputeNs uint64
 	LaneApplyNs   uint64
-	HeapMergeNs   uint64
 	RetimeFlushNs uint64
 	HaveFlushNs   uint64
 }
@@ -48,7 +45,6 @@ func (p *PhaseTimes) Snapshot() PhaseSnapshot {
 	return PhaseSnapshot{
 		LaneComputeNs: uint64(p.LaneCompute.Load()),
 		LaneApplyNs:   uint64(p.LaneApply.Load()),
-		HeapMergeNs:   uint64(p.HeapMerge.Load()),
 		RetimeFlushNs: uint64(p.RetimeFlush.Load()),
 		HaveFlushNs:   uint64(p.HaveFlush.Load()),
 	}

@@ -102,15 +102,9 @@ type Spec struct {
 	// (the huge-swarm and flash-crowd-20k suites do).
 	ChokeLanes bool `json:",omitempty"`
 
-	// HeapShards shards the simulation engine's event heap into this many
-	// keyed subheaps (swarm.Config.HeapShards, rounded up to a power of
-	// two) plus a global shard, merged at pop time by a loser tree over
-	// the shard heads. Sharding is trajectory-preserving — sequence
-	// numbers stay globally ordered, so the merged pop order is exactly
-	// the single-heap order and any scenario may enable it without
-	// changing its results; what it buys is per-shard timer pools. 0
-	// keeps the single monolithic heap, which doubles as the determinism
-	// oracle the shard tests compare against.
+	// HeapShards has no effect: the simulation engine's event queue is
+	// one heap. It is kept only because bench/ sets it, and a report
+	// still echoes it with the rest of its Scenario.
 	HeapShards int `json:",omitempty"`
 
 	// BatchHaves defers the per-neighbour interest/request reactions of
@@ -242,7 +236,6 @@ func (s Spec) Config() (swarm.Config, torrents.Spec, error) {
 		cfg.AbortRate *= s.AbortScale
 	}
 	cfg.ChokeLanes = s.ChokeLanes
-	cfg.HeapShards = s.HeapShards
 	cfg.BatchHaves = s.BatchHaves
 	cfg.FreeRiderFraction = s.FreeRiderFraction
 	cfg.LocalFreeRider = s.LocalFreeRider

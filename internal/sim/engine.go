@@ -31,12 +31,8 @@ type Timer struct {
 	fn        func()
 	cancelled bool
 	index     int  // heap index, -1 once popped
-	pooled    bool // true while parked in a shard's free list
+	pooled    bool // true while parked in the engine's free list
 	eng       *Engine
-	// shard is the subheap (and free list) the timer lives in: 0 is the
-	// global shard, 1..n are the keyed shards of a sharded engine. A timer
-	// never migrates between shards.
-	shard int32
 
 	// Lane events (AtLane) carry a compute half instead of fn: compute is
 	// the read-only phase, the closure it returns is the mutation phase.
@@ -51,15 +47,15 @@ func (t *Timer) At() float64 { return t.at }
 // Cancel stops the timer; it is safe to call on an already-fired or
 // already-cancelled timer. The heap slot is reclaimed lazily: either when
 // the cancelled entry reaches the top, or by compaction once cancelled
-// entries outnumber live ones in its shard.
+// entries outnumber live ones.
 func (t *Timer) Cancel() {
 	if t.cancelled {
 		return
 	}
 	t.cancelled = true
 	if t.index >= 0 && t.eng != nil {
-		t.eng.shards[t.shard].dead++
-		t.eng.maybeCompact(t.shard)
+		t.eng.dead++
+		t.eng.maybeCompact()
 	}
 }
 
@@ -160,32 +156,12 @@ func heapDown(h eventHeap, i0, n int) bool {
 	return i > i0
 }
 
-// heapShard is one subheap of the (possibly sharded) event queue, with its
-// own lazy-deletion count, timer recycling pool and occupancy high-water
-// mark. The single-heap engine is the degenerate case of one shard.
-type heapShard struct {
-	heap eventHeap
-	// dead counts cancelled entries still occupying slots (lazy deletion).
-	dead int
-	// free is the shard's timer recycling pool, capped at poolCap so a
-	// burst of churn does not pin a burst-sized pool forever.
-	free        []*Timer
-	peak        int // heap-occupancy high-water mark
-	reused      uint64
-	compactions uint64
-}
-
-// poolCap bounds the shard's free list at a quarter of its own heap
-// high-water mark (plus a small floor so tiny shards still pool) — the
-// single-heap peak/4+64 rule, applied per shard.
-func (sh *heapShard) poolCap() int { return sh.peak/4 + 64 }
-
 // EngineStats exposes the scheduler's internal occupancy for the benchmark
 // harness: how big the heap actually is versus how many of its entries are
-// still live, plus how many timer allocations the free lists saved.
+// still live, plus how many timer allocations the free list saved.
 type EngineStats struct {
-	// HeapSize is the number of entries across all event subheaps,
-	// including lazily-deleted (cancelled) ones.
+	// HeapSize is the number of entries in the event heap, including
+	// lazily-deleted (cancelled) ones.
 	HeapSize int
 	// Live is the number of pending events that will actually fire.
 	Live int
@@ -193,14 +169,14 @@ type EngineStats struct {
 	Cancelled int
 	// FreeListSize is the number of recycled timers ready for reuse.
 	FreeListSize int
-	// TimerPoolCap is the high-water-derived bound on FreeListSize (summed
-	// across shards): popped timers beyond it are dropped for the GC
-	// instead of pooled, so a flash-crowd peak does not pin a peak-sized
-	// free list for the rest of a long run.
+	// TimerPoolCap is the high-water-derived bound on FreeListSize: popped
+	// timers beyond it are dropped for the GC instead of pooled, so a
+	// flash-crowd peak does not pin a peak-sized free list for the rest of
+	// a long run.
 	TimerPoolCap int
-	// Reused counts scheduling calls served from the free lists.
+	// Reused counts scheduling calls served from the free list.
 	Reused uint64
-	// Compactions counts lazy-deletion sweeps across all shards.
+	// Compactions counts lazy-deletion sweeps.
 	Compactions uint64
 	// PeakLaneWidth is the largest batch of same-timestamp lane events
 	// (AtLane) executed as one unit: how many computes of one instant ran
@@ -210,57 +186,38 @@ type EngineStats struct {
 	// events they contained (LaneEvents/LaneBatches = mean batch width).
 	LaneBatches uint64
 	LaneEvents  uint64
-	// Shards is the number of keyed subheaps when the event heap is
-	// sharded (SetHeapShards); 0 for the default single-heap engine.
-	Shards int
-	// PeakShardHeap is the largest single-subheap occupancy high-water
-	// mark across the keyed shards of a sharded engine (0 when unsharded).
+	// PeakShardHeap, MergePops and MergeNs are always 0: the event queue
+	// is one heap. They are kept only because bench/ reads them.
 	PeakShardHeap int
-	// MergePops counts pops routed through the loser-tree head merge of a
-	// sharded engine (0 when unsharded).
-	MergePops uint64
+	MergePops     uint64
 	// Phase timing (wall-clock nanoseconds), populated only when an
 	// obs.PhaseTimes bundle is attached via SetMetrics — zero otherwise.
 	// Observe-only: these never feed back into the simulation, so runs
 	// with and without timing fire identical event sequences.
 	LaneComputeNs uint64
 	LaneApplyNs   uint64
-	MergeNs       uint64
+	MergeNs       uint64 // always 0; see PeakShardHeap
 	RetimeFlushNs uint64
 	HaveFlushNs   uint64
 }
 
-// Engine is a single-threaded discrete-event scheduler.
-//
-// The event queue is one binary heap by default. SetHeapShards splits it
-// into per-key subheaps (shard 0 holds keyless events) merged at pop time
-// by a loser tree over the shard heads. Sharding is trajectory-preserving:
-// sequence numbers are still assigned serially, (at, seq) stays a global
-// total order, and the merge always pops its global minimum, so a sharded
-// engine fires events in exactly the single-heap order — what sharding
-// buys is per-shard timer free lists.
+// Engine is a single-threaded discrete-event scheduler over one binary
+// heap ordered by (at, seq).
 type Engine struct {
 	now float64
 	seq uint64
 	rng *rand.Rand
 
-	// shards[0] is the global (keyless) shard; 1..n are the keyed shards
-	// of a sharded engine. keyMask = n-1 (n a power of two) routes keys.
-	shards  []heapShard
-	keyMask int64
-
-	// Loser-tree merge state over shard heads (sharded engines only).
-	// tree[0] holds the winning shard index, tree[1..treeP-1] the losers;
-	// treeP is the leaf count (shards padded to a power of two, missing
-	// leaves = -1 sentinels that lose every match). The tree is replayed
-	// from the winner's leaf after each pop and rebuilt lazily (treeDirty)
-	// after any other head movement — pushes landing at a shard head,
-	// reschedules, compactions.
-	tree      []int32
-	treeWin   []int32 // rebuild scratch, len 2*treeP
-	treeP     int
-	treeDirty bool
-	mergePops uint64
+	heap eventHeap
+	// dead counts cancelled entries still occupying heap slots (lazy
+	// deletion).
+	dead int
+	// free is the timer recycling pool, capped at poolCap so a burst of
+	// churn does not pin a burst-sized pool forever.
+	free        []*Timer
+	peak        int // heap-occupancy high-water mark
+	reused      uint64
+	compactions uint64
 
 	// postEvent, when set, runs after every fired event (after a whole
 	// batch, for batched lane events) and before the next pop in
@@ -287,7 +244,7 @@ type Engine struct {
 
 // NewEngine returns an engine whose randomness derives entirely from seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), shards: make([]heapShard, 1)}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current simulated time in seconds.
@@ -298,103 +255,32 @@ func (e *Engine) RNG() *rand.Rand { return e.rng }
 
 // Pending returns the number of live scheduled events (cancelled timers
 // awaiting lazy deletion are excluded).
-func (e *Engine) Pending() int {
-	n := 0
-	for i := range e.shards {
-		n += len(e.shards[i].heap) - e.shards[i].dead
-	}
-	return n
-}
+func (e *Engine) Pending() int { return len(e.heap) - e.dead }
 
 // Stats returns the scheduler's occupancy counters.
 func (e *Engine) Stats() EngineStats {
 	ph := e.timing.Snapshot() // nil-safe: zeros when no bundle attached
-	st := EngineStats{
+	return EngineStats{
+		HeapSize:      len(e.heap),
+		Live:          len(e.heap) - e.dead,
+		Cancelled:     e.dead,
+		FreeListSize:  len(e.free),
+		TimerPoolCap:  e.poolCap(),
+		Reused:        e.reused,
+		Compactions:   e.compactions,
 		PeakLaneWidth: e.peakLane,
 		LaneBatches:   e.laneBatches,
 		LaneEvents:    e.laneEvents,
-		MergePops:     e.mergePops,
 		LaneComputeNs: ph.LaneComputeNs,
 		LaneApplyNs:   ph.LaneApplyNs,
-		MergeNs:       ph.HeapMergeNs,
 		RetimeFlushNs: ph.RetimeFlushNs,
 		HaveFlushNs:   ph.HaveFlushNs,
 	}
-	for i := range e.shards {
-		sh := &e.shards[i]
-		st.HeapSize += len(sh.heap)
-		st.Live += len(sh.heap) - sh.dead
-		st.Cancelled += sh.dead
-		st.FreeListSize += len(sh.free)
-		st.TimerPoolCap += sh.poolCap()
-		st.Reused += sh.reused
-		st.Compactions += sh.compactions
-		if i > 0 && sh.peak > st.PeakShardHeap {
-			st.PeakShardHeap = sh.peak
-		}
-	}
-	if len(e.shards) > 1 {
-		st.Shards = len(e.shards) - 1
-	} else {
-		st.PeakShardHeap = 0
-	}
-	return st
 }
 
-// SetHeapShards splits the event queue into n keyed subheaps (n is rounded
-// up to a power of two) plus the global shard for keyless events, or
-// restores the single monolithic heap for n <= 0 — the oracle the
-// determinism tests compare against. Keys route as 1 + (key & (n-1)), so
-// any family of per-node keys that differ by a multiple of n (choke-lane
-// keys, the re-announce lane offset) lands in the owner node's shard;
-// negative keys and plain At/After go to the global shard.
-//
-// Sharding must be chosen before any events are scheduled; calling it with
-// a non-empty queue panics.
-func (e *Engine) SetHeapShards(n int) {
-	for i := range e.shards {
-		if len(e.shards[i].heap) != 0 {
-			panic("sim: SetHeapShards with scheduled events")
-		}
-	}
-	if n <= 0 {
-		e.shards = make([]heapShard, 1)
-		e.keyMask = 0
-		e.tree, e.treeWin, e.treeP = nil, nil, 0
-		e.treeDirty = false
-		return
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	e.shards = make([]heapShard, p+1)
-	e.keyMask = int64(p - 1)
-	tp := 1
-	for tp < len(e.shards) {
-		tp <<= 1
-	}
-	e.treeP = tp
-	e.tree = make([]int32, tp)
-	e.treeWin = make([]int32, 2*tp)
-	e.treeDirty = true
-}
-
-// HeapShards returns the keyed subheap count (0 = single monolithic heap).
-func (e *Engine) HeapShards() int {
-	if len(e.shards) <= 1 {
-		return 0
-	}
-	return len(e.shards) - 1
-}
-
-// shardFor routes a scheduling key to its owning subheap.
-func (e *Engine) shardFor(key int64) int32 {
-	if len(e.shards) == 1 || key < 0 {
-		return 0
-	}
-	return int32(1 + (key & e.keyMask))
-}
+// SetHeapShards does nothing: the event queue is one heap. It is kept
+// only because bench/ calls it.
+func (e *Engine) SetHeapShards(int) {}
 
 // SetPostEventHook installs fn to run after every fired event (once per
 // whole batch for batched lane events) and before the next pop in Step and
@@ -411,7 +297,7 @@ func (e *Engine) SetPostEventHook(fn func()) { e.postEvent = fn }
 // partial bundle is fine.
 type EngineMetrics struct {
 	// Phases accumulates per-phase wall-clock nanoseconds (lane compute
-	// vs apply, shard-heap merge, retime flush, HAVE flush). The same
+	// vs apply, retime flush, HAVE flush). The same
 	// bundle is read by Net.Flush and may be shared with the swarm layer
 	// for its HAVE-flush phase.
 	Phases *obs.PhaseTimes
@@ -432,145 +318,24 @@ func (e *Engine) SetMetrics(m EngineMetrics) {
 	e.mPeakLane = m.PeakLane
 }
 
-// headLess orders two shards by their current heads under (at, seq);
-// empty shards and -1 sentinel leaves order last (lose every match).
-func (e *Engine) headLess(a, b int32) bool {
-	if a < 0 {
-		return false
-	}
-	if b < 0 {
-		return true
-	}
-	ha, hb := e.shards[a].heap, e.shards[b].heap
-	if len(ha) == 0 {
-		return false
-	}
-	if len(hb) == 0 {
-		return true
-	}
-	if ha[0].at != hb[0].at {
-		return ha[0].at < hb[0].at
-	}
-	return ha[0].seq < hb[0].seq
-}
-
-// rebuildTree replays the whole tournament bottom-up: one match per
-// internal node, O(treeP) total. Runs lazily (treeDirty) so a burst of
-// head-moving mutations inside one event costs one rebuild at the next
-// peek, not one per mutation.
-func (e *Engine) rebuildTree() {
-	p := e.treeP
-	win := e.treeWin
-	for i := 0; i < p; i++ {
-		if i < len(e.shards) {
-			win[p+i] = int32(i)
-		} else {
-			win[p+i] = -1
-		}
-	}
-	for v := p - 1; v >= 1; v-- {
-		a, b := win[2*v], win[2*v+1]
-		if e.headLess(b, a) {
-			a, b = b, a
-		}
-		win[v] = a
-		e.tree[v] = b
-	}
-	e.tree[0] = win[1]
-	e.treeDirty = false
-}
-
-// replayWinner re-runs the winner shard's matches up the tree after its
-// head was consumed — the classic loser-tree pop refill, O(log shards).
-// Only valid for the current winner; any other head movement must set
-// treeDirty instead.
-func (e *Engine) replayWinner(w int32) {
-	cur := w
-	for v := (e.treeP + int(w)) >> 1; v >= 1; v >>= 1 {
-		if e.headLess(e.tree[v], cur) {
-			cur, e.tree[v] = e.tree[v], cur
-		}
-	}
-	e.tree[0] = cur
-}
-
-// peekTop returns the globally earliest pending entry (cancelled entries
-// included, exactly like a single heap's top), or nil when every shard is
-// empty. On a sharded engine this settles the merge tree first.
-func (e *Engine) peekTop() *Timer {
-	if len(e.shards) == 1 {
-		if len(e.shards[0].heap) == 0 {
-			return nil
-		}
-		return e.shards[0].heap[0].t
-	}
-	if e.treeDirty {
-		e.rebuildTree()
-	}
-	w := e.tree[0]
-	if w < 0 || len(e.shards[w].heap) == 0 {
-		return nil
-	}
-	return e.shards[w].heap[0].t
-}
-
-// popTop removes and returns the globally earliest entry. Callers must
-// have established that one exists via peekTop (which also settles the
-// merge tree); popTop then refills the tree with one winner replay.
-func (e *Engine) popTop() *Timer {
-	if len(e.shards) == 1 {
-		return heapPop(&e.shards[0].heap)
-	}
-	var t0 time.Time
-	if e.timing != nil {
-		t0 = time.Now()
-	}
-	w := e.tree[0]
-	t := heapPop(&e.shards[w].heap)
-	e.mergePops++
-	e.replayWinner(w)
-	if e.timing != nil {
-		e.timing.HeapMerge.Add(time.Since(t0).Nanoseconds())
-	}
-	return t
-}
-
-// notePush records shard heap growth for the pool cap's high-water mark
-// and dirties the merge tree when the new entry became the shard head;
-// call after every heapPush.
-func (e *Engine) notePush(sh *heapShard, t *Timer) {
-	if len(sh.heap) > sh.peak {
-		sh.peak = len(sh.heap)
-	}
-	if len(e.shards) > 1 && !e.treeDirty && sh.heap[0].t == t {
-		e.treeDirty = true
-	}
-}
-
-// alloc returns a zeroed timer bound to shard s, reusing one of the
-// shard's recycled timers when available.
-func (e *Engine) alloc(s int32) *Timer {
-	sh := &e.shards[s]
-	if n := len(sh.free); n > 0 {
-		t := sh.free[n-1]
-		sh.free[n-1] = nil
-		sh.free = sh.free[:n-1]
+// alloc returns a zeroed timer, reusing a recycled one when available.
+func (e *Engine) alloc() *Timer {
+	if n := len(e.free); n > 0 {
+		t := e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
 		t.pooled = false
-		sh.reused++
+		e.reused++
 		return t
 	}
-	return &Timer{eng: e, shard: s}
+	return &Timer{eng: e}
 }
 
-// recycle returns a popped timer to its shard's free list unless its fn
-// re-scheduled it back into the heap; beyond the shard's high-water cap
-// the timer is dropped for the GC instead.
+// recycle returns a popped timer to the free list unless its fn
+// re-scheduled it back into the heap; beyond the high-water cap the timer
+// is dropped for the GC instead.
 func (e *Engine) recycle(t *Timer) {
-	if t.index != -1 {
-		return
-	}
-	sh := &e.shards[t.shard]
-	if len(sh.free) >= sh.poolCap() {
+	if t.index != -1 || len(e.free) >= e.poolCap() {
 		return
 	}
 	t.fn = nil
@@ -578,30 +343,56 @@ func (e *Engine) recycle(t *Timer) {
 	t.laneKey = 0
 	t.cancelled = false
 	t.pooled = true
-	sh.free = append(sh.free, t)
+	e.free = append(e.free, t)
 }
 
-// schedule is the shared push path: clamp, next sequence number, shard
-// push, high-water bookkeeping.
-func (e *Engine) schedule(s int32, at float64) *Timer {
+// poolCap bounds the timer free list at a quarter of the heap's
+// high-water mark, plus a small floor so a tiny heap still pools.
+func (e *Engine) poolCap() int { return e.peak/4 + 64 }
+
+// push puts t into the heap and records the occupancy high-water mark
+// that sizes the pool cap.
+func (e *Engine) push(t *Timer) {
+	heapPush(&e.heap, t)
+	if len(e.heap) > e.peak {
+		e.peak = len(e.heap)
+	}
+}
+
+// schedule is the shared push path: clamp, next sequence number, push.
+func (e *Engine) schedule(at float64) *Timer {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	sh := &e.shards[s]
-	t := e.alloc(s)
+	t := e.alloc()
 	t.at = at
 	t.seq = e.seq
-	heapPush(&sh.heap, t)
-	e.notePush(sh, t)
+	e.push(t)
 	return t
 }
 
+// peekTop returns the earliest pending entry (cancelled entries
+// included), or nil when the heap is empty.
+func (e *Engine) peekTop() *Timer {
+	if len(e.heap) == 0 {
+		return nil
+	}
+	return e.heap[0].t
+}
+
+// dropTop pops the heap's top, which the caller has seen is cancelled,
+// and recycles it.
+func (e *Engine) dropTop() {
+	t := heapPop(&e.heap)
+	e.dead--
+	e.recycle(t)
+}
+
 // At schedules fn to run at absolute time t (clamped to now if in the
-// past) and returns a cancellable handle. Plain events live in the global
-// shard; use AtKey to route into a keyed shard.
+// past) and returns a cancellable handle.
 func (e *Engine) At(t float64, fn func()) *Timer {
-	timer := e.schedule(0, t)
+	timer := e.schedule(t)
 	timer.fn = fn
 	return timer
 }
@@ -614,23 +405,12 @@ func (e *Engine) After(d float64, fn func()) *Timer {
 	return e.At(e.now+d, fn)
 }
 
-// AtKey schedules fn at absolute time t in the subheap owning key — on a
-// sharded engine, per-node keys keep per-node timer traffic (and its pool
-// churn) out of the shared global shard. Identical to At on an unsharded
-// engine, and identical pop order everywhere.
-func (e *Engine) AtKey(t float64, key int64, fn func()) *Timer {
-	timer := e.schedule(e.shardFor(key), t)
-	timer.fn = fn
-	return timer
-}
+// AtKey is At; key is ignored. It is kept only because bench/ calls it.
+func (e *Engine) AtKey(t float64, _ int64, fn func()) *Timer { return e.At(t, fn) }
 
-// AfterKey schedules fn d seconds from now in the subheap owning key.
-func (e *Engine) AfterKey(d float64, key int64, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	return e.AtKey(e.now+d, key, fn)
-}
+// AfterKey is After; key is ignored. It is kept only because bench/ calls
+// it.
+func (e *Engine) AfterKey(d float64, _ int64, fn func()) *Timer { return e.After(d, fn) }
 
 // AtLane schedules a lane event at absolute time t (clamped to now if in
 // the past). Lane events scheduled for the same instant that are adjacent
@@ -644,16 +424,13 @@ func (e *Engine) AfterKey(d float64, key int64, fn func()) *Timer {
 // or choker, is fair game, and so is scratch no later compute of the
 // batch still needs); all shared-state mutation, engine RNG use and
 // rescheduling belongs in the apply closure. A compute may return nil to
-// skip its apply phase.
-//
-// On a sharded engine the event lives in the subheap owning key, so
-// grid-aligned per-node lane timers spread across shards instead of
-// funnelling through one heap.
+// skip its apply phase. key orders the event within its batch; it does
+// not move the event in the heap.
 func (e *Engine) AtLane(t float64, key int64, compute func() func()) *Timer {
 	if compute == nil {
 		panic("sim: AtLane with nil compute")
 	}
-	timer := e.schedule(e.shardFor(key), t)
+	timer := e.schedule(t)
 	timer.compute = compute
 	timer.laneKey = key
 	return timer
@@ -681,35 +458,29 @@ func (e *Engine) Reschedule(t *Timer, at float64) {
 	e.seq++
 	t.at = at
 	t.seq = e.seq
-	sh := &e.shards[t.shard]
 	if t.cancelled {
 		t.cancelled = false
 		if t.index >= 0 {
-			sh.dead--
+			e.dead--
 		}
 	}
 	if t.index >= 0 {
-		heapFix(sh.heap, t.index)
-		if len(e.shards) > 1 {
-			e.treeDirty = true
-		}
+		heapFix(e.heap, t.index)
 		return
 	}
-	heapPush(&sh.heap, t)
-	e.notePush(sh, t)
+	e.push(t)
 }
 
-// maybeCompact sweeps cancelled entries out of shard s once they occupy
+// maybeCompact sweeps cancelled entries out of the heap once they occupy
 // more than half of it, re-establishing the heap invariant in one O(n)
 // pass. Pop order is unchanged: (at, seq) is a total order, so any valid
 // heap arrangement of the same live set pops identically.
-func (e *Engine) maybeCompact(s int32) {
-	sh := &e.shards[s]
-	if sh.dead <= len(sh.heap)/2 || sh.dead < 64 {
+func (e *Engine) maybeCompact() {
+	if e.dead <= len(e.heap)/2 || e.dead < 64 {
 		return
 	}
-	live := sh.heap[:0]
-	for _, en := range sh.heap {
+	live := e.heap[:0]
+	for _, en := range e.heap {
 		if en.t.cancelled {
 			en.t.index = -1
 			e.recycle(en.t)
@@ -717,19 +488,16 @@ func (e *Engine) maybeCompact(s int32) {
 		}
 		live = append(live, en)
 	}
-	for i := len(live); i < len(sh.heap); i++ {
-		sh.heap[i] = heapEnt{}
+	for i := len(live); i < len(e.heap); i++ {
+		e.heap[i] = heapEnt{}
 	}
-	sh.heap = live
-	for i := range sh.heap {
-		sh.heap[i].t.index = i
+	e.heap = live
+	for i := range e.heap {
+		e.heap[i].t.index = i
 	}
-	heapInit(sh.heap)
-	sh.dead = 0
-	sh.compactions++
-	if len(e.shards) > 1 {
-		e.treeDirty = true
-	}
+	heapInit(e.heap)
+	e.dead = 0
+	e.compactions++
 }
 
 // runLaneBatch executes the lane batch starting at first, which has just
@@ -751,15 +519,13 @@ func (e *Engine) runLaneBatch(first *Timer) {
 			break
 		}
 		if top.cancelled {
-			e.popTop()
-			e.shards[top.shard].dead--
-			e.recycle(top)
+			e.dropTop()
 			continue
 		}
 		if top.compute == nil {
 			break
 		}
-		e.popTop()
+		heapPop(&e.heap)
 		batch = append(batch, top)
 	}
 	// Key order, not pop (seq) order, for both phases: applies must run in
@@ -836,12 +602,11 @@ func (e *Engine) Step() bool {
 		if t == nil {
 			return false
 		}
-		e.popTop()
 		if t.cancelled {
-			e.shards[t.shard].dead--
-			e.recycle(t)
+			e.dropTop()
 			continue
 		}
+		heapPop(&e.heap)
 		e.fire(t)
 		return true
 	}
@@ -859,15 +624,13 @@ func (e *Engine) Run(until float64) {
 			break
 		}
 		if next.cancelled {
-			e.popTop()
-			e.shards[next.shard].dead--
-			e.recycle(next)
+			e.dropTop()
 			continue
 		}
 		if next.at > until {
 			break
 		}
-		e.popTop()
+		heapPop(&e.heap)
 		e.fire(next)
 	}
 	if e.now < until {

@@ -1,36 +1,181 @@
 package sim
 
-// Sharded-heap determinism: the loser-tree merge over per-key subheaps
-// must pop events in EXACTLY the single monolithic heap's order — that is
-// the whole contract that makes SetHeapShards trajectory-preserving. The
-// tests drive a sharded engine and an unsharded oracle through identical
-// randomized schedules (pushes into every shard, cancels, reschedules,
-// lane batches, nested scheduling from inside callbacks) and require the
+// Event-order contract: the engine fires events in (at, seq) order, skips
+// cancelled ones, and runs a same-instant run of adjacent lane events as
+// one batch — every compute in (key, seq) order, then every apply in the
+// same order. The tests drive the engine and refSched, a linear-scan
+// reference scheduler written straight from that contract, through
+// identical randomized schedules (plain, keyed and lane events, cancels,
+// reschedules, nested scheduling from inside callbacks) and require the
 // fired-event logs to be byte-identical.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+
+	"rarestfirst/internal/obs"
 )
 
-// shardScriptLog runs a randomized self-scheduling workload on an engine
-// with the given shard count (0 = single-heap oracle) and returns the
-// fired-event log. Everything derives from seed, and every random draw
-// happens either at schedule time or inside a fired callback — so two
-// engines that pop in the same order consume the rng identically and
+// scheduler is what the script drives: the engine (engineSched) or the
+// reference (refSched). Handles are opaque to the script.
+type scheduler interface {
+	now() float64
+	after(d float64, fn func()) any
+	afterKey(d float64, key int64, fn func()) any
+	atLane(at float64, key int64, compute func() func()) any
+	cancel(h any)
+	reschedule(h any, at float64)
+	runUntilIdle()
+	pending() int
+}
+
+type engineSched struct{ e *Engine }
+
+func (s engineSched) now() float64                   { return s.e.Now() }
+func (s engineSched) after(d float64, fn func()) any { return s.e.After(d, fn) }
+func (s engineSched) afterKey(d float64, key int64, fn func()) any {
+	return s.e.AfterKey(d, key, fn)
+}
+func (s engineSched) atLane(at float64, key int64, compute func() func()) any {
+	return s.e.AtLane(at, key, compute)
+}
+func (s engineSched) cancel(h any)                 { h.(*Timer).Cancel() }
+func (s engineSched) reschedule(h any, at float64) { s.e.Reschedule(h.(*Timer), at) }
+func (s engineSched) runUntilIdle()                { s.e.RunUntilIdle() }
+func (s engineSched) pending() int                 { return s.e.Pending() }
+
+// refEvent is one event of the reference scheduler.
+type refEvent struct {
+	at        float64
+	seq       uint64
+	key       int64
+	fn        func()
+	compute   func() func() // non-nil: a lane event
+	cancelled bool
+	queued    bool // waiting to fire
+}
+
+// refSched is the reference: no heap, no pool, no lazy deletion. Every
+// pop scans all events for the least queued, non-cancelled (at, seq).
+type refSched struct {
+	t      float64
+	seq    uint64
+	events []*refEvent
+}
+
+func (r *refSched) now() float64 { return r.t }
+
+func (r *refSched) push(at float64, ev *refEvent) *refEvent {
+	if at < r.t {
+		at = r.t
+	}
+	r.seq++
+	ev.at, ev.seq, ev.queued = at, r.seq, true
+	r.events = append(r.events, ev)
+	return ev
+}
+
+func (r *refSched) after(d float64, fn func()) any {
+	return r.push(r.t+math.Max(d, 0), &refEvent{fn: fn})
+}
+
+func (r *refSched) afterKey(d float64, _ int64, fn func()) any { return r.after(d, fn) }
+
+func (r *refSched) atLane(at float64, key int64, compute func() func()) any {
+	return r.push(at, &refEvent{key: key, compute: compute})
+}
+
+func (r *refSched) cancel(h any) { h.(*refEvent).cancelled = true }
+
+// reschedule gives the event a fresh seq and puts it back in the queue,
+// reviving it if cancelled — also when it is a popped lane-batch member
+// whose apply has not run yet (that apply still runs).
+func (r *refSched) reschedule(h any, at float64) {
+	ev := h.(*refEvent)
+	if at < r.t {
+		at = r.t
+	}
+	r.seq++
+	ev.at, ev.seq, ev.cancelled, ev.queued = at, r.seq, false, true
+}
+
+// next returns the least queued, non-cancelled event, or nil.
+func (r *refSched) next() *refEvent {
+	var best *refEvent
+	for _, ev := range r.events {
+		if !ev.queued || ev.cancelled {
+			continue
+		}
+		if best == nil || ev.at < best.at || ev.at == best.at && ev.seq < best.seq {
+			best = ev
+		}
+	}
+	return best
+}
+
+func (r *refSched) runUntilIdle() {
+	for {
+		ev := r.next()
+		if ev == nil {
+			return
+		}
+		ev.queued = false
+		r.t = ev.at
+		if ev.compute == nil {
+			ev.fn()
+			continue
+		}
+		batch := []*refEvent{ev}
+		for {
+			nx := r.next()
+			if nx == nil || nx.at != ev.at || nx.compute == nil {
+				break
+			}
+			nx.queued = false
+			batch = append(batch, nx)
+		}
+		sort.Slice(batch, func(i, j int) bool {
+			if batch[i].key != batch[j].key {
+				return batch[i].key < batch[j].key
+			}
+			return batch[i].seq < batch[j].seq
+		})
+		applies := make([]func(), len(batch))
+		for i, b := range batch {
+			applies[i] = b.compute()
+		}
+		for i, b := range batch {
+			if applies[i] != nil && !b.cancelled {
+				applies[i]()
+			}
+		}
+	}
+}
+
+func (r *refSched) pending() int {
+	n := 0
+	for _, ev := range r.events {
+		if ev.queued && !ev.cancelled {
+			n++
+		}
+	}
+	return n
+}
+
+// scriptLog runs a randomized self-scheduling workload on s and returns
+// the fired-event log. Everything derives from seed, and every random
+// draw happens either at schedule time or inside a fired callback — so two
+// schedulers that fire in the same order consume the rng identically and
 // produce identical logs, while any order divergence derails the streams
 // and shows up as a log mismatch.
-func shardScriptLog(shards int, seed int64, top int) []string {
-	e := NewEngine(0)
-	if shards > 0 {
-		e.SetHeapShards(shards)
-	}
+func scriptLog(s scheduler, seed int64, top int) []string {
 	rng := rand.New(rand.NewSource(seed))
 	var log []string
 
-	var slots []*shardSlot
+	var slots []*scriptSlot
 	nextID := 0
 
 	var spawn func(depth int)
@@ -38,181 +183,170 @@ func shardScriptLog(shards int, seed int64, top int) []string {
 		nextID++
 		id := nextID
 		// Coarse time grid forces plenty of same-instant ties, the case
-		// where (at, seq) tie-breaking across shards actually matters.
+		// where (at, seq) tie-breaking and lane batching matter.
 		d := math.Trunc(rng.Float64()*64) / 8
-		key := rng.Int63n(96) - 16 // negative keys route to the global shard
+		key := rng.Int63n(96) - 16
 		reSpawn := func(depth int) {
 			if depth < 3 && rng.Intn(2) == 0 {
 				spawn(depth + 1)
 			}
 		}
 		switch rng.Intn(8) {
-		case 0: // plain keyless event
-			s := &shardSlot{}
-			s.t = e.After(d, func() {
-				s.state = 1
-				log = append(log, fmt.Sprintf("p%d@%.3f", id, e.Now()))
+		case 0: // plain event
+			sl := &scriptSlot{}
+			sl.h = s.after(d, func() {
+				sl.state = 1
+				log = append(log, fmt.Sprintf("p%d@%.3f", id, s.now()))
 				reSpawn(depth)
 			})
-			slots = append(slots, s)
+			slots = append(slots, sl)
 		case 1, 2, 3: // keyed event
-			s := &shardSlot{}
-			s.t = e.AfterKey(d, key, func() {
-				s.state = 1
-				log = append(log, fmt.Sprintf("k%d@%.3f", id, e.Now()))
+			sl := &scriptSlot{}
+			sl.h = s.afterKey(d, key, func() {
+				sl.state = 1
+				log = append(log, fmt.Sprintf("k%d@%.3f", id, s.now()))
 				reSpawn(depth)
 			})
-			slots = append(slots, s)
+			slots = append(slots, sl)
 		case 4, 5: // lane event (batched with same-instant lane neighbours)
-			s := &shardSlot{}
-			s.t = e.AtLane(e.Now()+d, key, func() func() {
+			sl := &scriptSlot{}
+			sl.h = s.atLane(s.now()+d, key, func() func() {
 				return func() {
-					s.state = 1
-					log = append(log, fmt.Sprintf("l%d@%.3f", id, e.Now()))
+					sl.state = 1
+					log = append(log, fmt.Sprintf("l%d@%.3f", id, s.now()))
 					reSpawn(depth)
 				}
 			})
-			slots = append(slots, s)
-		case 6: // cancel a pending timer
-			if s := pickSlot(rng, slots, 0); s != nil {
-				s.t.Cancel()
-				s.state = 2
+			slots = append(slots, sl)
+		case 6: // cancel a pending event
+			if sl := pickSlot(rng, slots, 0); sl != nil {
+				s.cancel(sl.h)
+				sl.state = 2
 			}
-		case 7: // reschedule a pending timer (fresh seq, maybe new instant)
-			if s := pickSlot(rng, slots, 0); s != nil {
-				e.Reschedule(s.t, e.Now()+math.Trunc(rng.Float64()*64)/8)
+		case 7: // reschedule a pending event (fresh seq, maybe new instant)
+			if sl := pickSlot(rng, slots, 0); sl != nil {
+				s.reschedule(sl.h, s.now()+math.Trunc(rng.Float64()*64)/8)
 			}
 		}
 	}
 	for i := 0; i < top; i++ {
 		spawn(0)
 	}
-	e.RunUntilIdle()
-	return append(log, fmt.Sprintf("end@%.3f pending=%d", e.Now(), e.Pending()))
+	s.runUntilIdle()
+	return append(log, fmt.Sprintf("end@%.3f pending=%d", s.now(), s.pending()))
 }
 
-// shardSlot tracks one scheduled event's handle and lifecycle so the
-// script only ever cancels or reschedules timers that are genuinely
-// pending — a handle whose event fired may have been recycled, and pool
-// layouts legitimately differ between sharded and unsharded engines.
-type shardSlot struct {
-	t     *Timer
+// scriptSlot tracks one scheduled event's handle and lifecycle so the
+// script only ever cancels or reschedules events that are genuinely
+// pending — an engine handle whose event fired may have been recycled.
+type scriptSlot struct {
+	h     any
 	state int // 0 pending, 1 fired, 2 cancelled
 }
 
-// pickSlot returns a pending-state slot chosen with one rng draw (so
-// oracle and sharded runs stay in rng lockstep), or nil if none qualify.
-func pickSlot(rng *rand.Rand, slots []*shardSlot, want int) *shardSlot {
-	if len(slots) == 0 {
+// pickSlot returns one of the slots in state want, chosen with one rng
+// draw, or nil if none qualify. Slot states are part of what the script
+// observes, so both schedulers stay in rng lockstep until their logs
+// diverge.
+func pickSlot(rng *rand.Rand, slots []*scriptSlot, want int) *scriptSlot {
+	var in []*scriptSlot
+	for _, s := range slots {
+		if s.state == want {
+			in = append(in, s)
+		}
+	}
+	if len(in) == 0 {
 		return nil
 	}
-	if s := slots[rng.Intn(len(slots))]; s.state == want {
-		return s
+	return in[rng.Intn(len(in))]
+}
+
+// checkAgainstRef runs the script on a fresh engine and on refSched and
+// fails on the first differing log line.
+func checkAgainstRef(t *testing.T, seed int64, top int) {
+	t.Helper()
+	want := scriptLog(&refSched{}, seed, top)
+	got := scriptLog(engineSched{NewEngine(0)}, seed, top)
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d: event %d = %q, reference %q", seed, i, got[i], want[i])
+		}
 	}
-	return nil
+	if len(got) != len(want) {
+		t.Fatalf("seed %d: %d log lines, reference %d", seed, len(got), len(want))
+	}
 }
 
 // TestShardedHeapMatchesSingleHeapOracle is the core property test: for a
-// spread of seeds and shard counts, the sharded engine's fired-event log
-// is byte-identical to the single-heap oracle's.
+// spread of seeds, the engine's fired-event log is byte-identical to the
+// reference scheduler's.
 func TestShardedHeapMatchesSingleHeapOracle(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		oracle := shardScriptLog(0, seed, 120)
-		for _, shards := range []int{1, 2, 7, 32} {
-			got := shardScriptLog(shards, seed, 120)
-			if len(got) != len(oracle) {
-				t.Fatalf("seed %d shards %d: %d events, oracle fired %d", seed, shards, len(got), len(oracle))
-			}
-			for i := range got {
-				if got[i] != oracle[i] {
-					t.Fatalf("seed %d shards %d: event %d = %q, oracle %q", seed, shards, i, got[i], oracle[i])
-				}
-			}
-		}
+	for seed := int64(1); seed <= 40; seed++ {
+		checkAgainstRef(t, seed, 120)
 	}
 }
 
 // FuzzShardedHeapPopOrder fuzzes the same property over arbitrary seeds
-// and shard counts.
+// and workload sizes.
 func FuzzShardedHeapPopOrder(f *testing.F) {
 	f.Add(int64(1), uint8(4))
 	f.Add(int64(42), uint8(1))
 	f.Add(int64(7), uint8(33))
-	f.Fuzz(func(t *testing.T, seed int64, shards uint8) {
-		oracle := shardScriptLog(0, seed, 60)
-		got := shardScriptLog(1+int(shards%64), seed, 60)
-		if len(got) != len(oracle) {
-			t.Fatalf("seed %d shards %d: %d events, oracle fired %d", seed, shards, len(got), len(oracle))
-		}
-		for i := range got {
-			if got[i] != oracle[i] {
-				t.Fatalf("seed %d shards %d: event %d = %q, oracle %q", seed, shards, i, got[i], oracle[i])
-			}
-		}
+	f.Fuzz(func(t *testing.T, seed int64, top uint8) {
+		checkAgainstRef(t, seed, 1+int(top%128))
 	})
 }
 
-// TestShardRoutingAndStats pins the routing contract (key & mask + global
-// shard for negative keys and plain At) and the new EngineStats fields.
+// TestShardRoutingAndStats pins what the bench-held names still do:
+// AtKey and AfterKey schedule exactly like At and After whatever the key,
+// and the three shard stats read 0.
 func TestShardRoutingAndStats(t *testing.T) {
-	e := NewEngine(0)
-	e.SetHeapShards(4)
-	if e.HeapShards() != 4 {
-		t.Fatalf("HeapShards = %d, want 4", e.HeapShards())
+	run := func(keyed bool) ([]string, EngineStats) {
+		e := NewEngine(0)
+		e.SetMetrics(EngineMetrics{Phases: new(obs.PhaseTimes)})
+		var log []string
+		for i := 0; i < 64; i++ {
+			i := i
+			fn := func() { log = append(log, fmt.Sprintf("%d@%g", i, e.Now())) }
+			switch {
+			case keyed && i%2 == 0:
+				e.AtKey(float64(i%5), int64(i*7-100), fn)
+			case keyed:
+				e.AfterKey(float64(i%3), int64(i), fn)
+			case i%2 == 0:
+				e.At(float64(i%5), fn)
+			default:
+				e.After(float64(i%3), fn)
+			}
+		}
+		e.RunUntilIdle()
+		return log, e.Stats()
 	}
-	// Keys differing by a multiple of the shard count share a shard.
-	if e.shardFor(3) != e.shardFor(3+4) || e.shardFor(3) != e.shardFor(3+1<<40) {
-		t.Fatal("per-node key family split across shards")
+	plain, _ := run(false)
+	keyed, st := run(true)
+	if len(keyed) != 64 || fmt.Sprint(keyed) != fmt.Sprint(plain) {
+		t.Fatalf("AtKey/AfterKey fired\n%v\nAt/After fired\n%v", keyed, plain)
 	}
-	if e.shardFor(-1) != 0 {
-		t.Fatal("negative key left the global shard")
-	}
-	fired := 0
-	for i := 0; i < 64; i++ {
-		e.AfterKey(float64(i%5), int64(i), func() { fired++ })
-	}
-	e.At(1, func() { fired++ })
-	e.RunUntilIdle()
-	if fired != 65 {
-		t.Fatalf("fired %d of 65", fired)
-	}
-	st := e.Stats()
-	if st.Shards != 4 {
-		t.Fatalf("Stats.Shards = %d, want 4", st.Shards)
-	}
-	if st.PeakShardHeap == 0 || st.PeakShardHeap > 64 {
-		t.Fatalf("Stats.PeakShardHeap = %d", st.PeakShardHeap)
-	}
-	if st.MergePops != 65 {
-		t.Fatalf("Stats.MergePops = %d, want 65", st.MergePops)
-	}
-
-	// The unsharded engine reports the zero values, keeping old
-	// serializations unchanged.
-	single := NewEngine(0)
-	single.At(1, func() {})
-	single.RunUntilIdle()
-	sst := single.Stats()
-	if sst.Shards != 0 || sst.PeakShardHeap != 0 || sst.MergePops != 0 {
-		t.Fatalf("single-heap engine leaked shard stats: %+v", sst)
+	if st.PeakShardHeap != 0 || st.MergePops != 0 || st.MergeNs != 0 {
+		t.Fatalf("shard stats nonzero on the one-heap engine: %+v", st)
 	}
 }
 
-// TestSetHeapShardsGuards pins the reconfiguration contract: choosing a
-// shard count with events already queued panics, and n <= 0 restores the
-// monolithic heap.
+// TestSetHeapShardsGuards pins that SetHeapShards is a no-op, also on a
+// non-empty queue: the queued events still fire in (at, seq) order.
 func TestSetHeapShardsGuards(t *testing.T) {
 	e := NewEngine(0)
 	e.SetHeapShards(8)
-	e.SetHeapShards(0)
-	if e.HeapShards() != 0 {
-		t.Fatalf("HeapShards = %d after reset, want 0", e.HeapShards())
-	}
-	e.At(1, func() {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetHeapShards with scheduled events did not panic")
-		}
-	}()
+	var order []int
+	e.At(2, func() { order = append(order, 2) })
+	e.At(1, func() { order = append(order, 1) })
 	e.SetHeapShards(8)
+	e.SetHeapShards(0)
+	if e.Pending() != 2 {
+		t.Fatalf("Pending = %d after SetHeapShards, want 2", e.Pending())
+	}
+	e.RunUntilIdle()
+	if fmt.Sprint(order) != "[1 2]" {
+		t.Fatalf("fired %v, want [1 2]", order)
+	}
 }

@@ -475,8 +475,7 @@ func (n *Net) retimeNode(id NodeID) {
 // retimeFlow settles f at now, refreshes its rate from the endpoint
 // shares and re-sorts its completion timer in place (Engine.Reschedule),
 // so steady-state rate churn neither allocates nor leaves cancelled
-// entries in the event heap. Completion timers are keyed by uploader, so
-// on a sharded engine they live in the uploader's subheap.
+// entries in the event heap.
 func (n *Net) retimeFlow(f *Flow, now float64) {
 	f.settle(now)
 	f.rate = math.Min(n.shares[f.from].up, n.shares[f.to].dn)
@@ -485,7 +484,7 @@ func (n *Net) retimeFlow(f *Flow, now float64) {
 		eta = f.remaining / f.rate
 	}
 	if f.timer == nil {
-		f.timer = n.eng.AfterKey(eta, int64(f.from), f.finishFn)
+		f.timer = n.eng.After(eta, f.finishFn)
 		return
 	}
 	n.eng.Reschedule(f.timer, now+eta)

@@ -7,11 +7,10 @@ package sim
 // of delivered bytes. Only event-heap sequence assignment — same-instant
 // tie-breaking between a completion and an unrelated event — may differ,
 // so completions are compared as a multiset ordered by (time, flow
-// serial), not by firing order. A second test pins the harder property on
-// a sharded heap: when a lane batch whose computes fan across a worker
-// pool churns hundreds of nodes, the one flush after the batch leaves a
-// full firing order (not just the multiset) that is byte-identical for any
-// worker count.
+// serial), not by firing order. A second test pins the harder property:
+// when one lane batch churns hundreds of nodes, the one flush after the
+// batch leaves a full firing order (not just the multiset) that repeats
+// run to run.
 
 import (
 	"fmt"
@@ -39,7 +38,6 @@ type retimeSchedule struct {
 	upCaps, dnCaps []float64
 	ops            []retimeOp
 	checkpoints    []float64
-	heapShards     int // SetHeapShards argument; 0 = single heap
 }
 
 // genRetimeSchedule derives a schedule from an RNG: a handful of nodes
@@ -117,9 +115,6 @@ type retimeTrace struct {
 // runRetimeSchedule executes the schedule on a fresh engine/net pair.
 func runRetimeSchedule(s retimeSchedule, eager bool) retimeTrace {
 	e := NewEngine(1)
-	if s.heapShards > 0 {
-		e.SetHeapShards(s.heapShards)
-	}
 	n := NewNet(e)
 	n.SetEagerRetime(eager)
 	ids := make([]NodeID, len(s.upCaps))
@@ -256,14 +251,12 @@ func FuzzRetimeDeferredMatchesEager(f *testing.F) {
 }
 
 // TestRetimeFlushParallelMatchesSerialNet pins deferred retiming at its
-// widest: one lane batch that churns hundreds of nodes at once, with its
-// completion timers spread over 32 subheaps, must match the eager oracle
-// bit for bit, and two runs must leave the same firing order — not just
+// widest: one lane batch that churns hundreds of nodes at once must match
+// the eager oracle bit for bit, and two runs must leave the same firing order — not just
 // the same completion multiset.
 func TestRetimeFlushParallelMatchesSerialNet(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := genRetimeSchedule(rng, 400, 40)
-	s.heapShards = 32
 	// One burst instant: start a flow on every node pair (i, i+1) from a
 	// single lane batch so the flush after it sees ~400 dirty nodes.
 	for i := 0; i+1 < len(s.upCaps); i++ {
@@ -315,11 +308,10 @@ func TestNetFlushStats(t *testing.T) {
 }
 
 // TestWideFlushZeroAlloc pins that a flush hundreds of nodes wide costs
-// no allocation once warm, even on a sharded heap: re-timing live flows
-// only re-sorts their existing timers.
+// no allocation once warm: re-timing live flows only re-sorts their
+// existing timers.
 func TestWideFlushZeroAlloc(t *testing.T) {
 	e := NewEngine(1)
-	e.SetHeapShards(32)
 	n := NewNet(e)
 	const nodes = 200
 	ids := make([]NodeID, nodes)

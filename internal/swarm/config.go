@@ -177,15 +177,6 @@ type Config struct {
 	// them, and the 10k-peer scale runs turn them on.
 	ChokeLanes bool
 
-	// HeapShards splits the engine's event heap into this many keyed
-	// subheaps (rounded up to a power of two) plus a global shard, merged
-	// at pop time by a loser tree — see sim.Engine.SetHeapShards. 0 keeps
-	// the single monolithic heap, which doubles as the determinism oracle.
-	// Sharding is trajectory-preserving (pop order is identical), so any
-	// scenario may turn it on without a reproducibility-contract bump;
-	// what it buys is per-shard timer pools.
-	HeapShards int
-
 	// Chaos, when non-nil, enables fault injection: failed and delayed
 	// connection establishment, scheduled connection resets, and a tracker
 	// blackout window during which announces fail and peers retry with a
@@ -401,7 +392,5 @@ func (c *Config) validate() {
 		panic("swarm: bad duration")
 	case math.IsNaN(c.ArrivalRate) || c.ArrivalRate < 0:
 		panic("swarm: bad arrival rate")
-	case c.HeapShards < 0:
-		panic("swarm: negative heap shards")
 	}
 }

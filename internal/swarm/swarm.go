@@ -140,9 +140,6 @@ func New(cfg Config) *Swarm {
 		cfg.BlockSize = metainfo.BlockSize
 	}
 	eng := sim.NewEngine(cfg.Seed)
-	if cfg.HeapShards > 0 {
-		eng.SetHeapShards(cfg.HeapShards)
-	}
 	s := &Swarm{
 		cfg:            cfg,
 		geo:            cfg.Geometry(),

@@ -1,11 +1,14 @@
 package rarestfirst
 
 // Lane-mode determinism at the report level: the choke-round lanes
-// (Scenario.ChokeLanes) must reproduce fixed report digests. Each was
-// recorded when one and eight lane compute workers still had to
-// agree on it, so the serial batch is pinned to the schedule every worker
-// count produced. reportDigest covers every derived statistic, so any
-// scheduling change shows up here.
+// (Scenario.ChokeLanes) must reproduce fixed report digests. The first two
+// were recorded when one and eight lane compute workers still had to
+// agree on them, so the serial batch is pinned to the schedule every
+// worker count produced. reportDigest covers every derived statistic, so
+// any scheduling change shows up here. The lanes-barrier-t7 row pins the
+// compute/apply barrier: a lane batch that runs each apply right after its
+// own compute moves that digest, while the goldens and the other rows
+// stay put.
 
 import "testing"
 
@@ -19,6 +22,8 @@ func TestChokeLanesParallelMatchesSerial(t *testing.T) {
 			"d76fd432ccb8183c57bd76f2b2239143b20c09f37a3f98af30034a77f10c66ac"},
 		{Scenario{Label: "lanes-freeride-t14", TorrentID: 14, Scale: BenchScale(), ChokeLanes: true, FreeRiderFraction: 0.2, SeedOverride: 6},
 			"46053b542dc0b46c1b771a95b298331b7eb9fb86ed70d5f229087be09b161e85"},
+		{Scenario{Label: "lanes-barrier-t7", TorrentID: 7, Scale: Scale{MaxPeers: 300, MaxContentMB: 16, MaxPieces: 64, Duration: 600, Warmup: 300, Seed: 42}, ChokeLanes: true, SeedOverride: 12},
+			"a1167994b400d78fe605d0bc637db25f3a3efaaab7a1b8fd2e4aa7290cd20382"},
 	} {
 		if got, _ := retimeReport(t, c.sc); got != c.want {
 			t.Errorf("%s: lane digest %s, want %s", c.sc.Label, got, c.want)

@@ -56,7 +56,7 @@ func TestGoldenDigestsWithMetricsEnabled(t *testing.T) {
 }
 
 // TestPhaseTimingsPopulated runs an obs-enabled scenario with every timed
-// subsystem switched on (choke lanes, sharded heap, batched HAVEs) and
+// subsystem switched on (choke lanes, batched HAVEs) and
 // checks the wall-clock phase fields surface through Report.Events, plus
 // the registry counters the swarm layer feeds.
 func TestPhaseTimingsPopulated(t *testing.T) {
@@ -70,7 +70,6 @@ func TestPhaseTimingsPopulated(t *testing.T) {
 		Scale:        BenchScale(),
 		SeedOverride: 42,
 		ChokeLanes:   true,
-		HeapShards:   4,
 		BatchHaves:   true,
 	}
 	rep, err := Run(sc)
@@ -81,9 +80,6 @@ func TestPhaseTimingsPopulated(t *testing.T) {
 	ev := rep.Events
 	if ev.LaneComputeNs == 0 || ev.LaneApplyNs == 0 {
 		t.Errorf("lane phase timers empty: compute=%d apply=%d", ev.LaneComputeNs, ev.LaneApplyNs)
-	}
-	if ev.MergeNs == 0 {
-		t.Errorf("MergeNs = 0 with HeapShards=%d; sharded popTop should be timed", sc.HeapShards)
 	}
 	if ev.HaveFlushNs == 0 {
 		t.Errorf("HaveFlushNs = 0 with BatchHaves; flushHaves should be timed")
@@ -115,7 +111,6 @@ func TestPhaseTimingsZeroWhenDisabled(t *testing.T) {
 		Scale:        BenchScale(),
 		SeedOverride: 42,
 		ChokeLanes:   true,
-		HeapShards:   4,
 		BatchHaves:   true,
 	}
 	rep, err := Run(sc)
@@ -123,7 +118,7 @@ func TestPhaseTimingsZeroWhenDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := rep.Events
-	if ev.LaneComputeNs != 0 || ev.LaneApplyNs != 0 || ev.MergeNs != 0 ||
+	if ev.LaneComputeNs != 0 || ev.LaneApplyNs != 0 ||
 		ev.RetimeFlushNs != 0 || ev.HaveFlushNs != 0 {
 		t.Errorf("phase timers populated without a registry: %+v", ev)
 	}

@@ -159,21 +159,12 @@ type EventHeapStats struct {
 	// what keeps a flash-crowd peak from pinning peak-sized pools.
 	TimerPoolCap int `json:",omitempty"`
 	FlowPoolCap  int `json:",omitempty"`
-	// Sharded-heap counters (sim.EngineStats, PR 6): Shards is the keyed
-	// subheap count the run scheduled into (0 = single heap),
-	// PeakShardHeap the largest single keyed subheap — the number that
-	// stays flat as swarms grow while a single heap's peak would not —
-	// and MergePops the events the loser-tree merge delivered.
-	Shards        int    `json:",omitempty"`
-	PeakShardHeap int    `json:",omitempty"`
-	MergePops     uint64 `json:",omitempty"`
 	// Engine phase timing (PR 8, internal/obs): wall-clock nanoseconds
 	// spent in each scheduler phase, populated only when a run executes
 	// with an active obs registry. Wall-clock telemetry, not simulation
 	// output — reportDigest zeroes Events, so these never affect goldens.
 	LaneComputeNs uint64 `json:",omitempty"`
 	LaneApplyNs   uint64 `json:",omitempty"`
-	MergeNs       uint64 `json:",omitempty"`
 	RetimeFlushNs uint64 `json:",omitempty"`
 	HaveFlushNs   uint64 `json:",omitempty"`
 }
@@ -213,12 +204,8 @@ func buildReport(sc Scenario, spec torrents.Spec, cfg swarm.Config, res *swarm.R
 			PeakShardWidth: res.Net.PeakShardWidth,
 			TimerPoolCap:   res.Events.TimerPoolCap,
 			FlowPoolCap:    res.Net.FlowPoolCap,
-			Shards:         res.Events.Shards,
-			PeakShardHeap:  res.Events.PeakShardHeap,
-			MergePops:      res.Events.MergePops,
 			LaneComputeNs:  res.Events.LaneComputeNs,
 			LaneApplyNs:    res.Events.LaneApplyNs,
-			MergeNs:        res.Events.MergeNs,
 			RetimeFlushNs:  res.Events.RetimeFlushNs,
 			HaveFlushNs:    res.Events.HaveFlushNs,
 		},
