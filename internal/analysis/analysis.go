@@ -20,14 +20,16 @@ func percentileSorted(s []float64, p float64) float64 {
 	if p >= 1 {
 		return s[len(s)-1]
 	}
-	pos := p * float64(len(s)-1)
+	// float64(...) rounds each product, so no port fuses it into a
+	// multiply-add (scripts/fused_float.sh).
+	pos := float64(p * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // Summary is the three-point percentile summary used by Fig 1's vertical
@@ -162,9 +164,9 @@ func Pearson(x, y []float64) float64 {
 	var cov, vx, vy float64
 	for i := range x {
 		dx, dy := x[i]-mx, y[i]-my
-		cov += dx * dy
-		vx += dx * dx
-		vy += dy * dy
+		cov += float64(dx * dy) // float64: no fused multiply-add
+		vx += float64(dx * dx)
+		vy += float64(dy * dy)
 	}
 	if vx == 0 || vy == 0 {
 		return math.NaN()

@@ -26,7 +26,7 @@ func (c *Client) backoffDelay(base time.Duration, n int, max time.Duration) time
 		d = max
 	}
 	c.mu.Lock()
-	f := 0.5 + c.rng.Rand().Float64()
+	f := 0.5 + float64(c.rng.Rand().Float64()) // float64: no fused multiply-add
 	c.mu.Unlock()
 	return time.Duration(float64(d) * f)
 }

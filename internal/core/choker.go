@@ -19,7 +19,8 @@ const RoundsPerOptimistic = 3
 const DefaultUploadSlots = 4
 
 // ChokePeer is the per-peer view a Choker consults each round. The
-// embedding layer fills it from live connection state.
+// embedding layer fills it from live connection state; since a choker
+// reads only the Interested rows (see Choker), it may build those alone.
 type ChokePeer struct {
 	ID PeerID
 	// Interested reports whether the remote peer is interested in us.
@@ -51,24 +52,46 @@ type ChokePeer struct {
 // Implementations keep internal state (optimistic slots, round counters)
 // and must be driven at a fixed cadence by the embedding layer.
 //
-// peers is read-only: a Round neither reorders nor retains it. Rankings
-// break ties on the smaller ID and then on snapshot position, and the
-// seed random unchokes draw by snapshot position, so a round's outcome is
-// a function of the RNG, the snapshot and its order. The returned
-// slice may share the choker's internal scratch storage: it is valid
-// until the next Round call and must not be retained.
+// peers is read-only: a Round neither reorders nor retains it. IDs in a
+// snapshot are unique. Rankings break ties on the smaller ID and then on
+// snapshot position, and the seed random unchokes draw by snapshot
+// position, so a round's outcome is a function of the RNG, the snapshot
+// and its order.
+//
+// Uninterested rows are inert: every choker chooses only among Interested
+// rows, and leaving the others out keeps the interested rows' relative
+// order. So a Round over the interested rows alone returns the same IDs
+// and makes the same RNG draws as a Round over the full snapshot, and the
+// embedding layer may build rows for interested peers only.
+//
+// The returned slice is the choker's ChokeScratch storage: it is valid
+// until the next Round of any choker that shares that scratch, and must
+// not be retained.
 type Choker interface {
 	Round(now float64, peers []ChokePeer, rng *rand.Rand) []PeerID
 	Name() string
 }
 
-// chokeScratch holds the per-round working storage a choker reuses across
+// ChokeScratch holds the per-round working storage a choker reuses across
 // rounds, so a steady-state round allocates nothing. Peers are referred
-// to by their index in the round's snapshot.
-type chokeScratch struct {
-	top     []int32 // the selected peers, best first
-	rest    []int32 // candidates of a random draw
+// to by their index in the round's snapshot. A round leaves nothing in it
+// that the next round reads, so any number of chokers may share one
+// scratch, as long as their rounds do not overlap and each caller is done
+// with a round's result before the next round starts. A choker whose
+// Scratch is nil allocates its own on its first Round.
+type ChokeScratch struct {
+	top     []int32   // the selected peers, best first
+	rest    []int32   // candidates of a random draw
+	keys    []float64 // the rank key of each snapshot row (see selectTop)
 	unchoke []PeerID
+}
+
+// useScratch returns *s, first pointing it at a new scratch if it is nil.
+func useScratch(s **ChokeScratch) *ChokeScratch {
+	if *s == nil {
+		*s = new(ChokeScratch)
+	}
+	return *s
 }
 
 // rankKey is the per-peer criterion a choker orders by, larger first.
@@ -78,25 +101,32 @@ func byDownloadRate(p *ChokePeer) float64 { return p.DownloadRate }
 func byUploadRate(p *ChokePeer) float64   { return p.UploadRate }
 func byLastUnchoked(p *ChokePeer) float64 { return p.LastUnchoked }
 
-// ranksBefore reports whether peers[i] precedes peers[j]: larger key
-// first, then smaller ID, then snapshot position. This is a strict total
-// order, and the order a stable sort on (key desc, ID asc) leaves.
-func ranksBefore(peers []ChokePeer, i, j int32, key rankKey) bool {
-	a, b := &peers[i], &peers[j]
-	if ka, kb := key(a), key(b); ka != kb {
+// ranksBefore reports whether peers[i] precedes peers[j], given each
+// row's rank key in keys: larger key first, then smaller ID, then
+// snapshot position. This is a strict total order, and the order a stable
+// sort on (key desc, ID asc) leaves.
+func ranksBefore(peers []ChokePeer, keys []float64, i, j int32) bool {
+	if ka, kb := keys[i], keys[j]; ka != kb {
 		return ka > kb
 	}
-	if a.ID != b.ID {
-		return a.ID < b.ID
+	if a, b := peers[i].ID, peers[j].ID; a != b {
+		return a < b
 	}
 	return i < j
 }
 
 // selectTop returns the scratch unchoke list, with room for slots IDs,
-// filled with the k best eligible peers by key, best first. Offering the
-// eligible peers in snapshot order to a k-slot insertion leaves the first
-// k of their stable sort without sorting or copying the others.
-func (s *chokeScratch) selectTop(peers []ChokePeer, slots, k int, key rankKey, eligible func(p *ChokePeer) bool) []PeerID {
+// filled with the k best eligible peers by key, best first. It first
+// fills the keys column with every row's key, which a later ranked draw
+// of the same round reads too. Offering the eligible peers in snapshot
+// order to a k-slot insertion leaves the first k of their stable sort
+// without sorting or copying the others.
+func (s *ChokeScratch) selectTop(peers []ChokePeer, slots, k int, key rankKey, eligible func(p *ChokePeer) bool) []PeerID {
+	keys := slices.Grow(s.keys[:0], len(peers))[:len(peers)]
+	for i := range peers {
+		keys[i] = key(&peers[i])
+	}
+	s.keys = keys
 	top := slices.Grow(s.top[:0], k)
 	for i := range peers {
 		if !eligible(&peers[i]) {
@@ -104,14 +134,14 @@ func (s *chokeScratch) selectTop(peers []ChokePeer, slots, k int, key rankKey, e
 		}
 		idx, n := int32(i), len(top)
 		if n == k {
-			if n == 0 || !ranksBefore(peers, idx, top[n-1], key) {
+			if n == 0 || !ranksBefore(peers, keys, idx, top[n-1]) {
 				continue
 			}
 			n--
 			top = top[:n]
 		}
 		top = append(top, idx)
-		for ; n > 0 && ranksBefore(peers, idx, top[n-1], key); n-- {
+		for ; n > 0 && ranksBefore(peers, keys, idx, top[n-1]); n-- {
 			top[n] = top[n-1]
 		}
 		top[n] = idx
@@ -127,14 +157,14 @@ func (s *chokeScratch) selectTop(peers []ChokePeer, slots, k int, key rankKey, e
 // selectRank returns the element of idx at rank r (0-based) in the order
 // ranksBefore defines, partially reordering idx. Quickselect with the
 // middle element as pivot: deterministic, and linear on average.
-func selectRank(peers []ChokePeer, idx []int32, r int, key rankKey) int32 {
+func selectRank(peers []ChokePeer, keys []float64, idx []int32, r int) int32 {
 	lo, hi := 0, len(idx)-1
 	for lo < hi {
 		m := lo + (hi-lo)/2
 		idx[m], idx[hi] = idx[hi], idx[m]
 		pivot, s := idx[hi], lo
 		for i := lo; i < hi; i++ {
-			if ranksBefore(peers, idx[i], pivot, key) {
+			if ranksBefore(peers, keys, idx[i], pivot) {
 				idx[s], idx[i] = idx[i], idx[s]
 				s++
 			}
@@ -154,14 +184,15 @@ func selectRank(peers []ChokePeer, idx []int32, r int, key rankKey) int32 {
 
 // draw picks one random unchoke: an interested peer outside unchoke (and,
 // with chokedOnly, not currently unchoked), uniformly at position Intn(n)
-// of the candidates. With a key that position is a rank in the key order
-// and only the drawn rank is ever ordered; with a nil key it is the
-// snapshot order. With boostNewcomers the draw is among the candidates
-// that have no pieces at all, when there are any: this implements the
-// paper's §VI improvement direction ("the time to deliver the first
-// blocks of data should be reduced") by pointing the exploratory slot at
-// peers that cannot yet reciprocate.
-func (s *chokeScratch) draw(rng *rand.Rand, peers []ChokePeer, unchoke []PeerID, chokedOnly bool, key rankKey, boostNewcomers bool) (PeerID, bool) {
+// of the candidates. With ranked, that position is a rank in the order of
+// the keys column, which this round's selectTop filled, and only the
+// drawn rank is ever ordered; without, it is the snapshot order. With
+// boostNewcomers the draw is among the candidates that have no pieces at
+// all, when there are any: this implements the paper's §VI improvement
+// direction ("the time to deliver the first blocks of data should be
+// reduced") by pointing the exploratory slot at peers that cannot yet
+// reciprocate.
+func (s *ChokeScratch) draw(rng *rand.Rand, peers []ChokePeer, unchoke []PeerID, chokedOnly, ranked, boostNewcomers bool) (PeerID, bool) {
 	rest, empty := slices.Grow(s.rest[:0], len(peers)), 0
 	for i := range peers {
 		if p := &peers[i]; p.Interested && !(chokedOnly && p.Unchoked) && !containsID(unchoke, p.ID) {
@@ -184,10 +215,10 @@ func (s *chokeScratch) draw(rng *rand.Rand, peers []ChokePeer, unchoke []PeerID,
 		}
 	}
 	r := rng.Intn(len(rest))
-	if key == nil {
+	if !ranked {
 		return peers[rest[r]].ID, true
 	}
-	return peers[selectRank(peers, rest, r, key)].ID, true
+	return peers[selectRank(peers, s.keys, rest, r)].ID, true
 }
 
 func isInterested(p *ChokePeer) bool { return p.Interested }
@@ -211,28 +242,27 @@ type rateChoker struct {
 	// optimistic is the current OU peer, valid when hasOpt.
 	optimistic PeerID
 	hasOpt     bool
-	scratch    chokeScratch
 }
 
-// rankedRound runs one round with slots total unchoke slots (0 means
-// DefaultUploadSlots), ranking peers by key.
-func (c *rateChoker) rankedRound(slots int, peers []ChokePeer, rng *rand.Rand, key rankKey, boostNewcomers bool) []PeerID {
+// rankedRound runs one round in scratch s with slots total unchoke slots
+// (0 means DefaultUploadSlots), ranking peers by key.
+func (c *rateChoker) rankedRound(s *ChokeScratch, slots int, peers []ChokePeer, rng *rand.Rand, key rankKey, boostNewcomers bool) []PeerID {
 	if slots <= 0 {
 		slots = DefaultUploadSlots
 	}
-	unchoke := c.scratch.selectTop(peers, slots, slots-1, key, isInterested)
+	unchoke := s.selectTop(peers, slots, slots-1, key, isInterested)
 	rotate := c.round%RoundsPerOptimistic == 0
 	if !rotate && c.hasOpt && (!interestedPeer(peers, c.optimistic) || containsID(unchoke, c.optimistic)) {
 		rotate = true
 	}
 	if rotate {
-		c.optimistic, c.hasOpt = c.scratch.draw(rng, peers, unchoke, false, key, boostNewcomers)
+		c.optimistic, c.hasOpt = s.draw(rng, peers, unchoke, false, true, boostNewcomers)
 	}
 	if c.hasOpt && !containsID(unchoke, c.optimistic) {
 		unchoke = append(unchoke, c.optimistic)
 	}
 	c.round++
-	c.scratch.unchoke = unchoke
+	s.unchoke = unchoke
 	return unchoke
 }
 
@@ -247,6 +277,8 @@ type LeecherChoker struct {
 	// BoostNewcomers points the optimistic unchoke at piece-less peers
 	// when any are present (§VI extension).
 	BoostNewcomers bool
+	// Scratch is the round's working storage; nil means a private one.
+	Scratch *ChokeScratch
 	rateChoker
 }
 
@@ -259,7 +291,7 @@ func (c *LeecherChoker) Name() string { return "choke-leecher" }
 // Round implements Choker. Peers are ranked by download rate to the local
 // peer, fastest first.
 func (c *LeecherChoker) Round(now float64, peers []ChokePeer, rng *rand.Rand) []PeerID {
-	return c.rankedRound(c.Slots, peers, rng, byDownloadRate, c.BoostNewcomers)
+	return c.rankedRound(useScratch(&c.Scratch), c.Slots, peers, rng, byDownloadRate, c.BoostNewcomers)
 }
 
 // SeedChoker is the NEW seed-state algorithm introduced in mainline 4.0.0
@@ -275,8 +307,9 @@ type SeedChoker struct {
 	// BoostNewcomers points the seed random unchoke at piece-less peers
 	// when any are present (§VI extension).
 	BoostNewcomers bool
-	round          int
-	scratch        chokeScratch
+	// Scratch is the round's working storage; nil means a private one.
+	Scratch *ChokeScratch
+	round   int
 }
 
 // NewSeedChoker returns the standard 4-slot new-algorithm seed choker.
@@ -297,26 +330,27 @@ func (c *SeedChoker) Round(now float64, peers []ChokePeer, rng *rand.Rand) []Pee
 	if thirdPeriod {
 		keepN = slots
 	}
+	s := useScratch(&c.Scratch)
 	// Keep the most recently unchoked of the peers currently unchoked.
-	unchoke := c.scratch.selectTop(peers, slots, keepN, byLastUnchoked, func(p *ChokePeer) bool {
+	unchoke := s.selectTop(peers, slots, keepN, byLastUnchoked, func(p *ChokePeer) bool {
 		return p.Interested && p.Unchoked
 	})
 	if !thirdPeriod {
 		// SRU: one choked-and-interested peer chosen at random.
-		if id, ok := c.scratch.draw(rng, peers, unchoke, true, nil, c.BoostNewcomers); ok {
+		if id, ok := s.draw(rng, peers, unchoke, true, false, c.BoostNewcomers); ok {
 			unchoke = append(unchoke, id)
 		}
 	}
 	// Fill spare slots (fewer unchoked peers than keepN) with random
 	// choked interested peers so the seed never idles with demand present.
 	for len(unchoke) < slots {
-		id, ok := c.scratch.draw(rng, peers, unchoke, false, nil, c.BoostNewcomers)
+		id, ok := s.draw(rng, peers, unchoke, false, false, c.BoostNewcomers)
 		if !ok {
 			break
 		}
 		unchoke = append(unchoke, id)
 	}
-	c.scratch.unchoke = unchoke
+	s.unchoke = unchoke
 	return unchoke
 }
 
@@ -326,6 +360,8 @@ func (c *SeedChoker) Round(now float64, peers []ChokePeer, rng *rand.Rand) []Pee
 // Kept as the baseline for the A2 ablation.
 type OldSeedChoker struct {
 	Slots int
+	// Scratch is the round's working storage; nil means a private one.
+	Scratch *ChokeScratch
 	rateChoker
 }
 
@@ -337,7 +373,7 @@ func (c *OldSeedChoker) Name() string { return "choke-seed-old" }
 
 // Round implements Choker.
 func (c *OldSeedChoker) Round(now float64, peers []ChokePeer, rng *rand.Rand) []PeerID {
-	return c.rankedRound(c.Slots, peers, rng, byUploadRate, false)
+	return c.rankedRound(useScratch(&c.Scratch), c.Slots, peers, rng, byUploadRate, false)
 }
 
 // TitForTatChoker is the bit-level tit-for-tat baseline from the literature
@@ -351,7 +387,8 @@ type TitForTatChoker struct {
 	// DeficitLimit is the maximum bytes of unreciprocated upload tolerated
 	// before a peer is refused service.
 	DeficitLimit int64
-	scratch      chokeScratch
+	// Scratch is the round's working storage; nil means a private one.
+	Scratch *ChokeScratch
 }
 
 // NewTitForTatChoker returns a 4-slot tit-for-tat choker with the given
@@ -369,10 +406,11 @@ func (c *TitForTatChoker) Round(now float64, peers []ChokePeer, rng *rand.Rand) 
 	if slots <= 0 {
 		slots = DefaultUploadSlots
 	}
-	unchoke := c.scratch.selectTop(peers, slots, slots, byDownloadRate, func(p *ChokePeer) bool {
+	s := useScratch(&c.Scratch)
+	unchoke := s.selectTop(peers, slots, slots, byDownloadRate, func(p *ChokePeer) bool {
 		return p.Interested && p.UploadedTo-p.DownloadedFrom <= c.DeficitLimit
 	})
-	c.scratch.unchoke = unchoke
+	s.unchoke = unchoke
 	return unchoke
 }
 

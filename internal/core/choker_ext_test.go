@@ -56,9 +56,9 @@ func TestPickCandidateEmpty(t *testing.T) {
 	// No interested peer outside the unchoke set: no pick, and no draw.
 	rng := rand.New(rand.NewSource(1))
 	peers := []ChokePeer{{ID: 1, Interested: true}, {ID: 2}}
-	var s chokeScratch
-	for _, key := range []rankKey{byDownloadRate, nil} {
-		if _, ok := s.draw(rng, peers, []PeerID{1}, false, key, true); ok {
+	var s ChokeScratch
+	for _, ranked := range []bool{true, false} {
+		if _, ok := s.draw(rng, peers, []PeerID{1}, false, ranked, true); ok {
 			t.Fatal("picked from empty candidate set")
 		}
 	}

@@ -336,12 +336,26 @@ type rounder interface {
 	Round(now float64, peers []ChokePeer, rng *rand.Rand) []PeerID
 }
 
-// chokerPair drives a production choker and its oracle on twin RNGs.
+// chokerPair drives a production choker and its oracle on twin RNGs,
+// beside two more twins of the production choker: shared, whose scratch
+// is one ChokeScratch all four shared twins use in turn, and sub, which
+// sees only the snapshot's interested rows.
 type chokerPair struct {
-	name         string
-	got          Choker
-	want         rounder
-	rngGot, rngW *rand.Rand
+	name                       string
+	got, shared, sub           Choker
+	want                       rounder
+	rngGot, rngW, rngS, rngSub *rand.Rand
+}
+
+// newTestChokers returns the four production chokers, set up alike, each
+// with scratch as its Scratch.
+func newTestChokers(slots int, boost bool, limit int64, scratch *ChokeScratch) [4]Choker {
+	return [4]Choker{
+		&LeecherChoker{Slots: slots, BoostNewcomers: boost, Scratch: scratch},
+		&SeedChoker{Slots: slots, BoostNewcomers: boost, Scratch: scratch},
+		&OldSeedChoker{Slots: slots, Scratch: scratch},
+		&TitForTatChoker{Slots: slots, DeficitLimit: limit, Scratch: scratch},
+	}
 }
 
 // fuzzBytes hands out the fuzz input a byte at a time, zero once spent.
@@ -364,7 +378,11 @@ func (r *fuzzBytes) done() bool { return r.i >= len(r.b) }
 // and drives all four chokers against their oracles round by round. Rates,
 // unchoke times and piece counts come from a few values each, so ties are
 // the rule; peers join, leave, lose interest and reorder, and the current
-// optimistic unchoke is singled out to leave or lose interest.
+// optimistic unchoke is singled out to leave or lose interest. Two
+// contracts of Choker are checked on the way: chokers that share one
+// ChokeScratch over interleaved rounds match chokers with private scratch,
+// and a Round over the interested rows alone matches a Round over the
+// full snapshot, unchokes and RNG draws both.
 func checkChokeRounds(t *testing.T, data []byte) {
 	in := &fuzzBytes{b: data}
 	setup := in.next()
@@ -374,16 +392,23 @@ func checkChokeRounds(t *testing.T, data []byte) {
 	limit := int64(in.next()%4) * 1000
 	n := int(in.next() % 24)
 
-	leech := &LeecherChoker{Slots: slots, BoostNewcomers: boost}
+	got := newTestChokers(slots, boost, limit, nil)
+	shared := newTestChokers(slots, boost, limit, new(ChokeScratch))
+	sub := newTestChokers(slots, boost, limit, nil)
+	leech := got[0].(*LeecherChoker)
 	pairs := []chokerPair{
-		{name: "leecher", got: leech, want: &oracleLeecherChoker{Slots: slots, BoostNewcomers: boost}},
-		{name: "seed", got: &SeedChoker{Slots: slots, BoostNewcomers: boost}, want: &oracleSeedChoker{Slots: slots, BoostNewcomers: boost}},
-		{name: "old-seed", got: &OldSeedChoker{Slots: slots}, want: &oracleOldSeedChoker{Slots: slots}},
-		{name: "tit-for-tat", got: &TitForTatChoker{Slots: slots, DeficitLimit: limit}, want: &oracleTitForTatChoker{Slots: slots, DeficitLimit: limit}},
+		{name: "leecher", want: &oracleLeecherChoker{Slots: slots, BoostNewcomers: boost}},
+		{name: "seed", want: &oracleSeedChoker{Slots: slots, BoostNewcomers: boost}},
+		{name: "old-seed", want: &oracleOldSeedChoker{Slots: slots}},
+		{name: "tit-for-tat", want: &oracleTitForTatChoker{Slots: slots, DeficitLimit: limit}},
 	}
 	for i := range pairs {
-		pairs[i].rngGot = rand.New(rand.NewSource(seed))
-		pairs[i].rngW = rand.New(rand.NewSource(seed))
+		pr := &pairs[i]
+		pr.got, pr.shared, pr.sub = got[i], shared[i], sub[i]
+		pr.rngGot = rand.New(rand.NewSource(seed))
+		pr.rngW = rand.New(rand.NewSource(seed))
+		pr.rngS = rand.New(rand.NewSource(seed))
+		pr.rngSub = rand.New(rand.NewSource(seed))
 	}
 
 	peers := make([]ChokePeer, n)
@@ -440,6 +465,7 @@ func checkChokeRounds(t *testing.T, data []byte) {
 			p.RemotePieces = [4]int{0, 0, 5, 10}[b>>5&3]
 		}
 		before := slices.Clone(peers)
+		interested := slices.DeleteFunc(slices.Clone(peers), func(p ChokePeer) bool { return !p.Interested })
 		for i := range pairs {
 			pr := &pairs[i]
 			got := slices.Clone(pr.got.Round(now, peers, pr.rngGot))
@@ -448,8 +474,18 @@ func checkChokeRounds(t *testing.T, data []byte) {
 				t.Fatalf("round %d %s (slots %d, boost %v): unchoke %v, oracle %v\nsnapshot %+v",
 					round, pr.name, slots, boost, got, want, peers)
 			}
-			if g, w := pr.rngGot.Int63(), pr.rngW.Int63(); g != w {
-				t.Fatalf("round %d %s: RNG streams diverged (%d vs %d)", round, pr.name, g, w)
+			if sh := pr.shared.Round(now, peers, pr.rngS); !slices.Equal(sh, got) {
+				t.Fatalf("round %d %s: unchoke %v with a shared scratch, %v with a private one",
+					round, pr.name, sh, got)
+			}
+			if sb := pr.sub.Round(now, interested, pr.rngSub); !slices.Equal(sb, got) {
+				t.Fatalf("round %d %s: unchoke %v over the interested rows, %v over the full snapshot\nsnapshot %+v",
+					round, pr.name, sb, got, peers)
+			}
+			g, w, sh, sb := pr.rngGot.Int63(), pr.rngW.Int63(), pr.rngS.Int63(), pr.rngSub.Int63()
+			if g != w || sh != g || sb != g {
+				t.Fatalf("round %d %s: RNG streams diverged (%d, oracle %d, shared scratch %d, interested rows %d)",
+					round, pr.name, g, w, sh, sb)
 			}
 			if !slices.Equal(peers, before) {
 				t.Fatalf("round %d %s: Round modified its snapshot", round, pr.name)

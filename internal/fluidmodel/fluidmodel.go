@@ -74,7 +74,9 @@ func (p Params) completionRate(x, y float64) float64 {
 	if y < 0 {
 		y = 0
 	}
-	up := p.Mu * (p.Eta*x + y)
+	// float64(...) rounds each product, so no port fuses it into a
+	// multiply-add (scripts/fused_float.sh).
+	up := p.Mu * (float64(p.Eta*x) + y)
 	c := p.c()
 	if math.IsInf(c, 1) {
 		return up
@@ -85,8 +87,8 @@ func (p Params) completionRate(x, y float64) float64 {
 // derivs returns (dx/dt, dy/dt).
 func (p Params) derivs(x, y float64) (float64, float64) {
 	done := p.completionRate(x, y)
-	dx := p.Lambda - p.Theta*x - done
-	dy := done - p.Gamma*y
+	dx := p.Lambda - float64(p.Theta*x) - done // float64: no fused multiply-add
+	dy := done - float64(p.Gamma*y)
 	return dx, dy
 }
 
@@ -109,12 +111,7 @@ func (p Params) Integrate(x0, y0, dur, dt float64) ([]State, error) {
 		if t+h > dur {
 			h = dur - t
 		}
-		k1x, k1y := p.derivs(x, y)
-		k2x, k2y := p.derivs(x+h/2*k1x, y+h/2*k1y)
-		k3x, k3y := p.derivs(x+h/2*k2x, y+h/2*k2y)
-		k4x, k4y := p.derivs(x+h*k3x, y+h*k3y)
-		x += h / 6 * (k1x + 2*k2x + 2*k3x + k4x)
-		y += h / 6 * (k1y + 2*k2y + 2*k3y + k4y)
+		x, y = rk4Step(p, x, y, h)
 		if x < 0 {
 			x = 0
 		}
@@ -140,12 +137,7 @@ func (p Params) Equilibrium(maxT, tol float64) (State, bool, error) {
 		prevX, prevY := x, y
 		// Advance one 100-step window.
 		for i := 0; i < 100; i++ {
-			k1x, k1y := p.derivs(x, y)
-			k2x, k2y := p.derivs(x+dt/2*k1x, y+dt/2*k1y)
-			k3x, k3y := p.derivs(x+dt/2*k2x, y+dt/2*k2y)
-			k4x, k4y := p.derivs(x+dt*k3x, y+dt*k3y)
-			x += dt / 6 * (k1x + 2*k2x + 2*k3x + k4x)
-			y += dt / 6 * (k1y + 2*k2y + 2*k3y + k4y)
+			x, y = rk4Step(p, x, y, dt)
 			if x < 0 {
 				x = 0
 			}
@@ -171,7 +163,7 @@ func (p Params) MeanDownloadTime(maxT, tol float64) (float64, error) {
 	if !ok {
 		return 0, errors.New("fluidmodel: equilibrium not reached")
 	}
-	effective := p.Lambda - p.Theta*eq.X
+	effective := p.Lambda - float64(p.Theta*eq.X) // float64: no fused multiply-add
 	if effective <= 0 {
 		return math.Inf(1), nil
 	}
@@ -194,4 +186,17 @@ func FromSwarm(arrivalRate, abortRate, seedDepartRate, meanUpBps, meanDownBps fl
 		p.C = meanDownBps / size
 	}
 	return p
+}
+
+// rk4Step returns (x, y) advanced by one classic RK4 step of length h.
+// float64(...) rounds each product, so no port fuses it into a
+// multiply-add (scripts/fused_float.sh).
+func rk4Step(p Params, x, y, h float64) (float64, float64) {
+	k1x, k1y := p.derivs(x, y)
+	k2x, k2y := p.derivs(x+float64(h/2*k1x), y+float64(h/2*k1y))
+	k3x, k3y := p.derivs(x+float64(h/2*k2x), y+float64(h/2*k2y))
+	k4x, k4y := p.derivs(x+float64(h*k3x), y+float64(h*k3y))
+	x += float64(h / 6 * (k1x + float64(2*k2x) + float64(2*k3x) + k4x))
+	y += float64(h / 6 * (k1y + float64(2*k2y) + float64(2*k3y) + k4y))
+	return x, y
 }

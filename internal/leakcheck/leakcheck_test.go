@@ -1,6 +1,8 @@
 package leakcheck
 
 import (
+	"os"
+	"os/signal"
 	"testing"
 	"time"
 )
@@ -45,4 +47,28 @@ func TestWaitOrphanedWaitsWhileParentLives(t *testing.T) {
 	if *calls != 5 {
 		t.Fatalf("getppid called %d times, want 5", *calls)
 	}
+}
+
+// TestGoroutinesSkipsSignalLoop checks the count Main compares: the
+// os/signal loop that signal.Notify starts (as the fuzz engine does) is
+// left out, and a goroutine really left behind is still counted.
+func TestGoroutinesSkipsSignalLoop(t *testing.T) {
+	before := goroutines()
+	ch := make(chan os.Signal, 1)
+	signal.Notify(ch, os.Interrupt)
+	defer signal.Stop(ch)
+	if n := goroutines(); n != before {
+		t.Fatalf("%d goroutines after signal.Notify, %d before: the signal loop was counted\n%s", n, before, stacks())
+	}
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		<-release
+		close(done)
+	}()
+	if n := goroutines(); n != before+1 {
+		t.Fatalf("%d goroutines with one left behind, want %d", n, before+1)
+	}
+	close(release)
+	<-done
 }

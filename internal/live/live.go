@@ -487,7 +487,7 @@ func Run(cfg Config) (*Result, error) {
 		candidates := cfg.Leechers - 1
 		n := min(max(int(math.Round(p.Crashes.Frac*float64(candidates))), 1), candidates)
 		for _, idx := range crand.Perm(candidates)[:n] {
-			frac := p.Crashes.StartFrac + crand.Float64()*(p.Crashes.EndFrac-p.Crashes.StartFrac)
+			frac := p.Crashes.StartFrac + float64(crand.Float64()*(p.Crashes.EndFrac-p.Crashes.StartFrac)) // float64: no fused multiply-add
 			killAtPieces[idx] = min(max(int(math.Ceil(frac*float64(cfg.NumPieces))), 1), cfg.NumPieces-1)
 			dir, err := os.MkdirTemp("", "rf-resume-")
 			if err != nil {

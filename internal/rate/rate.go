@@ -55,7 +55,9 @@ func (e *Estimator) Update(now float64, amount int64) {
 	}
 	e.total += amount
 	if now > e.rateSince {
-		e.rate = (e.rate*(e.last-e.rateSince) + float64(amount)) / (now - e.rateSince)
+		// float64(...) rounds the product, so no port fuses it into a
+		// multiply-add (scripts/fused_float.sh); RateWith does the same.
+		e.rate = (float64(e.rate*(e.last-e.rateSince)) + float64(amount)) / (now - e.rateSince)
 	}
 	e.last = now
 	if e.rateSince < now-DefaultMaxRatePeriod {
@@ -93,7 +95,7 @@ func (e *Estimator) RateWith(now float64, amount int64) float64 {
 	}
 	rate := e.rate
 	if now > e.rateSince {
-		rate = (rate*(e.last-e.rateSince) + float64(amount)) / (now - e.rateSince)
+		rate = (float64(rate*(e.last-e.rateSince)) + float64(amount)) / (now - e.rateSince)
 	}
 	return rate
 }
@@ -137,7 +139,7 @@ func (b *Bucket) fill(now float64) {
 		return
 	}
 	if now > b.lastFill {
-		b.tokens += (now - b.lastFill) * b.ratePerSec
+		b.tokens += float64((now - b.lastFill) * b.ratePerSec) // float64: no fused multiply-add
 		if b.tokens > b.burst {
 			b.tokens = b.burst
 		}

@@ -125,7 +125,7 @@ func (p Perturbations) simulate(cfg *swarm.Config) {
 		cfg.Chaos = &swarm.Chaos{
 			// Connection setup is the only place propagation delay can act
 			// in the fluid model (control traffic is instantaneous).
-			ConnSetupDelay:       (f.DelayMs + f.JitterMs/2) / 1000,
+			ConnSetupDelay:       (f.DelayMs + float64(f.JitterMs/2)) / 1000, // float64: no fused multiply-add
 			DialFailRate:         f.DialFailRate,
 			ConnResetRate:        f.ConnResetRate + f.ConnStallRate,
 			ConnResetMeanDelay:   f.FaultDelay() * window,

@@ -133,7 +133,9 @@ func (f *Flow) To() NodeID { return f.to }
 
 // Remaining returns the bytes left to transfer as of the last settlement.
 func (f *Flow) Remaining(now float64) float64 {
-	rem := f.remaining - f.rate*(now-f.lastUpdate)
+	// float64(...) rounds the product, so no port fuses it into a
+	// multiply-add (scripts/fused_float.sh); settle does the same.
+	rem := f.remaining - float64(f.rate*(now-f.lastUpdate))
 	if rem < 0 {
 		rem = 0
 	}
@@ -398,7 +400,7 @@ func (f *Flow) Cancel() {
 // settle charges elapsed time against remaining bytes.
 func (f *Flow) settle(now float64) {
 	if now > f.lastUpdate {
-		f.remaining -= f.rate * (now - f.lastUpdate)
+		f.remaining -= float64(f.rate * (now - f.lastUpdate))
 		if f.remaining < 0 {
 			f.remaining = 0
 		}

@@ -154,10 +154,11 @@ func TestInvariantCheckerDetectsDirtyFreeConn(t *testing.T) {
 	}
 	c := s.connFree[len(s.connFree)-1]
 	for name, dirty := range map[string]func(){
-		"gen":    func() { c.gen = 1 },
-		"owner":  func() { c.owner = s.local },
-		"remote": func() { c.remote = s.local },
-		"mirror": func() { c.mirror = c },
+		"gen":      func() { c.gen = 1 },
+		"owner":    func() { c.owner = s.local },
+		"remote":   func() { c.remote = s.local },
+		"mirror":   func() { c.mirror = c },
+		"remoteID": func() { c.remoteID = s.local.id + 1 },
 	} {
 		*c = conn{}
 		dirty()

@@ -26,7 +26,7 @@ func (s *Swarm) maybeScheduleCrash(p *Peer) {
 	if s.eng.RNG().Float64() >= cr.Frac {
 		return
 	}
-	at := cr.WindowStart + s.eng.RNG().Float64()*(cr.WindowEnd-cr.WindowStart)
+	at := cr.WindowStart + float64(s.eng.RNG().Float64()*(cr.WindowEnd-cr.WindowStart)) // float64: no fused multiply-add
 	if at <= s.eng.Now() {
 		// Joined after its drawn kill instant: this peer dodges the crash.
 		return

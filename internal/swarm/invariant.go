@@ -50,7 +50,7 @@ func (s *Swarm) checkInvariants(full bool) {
 		// reclaimConns zeroes a conn before freeing it, so a free conn
 		// holds no stamp and no reference to a peer or another conn.
 		for i, c := range s.connFree {
-			if c.gen != 0 || c.owner != nil || c.remote != nil || c.mirror != nil {
+			if c.gen != 0 || c.owner != nil || c.remote != nil || c.mirror != nil || c.remoteID != 0 {
 				panic(fmt.Sprintf("swarm invariant: free conn %d is not zeroed (gen %d)", i, c.gen))
 			}
 		}
@@ -83,7 +83,8 @@ func (s *Swarm) checkGlobalAvail(ids []core.PeerID) {
 // interrupted piece recorded once and still missing, every conn live and
 // owned by p with no duplicate remote, mirror symmetry, the banned-peer
 // exclusion (a ban tears the connection down, so a surviving conn — and
-// with it any unchoke slot — is a violation), and stall/flow bookkeeping.
+// with it any unchoke slot — is a violation), the cached remote id, and
+// stall/flow bookkeeping.
 func (s *Swarm) checkPeerStructure(p *Peer) {
 	if cap(p.connList) != s.cfg.MaxPeerSet {
 		panic(fmt.Sprintf("swarm invariant: peer %d connList capacity %d, want MaxPeerSet %d",
@@ -119,6 +120,10 @@ func (s *Swarm) checkPeerStructure(p *Peer) {
 		if c.mirror.mirror != c || c.mirror.owner != c.remote || c.mirror.remote != p || c.mirror.gen != c.gen {
 			panic(fmt.Sprintf("swarm invariant: peer %d conn to %d has inconsistent mirror",
 				p.id, c.remote.id))
+		}
+		if c.remoteID != c.remote.id {
+			panic(fmt.Sprintf("swarm invariant: peer %d conn to %d caches remote id %d",
+				p.id, c.remote.id, c.remoteID))
 		}
 		if c.stallPiece >= 0 {
 			if c.inFlow != nil {

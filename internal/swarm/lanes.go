@@ -149,10 +149,12 @@ func (c *conn) pendingOut(now float64) int64 {
 // the ChokePeer snapshot with in-flight progress folded in (the legacy
 // path settles first and then reads; here the settle is deferred to the
 // apply phase, so the estimator reads go through rate.RateWith), runs the
-// appropriate choke algorithm against the peer's private RNG, parks the
-// unchoke set in per-peer scratch and hands the engine the apply half.
-// The snapshot goes in the swarm's one buffer, which the next compute
-// refills: Round neither keeps nor reorders it.
+// appropriate choke algorithm against the peer's private RNG, parks a
+// copy of the unchoke set in the peer and hands the engine the apply
+// half. Only interested conns get a row (the chokers read no other; see
+// core.Choker), and this half's reads are pure, so the others are not
+// read at all. The snapshot goes in the swarm's one buffer, which the
+// next compute refills: Round neither keeps nor reorders it.
 func (p *Peer) chokeLaneCompute() func() {
 	if p.departed {
 		return nil
@@ -164,11 +166,14 @@ func (p *Peer) chokeLaneCompute() func() {
 	now := p.s.eng.Now()
 	peers := p.s.chokeSnaps[:0]
 	for _, c := range p.connList {
+		if !c.peerInterested {
+			continue
+		}
 		din := c.pendingIn(now)
 		dout := c.pendingOut(now)
 		peers = append(peers, core.ChokePeer{
-			ID:             c.remote.id,
-			Interested:     c.peerInterested,
+			ID:             c.remoteID,
+			Interested:     true,
 			Unchoked:       c.amUnchoking,
 			DownloadRate:   c.inEst.RateWith(now, din),
 			UploadRate:     c.outEst.RateWith(now, dout),
@@ -184,9 +189,9 @@ func (p *Peer) chokeLaneCompute() func() {
 		// Liars pose as seeds, so they run the seed unchoke policy too.
 		choker = p.chokerS
 	}
-	// The returned slice is the choker's scratch; it stays valid through
-	// the apply phase because only this peer's next Round reuses it.
-	p.laneUnchoke = choker.Round(now, peers, p.chokeRNG)
+	// The returned slice is the swarm's choke scratch, which the batch's
+	// next compute reuses, so the apply half reads a copy.
+	p.laneUnchoke = append(p.laneUnchoke[:0], choker.Round(now, peers, p.chokeRNG)...)
 	return p.laneApplyFn
 }
 
@@ -208,7 +213,7 @@ func (p *Peer) applyLaneRound() {
 		}
 	}
 	for _, c := range p.connList {
-		p.applyChoke(c, containsPeerID(p.laneUnchoke, c.remote.id))
+		p.applyChoke(c, containsPeerID(p.laneUnchoke, c.remoteID))
 	}
 	p.chokeTimer = p.s.eng.AtLane(nextChokeInstant(p.s.eng.Now()), int64(p.id), p.laneFn)
 }

@@ -129,28 +129,35 @@ func TestChokeLanesCompletes(t *testing.T) {
 	}
 }
 
-// TestLaneChokeComputeZeroAllocWhenWarm pins the single snapshot buffer:
-// every lane choke compute refills the swarm's one chokeSnaps, and once it
-// has grown a compute allocates nothing.
+// TestLaneChokeComputeZeroAllocWhenWarm pins the single snapshot buffer
+// and the shared choke scratch: every lane choke compute refills the
+// swarm's one chokeSnaps, with a row per interested conn, and once it has
+// grown a compute allocates nothing. The computing peers are seeds, so
+// every leecher is interested in them and each round has rows to rank.
 func TestLaneChokeComputeZeroAllocWhenWarm(t *testing.T) {
 	s := newTestSwarm(t, func(cfg *Config) {
 		cfg.ChokeLanes = true
 	})
-	s.addPeer(true, false, false, 1e5, 0)
-	leech := s.addPeer(false, false, false, 1e5, 0)
+	seed := s.addPeer(true, false, false, 1e5, 0)
+	other := s.addPeer(true, false, false, 1e5, 0)
 	for i := 0; i < 4; i++ {
 		s.addPeer(false, false, false, 1e5, 0)
 	}
-	if len(leech.connList) < 2 {
-		t.Fatalf("leecher has %d connections, want several", len(leech.connList))
+	interested := func(p *Peer) int {
+		n := 0
+		for _, c := range p.connList {
+			if c.peerInterested {
+				n++
+			}
+		}
+		return n
 	}
-	other := s.peers[leech.id+1]
-	if other == nil || len(other.connList) == 0 {
-		t.Fatal("no second connected leecher")
+	if interested(seed) < 2 || interested(other) < 2 {
+		t.Fatalf("the seeds have %d and %d interested conns, want several each", interested(seed), interested(other))
 	}
 	// Both peers' computes refill the same buffer.
 	compute := func() {
-		if leech.chokeLaneCompute() == nil || other.chokeLaneCompute() == nil {
+		if seed.chokeLaneCompute() == nil || other.chokeLaneCompute() == nil {
 			t.Fatal("a live peer's compute returned no apply half")
 		}
 	}
@@ -159,7 +166,10 @@ func TestLaneChokeComputeZeroAllocWhenWarm(t *testing.T) {
 	if n := testing.AllocsPerRun(100, compute); n != 0 {
 		t.Fatalf("warm lane choke computes allocate %v objects, want 0", n)
 	}
-	if len(s.chokeSnaps) != len(other.connList) || &s.chokeSnaps[0] != buf {
-		t.Fatalf("snapshot holds %d peers in a new buffer, want %d in the warm one", len(s.chokeSnaps), len(other.connList))
+	if len(s.chokeSnaps) != interested(other) || &s.chokeSnaps[0] != buf {
+		t.Fatalf("snapshot holds %d peers in a new buffer, want %d in the warm one", len(s.chokeSnaps), interested(other))
+	}
+	if len(seed.laneUnchoke) == 0 || len(other.laneUnchoke) == 0 {
+		t.Fatal("a seed with interested peers parked no unchoke")
 	}
 }

@@ -45,6 +45,9 @@ type conn struct {
 	// stall is active; only ever set with Config.Adversary. A stalled
 	// local-peer request keeps its block in flowBlock.
 	stallPiece int32
+	// remoteID is remote.id, cached in what would be padding so a choke
+	// round's apply loop reads no remote Peer.
+	remoteID core.PeerID
 
 	// lastUnchokedAt is when the owner last transitioned the remote from
 	// choked to unchoked (new seed algorithm ordering).
@@ -165,7 +168,8 @@ type Peer struct {
 	// choke RNG the compute phase advances (chokeRNG points at
 	// laneRand, which draws from laneSrc; both live in the peer so a
 	// join allocates neither), the compute/apply halves bound once, and
-	// the unchoke set parked between them.
+	// a copy of the unchoke set parked between them (carved at the
+	// choker's slot count; see carvePeer).
 	laneSrc     laneSource
 	laneRand    rand.Rand
 	chokeRNG    *rand.Rand
@@ -778,8 +782,8 @@ func (p *Peer) chokeRound() {
 }
 
 // runChokeRound is one round's body. All working storage is the swarm's
-// snapshot buffer (chokeSnaps) or per-choker scratch: a
-// steady-state round performs no allocation.
+// snapshot buffer (chokeSnaps) and choke scratch: a steady-state round
+// performs no allocation.
 func (p *Peer) runChokeRound() {
 	if len(p.connList) == 0 {
 		return
@@ -790,7 +794,9 @@ func (p *Peer) runChokeRound() {
 	// Settle each connection's estimators before its row reads them, so
 	// rate ordering reflects in-flight progress. A row reads only c and
 	// c.mirror, which only these two settles write, so settling row by
-	// row matches settling every connection first.
+	// row matches settling every connection first. Rate ages the
+	// estimator, so every conn reads both rates, but only interested
+	// ones get a row: the chokers read no other (see core.Choker).
 	peers := s.chokeSnaps[:0]
 	for _, c := range p.connList {
 		p.settleDown(c)
@@ -799,12 +805,16 @@ func (p *Peer) runChokeRound() {
 				c.remote.settleDown(rc)
 			}
 		}
+		down, up := c.inEst.Rate(now), c.outEst.Rate(now)
+		if !c.peerInterested {
+			continue
+		}
 		peers = append(peers, core.ChokePeer{
-			ID:             c.remote.id,
-			Interested:     c.peerInterested,
+			ID:             c.remoteID,
+			Interested:     true,
 			Unchoked:       c.amUnchoking,
-			DownloadRate:   c.inEst.Rate(now),
-			UploadRate:     c.outEst.Rate(now),
+			DownloadRate:   down,
+			UploadRate:     up,
 			LastUnchoked:   c.lastUnchokedAt,
 			UploadedTo:     c.outEst.Total(),
 			DownloadedFrom: c.inEst.Total(),
@@ -818,8 +828,8 @@ func (p *Peer) runChokeRound() {
 		choker = p.chokerS
 	}
 	unchoke := choker.Round(now, peers, s.eng.RNG())
-	for i, c := range p.connList {
-		p.applyChoke(c, containsPeerID(unchoke, peers[i].ID))
+	for _, c := range p.connList {
+		p.applyChoke(c, containsPeerID(unchoke, c.remoteID))
 	}
 }
 

@@ -2,6 +2,7 @@ package swarm
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -427,6 +428,52 @@ func TestPeerJoinAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, join); n > 3 {
 		t.Fatalf("a join allocates %v objects, want at most 3", n)
+	}
+}
+
+// TestJoinedPeerChokeRoundsZeroAlloc pins the swarm's one choke scratch:
+// once other peers' rounds have grown it, a newly joined peer's first
+// three serial choke rounds allocate nothing, because its chokers work in
+// that scratch instead of growing their own. The joiner is a seed, so
+// every leecher is interested in it and each round ranks rows. Running
+// the swarm first also warms what the rounds' unchokes use (recycled
+// flows and timers). The count is taken by hand: AllocsPerRun would
+// spend the first round warming up.
+func TestJoinedPeerChokeRoundsZeroAlloc(t *testing.T) {
+	s := newTestSwarm(t, func(c *Config) { c.NumPieces = 256 })
+	s.addPeer(true, false, false, 1e5, 0)
+	for i := 0; i < 8; i++ {
+		s.addPeer(false, false, false, 1e5, 0)
+	}
+	s.eng.Run(60)
+	joiner := s.addPeer(true, false, false, 1e5, 0)
+	rows := 0
+	for _, c := range joiner.connList {
+		if c.peerInterested {
+			rows++
+		}
+	}
+	if rows < 2 {
+		t.Fatalf("the joining seed has %d interested conns, want several", rows)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 3; i++ {
+		joiner.runChokeRound()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("a joined peer's first three choke rounds allocate %d objects, want 0", n)
+	}
+	unchoked := 0
+	for _, c := range joiner.connList {
+		if c.amUnchoking {
+			unchoked++
+		}
+	}
+	if unchoked == 0 {
+		t.Fatal("the joining seed unchoked nobody")
 	}
 }
 

@@ -39,8 +39,12 @@ type Swarm struct {
 
 	// chokeSnaps is the ChokePeer snapshot buffer every choke round
 	// refills, serial or lane. A snapshot is dead once the choker's Round
-	// returns, so one buffer serves the whole swarm.
-	chokeSnaps []core.ChokePeer
+	// returns, so one buffer serves the whole swarm. chokeScratch is the
+	// working storage of every choker newChokers builds, for the same
+	// reason: rounds never overlap, and each is applied (or, in lane
+	// mode, its result copied) before the next one runs.
+	chokeSnaps   []core.ChokePeer
+	chokeScratch core.ChokeScratch
 
 	// Lane-mode sampling state: the compute/apply halves bound once and
 	// the snapshot parked between them (see lanes.go).
@@ -80,6 +84,7 @@ type Swarm struct {
 	wordSlab     []uint64
 	countSlab    []int
 	connListSlab []*conn
+	unchokeSlab  []core.PeerID
 
 	// announceBuf is the tracker-sample buffer announce reuses; nil while
 	// an announce holds it (see announce).
@@ -196,28 +201,29 @@ func (s *Swarm) newPicker(p *Peer) core.Picker {
 	}
 }
 
-// newChokers returns p's configured leecher and seed chokers. The default
-// ones are p's inline values; the tit-for-tat and old seed chokers are
-// allocated. Free riders and flooders never reciprocate, so both of their
-// chokers unchoke nobody.
+// newChokers returns p's configured leecher and seed chokers, all working
+// in the swarm's one chokeScratch. The default ones are p's inline values;
+// the tit-for-tat and old seed chokers are allocated. Free riders and
+// flooders never reciprocate, so both of their chokers unchoke nobody.
 func (s *Swarm) newChokers(p *Peer) (core.Choker, core.Choker) {
 	if p.freeRider || p.advFlood {
 		return core.NeverUnchoke{}, core.NeverUnchoke{}
 	}
+	scratch := &s.chokeScratch
 	var l core.Choker
 	switch s.cfg.LeecherChoker {
 	case LeecherChokeTitForTat:
-		l = &core.TitForTatChoker{Slots: s.cfg.UploadSlots, DeficitLimit: s.cfg.TFTDeficitLimit}
+		l = &core.TitForTatChoker{Slots: s.cfg.UploadSlots, DeficitLimit: s.cfg.TFTDeficitLimit, Scratch: scratch}
 	default:
-		p.leecherChoker = core.LeecherChoker{Slots: s.cfg.UploadSlots, BoostNewcomers: s.cfg.BoostNewcomers}
+		p.leecherChoker = core.LeecherChoker{Slots: s.cfg.UploadSlots, BoostNewcomers: s.cfg.BoostNewcomers, Scratch: scratch}
 		l = &p.leecherChoker
 	}
 	var sd core.Choker
 	switch s.cfg.SeedChoker {
 	case SeedChokeOld:
-		sd = &core.OldSeedChoker{Slots: s.cfg.UploadSlots}
+		sd = &core.OldSeedChoker{Slots: s.cfg.UploadSlots, Scratch: scratch}
 	default:
-		p.seedChoker = core.SeedChoker{Slots: s.cfg.UploadSlots, BoostNewcomers: s.cfg.BoostNewcomers}
+		p.seedChoker = core.SeedChoker{Slots: s.cfg.UploadSlots, BoostNewcomers: s.cfg.BoostNewcomers, Scratch: scratch}
 		sd = &p.seedChoker
 	}
 	return l, sd
@@ -230,8 +236,10 @@ const peerBlock = 16
 
 // carvePeer backs p's inline bitfields and availability index with slab
 // space and points have, inflight and avail at them, and carves its
-// connList at MaxPeerSet capacity. Each piece is cut to its length
-// (s[:n:n]), so an append can never write into the next peer's space.
+// connList at MaxPeerSet capacity and, in lane mode, its laneUnchoke at
+// the chokers' slot count (no round unchokes more). Each piece is cut to
+// its length (s[:n:n]), so an append can never write into the next
+// peer's space.
 func (s *Swarm) carvePeer(p *Peer) {
 	n := s.cfg.NumPieces
 	nw := bitfield.Words(n)
@@ -241,6 +249,13 @@ func (s *Swarm) carvePeer(p *Peer) {
 	p.availIdx = core.MakeAvailability(carve(&s.countSlab, n))
 	p.have, p.inflight, p.avail = &p.haveBits, &p.inflightBits, &p.availIdx
 	p.connList = carve(&s.connListSlab, s.cfg.MaxPeerSet)[:0]
+	if s.cfg.ChokeLanes {
+		slots := s.cfg.UploadSlots
+		if slots <= 0 {
+			slots = core.DefaultUploadSlots
+		}
+		p.laneUnchoke = carve(&s.unchokeSlab, slots)[:0]
+	}
 }
 
 // carve cuts the next n elements off *slab, with capacity n, first
@@ -540,8 +555,8 @@ func (s *Swarm) connectNow(a, b *Peer) {
 	s.connGen++
 	gen := s.connGen
 	ca, cb := s.newConn(), s.newConn()
-	*ca = conn{owner: a, remote: b, mirror: cb, gen: gen, initiatedByOwner: true, stallPiece: -1}
-	*cb = conn{owner: b, remote: a, mirror: ca, gen: gen, stallPiece: -1}
+	*ca = conn{owner: a, remote: b, mirror: cb, gen: gen, initiatedByOwner: true, stallPiece: -1, remoteID: b.id}
+	*cb = conn{owner: b, remote: a, mirror: ca, gen: gen, stallPiece: -1, remoteID: a.id}
 	a.connList = append(a.connList, ca)
 	b.connList = append(b.connList, cb)
 	a.initiated++
@@ -745,7 +760,7 @@ func (s *Swarm) Run() *Result {
 		})
 	}
 	for i := 0; i < cfg.InitialLeechers; i++ {
-		at := 0.1 + s.eng.RNG().Float64()*30
+		at := 0.1 + float64(s.eng.RNG().Float64()*30) // float64: no fused multiply-add
 		free := s.eng.RNG().Float64() < cfg.FreeRiderFraction
 		s.eng.At(at, func() {
 			up, down := s.sampleCapacityPair()

@@ -156,7 +156,7 @@ func BenchScale() Scale {
 func meanUploadBps() float64 {
 	var sum, w float64
 	for _, c := range swarm.DefaultCapacityMix() {
-		sum += c.Fraction * c.UpBps
+		sum += float64(c.Fraction * c.UpBps) // float64: no fused multiply-add
 		w += c.Fraction
 	}
 	return sum / w

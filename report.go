@@ -594,7 +594,7 @@ func newMetricStat(xs []float64) MetricStat {
 		var ss float64
 		for _, x := range xs {
 			d := x - st.Mean
-			ss += d * d
+			ss += float64(d * d) // float64: no fused multiply-add
 		}
 		st.Stddev = math.Sqrt(ss / float64(st.N-1))
 	}
