@@ -28,7 +28,7 @@
 // everything but real-TCP timing.
 //
 // With -progress, a heartbeat line (elapsed wall time, runs finished,
-// events fired, arrivals, peak lane width) prints to stderr every
+// events fired, arrivals) prints to stderr every
 // interval, so long batches like huge-swarm narrate themselves. With
 // -metrics, the process-wide obs registry is sampled on the same cadence
 // (default 5s) into a JSONL time series. Both flags activate the runtime
@@ -63,7 +63,7 @@ func main() {
 	list := flag.Bool("list", false, "list the registered scenario suites and exit")
 	jsonPath := flag.String("json", "", "also write one JSON line per run to this file")
 	perturbList := flag.String("perturb", "", "comma-separated perturbations, at most one per kind ("+scenario.PerturbCatalog()+"); each fills its kind in every scenario that has none")
-	progress := flag.Duration("progress", 0, "emit a heartbeat line (elapsed, runs, events fired, arrivals, peak lane width) every interval")
+	progress := flag.Duration("progress", 0, "emit a heartbeat line (elapsed, runs, events fired, arrivals) every interval")
 	metricsPath := flag.String("metrics", "", "sample the obs registry into this JSONL time-series file (cadence: -progress interval, default 5s)")
 	flag.Parse()
 

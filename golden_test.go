@@ -49,8 +49,8 @@ var updateGoldens = flag.Bool("update-goldens", false,
 //   - freeride-t14-oldseed: free riders (the never-unchoke choker) and the
 //     old seed choker;
 //   - crash-t10-killrestart: the kill/rejoin path;
-//   - batched-t8: the deferred HAVE flush;
-//   - lanes-t7: the lane schedule over a 32-shard heap, with batched HAVEs;
+//   - lanes-t7: grid-aligned choke rounds (ChokeLanes), every peer's
+//     first round on the next multiple of the choke interval;
 //   - boost-t8: newcomer-boosted optimistic unchokes;
 //   - tft-t14: the tit-for-tat leecher choker;
 //   - poison25-t10: a poisoning adversary and the ban path;
@@ -71,8 +71,7 @@ func goldenScenarios() []Scenario {
 		{Label: "transient-t8-smart", TorrentID: 8, Scale: BenchScale(), SmartSeedServe: true, SeedOverride: 7},
 		{Label: "freeride-t14-oldseed", TorrentID: 14, Scale: BenchScale(), SeedChoke: SeedChokeOld, FreeRiderFraction: 0.2, SeedOverride: 99},
 		{Label: "crash-t10-killrestart", TorrentID: 10, Scale: BenchScale(), Crashes: "kill-restart", SeedOverride: 11},
-		{Label: "batched-t8", TorrentID: 8, Scale: BenchScale(), BatchHaves: true, SeedOverride: 5},
-		{Label: "lanes-t7", TorrentID: 7, Scale: BenchScale(), ChokeLanes: true, HeapShards: 32, BatchHaves: true, SeedOverride: 3},
+		{Label: "lanes-t7", TorrentID: 7, Scale: BenchScale(), ChokeLanes: true, SeedOverride: 3},
 		{Label: "boost-t8", TorrentID: 8, Scale: BenchScale(), BoostNewcomers: true, SeedOverride: 13},
 		{Label: "tft-t14", TorrentID: 14, Scale: BenchScale(), LeecherChoke: LeecherChokeTitForTat, SeedOverride: 17},
 		{Label: "poison25-t10", TorrentID: 10, Scale: BenchScale(), Adversary: "poison25", SeedOverride: 19},

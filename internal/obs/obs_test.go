@@ -138,14 +138,14 @@ func TestDisabledHooksZeroAlloc(t *testing.T) {
 
 func TestPhaseTimesSnapshot(t *testing.T) {
 	pt := &PhaseTimes{}
-	pt.LaneCompute.Add(10)
-	pt.LaneApply.Add(20)
 	pt.RetimeFlush.Add(40)
-	pt.HaveFlush.Add(50)
-	s := pt.Snapshot()
-	if s.LaneComputeNs != 10 || s.LaneApplyNs != 20 ||
-		s.RetimeFlushNs != 40 || s.HaveFlushNs != 50 {
+	pt.RetimeFlush.Add(2)
+	if s := pt.Snapshot(); s.RetimeFlushNs != 42 {
 		t.Fatalf("snapshot %+v", s)
+	}
+	var none *PhaseTimes
+	if s := none.Snapshot(); s != (PhaseSnapshot{}) {
+		t.Fatalf("nil snapshot %+v", s)
 	}
 }
 

@@ -56,7 +56,7 @@ func (e *Estimator) Update(now float64, amount int64) {
 	e.total += amount
 	if now > e.rateSince {
 		// float64(...) rounds the product, so no port fuses it into a
-		// multiply-add (scripts/fused_float.sh); RateWith does the same.
+		// multiply-add (scripts/fused_float.sh).
 		e.rate = (float64(e.rate*(e.last-e.rateSince)) + float64(amount)) / (now - e.rateSince)
 	}
 	e.last = now
@@ -74,30 +74,6 @@ func (e *Estimator) Rate(now float64) float64 {
 	}
 	e.Update(now, 0)
 	return e.rate
-}
-
-// RateWith returns the rate Rate(now) would report if amount extra bytes
-// had just been observed at now, without mutating the estimator. The
-// simulator's lane choke rounds use it to fold a flow's not-yet-settled
-// in-flight progress into the choke ordering: the read leaves the
-// estimator as it was, so every compute of a lane batch sees the
-// pre-batch rates, and the settle waits for the apply phase.
-func (e *Estimator) RateWith(now float64, amount int64) float64 {
-	if e.total == 0 {
-		if amount <= 0 {
-			return 0
-		}
-		// Mirror Update: the window opens one second before now.
-		return float64(amount)
-	}
-	if now < e.last {
-		now = e.last
-	}
-	rate := e.rate
-	if now > e.rateSince {
-		rate = (float64(rate*(e.last-e.rateSince)) + float64(amount)) / (now - e.rateSince)
-	}
-	return rate
 }
 
 // Total returns the total bytes observed.

@@ -88,7 +88,7 @@ func TestEstimatorDefaultWindow(t *testing.T) {
 }
 
 // TestEstimatorZeroValueMatchesNew: a zero Estimator and NewEstimator(0)
-// report the same Rate, RateWith and Total over one fixed sequence.
+// report the same Rate and Total over one fixed sequence.
 func TestEstimatorZeroValueMatchesNew(t *testing.T) {
 	var zero Estimator
 	made := NewEstimator(0)
@@ -100,9 +100,6 @@ func TestEstimatorZeroValueMatchesNew(t *testing.T) {
 		zero.Update(st.now, st.amount)
 		made.Update(st.now, st.amount)
 		probe := st.now + 0.5
-		if a, b := zero.RateWith(probe, 700), made.RateWith(probe, 700); a != b {
-			t.Fatalf("at %v: RateWith %v vs %v", st.now, a, b)
-		}
 		if a, b := zero.Rate(probe), made.Rate(probe); a != b {
 			t.Fatalf("at %v: Rate %v vs %v", st.now, a, b)
 		}
@@ -263,49 +260,5 @@ func TestQuickBucketThroughput(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRateWithMatchesUpdateThenRate: RateWith(now, x) must equal the rate
-// a copy reports after Update(now, x), for arbitrary observation
-// histories, and must leave the original estimator untouched.
-func TestRateWithMatchesUpdateThenRate(t *testing.T) {
-	f := func(deltas []uint16, amounts []uint16, probe uint16, extra uint16) bool {
-		e := NewEstimator(20)
-		now := 0.0
-		for i, d := range deltas {
-			now += float64(d%300) / 10
-			amt := int64(0)
-			if i < len(amounts) {
-				amt = int64(amounts[i])
-			}
-			e.Update(now, amt)
-		}
-		at := now + float64(probe%500)/10
-		want := *e
-		want.Update(at, int64(extra))
-		before := *e
-		got := e.RateWith(at, int64(extra))
-		if *e != before {
-			t.Fatalf("RateWith mutated the estimator")
-		}
-		return got == want.rate
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRateWithUnstarted pins the unstarted fast paths.
-func TestRateWithUnstarted(t *testing.T) {
-	e := NewEstimator(20)
-	if got := e.RateWith(50, 0); got != 0 {
-		t.Fatalf("unstarted RateWith(_, 0) = %v", got)
-	}
-	var cp Estimator
-	cp = *e
-	cp.Update(50, 800)
-	if got := e.RateWith(50, 800); got != cp.rate {
-		t.Fatalf("unstarted RateWith(_, 800) = %v, want %v", got, cp.rate)
 	}
 }

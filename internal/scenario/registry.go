@@ -178,8 +178,8 @@ func init() {
 	})
 	Register(Def{
 		Name: "huge-swarm",
-		Description: "torrent 24 capped at 6000 peers with batched choke-round " +
-			"lanes (intra-swarm sharding): the single-run scale ceiling",
+		Description: "torrent 24 capped at 6000 peers with every choke round " +
+			"on the global 10 s grid: the single-run scale ceiling",
 		Build: func(o Options) []Spec {
 			scale := o.Scale
 			if scale == (torrents.Scale{}) {
@@ -197,8 +197,6 @@ func init() {
 				TorrentID:  24,
 				Scale:      scale,
 				ChokeLanes: true,
-				HeapShards: 32,
-				BatchHaves: true,
 			}}
 		},
 	})
@@ -224,8 +222,6 @@ func init() {
 				Scale:      scale,
 				ChokeLanes: true,
 				ChurnScale: 48,
-				HeapShards: 32,
-				BatchHaves: true,
 			}}
 		},
 	})

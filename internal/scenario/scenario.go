@@ -93,10 +93,10 @@ type Spec struct {
 	// reproduces the same run.
 	SeedOverride int64
 
-	// ChokeLanes aligns every simulated peer's choke rounds to the global
-	// 10-second grid and executes each instant's rounds as one lane batch
-	// (swarm.Config.ChokeLanes: every decision computed against the
-	// pre-batch state, then every transition applied in peer-id order).
+	// ChokeLanes puts every simulated peer's first choke round on the
+	// global 10-second grid instead of a random point of its first
+	// interval, so all rounds fire on multiples of 10 s
+	// (swarm.Config.ChokeLanes). Each round is the ordinary serial one.
 	// Runs stay bit-reproducible, but the round schedule differs from the
 	// default staggered rounds, so this is off unless a scenario opts in
 	// (the huge-swarm and flash-crowd-20k suites do).
@@ -107,12 +107,9 @@ type Spec struct {
 	// still echoes it with the rest of its Scenario.
 	HeapShards int `json:",omitempty"`
 
-	// BatchHaves defers the per-neighbour interest/request reactions of
-	// each piece completion into a per-instant pending-HAVE set flushed
-	// once per event (swarm.Config.BatchHaves). Runs stay bit-reproducible
-	// but differ from the default inline reactions, so like ChokeLanes
-	// this is a mode switch: on for the huge-swarm and flash-crowd-20k
-	// suites and the batched-t8 and lanes-t7 goldens.
+	// BatchHaves has no effect: a piece completion's HAVE reactions always
+	// run inline. It is kept only because bench/ sets it, and a report
+	// still echoes it with the rest of its Scenario.
 	BatchHaves bool `json:",omitempty"`
 
 	// Faults, Adversary and Crashes each name one perturbation from its
@@ -236,7 +233,6 @@ func (s Spec) Config() (swarm.Config, torrents.Spec, error) {
 		cfg.AbortRate *= s.AbortScale
 	}
 	cfg.ChokeLanes = s.ChokeLanes
-	cfg.BatchHaves = s.BatchHaves
 	cfg.FreeRiderFraction = s.FreeRiderFraction
 	cfg.LocalFreeRider = s.LocalFreeRider
 	cfg.SmartSeedServe = s.SmartSeedServe

@@ -9,8 +9,6 @@ package sim
 
 import (
 	"math/rand"
-	"sort"
-	"time"
 
 	"rarestfirst/internal/obs"
 )
@@ -25,20 +23,17 @@ import (
 // (it would cancel whoever reused the slot). All in-repo holders guard
 // with their own state: a Flow never touches its timer after done, and a
 // peer's choke-round handle is overwritten each round.
+//
+// The two flags sit together at the end, so a Timer is 48 bytes
+// (TestTimerRecordSize).
 type Timer struct {
 	at        float64
 	seq       uint64
 	fn        func()
-	cancelled bool
-	index     int  // heap index, -1 once popped
-	pooled    bool // true while parked in the engine's free list
+	index     int // heap index, -1 once popped
 	eng       *Engine
-
-	// Lane events (AtLane) carry a compute half instead of fn: compute is
-	// the read-only phase, the closure it returns is the mutation phase.
-	// compute != nil marks the timer as a lane event.
-	compute func() func()
-	laneKey int64
+	cancelled bool
+	pooled    bool // true while parked in the engine's free list
 }
 
 // At returns the time the timer is scheduled to fire.
@@ -178,27 +173,24 @@ type EngineStats struct {
 	Reused uint64
 	// Compactions counts lazy-deletion sweeps.
 	Compactions uint64
-	// PeakLaneWidth is the largest batch of same-timestamp lane events
-	// (AtLane) executed as one unit: how many computes of one instant ran
-	// against the same pre-batch state.
+	// PeakLaneWidth, LaneBatches, LaneComputeNs, LaneApplyNs and
+	// HaveFlushNs are always 0: every event fires on its own, and the
+	// swarm reacts to a HAVE inline. PeakShardHeap, MergePops and MergeNs
+	// are always 0 too: the event queue is one heap. All eight are kept
+	// only because bench/ reads them.
 	PeakLaneWidth int
-	// LaneBatches / LaneEvents count executed lane batches and the lane
-	// events they contained (LaneEvents/LaneBatches = mean batch width).
-	LaneBatches uint64
-	LaneEvents  uint64
-	// PeakShardHeap, MergePops and MergeNs are always 0: the event queue
-	// is one heap. They are kept only because bench/ reads them.
+	LaneBatches   uint64
 	PeakShardHeap int
 	MergePops     uint64
-	// Phase timing (wall-clock nanoseconds), populated only when an
-	// obs.PhaseTimes bundle is attached via SetMetrics — zero otherwise.
-	// Observe-only: these never feed back into the simulation, so runs
-	// with and without timing fire identical event sequences.
 	LaneComputeNs uint64
 	LaneApplyNs   uint64
-	MergeNs       uint64 // always 0; see PeakShardHeap
-	RetimeFlushNs uint64
+	MergeNs       uint64
 	HaveFlushNs   uint64
+	// RetimeFlushNs is the wall-clock time Net.Flush took, populated only
+	// when an obs.PhaseTimes bundle is attached via SetMetrics — zero
+	// otherwise. Observe-only: it never feeds back into the simulation,
+	// so runs with and without timing fire identical event sequences.
+	RetimeFlushNs uint64
 }
 
 // Engine is a single-threaded discrete-event scheduler over one binary
@@ -219,27 +211,17 @@ type Engine struct {
 	reused      uint64
 	compactions uint64
 
-	// postEvent, when set, runs after every fired event (after a whole
-	// batch, for batched lane events) and before the next pop in
-	// Step/Run — the deferred-work flush point clients like Net use to
-	// settle rate retiming exactly once per event.
+	// postEvent, when set, runs after every fired event and before the
+	// next pop in Step/Run — the deferred-work flush point clients like
+	// Net use to settle rate retiming exactly once per event.
 	postEvent func()
 
-	// Lane execution state: laneBatch/laneApply are per-batch scratch, and
-	// the counters feed EngineStats.
-	laneBatch   []*Timer
-	laneApply   []func()
-	peakLane    int
-	laneBatches uint64
-	laneEvents  uint64
-
-	// Observability hooks (SetMetrics). All nil by default; hot paths pay
+	// Observability hooks (SetMetrics). Both nil by default; hot paths pay
 	// one nil check when disabled. timing is shared with Net (retime
-	// flush) and read by Stats; mEvents/mPeakLane are nil-receiver-safe
-	// obs handles, so fire touches them unconditionally.
-	timing    *obs.PhaseTimes
-	mEvents   *obs.Counter
-	mPeakLane *obs.Gauge
+	// flush) and read by Stats; mEvents is a nil-receiver-safe obs
+	// handle, so fire touches it unconditionally.
+	timing  *obs.PhaseTimes
+	mEvents *obs.Counter
 }
 
 // NewEngine returns an engine whose randomness derives entirely from seed.
@@ -268,13 +250,7 @@ func (e *Engine) Stats() EngineStats {
 		TimerPoolCap:  e.poolCap(),
 		Reused:        e.reused,
 		Compactions:   e.compactions,
-		PeakLaneWidth: e.peakLane,
-		LaneBatches:   e.laneBatches,
-		LaneEvents:    e.laneEvents,
-		LaneComputeNs: ph.LaneComputeNs,
-		LaneApplyNs:   ph.LaneApplyNs,
 		RetimeFlushNs: ph.RetimeFlushNs,
-		HaveFlushNs:   ph.HaveFlushNs,
 	}
 }
 
@@ -282,29 +258,25 @@ func (e *Engine) Stats() EngineStats {
 // only because bench/ calls it.
 func (e *Engine) SetHeapShards(int) {}
 
-// SetPostEventHook installs fn to run after every fired event (once per
-// whole batch for batched lane events) and before the next pop in Step and
-// Run. It is the deferred-work flush point: Net registers its dirty-node
-// retime flush here, so flow churn inside one event settles exactly once
-// no matter how many flows the event touched. fn must not fire events but
-// may schedule, reschedule and cancel timers freely. Only one hook is
-// supported; installing a new one replaces the old (a client that needs
-// both chains them in one closure, as the swarm's batched-HAVE flush does).
+// SetPostEventHook installs fn to run after every fired event and before
+// the next pop in Step and Run. It is the deferred-work flush point: Net
+// registers its dirty-node retime flush here, so flow churn inside one
+// event settles exactly once no matter how many flows the event touched.
+// fn must not fire events but may schedule, reschedule and cancel timers
+// freely. Only one hook is supported; installing a new one replaces the
+// old (a client that needs more chains them in one closure, as the swarm's
+// connection reclaim does).
 func (e *Engine) SetPostEventHook(fn func()) { e.postEvent = fn }
 
 // EngineMetrics bundles the observability hooks an engine can report
 // into. Any field may be nil; obs handles are nil-receiver-safe, so a
 // partial bundle is fine.
 type EngineMetrics struct {
-	// Phases accumulates per-phase wall-clock nanoseconds (lane compute
-	// vs apply, retime flush, HAVE flush). The same
-	// bundle is read by Net.Flush and may be shared with the swarm layer
-	// for its HAVE-flush phase.
+	// Phases accumulates the retime flush's wall-clock nanoseconds; the
+	// same bundle is read by Net.Flush.
 	Phases *obs.PhaseTimes
-	// Events counts fired events (one per plain event or lane batch).
+	// Events counts fired events.
 	Events *obs.Counter
-	// PeakLane is a high-watermark gauge of lane batch width.
-	PeakLane *obs.Gauge
 }
 
 // SetMetrics attaches observability hooks. Observe-only by construction:
@@ -315,7 +287,6 @@ type EngineMetrics struct {
 func (e *Engine) SetMetrics(m EngineMetrics) {
 	e.timing = m.Phases
 	e.mEvents = m.Events
-	e.mPeakLane = m.PeakLane
 }
 
 // alloc returns a zeroed timer, reusing a recycled one when available.
@@ -339,8 +310,6 @@ func (e *Engine) recycle(t *Timer) {
 		return
 	}
 	t.fn = nil
-	t.compute = nil
-	t.laneKey = 0
 	t.cancelled = false
 	t.pooled = true
 	e.free = append(e.free, t)
@@ -412,30 +381,6 @@ func (e *Engine) AtKey(t float64, _ int64, fn func()) *Timer { return e.At(t, fn
 // it.
 func (e *Engine) AfterKey(d float64, _ int64, fn func()) *Timer { return e.After(d, fn) }
 
-// AtLane schedules a lane event at absolute time t (clamped to now if in
-// the past). Lane events scheduled for the same instant that are adjacent
-// in (time, seq) order — i.e. not interleaved with a plain event at the
-// same timestamp — execute as one batch on the engine goroutine: every
-// compute runs in ascending (key, seq) order, then the returned apply
-// closures run in the same order. Because every compute of a batch runs
-// before the batch's first apply, each compute sees the pre-batch state
-// of anything the applies mutate. A compute must therefore leave state
-// shared with other lane events alone (private state, e.g. a per-peer RNG
-// or choker, is fair game, and so is scratch no later compute of the
-// batch still needs); all shared-state mutation, engine RNG use and
-// rescheduling belongs in the apply closure. A compute may return nil to
-// skip its apply phase. key orders the event within its batch; it does
-// not move the event in the heap.
-func (e *Engine) AtLane(t float64, key int64, compute func() func()) *Timer {
-	if compute == nil {
-		panic("sim: AtLane with nil compute")
-	}
-	timer := e.schedule(t)
-	timer.compute = compute
-	timer.laneKey = key
-	return timer
-}
-
 // Reschedule moves a pending timer to absolute time t (clamped to now if
 // in the past) by re-sorting it in place — no cancel-and-push garbage. The
 // timer is assigned a fresh sequence number, so its ordering against
@@ -500,97 +445,19 @@ func (e *Engine) maybeCompact() {
 	e.compactions++
 }
 
-// runLaneBatch executes the lane batch starting at first, which has just
-// been popped: it keeps popping lane events scheduled for the same instant
-// (skipping cancelled entries of any kind) until the queue top is a plain
-// event or a later time, runs every compute, then every apply, both in
-// ascending (key, seq) order. Apply closures may schedule, reschedule and
-// cancel freely — including cancelling a later member of the same batch,
-// whose apply is then skipped.
-func (e *Engine) runLaneBatch(first *Timer) {
-	var t0 time.Time
-	if e.timing != nil {
-		t0 = time.Now()
-	}
-	batch := append(e.laneBatch[:0], first)
-	for {
-		top := e.peekTop()
-		if top == nil || top.at != first.at {
-			break
-		}
-		if top.cancelled {
-			e.dropTop()
-			continue
-		}
-		if top.compute == nil {
-			break
-		}
-		heapPop(&e.heap)
-		batch = append(batch, top)
-	}
-	// Key order, not pop (seq) order, for both phases: applies must run in
-	// key order whatever order their events were scheduled in.
-	sort.Slice(batch, func(i, j int) bool {
-		if batch[i].laneKey != batch[j].laneKey {
-			return batch[i].laneKey < batch[j].laneKey
-		}
-		return batch[i].seq < batch[j].seq
-	})
-	e.laneBatch = batch
-
-	applies := e.laneApply
-	if cap(applies) < len(batch) {
-		applies = make([]func(), len(batch))
-	} else {
-		applies = applies[:len(batch)]
-	}
-	e.laneApply = applies
-	for i, t := range batch {
-		applies[i] = t.compute()
-	}
-
-	e.laneBatches++
-	e.laneEvents += uint64(len(batch))
-	if len(batch) > e.peakLane {
-		e.peakLane = len(batch)
-		e.mPeakLane.Max(float64(len(batch))) // nil-safe; only on a new high-water mark
-	}
-	if e.timing != nil {
-		e.timing.LaneCompute.Add(time.Since(t0).Nanoseconds())
-		t0 = time.Now()
-	}
-	for i, t := range batch {
-		if fn := applies[i]; fn != nil && !t.cancelled {
-			fn()
-		}
-		applies[i] = nil
-		e.laneBatch[i] = nil
-		e.recycle(t)
-	}
-	if e.timing != nil {
-		e.timing.LaneApply.Add(time.Since(t0).Nanoseconds())
-	}
-}
-
-// fire runs one popped, non-cancelled event — a lane batch seeded by t, or
-// a plain callback — with the clock already advanced to t.at.
+// fire runs one popped, non-cancelled event with the clock already
+// advanced to t.at.
 func (e *Engine) fire(t *Timer) {
 	e.now = t.at
-	if t.compute != nil {
-		e.runLaneBatch(t)
-	} else {
-		fn := t.fn
-		fn()
-		e.recycle(t)
-	}
+	t.fn()
+	e.recycle(t)
 	e.mEvents.Inc() // nil-safe no-op when observability is off
 	if e.postEvent != nil {
 		e.postEvent()
 	}
 }
 
-// Step executes the next event (a whole batch, for batched lane events).
-// It reports false when the queue is empty. Deferred work queued outside
+// Step executes the next event. It reports false when the queue is empty. Deferred work queued outside
 // event context (e.g. flows started before the first event) is flushed via
 // the post-event hook before the pop.
 func (e *Engine) Step() bool {

@@ -1,19 +1,16 @@
 package sim
 
-// Event-order contract: the engine fires events in (at, seq) order, skips
-// cancelled ones, and runs a same-instant run of adjacent lane events as
-// one batch — every compute in (key, seq) order, then every apply in the
-// same order. The tests drive the engine and refSched, a linear-scan
-// reference scheduler written straight from that contract, through
-// identical randomized schedules (plain, keyed and lane events, cancels,
-// reschedules, nested scheduling from inside callbacks) and require the
-// fired-event logs to be byte-identical.
+// Event-order contract: the engine fires events in (at, seq) order and
+// skips cancelled ones. The tests drive the engine and refSched, a
+// linear-scan reference scheduler written straight from that contract,
+// through identical randomized schedules (relative, keyed and absolute
+// events, cancels, reschedules, nested scheduling from inside callbacks)
+// and require the fired-event logs to be byte-identical.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"rarestfirst/internal/obs"
@@ -25,7 +22,7 @@ type scheduler interface {
 	now() float64
 	after(d float64, fn func()) any
 	afterKey(d float64, key int64, fn func()) any
-	atLane(at float64, key int64, compute func() func()) any
+	at(at float64, fn func()) any
 	cancel(h any)
 	reschedule(h any, at float64)
 	runUntilIdle()
@@ -39,9 +36,7 @@ func (s engineSched) after(d float64, fn func()) any { return s.e.After(d, fn) }
 func (s engineSched) afterKey(d float64, key int64, fn func()) any {
 	return s.e.AfterKey(d, key, fn)
 }
-func (s engineSched) atLane(at float64, key int64, compute func() func()) any {
-	return s.e.AtLane(at, key, compute)
-}
+func (s engineSched) at(at float64, fn func()) any { return s.e.At(at, fn) }
 func (s engineSched) cancel(h any)                 { h.(*Timer).Cancel() }
 func (s engineSched) reschedule(h any, at float64) { s.e.Reschedule(h.(*Timer), at) }
 func (s engineSched) runUntilIdle()                { s.e.RunUntilIdle() }
@@ -51,9 +46,7 @@ func (s engineSched) pending() int                 { return s.e.Pending() }
 type refEvent struct {
 	at        float64
 	seq       uint64
-	key       int64
 	fn        func()
-	compute   func() func() // non-nil: a lane event
 	cancelled bool
 	queued    bool // waiting to fire
 }
@@ -84,15 +77,12 @@ func (r *refSched) after(d float64, fn func()) any {
 
 func (r *refSched) afterKey(d float64, _ int64, fn func()) any { return r.after(d, fn) }
 
-func (r *refSched) atLane(at float64, key int64, compute func() func()) any {
-	return r.push(at, &refEvent{key: key, compute: compute})
-}
+func (r *refSched) at(at float64, fn func()) any { return r.push(at, &refEvent{fn: fn}) }
 
 func (r *refSched) cancel(h any) { h.(*refEvent).cancelled = true }
 
 // reschedule gives the event a fresh seq and puts it back in the queue,
-// reviving it if cancelled — also when it is a popped lane-batch member
-// whose apply has not run yet (that apply still runs).
+// reviving it if cancelled.
 func (r *refSched) reschedule(h any, at float64) {
 	ev := h.(*refEvent)
 	if at < r.t {
@@ -124,34 +114,7 @@ func (r *refSched) runUntilIdle() {
 		}
 		ev.queued = false
 		r.t = ev.at
-		if ev.compute == nil {
-			ev.fn()
-			continue
-		}
-		batch := []*refEvent{ev}
-		for {
-			nx := r.next()
-			if nx == nil || nx.at != ev.at || nx.compute == nil {
-				break
-			}
-			nx.queued = false
-			batch = append(batch, nx)
-		}
-		sort.Slice(batch, func(i, j int) bool {
-			if batch[i].key != batch[j].key {
-				return batch[i].key < batch[j].key
-			}
-			return batch[i].seq < batch[j].seq
-		})
-		applies := make([]func(), len(batch))
-		for i, b := range batch {
-			applies[i] = b.compute()
-		}
-		for i, b := range batch {
-			if applies[i] != nil && !b.cancelled {
-				applies[i]()
-			}
-		}
+		ev.fn()
 	}
 }
 
@@ -183,7 +146,7 @@ func scriptLog(s scheduler, seed int64, top int) []string {
 		nextID++
 		id := nextID
 		// Coarse time grid forces plenty of same-instant ties, the case
-		// where (at, seq) tie-breaking and lane batching matter.
+		// where (at, seq) tie-breaking matters.
 		d := math.Trunc(rng.Float64()*64) / 8
 		key := rng.Int63n(96) - 16
 		reSpawn := func(depth int) {
@@ -208,14 +171,12 @@ func scriptLog(s scheduler, seed int64, top int) []string {
 				reSpawn(depth)
 			})
 			slots = append(slots, sl)
-		case 4, 5: // lane event (batched with same-instant lane neighbours)
+		case 4, 5: // absolute-time event
 			sl := &scriptSlot{}
-			sl.h = s.atLane(s.now()+d, key, func() func() {
-				return func() {
-					sl.state = 1
-					log = append(log, fmt.Sprintf("l%d@%.3f", id, s.now()))
-					reSpawn(depth)
-				}
+			sl.h = s.at(s.now()+d, func() {
+				sl.state = 1
+				log = append(log, fmt.Sprintf("a%d@%.3f", id, s.now()))
+				reSpawn(depth)
 			})
 			slots = append(slots, sl)
 		case 6: // cancel a pending event

@@ -1,107 +1,95 @@
 package sim
 
+// Same-instant order. Every event fires on its own, in (at, seq) order:
+// events scheduled for one instant fire in the order they were scheduled,
+// whatever else shares the instant. The simulator's grid-aligned choke
+// rounds (swarm.Config.ChokeLanes) rely on exactly that, so these tests
+// keep the names they had when one instant's lane events ran as a batch.
+
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 )
 
-// laneTrace runs one scripted lane scenario and returns the observable
-// event log: "a<key>" for an apply, "p<label>" for a plain event.
+// laneTrace runs one scripted same-instant scenario and returns the
+// observable event log.
 func laneTrace(t *testing.T) []string {
 	t.Helper()
 	e := NewEngine(1)
-	var (
-		log     []string
-		applies []string
-	)
-	lane := func(at float64, key int64) {
-		e.AtLane(at, key, func() func() {
-			// Compute phase: capture a value derived from its own key and
-			// log it at apply time.
-			v := key * key
-			return func() {
-				applies = append(applies, fmt.Sprintf("a%d=%d", key, v))
-				log = append(log, fmt.Sprintf("a%d", key))
-			}
-		})
+	var log []string
+	ev := func(at float64, label string) {
+		e.At(at, func() { log = append(log, fmt.Sprintf("%s@%g", label, e.Now())) })
 	}
-	// Three lanes at t=10 scheduled out of key order, one plain event at
-	// t=10 scheduled before any of them (lower seq) and one after.
-	e.At(10, func() { log = append(log, "p-first") })
-	lane(10, 3)
-	lane(10, 1)
-	lane(10, 2)
-	e.At(10, func() { log = append(log, "p-last") })
-	// A second instant with a single lane.
-	lane(20, 7)
+	ev(10, "p-first")
+	ev(10, "k3")
+	ev(20, "k7")
+	ev(10, "k1")
+	ev(10, "k2")
+	ev(10, "p-last")
+	ev(5, "early")
 	e.RunUntilIdle()
-	if want := []string{"a1=1", "a2=4", "a3=9", "a7=49"}; !reflect.DeepEqual(applies, want) {
-		t.Fatalf("applies = %v, want %v", applies, want)
-	}
 	return log
 }
 
+// TestLaneBatchOrdering: one instant's events fire in scheduling order,
+// and an earlier instant scheduled later still fires first.
 func TestLaneBatchOrdering(t *testing.T) {
-	// The plain event with the lower seq fires before the batch; the batch
-	// runs all three applies in key order even though scheduling order was
-	// 3,1,2; the trailing plain event fires after the batch.
-	want := []string{"p-first", "a1", "a2", "a3", "p-last", "a7"}
+	want := []string{"early@5", "p-first@10", "k3@10", "k1@10", "k2@10", "p-last@10", "k7@20"}
 	if got := laneTrace(t); !reflect.DeepEqual(got, want) {
 		t.Fatalf("log = %v, want %v", got, want)
 	}
 }
 
+// TestLaneStats: the lane counters bench/ still reads stay 0 however many
+// events share an instant.
 func TestLaneStats(t *testing.T) {
 	e := NewEngine(1)
-	for k := int64(0); k < 5; k++ {
-		e.AtLane(10, k, func() func() { return nil })
+	fired := 0
+	for k := 0; k < 5; k++ {
+		e.At(10, func() { fired++ })
 	}
-	e.AtLane(20, 0, func() func() { return nil })
+	e.At(20, func() { fired++ })
 	e.RunUntilIdle()
 	st := e.Stats()
-	if st.PeakLaneWidth != 5 {
-		t.Fatalf("PeakLaneWidth = %d, want 5", st.PeakLaneWidth)
+	if fired != 6 {
+		t.Fatalf("fired %d events, want 6", fired)
 	}
-	if st.LaneBatches != 2 || st.LaneEvents != 6 {
-		t.Fatalf("LaneBatches = %d, LaneEvents = %d, want 2, 6", st.LaneBatches, st.LaneEvents)
+	if st.PeakLaneWidth != 0 || st.LaneBatches != 0 || st.LaneComputeNs != 0 || st.LaneApplyNs != 0 || st.HaveFlushNs != 0 {
+		t.Fatalf("lane stats nonzero: %+v", st)
 	}
 }
 
+// TestLaneCancelSkipsApply: a same-instant event cancelled before the
+// instant, or by an earlier event of the same instant, does not fire.
 func TestLaneCancelSkipsApply(t *testing.T) {
 	e := NewEngine(1)
-	var fired []int64
-	mk := func(key int64) *Timer {
-		return e.AtLane(5, key, func() func() {
-			return func() { fired = append(fired, key) }
-		})
+	var fired []int
+	mk := func(key int) *Timer {
+		return e.At(5, func() { fired = append(fired, key) })
 	}
 	t1 := mk(1)
 	mk(2)
-	t3 := mk(3)
-	// Cancel one before the batch runs, and have an earlier apply cancel a
-	// later batch member mid-batch.
-	t1.Cancel()
-	e.AtLane(5, 0, func() func() {
-		return func() {
-			fired = append(fired, 0)
-			t3.Cancel()
-		}
+	var t3 *Timer
+	e.At(5, func() {
+		fired = append(fired, 0)
+		t3.Cancel()
 	})
+	t3 = mk(3)
+	t1.Cancel()
 	e.RunUntilIdle()
-	if want := []int64{0, 2}; !reflect.DeepEqual(fired, want) {
+	if want := []int{2, 0}; !reflect.DeepEqual(fired, want) {
 		t.Fatalf("fired = %v, want %v", fired, want)
 	}
 }
 
 // TestLaneSerialParallelIdentical drives a randomized micro-simulation —
-// lanes whose computes read a shared array and whose applies mutate it and
-// re-arm — through the engine, and requires the final state and the
-// engine RNG stream position to equal a two-phase reference loop: at each
-// instant every compute reads the pre-batch state, then the applies run
-// in key order.
+// grid-aligned events that read a shared array, mutate their own slot
+// with the engine RNG and re-arm one interval later, like the swarm's
+// grid-aligned choke rounds — and requires the final state and the engine
+// RNG stream position to equal a plain loop over the instants that runs
+// the events in their scheduling order.
 func TestLaneSerialParallelIdentical(t *testing.T) {
 	const lanes = 16
 	instants := []float64{10, 20, 30, 40, 50}
@@ -112,9 +100,9 @@ func TestLaneSerialParallelIdentical(t *testing.T) {
 		}
 		return rngs
 	}
-	// compute is shared by both sides: it reads the whole array and the
-	// lane's neighbour, and advances the lane's private RNG.
-	compute := func(state []int64, rng *rand.Rand, key int) int64 {
+	// step is shared by both sides: it reads the whole array and the
+	// lane's neighbour, and advances the lane's own RNG.
+	step := func(state []int64, rng *rand.Rand, key int) int64 {
 		sum := int64(0)
 		for _, v := range state {
 			sum += v
@@ -125,92 +113,60 @@ func TestLaneSerialParallelIdentical(t *testing.T) {
 	e := NewEngine(99)
 	state := make([]int64, lanes)
 	rngs := laneRNGs()
-	var arm func(key int64, at float64)
-	arm = func(key int64, at float64) {
-		e.AtLane(at, key, func() func() {
-			d := compute(state, rngs[key], int(key))
-			return func() {
-				state[key] += d + int64(e.RNG().Intn(10))
-				if at < instants[len(instants)-1] {
-					arm(key, at+10)
-				}
+	var arm func(key int, at float64)
+	arm = func(key int, at float64) {
+		e.At(at, func() {
+			state[key] += step(state, rngs[key], key) + int64(e.RNG().Intn(10))
+			if at < instants[len(instants)-1] {
+				arm(key, at+10)
 			}
 		})
 	}
-	// Arm out of key order: the batch must still run in key order.
+	// Arm out of key order: each instant replays the first one's order.
 	for k := lanes - 1; k >= 0; k-- {
-		arm(int64(k), instants[0])
+		arm(k, instants[0])
 	}
 	e.RunUntilIdle()
 
 	ref := make([]int64, lanes)
 	refRNGs := laneRNGs()
 	engRNG := rand.New(rand.NewSource(99))
-	deltas := make([]int64, lanes)
 	for range instants {
-		for k := range ref {
-			deltas[k] = compute(ref, refRNGs[k], k)
-		}
-		for k := range ref {
-			ref[k] += deltas[k] + int64(engRNG.Intn(10))
+		for k := lanes - 1; k >= 0; k-- {
+			ref[k] += step(ref, refRNGs[k], k) + int64(engRNG.Intn(10))
 		}
 	}
 	if !reflect.DeepEqual(state, ref) {
-		t.Fatalf("engine state %v != two-phase reference %v", state, ref)
+		t.Fatalf("engine state %v != serial reference %v", state, ref)
 	}
 	if got, want := e.RNG().Int63(), engRNG.Int63(); got != want {
 		t.Fatalf("engine RNG diverged from the reference: %d vs %d", got, want)
 	}
 }
 
-// TestLaneComputeWorkerIndex pins the batch schedule of AtLane: every
-// compute of a batch runs before its first apply, and both phases run in
-// ascending (key, seq) order whatever order the events were scheduled in.
+// TestLaneComputeWorkerIndex pins the schedule of 64 events of one
+// instant, scheduled in random order: each fires once, in ascending seq.
 func TestLaneComputeWorkerIndex(t *testing.T) {
-	const computes = 64
-	type step struct {
-		apply bool
-		key   int64
-		seq   int
-	}
+	const events = 64
 	e := NewEngine(1)
-	var got, want []step
-	// Two events share each key; the one scheduled first (lower seq) must
-	// run first.
-	for seq, i := range rand.New(rand.NewSource(5)).Perm(computes) {
-		key := int64(i / 2)
-		want = append(want, step{key: key, seq: seq})
-		e.AtLane(10, key, func() func() {
-			got = append(got, step{false, key, seq})
-			return func() { got = append(got, step{true, key, seq}) }
-		})
+	var got, want []int
+	for _, i := range rand.New(rand.NewSource(5)).Perm(events) {
+		want = append(want, i)
+		e.At(10, func() { got = append(got, i) })
 	}
 	e.RunUntilIdle()
-	sort.Slice(want, func(i, j int) bool {
-		if want[i].key != want[j].key {
-			return want[i].key < want[j].key
-		}
-		return want[i].seq < want[j].seq
-	})
-	for _, w := range want[:computes] {
-		w.apply = true
-		want = append(want, w)
-	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("schedule = %v\nwant       %v", got, want)
 	}
-	if st := e.Stats(); st.LaneBatches != 1 || st.PeakLaneWidth != computes {
-		t.Fatalf("stats = %+v, want one batch of %d", st, computes)
-	}
 }
 
-// TestLanePendingAccounting checks that lane timers participate in the
-// pending/cancel bookkeeping like plain timers.
+// TestLanePendingAccounting checks the pending/cancel bookkeeping of
+// same-instant timers, and that their recycled timers come back clean.
 func TestLanePendingAccounting(t *testing.T) {
 	e := NewEngine(1)
 	timers := make([]*Timer, 0, 10)
-	for k := int64(0); k < 10; k++ {
-		timers = append(timers, e.AtLane(10, k, func() func() { return nil }))
+	for k := 0; k < 10; k++ {
+		timers = append(timers, e.At(10, func() {}))
 	}
 	if e.Pending() != 10 {
 		t.Fatalf("Pending = %d, want 10", e.Pending())
@@ -223,58 +179,50 @@ func TestLanePendingAccounting(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("Pending after run = %d, want 0", e.Pending())
 	}
-	// Recycled lane timers must come back clean for plain reuse.
 	fired := 0
 	e.After(1, func() { fired++ })
 	e.RunUntilIdle()
 	if fired != 1 {
-		t.Fatalf("plain event after lane recycling fired %d times", fired)
+		t.Fatalf("event after recycling fired %d times", fired)
+	}
+	if st := e.Stats(); st.Reused == 0 {
+		t.Fatalf("no timer reused: %+v", st)
 	}
 }
 
-// TestLaneBatchSplitsOnInterleavedPlainEvent pins the batching rule: a
-// plain event with a seq between two same-instant lane events splits them
-// into two batches (each still applied in key order).
+// TestLaneBatchSplitsOnInterleavedPlainEvent: an event scheduled between
+// two pairs of same-instant events fires between them.
 func TestLaneBatchSplitsOnInterleavedPlainEvent(t *testing.T) {
 	e := NewEngine(1)
 	var log []string
-	lane := func(key int64) {
-		e.AtLane(10, key, func() func() {
-			return func() { log = append(log, fmt.Sprintf("a%d", key)) }
-		})
+	ev := func(label string) {
+		e.At(10, func() { log = append(log, label) })
 	}
-	lane(5)
-	lane(9)
-	e.At(10, func() { log = append(log, "plain") })
-	lane(2)
-	lane(4)
+	ev("a5")
+	ev("a9")
+	ev("plain")
+	ev("a2")
+	ev("a4")
 	e.RunUntilIdle()
 	want := []string{"a5", "a9", "plain", "a2", "a4"}
 	if !reflect.DeepEqual(log, want) {
 		t.Fatalf("log = %v, want %v", log, want)
 	}
-	if st := e.Stats(); st.LaneBatches != 2 || st.PeakLaneWidth != 2 {
-		t.Fatalf("stats = %+v, want 2 batches of width 2", st)
-	}
 }
 
-// TestLaneApplyReentrantScheduling checks that an apply scheduling a lane
-// at the *current* instant starts a fresh batch in the same engine step
-// sequence rather than being lost.
+// TestLaneApplyReentrantScheduling checks that an event scheduling
+// another at the current instant fires it in the same run, after the
+// events already queued for that instant.
 func TestLaneApplyReentrantScheduling(t *testing.T) {
 	e := NewEngine(1)
-	var keys []int64
-	e.AtLane(10, 1, func() func() {
-		return func() {
-			keys = append(keys, 1)
-			e.AtLane(10, 2, func() func() {
-				return func() { keys = append(keys, 2) }
-			})
-		}
+	var keys []int
+	e.At(10, func() {
+		keys = append(keys, 1)
+		e.At(10, func() { keys = append(keys, 3) })
 	})
+	e.At(10, func() { keys = append(keys, 2) })
 	e.RunUntilIdle()
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	if !reflect.DeepEqual(keys, []int64{1, 2}) {
+	if !reflect.DeepEqual(keys, []int{1, 2, 3}) {
 		t.Fatalf("keys = %v", keys)
 	}
 	if e.Now() != 10 {

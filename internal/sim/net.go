@@ -409,10 +409,10 @@ func (f *Flow) settle(now float64) {
 }
 
 // Flush re-times every flow touching a dirty node and clears the dirty
-// set. The engine invokes it as the post-event hook — once per plain
-// event and once per same-instant lane batch — so it normally needs no
-// explicit calls; tests and direct Net drivers may call it to settle
-// timers before inspecting engine state. A clean flush is a nil check.
+// set. The engine invokes it as the post-event hook — once per event — so
+// it normally needs no explicit calls; tests and code that use a Net
+// directly may call it to settle timers before inspecting engine state. A
+// clean flush is a nil check.
 //
 // The walk visits the dirty nodes in ascending node ID, each node's upload
 // list then its download list, in insertion order, and re-times each flow

@@ -8,9 +8,8 @@ package sim
 // tie-breaking between a completion and an unrelated event — may differ,
 // so completions are compared as a multiset ordered by (time, flow
 // serial), not by firing order. A second test pins the harder property:
-// when one lane batch churns hundreds of nodes, the one flush after the
-// batch leaves a full firing order (not just the multiset) that repeats
-// run to run.
+// when one event churns hundreds of nodes, the one flush after it leaves
+// a full firing order (not just the multiset) that repeats run to run.
 
 import (
 	"fmt"
@@ -26,7 +25,7 @@ import (
 type retimeOp struct {
 	at     float64
 	start  bool // start a new flow (vs cancel an old one)
-	lane   bool // start from a lane batch's apply (start)
+	burst  bool // start inside the one event shared by every burst start
 	from   int  // node index (start)
 	to     int  // node index (start)
 	bytes  float64
@@ -107,9 +106,8 @@ type retimeTrace struct {
 	remaining []float64
 	delivered float64
 	endNow    float64
-	// peakFlush and peakLane are the widest flush and lane batch the run
-	// saw (NetStats.PeakShardWidth, EngineStats.PeakLaneWidth).
-	peakFlush, peakLane int
+	// peakFlush is the widest flush the run saw (NetStats.PeakShardWidth).
+	peakFlush int
 }
 
 // runRetimeSchedule executes the schedule on a fresh engine/net pair.
@@ -128,6 +126,7 @@ func runRetimeSchedule(s retimeSchedule, eager bool) retimeTrace {
 		done bool
 	}
 	var flows []*liveFlow
+	var burst []func()
 	for _, op := range s.ops {
 		op := op
 		if op.start {
@@ -146,8 +145,15 @@ func runRetimeSchedule(s retimeSchedule, eager bool) retimeTrace {
 					}{serial, e.Now()})
 				}))
 			}
-			if op.lane {
-				e.AtLane(op.at, int64(op.from), func() func() { return start })
+			if op.burst {
+				if len(burst) == 0 {
+					e.At(op.at, func() {
+						for _, st := range burst {
+							st()
+						}
+					})
+				}
+				burst = append(burst, start)
 			} else {
 				e.At(op.at, start)
 			}
@@ -176,7 +182,6 @@ func runRetimeSchedule(s retimeSchedule, eager bool) retimeTrace {
 	e.RunUntilIdle()
 	tr.endNow = e.Now()
 	tr.peakFlush = n.Stats().PeakShardWidth
-	tr.peakLane = e.Stats().PeakLaneWidth
 	sort.Slice(tr.completions, func(i, j int) bool {
 		if tr.completions[i].at != tr.completions[j].at {
 			return tr.completions[i].at < tr.completions[j].at
@@ -251,27 +256,27 @@ func FuzzRetimeDeferredMatchesEager(f *testing.F) {
 }
 
 // TestRetimeFlushParallelMatchesSerialNet pins deferred retiming at its
-// widest: one lane batch that churns hundreds of nodes at once must match
+// widest: one event that churns hundreds of nodes at once must match
 // the eager oracle bit for bit, and two runs must leave the same firing order — not just
 // the same completion multiset.
 func TestRetimeFlushParallelMatchesSerialNet(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := genRetimeSchedule(rng, 400, 40)
 	// One burst instant: start a flow on every node pair (i, i+1) from a
-	// single lane batch so the flush after it sees ~400 dirty nodes.
+	// single event so the flush after it sees ~400 dirty nodes.
 	for i := 0; i+1 < len(s.upCaps); i++ {
 		s.ops = append(s.ops, retimeOp{
-			at:    10.125, // shared instant: all starts in one batch
+			at:    10.125, // shared instant: all starts in one event
 			start: true,
-			lane:  true,
+			burst: true,
 			from:  i,
 			to:    i + 1,
 			bytes: 100 + float64(i),
 		})
 	}
 	deferred := runRetimeSchedule(s, false)
-	if deferred.peakLane < 300 || deferred.peakFlush < 300 {
-		t.Fatalf("peak lane batch %d, peak flush width %d: the burst never got wide", deferred.peakLane, deferred.peakFlush)
+	if deferred.peakFlush < 300 {
+		t.Fatalf("peak flush width %d: the burst never got wide", deferred.peakFlush)
 	}
 	if err := diffTraces(runRetimeSchedule(s, true), deferred); err != nil {
 		t.Fatalf("deferred burst diverged from the eager oracle: %v", err)

@@ -5,7 +5,17 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestTimerRecordSize pins the timer layout: the two flags share the
+// last word, so a Timer is 48 bytes, the size class every pooled and
+// freshly allocated timer takes.
+func TestTimerRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Timer{}); got > 48 {
+		t.Fatalf("Timer is %d bytes, want at most 48", got)
+	}
+}
 
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine(1)

@@ -168,13 +168,13 @@ type Config struct {
 	Duration    float64
 	SampleEvery float64
 
-	// ChokeLanes aligns every peer's choke rounds to the global
-	// ChokeInterval grid and executes each instant's rounds as one batched
-	// sim.Engine lane: every peer's decision (rate snapshot + choke
-	// algorithm) runs against the pre-batch state, then the state
-	// transitions apply in peer-id order. The trajectories differ from the
-	// default (staggered, interleaved) rounds; the lanes-t7 golden pins
-	// them, and the 10k-peer scale runs turn them on.
+	// ChokeLanes puts every peer's first choke round on the global
+	// ChokeInterval grid (the next multiple of core.ChokeInterval after it
+	// joins) instead of a random point of its first interval; every later
+	// round follows ChokeInterval after the last, so it stays on the grid.
+	// Each round is the ordinary serial one. The trajectories differ from
+	// the default staggered rounds; the lanes-t7 golden pins them, and the
+	// huge-swarm and flash-crowd-20k suites turn them on.
 	ChokeLanes bool
 
 	// Chaos, when non-nil, enables fault injection: failed and delayed
@@ -215,14 +215,6 @@ type Config struct {
 	// on the first violation. Pure reads — a run's trajectory and digest
 	// are identical with the checker on or off.
 	Invariants bool
-
-	// BatchHaves batches completePiece's per-neighbor HAVE reactions into
-	// a per-instant pending set flushed once per event (riding the
-	// post-event hook). Copy counts still update synchronously (so
-	// departures can never underflow them); only the interest/request
-	// reactions defer, so runs differ from the default mode — like
-	// ChokeLanes, this is on for the huge-swarm runs.
-	BatchHaves bool
 }
 
 // Chaos is the simulator's fault-injection plan — the twin of the live

@@ -11,8 +11,6 @@ package swarm
 // RNG, so crash runs are bit-reproducible per seed and a nil plan adds
 // zero draws — the golden scenarios are untouched.
 
-import "rarestfirst/internal/core"
-
 // maybeScheduleCrash draws, at join time, whether leecher p will crash
 // during the run and schedules the kill. Seeds, the instrumented local
 // peer and Byzantine peers are never victims (matching the live harness,
@@ -111,11 +109,7 @@ func (s *Swarm) rejoinPeer(p *Peer, retainedBytes int) {
 	p.departed = false
 	s.trk.Put(p.id, p)
 	s.globalAvail.AddPeer(p.have)
-	if s.cfg.ChokeLanes {
-		p.chokeTimer = s.eng.AtLane(nextChokeInstant(s.eng.Now()), int64(p.id), p.laneFn)
-	} else {
-		p.chokeTimer = s.eng.After(s.eng.RNG().Float64()*core.ChokeInterval, p.chokeFn)
-	}
+	p.armFirstChokeRound()
 	s.announce(p)
 }
 

@@ -133,13 +133,13 @@ func TestCrashNilPreservesTrajectory(t *testing.T) {
 }
 
 func TestCrashWithChokeLanes(t *testing.T) {
-	// The rejoin path re-arms the choke timer through the lane scheduler
-	// when ChokeLanes is on; the run must stay consistent and complete.
+	// The rejoin path re-arms the first choke round on the grid when
+	// ChokeLanes is on; the run must stay consistent and complete.
 	cfg := crashConfig(midRunCrashes())
 	cfg.ChokeLanes = true
 	res := New(cfg).Run()
 	if !res.LocalCompleted {
-		t.Fatal("local peer did not complete under lanes + crashes")
+		t.Fatal("local peer did not complete under grid-aligned rounds + crashes")
 	}
 	if res.Collector.FaultCounts["swarm_peer_crash"] == 0 {
 		t.Fatalf("no crashes recorded: %v", res.Collector.FaultCounts)

@@ -14,7 +14,7 @@ import "rarestfirst/internal/obs"
 type swarmMetrics struct {
 	reg         *obs.Registry
 	announces   *obs.Counter // successful tracker contacts (sim tracker)
-	chokeRounds *obs.Counter // choke rounds, legacy and lane mode alike
+	chokeRounds *obs.Counter // choke rounds
 	pieces      *obs.Counter // piece completions across the whole swarm
 	arrivals    *obs.Counter // leecher joins
 	conns       *obs.Gauge   // currently established connections (pairs)

@@ -1,8 +1,7 @@
 package swarm
 
 import (
-	"math/rand"
-	"time"
+	"math"
 
 	"rarestfirst/internal/bitfield"
 	"rarestfirst/internal/core"
@@ -158,29 +157,11 @@ type Peer struct {
 
 	// Steady-state scratch reused across events so rounds allocate
 	// nothing: the completion/teardown connection snapshot, the picker
-	// state, and the serial choke-round callback (bound once instead of
-	// a method-value allocation per re-arm; nil for lane-mode peers).
+	// state, and the choke-round callback (bound once instead of a
+	// method-value allocation per re-arm).
 	connScratch []*conn
 	pickState   core.PickState
 	chokeFn     func()
-
-	// Lane-mode state (Config.ChokeLanes; see lanes.go): the private
-	// choke RNG the compute phase advances (chokeRNG points at
-	// laneRand, which draws from laneSrc; both live in the peer so a
-	// join allocates neither), the compute/apply halves bound once, and
-	// a copy of the unchoke set parked between them (carved at the
-	// choker's slot count; see carvePeer).
-	laneSrc     laneSource
-	laneRand    rand.Rand
-	chokeRNG    *rand.Rand
-	laneFn      func() func()
-	laneApplyFn func()
-	laneUnchoke []core.PeerID
-	// Deferred tracker re-contact (lane mode): the bound compute/apply
-	// halves and the at-most-one-pending-per-peer mark.
-	reannounceFn      func() func()
-	reannounceApplyFn func()
-	reannouncePending bool
 
 	// Inline storage the pointer fields above point at (see the type
 	// comment); code reads it through those fields only.
@@ -602,30 +583,6 @@ func (p *Peer) completePiece(idx int) {
 	p.downloaded++
 	p.s.metrics.pieces.Inc()
 	p.s.globalAvail.Inc(idx)
-	if p.s.cfg.BatchHaves {
-		// Batched mode: copy counts still update synchronously — a
-		// neighbour disconnecting before the flush removes the whole
-		// bitfield including this piece, so deferring the Incs would
-		// underflow the index — but each Inc is one count increment.
-		// The expensive half (per-neighbour interest and
-		// request reactions) parks on the pending-HAVE set until the
-		// post-event flush.
-		for _, c := range p.connList {
-			n := c.remote
-			if c.mirror == nil {
-				continue
-			}
-			n.avail.Inc(idx)
-			if n.isLocal {
-				p.s.col.CountMsg("have_received")
-			}
-		}
-		p.s.pendingHaves = append(p.s.pendingHaves, pendingHave{p: p, piece: idx})
-		if p.have.Complete() {
-			p.becomeSeed()
-		}
-		return
-	}
 	// Snapshot: interest updates may trigger requests but never
 	// connect/disconnect, so iterating a copy is about robustness only.
 	// The scratch buffer is reused across completions; no code path
@@ -658,56 +615,6 @@ func (p *Peer) completePiece(idx int) {
 	}
 	if p.have.Complete() {
 		p.becomeSeed()
-	}
-}
-
-// flushHaves runs the deferred HAVE reactions queued by completePiece in
-// BatchHaves mode — once per event, from the post-event hook, before the
-// Net flush (reactions may start flows whose rates that flush settles).
-//
-// Reactions run in completion order, each against the owner's CURRENT
-// connection list: a neighbour that disconnected since the completion is
-// simply gone (its copy counts were already corrected by RemovePeer), and
-// one that connected since sees the piece via the normal bitfield
-// exchange, so the extra reaction is idempotent. Reactions never complete
-// a piece synchronously (completions arrive via flow timers, i.e. later
-// events), so the set cannot grow while it drains — the index walk is
-// still re-checked against len for robustness.
-func (s *Swarm) flushHaves() {
-	if len(s.pendingHaves) == 0 {
-		return
-	}
-	var t0 time.Time
-	if s.phases != nil {
-		t0 = time.Now()
-	}
-	for i := 0; i < len(s.pendingHaves); i++ {
-		ph := s.pendingHaves[i]
-		p, idx := ph.p, ph.piece
-		if p.departed {
-			continue
-		}
-		snapshot := append(p.connScratch[:0], p.connList...)
-		p.connScratch = snapshot
-		for _, c := range snapshot {
-			n := c.remote
-			nc := c.mirror
-			if nc == nil {
-				continue
-			}
-			// Same reaction set as the eager walk in completePiece.
-			if !nc.amInterested && !n.seed && !n.advLiar && !n.hasPiece(idx) {
-				n.setInterest(nc, true)
-			}
-			if c.amInterested && n.shownHas(idx) {
-				p.refreshInterest(c)
-			}
-			n.maybeRequest(nc)
-		}
-	}
-	s.pendingHaves = s.pendingHaves[:0]
-	if s.phases != nil {
-		s.phases.HaveFlush.Add(time.Since(t0).Nanoseconds())
 	}
 }
 
@@ -767,6 +674,29 @@ func (p *Peer) depart() {
 
 // ---------------------------------------------------------------------------
 // Choke rounds
+
+// armFirstChokeRound schedules a joining or rejoining peer's first choke
+// round. By default it lands at a uniform point of the next interval, so
+// rounds do not all fire in lockstep. Under Config.ChokeLanes it lands on
+// the next point of the global ChokeInterval grid instead, so every peer's
+// rounds share the grid's instants.
+func (p *Peer) armFirstChokeRound() {
+	s := p.s
+	if s.cfg.ChokeLanes {
+		p.chokeTimer = s.eng.At(nextChokeInstant(s.eng.Now()), p.chokeFn)
+		return
+	}
+	p.chokeTimer = s.eng.After(s.eng.RNG().Float64()*core.ChokeInterval, p.chokeFn)
+}
+
+// nextChokeInstant returns the first global choke-grid point strictly
+// after now. Grid points are exact multiples of core.ChokeInterval, and so
+// is a grid point plus the interval (exact in float64 for any reachable
+// simulation length): a round armed here and re-armed by chokeRound never
+// drifts off the grid.
+func nextChokeInstant(now float64) float64 {
+	return (math.Floor(now/core.ChokeInterval) + 1) * core.ChokeInterval
+}
 
 // chokeRound runs one 10-second round of the appropriate choke algorithm,
 // applies the transitions and re-arms itself. The re-arm happens after the

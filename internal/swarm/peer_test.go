@@ -409,25 +409,28 @@ func TestPeerSetAllocatedOnce(t *testing.T) {
 	}
 }
 
-// TestPeerJoinAllocs pins what a join costs in a warm serial swarm: three
-// allocations. One is the Peer. The other two are serial-mode scheduling:
-// the choke round bound as chokeFn, and the first choke timer (no timer
-// fires in this test, so the engine's timer pool is empty; in a running
-// swarm fired timers are recycled). Everything else amortizes below one
+// TestPeerJoinAllocs pins what a join costs in a warm swarm, with
+// staggered and with grid-aligned (ChokeLanes) rounds alike: three
+// allocations. One is the Peer. The other two are scheduling: the choke
+// round bound as chokeFn, and the first choke timer (no timer fires in
+// this test, so the engine's timer pool is empty; in a running swarm
+// fired timers are recycled). Everything else amortizes below one
 // allocation per join, which AllocsPerRun's integer average drops: the
 // bitfields, availability index, picker and chokers are values inside the
 // Peer, their backing and the connList come from 16-peer slab blocks, the
 // tracker sample reuses the swarm's buffer, and conns come from conn
 // blocks (3.47 per join measured over 400 joins).
 func TestPeerJoinAllocs(t *testing.T) {
-	s := newTestSwarm(t, nil)
-	s.addPeer(true, false, false, 1e5, 0)
-	join := func() { s.addPeer(false, false, false, 1e5, 0) }
-	for i := 0; i < 300; i++ {
-		join()
-	}
-	if n := testing.AllocsPerRun(200, join); n > 3 {
-		t.Fatalf("a join allocates %v objects, want at most 3", n)
+	for _, lanes := range []bool{false, true} {
+		s := newTestSwarm(t, func(cfg *Config) { cfg.ChokeLanes = lanes })
+		s.addPeer(true, false, false, 1e5, 0)
+		join := func() { s.addPeer(false, false, false, 1e5, 0) }
+		for i := 0; i < 300; i++ {
+			join()
+		}
+		if n := testing.AllocsPerRun(200, join); n > 3 {
+			t.Fatalf("ChokeLanes=%v: a join allocates %v objects, want at most 3", lanes, n)
+		}
 	}
 }
 

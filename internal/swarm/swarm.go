@@ -1,7 +1,6 @@
 package swarm
 
 import (
-	"math/rand"
 	"sort"
 
 	"rarestfirst/internal/bitfield"
@@ -38,19 +37,12 @@ type Swarm struct {
 	availCache []int
 
 	// chokeSnaps is the ChokePeer snapshot buffer every choke round
-	// refills, serial or lane. A snapshot is dead once the choker's Round
-	// returns, so one buffer serves the whole swarm. chokeScratch is the
-	// working storage of every choker newChokers builds, for the same
-	// reason: rounds never overlap, and each is applied (or, in lane
-	// mode, its result copied) before the next one runs.
+	// refills. A snapshot is dead once the choker's Round returns, so one
+	// buffer serves the whole swarm. chokeScratch is the working storage
+	// of every choker newChokers builds, for the same reason: rounds never
+	// overlap, and each is applied before the next one runs.
 	chokeSnaps   []core.ChokePeer
 	chokeScratch core.ChokeScratch
-
-	// Lane-mode sampling state: the compute/apply halves bound once and
-	// the snapshot parked between them (see lanes.go).
-	sampleLaneFn  func() func()
-	sampleApplyFn func()
-	sampleScratch trace.AvailSample
 
 	// seedServeCount[i] counts initial-seed serve STARTS of piece i; it
 	// drives the smart-serve policy. seedServeDone[i] counts COMPLETED
@@ -63,12 +55,6 @@ type Swarm struct {
 	finishedContrib, finishedFree   int
 	totalTimeContrib, totalTimeFree float64
 	arrivals                        int
-
-	// pendingHaves queues deferred HAVE reactions (BatchHaves mode): each
-	// entry is one piece completion whose neighbor interest/request
-	// updates run at the post-event flush instead of inline (see
-	// Peer.completePiece and Swarm.flushHaves).
-	pendingHaves []pendingHave
 
 	// Connection storage (see newConn): connSlab is the unused rest of
 	// the current connBlock, connFree holds zeroed conns ready for reuse,
@@ -84,7 +70,6 @@ type Swarm struct {
 	wordSlab     []uint64
 	countSlab    []int
 	connListSlab []*conn
-	unchokeSlab  []core.PeerID
 
 	// announceBuf is the tracker-sample buffer announce reuses; nil while
 	// an announce holds it (see announce).
@@ -94,16 +79,9 @@ type Swarm struct {
 	// has been consumed (at most one corrupted-resume peer per run).
 	crashCorruptDone bool
 
-	// Observability (metrics.go): cached obs handles plus the phase-timing
-	// bundle shared with the engine; both nil/no-op without a registry.
+	// Observability (metrics.go): cached obs handles, no-op without a
+	// registry.
 	metrics swarmMetrics
-	phases  *obs.PhaseTimes
-}
-
-// pendingHave is one deferred HAVE broadcast: peer p completed piece.
-type pendingHave struct {
-	p     *Peer
-	piece int
 }
 
 // Result summarises one experiment run.
@@ -158,20 +136,16 @@ func New(cfg Config) *Swarm {
 	}
 	if reg := obs.Active(); reg != nil {
 		s.metrics = newSwarmMetrics(reg)
-		s.phases = &obs.PhaseTimes{}
 		eng.SetMetrics(sim.EngineMetrics{
-			Phases:   s.phases,
-			Events:   reg.Counter("sim_events_total"),
-			PeakLane: reg.Gauge("sim_peak_lane_width"),
+			Phases: &obs.PhaseTimes{},
+			Events: reg.Counter("sim_events_total"),
 		})
 	}
-	// Chain the deferred flush points: HAVE reactions first (BatchHaves
-	// mode only; they may start flows whose rates the retime flush must
-	// then settle), the reclaim of the event's retired connections second,
-	// Net's dirty-node flush last. NewNet installed n.Flush as the
-	// engine's post-event hook; this replaces it with the chain.
+	// Chain the deferred flush points: the reclaim of the event's retired
+	// connections first, Net's dirty-node flush second. NewNet installed
+	// n.Flush as the engine's post-event hook; this replaces it with the
+	// chain.
 	eng.SetPostEventHook(func() {
-		s.flushHaves()
 		s.reclaimConns()
 		s.net.Flush()
 	})
@@ -236,10 +210,8 @@ const peerBlock = 16
 
 // carvePeer backs p's inline bitfields and availability index with slab
 // space and points have, inflight and avail at them, and carves its
-// connList at MaxPeerSet capacity and, in lane mode, its laneUnchoke at
-// the chokers' slot count (no round unchokes more). Each piece is cut to
-// its length (s[:n:n]), so an append can never write into the next
-// peer's space.
+// connList at MaxPeerSet capacity. Each piece is cut to its length
+// (s[:n:n]), so an append can never write into the next peer's space.
 func (s *Swarm) carvePeer(p *Peer) {
 	n := s.cfg.NumPieces
 	nw := bitfield.Words(n)
@@ -249,13 +221,6 @@ func (s *Swarm) carvePeer(p *Peer) {
 	p.availIdx = core.MakeAvailability(carve(&s.countSlab, n))
 	p.have, p.inflight, p.avail = &p.haveBits, &p.inflightBits, &p.availIdx
 	p.connList = carve(&s.connListSlab, s.cfg.MaxPeerSet)[:0]
-	if s.cfg.ChokeLanes {
-		slots := s.cfg.UploadSlots
-		if slots <= 0 {
-			slots = core.DefaultUploadSlots
-		}
-		p.laneUnchoke = carve(&s.unchokeSlab, slots)[:0]
-	}
 }
 
 // carve cuts the next n elements off *slab, with capacity n, first
@@ -384,27 +349,9 @@ func (s *Swarm) addPeerOpts(isSeed, freeRider, isLocal, bootstrap bool, upBps, d
 		}
 		s.eng.After(adv.floodAnnounceEvery(), flood)
 	}
-	if s.cfg.ChokeLanes {
-		// Lane mode: rounds sit on the global ChokeInterval grid so every
-		// instant's rounds form one engine batch, and each peer draws its
-		// choke randomness from a private stream (engine RNG draws belong
-		// in the apply phase, and the compute phase decides the unchoke
-		// set).
-		p.laneSrc = laneSource{state: laneSeed(s.cfg.Seed, id)}
-		p.laneRand = *rand.New(&p.laneSrc)
-		p.chokeRNG = &p.laneRand
-		p.laneFn = p.chokeLaneCompute
-		p.laneApplyFn = p.applyLaneRound
-		p.reannounceFn = p.reannounceCompute
-		p.reannounceApplyFn = p.applyReannounce
-		p.chokeTimer = s.eng.AtLane(nextChokeInstant(s.eng.Now()), int64(id), p.laneFn)
-	} else {
-		// Stagger the first choke round within the interval so rounds
-		// don't all fire in lockstep. The round is bound once; its
-		// re-arms reuse it (lane-mode peers never call it).
-		p.chokeFn = p.chokeRound
-		p.chokeTimer = s.eng.After(s.eng.RNG().Float64()*core.ChokeInterval, p.chokeFn)
-	}
+	// The round is bound once; its re-arms reuse it.
+	p.chokeFn = p.chokeRound
+	p.armFirstChokeRound()
 	// Pre-completion abort process.
 	if !isSeed && s.cfg.AbortRate > 0 && !isLocal {
 		s.scheduleAbortCheck(p)
@@ -442,10 +389,9 @@ func (s *Swarm) announce(p *Peer) {
 		return
 	}
 	s.metrics.announces.Inc()
-	// Connecting can re-enter announce (disconnect → queueReannounce →
-	// announce in serial mode), so the sample buffer is taken for the
-	// walk and given back after it; a nested announce samples into a
-	// fresh one.
+	// Connecting can re-enter announce (disconnect → maybeReannounce →
+	// announce), so the sample buffer is taken for the walk and given back
+	// after it; a nested announce samples into a fresh one.
 	cand := s.trk.AppendSample(s.announceBuf[:0], s.eng.RNG(), s.cfg.TrackerResponse, p.id)
 	s.announceBuf = nil
 	for _, q := range cand {
@@ -468,27 +414,6 @@ func (s *Swarm) maybeReannounce(p *Peer) {
 		return
 	}
 	s.announce(p)
-}
-
-// queueReannounce is the lane-aware entry point for tracker re-contacts
-// triggered by connection teardown. Outside lane mode it runs the
-// re-announce synchronously, exactly as before. In lane mode it defers
-// the re-announce onto its own same-instant lane batch: a choke apply
-// that disconnects dozens of peers would otherwise interleave announce
-// work (engine-RNG tracker samples, connects) into the middle of the
-// round sequence; queued as lane events, the re-announces of one instant
-// execute as one batch after the rounds, in peer-id order, at most once
-// per peer per instant.
-func (s *Swarm) queueReannounce(p *Peer) {
-	if !s.cfg.ChokeLanes {
-		s.maybeReannounce(p)
-		return
-	}
-	if p.departed || p.reannouncePending {
-		return
-	}
-	p.reannouncePending = true
-	s.eng.AtLane(s.eng.Now(), reannounceLaneKey(p.id), p.reannounceFn)
 }
 
 // connect establishes the bidirectional connection a->b (a initiates),
@@ -630,8 +555,8 @@ func (s *Swarm) disconnect(a, b *Peer) {
 	if b.isLocal {
 		s.col.PeerLeft(int(a.id), now)
 	}
-	s.queueReannounce(a)
-	s.queueReannounce(b)
+	s.maybeReannounce(a)
+	s.maybeReannounce(b)
 	// A cancelled in-flight piece is requestable again from other peers.
 	a.retryRequests()
 	b.retryRequests()
@@ -652,7 +577,7 @@ const connBlock = 256
 // handle therefore reads exactly what disconnect left — callers keep
 // using a conn after a possible teardown (maybeRequest after
 // completePiece → becomeSeed → disconnect), and in serial mode
-// disconnect → queueReannounce → announce → connectNow runs in the same
+// disconnect → maybeReannounce → announce → connectNow runs in the same
 // event, where an immediate reuse would hand the closed conn to the new
 // connection. Across events only two timers hold a conn (the chaos reset
 // and the fake-HAVE timeout); they check conn.gen, because the same pair
@@ -861,8 +786,7 @@ func (s *Swarm) RareCount() int {
 }
 
 // gatherSample reads one availability snapshot from the local peer's
-// viewpoint plus the global transient/steady indicators. Pure reads: it
-// is safe to call from a lane compute phase.
+// viewpoint plus the global transient/steady indicators.
 func (s *Swarm) gatherSample() trace.AvailSample {
 	min, mean, max := s.local.avail.Stats()
 	return trace.AvailSample{
@@ -878,21 +802,8 @@ func (s *Swarm) gatherSample() trace.AvailSample {
 }
 
 // scheduleSample records periodic availability snapshots from the local
-// peer's viewpoint (Figs 2–6) plus global transient/steady indicators. In
-// lane mode the tick rides the engine's lane batches (sampleLaneCompute)
-// so a sample falling on a choke-grid instant joins that instant's batch
-// instead of splitting it.
+// peer's viewpoint (Figs 2–6) plus global transient/steady indicators.
 func (s *Swarm) scheduleSample() {
-	if s.cfg.ChokeLanes {
-		s.sampleLaneFn = s.sampleLaneCompute
-		s.sampleApplyFn = s.applySample
-		if s.local == nil || s.local.departed {
-			return
-		}
-		s.col.Sample(s.gatherSample()) // join-instant sample, as in plain mode
-		s.eng.AtLane(s.eng.Now()+s.cfg.SampleEvery, laneKeySample, s.sampleLaneFn)
-		return
-	}
 	var tick func()
 	tick = func() {
 		if s.local == nil || s.local.departed {

@@ -24,7 +24,7 @@ func LargeSwarmScenario() Scenario {
 
 // FlashCrowd20kScenario is the registry's "flash-crowd-20k" suite as one
 // Scenario: one slow initial seed against a flash-crowd arrival of >20k
-// leechers, with choke lanes and batched HAVEs on.
+// leechers, with every choke round on the global 10 s grid.
 func FlashCrowd20kScenario() Scenario {
 	s, err := NewSuite("flash-crowd-20k", SuiteOptions{})
 	if err != nil || len(s.Scenarios) != 1 {

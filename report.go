@@ -138,14 +138,6 @@ type EventHeapStats struct {
 	// Compactions counts lazy-deletion sweeps.
 	TimersReused uint64
 	Compactions  uint64
-	// PeakLaneWidth is the widest same-instant batch of lane choke
-	// rounds the scheduler executed (0 unless Scenario.ChokeLanes).
-	// LaneBatches and LaneEvents count the batches and the rounds they
-	// carried.
-	// omitempty keeps pre-lane report serializations byte-identical.
-	PeakLaneWidth int    `json:",omitempty"`
-	LaneBatches   uint64 `json:",omitempty"`
-	LaneEvents    uint64 `json:",omitempty"`
 	// Deferred-retiming counters from the fluid model (sim.NetStats):
 	// DirtyFlushes counts post-event flush passes that re-timed at least
 	// one node, RetimeBatches the dirty nodes they processed (mean flush
@@ -159,14 +151,11 @@ type EventHeapStats struct {
 	// what keeps a flash-crowd peak from pinning peak-sized pools.
 	TimerPoolCap int `json:",omitempty"`
 	FlowPoolCap  int `json:",omitempty"`
-	// Engine phase timing (PR 8, internal/obs): wall-clock nanoseconds
-	// spent in each scheduler phase, populated only when a run executes
-	// with an active obs registry. Wall-clock telemetry, not simulation
-	// output — reportDigest zeroes Events, so these never affect goldens.
-	LaneComputeNs uint64 `json:",omitempty"`
-	LaneApplyNs   uint64 `json:",omitempty"`
+	// RetimeFlushNs is the wall-clock time the deferred retime flush
+	// took, populated only when a run executes with an active obs
+	// registry. Wall-clock telemetry, not simulation output — reportDigest
+	// zeroes Events, so it never affects goldens.
 	RetimeFlushNs uint64 `json:",omitempty"`
-	HaveFlushNs   uint64 `json:",omitempty"`
 }
 
 // buildReport derives every figure's statistics from the run result.
@@ -196,18 +185,12 @@ func buildReport(sc Scenario, spec torrents.Spec, cfg swarm.Config, res *swarm.R
 			Cancelled:      res.Events.Cancelled,
 			TimersReused:   res.Events.Reused,
 			Compactions:    res.Events.Compactions,
-			PeakLaneWidth:  res.Events.PeakLaneWidth,
-			LaneBatches:    res.Events.LaneBatches,
-			LaneEvents:     res.Events.LaneEvents,
 			DirtyFlushes:   res.Net.DirtyFlushes,
 			RetimeBatches:  res.Net.RetimeBatches,
 			PeakShardWidth: res.Net.PeakShardWidth,
 			TimerPoolCap:   res.Events.TimerPoolCap,
 			FlowPoolCap:    res.Net.FlowPoolCap,
-			LaneComputeNs:  res.Events.LaneComputeNs,
-			LaneApplyNs:    res.Events.LaneApplyNs,
 			RetimeFlushNs:  res.Events.RetimeFlushNs,
-			HaveFlushNs:    res.Events.HaveFlushNs,
 		},
 	}
 	for _, e := range col.Events {

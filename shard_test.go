@@ -1,11 +1,10 @@
 package rarestfirst
 
-// Event-heap determinism at the report level. Scenario.HeapShards has no
-// effect (the engine is one heap), so a run must digest the same whatever
-// it says; and a run with every engine mode on reproduces a fixed digest,
-// recorded when the heap was still sharded 32 ways and serial and
-// 8-worker lane computes still had to agree on it. CI repeats these under
-// the race detector.
+// Event-heap determinism at the report level. Scenario.HeapShards and
+// Scenario.BatchHaves have no effect (the engine is one heap, and HAVE
+// reactions run inline), so a run must digest the same whatever they say;
+// and a grid-aligned run with both set reproduces a fixed digest. CI
+// repeats these under the race detector.
 
 import "testing"
 
@@ -25,8 +24,7 @@ func shardDigest(t *testing.T, sc Scenario) string {
 }
 
 // TestShardedRunMatchesUnsharded pins that HeapShards 0 and 32 both
-// reproduce the digest that the single heap and 1, 8 and 32 shards agreed
-// on while the sharded heap existed.
+// reproduce one fixed digest.
 func TestShardedRunMatchesUnsharded(t *testing.T) {
 	t.Parallel()
 	base := Scenario{
@@ -43,7 +41,7 @@ func TestShardedRunMatchesUnsharded(t *testing.T) {
 		ChokeLanes:   true,
 		SeedOverride: 11,
 	}
-	const want = "e3c0775a71350e5cceb0d34a44a939ad30e8f698b549d60ecbe5d76054912cea"
+	const want = "58bcd6a19e08a41ee667b22e126c69354d67902271ab10a5aa77c3392dc0c741"
 	for _, shards := range []int{0, 32} {
 		sc := base
 		sc.HeapShards = shards
@@ -53,11 +51,10 @@ func TestShardedRunMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestHeapShardParallelMatchesSerial pins the digest of a run with every
-// engine mode on — choke lanes and batched HAVEs, and the no-op
-// HeapShards — at a swarm size whose choke instants mark hundreds of nodes
-// dirty, so the lane batches are wide and each is followed by a wide
-// flush.
+// TestHeapShardParallelMatchesSerial pins the digest of a grid-aligned
+// run with the no-op HeapShards and BatchHaves set, at a swarm size whose
+// choke instants hold hundreds of rounds. With both normalized away, it
+// must digest the same as the run without them.
 func TestHeapShardParallelMatchesSerial(t *testing.T) {
 	t.Parallel()
 	sc := Scenario{
@@ -77,13 +74,14 @@ func TestHeapShardParallelMatchesSerial(t *testing.T) {
 		SeedOverride: 11,
 	}
 	got, rep := retimeReport(t, sc)
-	if want := "7516f52bd719269f3af45a365c2d770136bfde9f6df040e0930aaaac5c4c17c7"; got != want {
+	if want := "3ff3118c7e09733c91b06704ebad678b3855c813e0b4658ad3454a976987234d"; got != want {
 		t.Errorf("all-modes digest %s, want %s", got, want)
 	}
-	// The run must actually have run wide lane batches and followed them
-	// with wide flushes, or the test proves nothing.
-	if rep.Events.PeakLaneWidth < 64 || rep.Events.PeakShardWidth < 64 {
-		t.Fatalf("peak lane batch %d, peak flush width %d: want both >= 64",
-			rep.Events.PeakLaneWidth, rep.Events.PeakShardWidth)
+	plain := sc
+	plain.HeapShards, plain.BatchHaves = 0, false
+	norm := *rep
+	norm.Scenario.HeapShards, norm.Scenario.BatchHaves = 0, false
+	if a, b := reportDigest(t, &norm), shardDigest(t, plain); a != b {
+		t.Errorf("the no-op HeapShards and BatchHaves moved the run: %s vs %s", a, b)
 	}
 }

@@ -66,9 +66,9 @@ type Runner struct {
 	// every interval while Run executes (plus a final line at
 	// completion): elapsed wall time, finished/total scenarios, and —
 	// when a process-wide obs registry is active — live counters
-	// (events fired, arrivals, peak lane width). Long batches like the
-	// full-size huge-swarm suite then narrate themselves instead of
-	// running silent.
+	// (events fired, arrivals). Long batches like the full-size
+	// huge-swarm suite then narrate themselves instead of running
+	// silent.
 	Heartbeat time.Duration
 	// HeartbeatW receives heartbeat lines; nil means os.Stderr.
 	HeartbeatW io.Writer
@@ -145,9 +145,6 @@ func (r Runner) startHeartbeat(done *atomic.Int64, total int) func() {
 			}
 			if v, ok := reg.Value("swarm_arrivals_total"); ok {
 				line += fmt.Sprintf(" arrivals=%.0f", v)
-			}
-			if v, ok := reg.Value("sim_peak_lane_width"); ok && v > 0 {
-				line += fmt.Sprintf(" peak_lane=%.0f", v)
 			}
 		}
 		fmt.Fprintln(w, line)
