@@ -80,6 +80,72 @@ func TestPoisonerBannedMidTransfer(t *testing.T) {
 	}
 }
 
+// TestBannedPoisonerCannotDialBackIn: a poisoner that dialled the leecher
+// and got banned dials in again. An inbound peer's address is only its
+// ephemeral port, so the ban must hold on its peer ID: the leecher
+// refuses the handshake, holds no connection to it and downloads nothing
+// more from it.
+func TestBannedPoisonerCannotDialBackIn(t *testing.T) {
+	m, content := makeTorrent(t, 256<<10, "")
+	poisoner, err := New(Options{
+		Meta:          m,
+		Content:       content,
+		UploadBps:     8 << 20,
+		ChokeInterval: 100 * time.Millisecond,
+		Seed:          99,
+		Adversary:     adversary.New(adversary.Model{Name: "pure-poison", PoisonRate: 1}, 42),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := poisoner.Start("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	defer poisoner.Stop()
+
+	leech, err := New(Options{
+		Meta:          m,
+		Trace:         trace.NewCollector(0),
+		UploadBps:     8 << 20,
+		ChokeInterval: 100 * time.Millisecond,
+		Seed:          7,
+		BanFor:        time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := leech.Start("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	defer leech.Stop()
+
+	poisoner.AddPeer(leech.Addr())
+	waitFault(t, leech, "piece_hash_fail", 1, 20*time.Second)
+	waitFault(t, leech, "peer_banned_poison", 1, 20*time.Second)
+
+	connected := func() bool {
+		leech.mu.Lock()
+		defer leech.mu.Unlock()
+		for _, pc := range leech.connOrder {
+			if pc.peerID == poisoner.PeerID() {
+				return true
+			}
+		}
+		return false
+	}
+	poisoner.AddPeer(leech.Addr())
+	// The re-dial lands within milliseconds on loopback, and a
+	// poisoned piece follows within a few choke rounds; watch for both.
+	for end := time.Now().Add(time.Second); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		if connected() {
+			t.Fatal("leecher accepted the banned poisoner's inbound connection")
+		}
+		if n := faultCount(leech, "piece_hash_fail"); n != 1 {
+			t.Fatalf("piece_hash_fail = %d after the banned poisoner dialled back in, want 1", n)
+		}
+	}
+}
+
 // TestPoisonerNoBanMeasurementMode: with NoPoisonBan the leecher counts
 // hash failures and wasted bytes but never bans, and still completes once
 // honest capacity exists.
@@ -175,7 +241,6 @@ func TestLiarSnubbedAfterFakeHaveTimeouts(t *testing.T) {
 		ChokeInterval:  100 * time.Millisecond,
 		Seed:           7,
 		RequestTimeout: 200 * time.Millisecond,
-		SnubAfter:      2,
 		BanFor:         time.Hour,
 	})
 	if err != nil {

@@ -41,16 +41,9 @@ type Options struct {
 	// Content, when non-nil, makes the client a seed with this data. Its
 	// length must match the metainfo.
 	Content []byte
-	// ListenAddr is the TCP listen address ("127.0.0.1:0" for tests).
-	ListenAddr string
 	// UploadBps caps the upload rate in bytes/second (0 = the paper's
 	// 20 kB/s mainline default).
 	UploadBps float64
-	// UploadSlots is the choker slot count (0 = 4).
-	UploadSlots int
-	// AnnounceInterval overrides the tracker's interval (seconds) when
-	// positive; useful in tests.
-	AnnounceInterval int
 	// ChokeInterval overrides the 10-second choke round cadence; tests use
 	// short intervals so reciprocation dynamics fit in seconds.
 	ChokeInterval time.Duration
@@ -83,22 +76,19 @@ type Options struct {
 	DialTimeout time.Duration
 	// DialRetries is how many times a failed outgoing dial is retried
 	// (0 = none, the historical behavior). Retries back off exponentially
-	// from DialBackoff with ±50% jitter drawn from the client RNG.
+	// from a 100 ms base with ±50% jitter drawn from the client RNG.
 	DialRetries int
-	// DialBackoff is the base retry delay (0 = 250ms).
-	DialBackoff time.Duration
 	// RequestTimeout, when positive, re-requests blocks a peer has not
 	// delivered within it: the block returns to the request pool and the
 	// pipelines of other unchoked peers are topped up immediately
 	// (endgame-style reissue). Each scan that expires requests counts one
-	// fault against the peer, toward snubbing. 0 disables the scanner.
+	// fault against the peer, and at three faults the peer is snubbed: its
+	// connection closed and the peer banned for BanFor. 0 disables the
+	// scanner.
 	RequestTimeout time.Duration
-	// SnubAfter is the fault count at which a peer is snubbed — its
-	// connection closed and its address banned for BanFor (0 = 3; only
-	// active with RequestTimeout > 0).
-	SnubAfter int
-	// BanFor is how long a snubbed peer's address is refused by AddPeer
-	// and the announce loop (0 = 30s).
+	// BanFor is how long a snubbed, flooding or poisoning peer is banned
+	// (0 = 30s): AddPeer and the announce loop skip its address, and a
+	// connection from its peer ID is refused in either direction.
 	BanFor time.Duration
 	// AnnounceRetryBase / AnnounceRetryMax bound the jittered exponential
 	// backoff between announce attempts after tracker failures
@@ -161,16 +151,18 @@ type Client struct {
 	bucket   *mrate.Bucket
 	bucketMu sync.Mutex
 
-	// banned maps a snubbed peer's host:port to the ban expiry; entries
-	// are pruned lazily on lookup. Guarded by mu.
-	banned map[string]time.Time
+	// banned maps a banned peer's host:port, and bannedIDs its handshake
+	// peer ID, to the ban expiry: the address stops our dials to it, the
+	// ID refuses its connections in either direction (an inbound peer's
+	// address is only its ephemeral port). Entries are pruned lazily on
+	// lookup. Guarded by mu.
+	banned    map[string]time.Time
+	bannedIDs map[[20]byte]time.Time
 
 	// Resilience policy (immutable after New).
 	dialTimeout  time.Duration
 	dialRetries  int
-	dialBackoff  time.Duration
 	reqTimeout   time.Duration
-	snubAfter    int
 	banFor       time.Duration
 	annRetryBase time.Duration
 	annRetryMax  time.Duration
@@ -220,7 +212,6 @@ func New(opts Options) (*Client, error) {
 	if up <= 0 {
 		up = 20 << 10
 	}
-	slots := opts.UploadSlots
 	chokeEvery := opts.ChokeInterval
 	if chokeEvery <= 0 {
 		chokeEvery = time.Duration(core.ChokeInterval * float64(time.Second))
@@ -232,14 +223,6 @@ func New(opts Options) (*Client, error) {
 	dialTimeout := opts.DialTimeout
 	if dialTimeout <= 0 {
 		dialTimeout = 5 * time.Second
-	}
-	dialBackoff := opts.DialBackoff
-	if dialBackoff <= 0 {
-		dialBackoff = 250 * time.Millisecond
-	}
-	snubAfter := opts.SnubAfter
-	if snubAfter <= 0 {
-		snubAfter = 3
 	}
 	banFor := opts.BanFor
 	if banFor <= 0 {
@@ -258,20 +241,19 @@ func New(opts Options) (*Client, error) {
 		geo:          geo,
 		conns:        map[core.PeerID]*peerConn{},
 		banned:       map[string]time.Time{},
+		bannedIDs:    map[[20]byte]time.Time{},
 		bucket:       mrate.NewBucket(up, up),
 		stopCh:       make(chan struct{}),
 		start:        time.Now(),
 		rng:          newLockedRand(opts.Seed),
-		chokerL:      &core.LeecherChoker{Slots: slots},
-		chokerS:      &core.SeedChoker{Slots: slots},
+		chokerL:      &core.LeecherChoker{},
+		chokerS:      &core.SeedChoker{},
 		chokeEvery:   chokeEvery,
 		sampleEvery:  sampleEvery,
 		globalAvail:  opts.GlobalAvail,
 		dialTimeout:  dialTimeout,
 		dialRetries:  opts.DialRetries,
-		dialBackoff:  dialBackoff,
 		reqTimeout:   opts.RequestTimeout,
-		snubAfter:    snubAfter,
 		banFor:       banFor,
 		annRetryBase: annRetryBase,
 		annRetryMax:  annRetryMax,
@@ -562,7 +544,7 @@ func (c *Client) AddPeer(addr string) {
 			select {
 			case <-c.stopCh:
 				return
-			case <-time.After(c.backoffDelay(c.dialBackoff, attempt+1, 30*time.Second)):
+			case <-time.After(c.backoffDelay(dialBackoff, attempt+1, 30*time.Second)):
 			}
 		}
 	}()

@@ -100,7 +100,8 @@ func (c *Client) handleConn(conn net.Conn, outgoing bool) {
 		}
 	}
 	remote, err := wire.ReadHandshake(conn)
-	if err != nil || remote.InfoHash != c.meta.InfoHash() || remote.PeerID == c.peerID {
+	if err != nil || remote.InfoHash != c.meta.InfoHash() || remote.PeerID == c.peerID ||
+		c.bannedID(remote.PeerID) {
 		return
 	}
 	if !outgoing {
@@ -315,7 +316,7 @@ func (c *Client) handleRequest(pc *peerConn, m *wire.Message) bool {
 		pc.chokedReqs++
 		flood := pc.chokedReqs >= floodAbuseLimit
 		if flood {
-			c.banLocked(pc.remoteAddr)
+			c.banLocked(pc)
 		}
 		c.mu.Unlock()
 		if flood {

@@ -14,6 +14,15 @@ import (
 	"rarestfirst/internal/core"
 )
 
+// The resilience policy's fixed settings.
+const (
+	// dialBackoff is the base delay of the dial retries (Options.DialRetries).
+	dialBackoff = 100 * time.Millisecond
+	// snubAfter is the request-timeout fault count at which a peer is
+	// snubbed (Options.RequestTimeout).
+	snubAfter = 3
+)
+
 // backoffDelay is the jittered exponential backoff for the n-th
 // consecutive failure (n >= 1): base·2^(n-1) capped at max, then scaled
 // by a uniform factor in [0.5, 1.5) so a swarm's retries decorrelate.
@@ -49,23 +58,37 @@ func (c *Client) dialPeer(addr string) (net.Conn, error) {
 	return conn, nil
 }
 
-// bannedLocked reports whether addr is currently banned, pruning the
-// entry once expired. Caller holds c.mu.
-func (c *Client) bannedLocked(addr string) bool {
-	until, ok := c.banned[addr]
+// banActive reports whether key is currently banned in bans, pruning the
+// entry once expired.
+func banActive[K comparable](bans map[K]time.Time, key K) bool {
+	until, ok := bans[key]
 	if !ok {
 		return false
 	}
 	if time.Now().After(until) {
-		delete(c.banned, addr)
+		delete(bans, key)
 		return false
 	}
 	return true
 }
 
-// banLocked bans addr for the configured window. Caller holds c.mu.
-func (c *Client) banLocked(addr string) {
-	c.banned[addr] = time.Now().Add(c.banFor)
+// bannedLocked reports whether addr is currently banned. Caller holds
+// c.mu.
+func (c *Client) bannedLocked(addr string) bool { return banActive(c.banned, addr) }
+
+// bannedID reports whether peer ID id is currently banned; it takes c.mu.
+func (c *Client) bannedID(id [20]byte) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return banActive(c.bannedIDs, id)
+}
+
+// banLocked bans pc's address and its peer ID for the configured window.
+// Caller holds c.mu.
+func (c *Client) banLocked(pc *peerConn) {
+	until := time.Now().Add(c.banFor)
+	c.banned[pc.remoteAddr] = until
+	c.bannedIDs[pc.peerID] = until
 }
 
 // poisonSuspectsLocked accrues suspicion on the peers that supplied
@@ -87,7 +110,7 @@ func (c *Client) poisonSuspectsLocked(suppliers []core.PeerID) []*peerConn {
 			continue
 		}
 		if sole || pc.poisonStrikes >= core.PoisonStrikes {
-			c.banLocked(pc.remoteAddr)
+			c.banLocked(pc)
 			banned = append(banned, pc)
 		}
 	}
@@ -148,9 +171,9 @@ func (c *Client) expireRequests() {
 		}
 		expired += n
 		pc.faults++
-		if pc.faults >= c.snubAfter {
+		if pc.faults >= snubAfter {
 			pc.snubbed = true
-			c.banLocked(pc.remoteAddr)
+			c.banLocked(pc)
 			c.fault("peer_snubbed")
 			snubbed = append(snubbed, pc)
 		}

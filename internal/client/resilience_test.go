@@ -54,7 +54,6 @@ func TestDialRetryBackoff(t *testing.T) {
 		Trace:       trace.NewCollector(0),
 		DialTimeout: 250 * time.Millisecond,
 		DialRetries: 2,
-		DialBackoff: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +128,6 @@ func TestRequestTimeoutSnubsStallingPeer(t *testing.T) {
 		Meta:           m,
 		Trace:          trace.NewCollector(0),
 		RequestTimeout: 150 * time.Millisecond,
-		SnubAfter:      2,
 	})
 	if err != nil {
 		t.Fatal(err)

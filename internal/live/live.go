@@ -191,12 +191,14 @@ func clampInt(v, def, lo, hi int) int {
 
 // applyResilience sets one client's resilience policy and, when a fault
 // plan is active, hands the client a fresh injector. Fault-free runs keep
-// the client's own defaults. Chaos, Byzantine and crash runs live on
-// seconds-scale deadlines, so the schedule tightens: several dial retries,
-// request timeouts and announce backoffs must fit inside the run for the
-// snub/ban machinery to act before the deadline. Bans are permanent in the
-// sim twin, so with adversaries present live bans outlast the run and a
-// banned poisoner cannot rejoin after the window lapses. Injector seeds
+// the client's own defaults: no dial retries and no request timeouts.
+// Chaos, Byzantine and crash runs live on seconds-scale deadlines, so the
+// schedule tightens: four dial retries (backing off from the client's
+// 100 ms base), a 2 s request timeout (three timeout faults snub a peer),
+// 2 s bans and a 200 ms-2 s announce backoff must fit inside the run for
+// the snub/ban machinery to act before the deadline. Bans are permanent in
+// the sim twin, so with adversaries present live bans outlast the run and
+// a banned poisoner cannot rejoin, by address or by peer ID. Injector seeds
 // derive from the run seed through an offset stream (101+idx) disjoint
 // from the client-identity stream (1..peers), so fault schedules and
 // client RNGs stay decorrelated but both replay under a fixed run seed.
@@ -205,9 +207,7 @@ func (cfg *Config) applyResilience(opts *client.Options, idx int) {
 	if p.Any() {
 		opts.DialTimeout = 2 * time.Second
 		opts.DialRetries = 4
-		opts.DialBackoff = 100 * time.Millisecond
 		opts.RequestTimeout = 2 * time.Second
-		opts.SnubAfter = 3
 		opts.BanFor = 2 * time.Second
 		opts.AnnounceRetryBase = 200 * time.Millisecond
 		opts.AnnounceRetryMax = 2 * time.Second

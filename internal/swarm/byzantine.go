@@ -11,18 +11,6 @@ package swarm
 
 import "rarestfirst/internal/core"
 
-// advFaultN is chaosFault with a count, for byte-valued fault kinds
-// (wasted_bytes). Same dual-counter contract: the swarm_-prefixed series
-// aggregates swarm-wide, the bare name only counts local-peer incidents
-// and is the live-comparable number.
-func (s *Swarm) advFaultN(name string, a, b *Peer, n int) {
-	s.metrics.faultN(name, n)
-	s.col.AddFault("swarm_"+name, n)
-	if (a != nil && a.isLocal) || (b != nil && b.isLocal) {
-		s.col.AddFault(name, n)
-	}
-}
-
 // banPeer permanently bans suspect from victim's peer set and tears down
 // any live connection between them (so a banned peer can never hold an
 // unchoke slot). Idempotent; faultKind names the counted ban fault.
@@ -34,7 +22,7 @@ func (s *Swarm) banPeer(victim, suspect *Peer, faultKind string) {
 		victim.banned = make(map[core.PeerID]struct{})
 	}
 	victim.banned[suspect.id] = struct{}{}
-	s.chaosFault(faultKind, victim, suspect)
+	s.fault(faultKind, 1, victim, suspect)
 	if victim.connectedTo(suspect) {
 		s.disconnect(victim, suspect)
 	}
@@ -61,8 +49,8 @@ func (s *Swarm) strikePeer(victim, suspect *Peer, faultKind string) {
 // unambiguous): the wasted bytes are counted and the poisoner is banned
 // outright unless NoBan measurement mode only tallies the damage.
 func (s *Swarm) poisonDetected(victim, supplier *Peer, piece int) {
-	s.chaosFault("piece_hash_fail", victim, supplier)
-	s.advFaultN("wasted_bytes", victim, supplier, s.geo.PieceSize(piece))
+	s.fault("piece_hash_fail", 1, victim, supplier)
+	s.fault("wasted_bytes", s.geo.PieceSize(piece), victim, supplier)
 	if adv := s.cfg.Adversary; adv != nil && !adv.NoBan {
 		s.banPeer(victim, supplier, "peer_banned_poison")
 	}
@@ -73,8 +61,8 @@ func (s *Swarm) poisonDetected(victim, supplier *Peer, piece int) {
 // recorded suppliers — a sole contributor is banned immediately, mixed
 // contributors each take a strike (end game spreads blocks over peers).
 func (s *Swarm) localPoisonDetected(victim *Peer, suppliers []core.PeerID, piece int) {
-	s.chaosFault("piece_hash_fail", victim, nil)
-	s.advFaultN("wasted_bytes", victim, nil, s.geo.PieceSize(piece))
+	s.fault("piece_hash_fail", 1, victim, nil)
+	s.fault("wasted_bytes", s.geo.PieceSize(piece), victim, nil)
 	adv := s.cfg.Adversary
 	if adv == nil || adv.NoBan {
 		return
@@ -100,12 +88,8 @@ func (s *Swarm) localPoisonDetected(victim *Peer, suppliers []core.PeerID, piece
 // semantics, mirroring the live client's timeout path) and retries on the
 // surviving connections.
 func (s *Swarm) scheduleFakeHaveTimeout(p *Peer, c *conn, piece int) {
-	timeout := 20.0
-	if adv := s.cfg.Adversary; adv != nil {
-		timeout = adv.fakeHaveTimeout()
-	}
 	liar, gen := c.remote, c.gen
-	s.eng.After(timeout, func() {
+	s.eng.After(fakeHaveTimeout, func() {
 		if p.departed || p.connTo(liar) != c || c.gen != gen || int(c.stallPiece) != piece {
 			return
 		}
@@ -115,7 +99,7 @@ func (s *Swarm) scheduleFakeHaveTimeout(p *Peer, c *conn, piece int) {
 		} else {
 			p.inflight.Clear(piece)
 		}
-		s.chaosFault("fake_have_timeout", p, liar)
+		s.fault("fake_have_timeout", 1, p, liar)
 		s.strikePeer(p, liar, "peer_snubbed")
 		p.retryRequests()
 	})

@@ -58,7 +58,7 @@ func TestAdversaryPoisonNoBanMeasurementMode(t *testing.T) {
 }
 
 func TestAdversaryLiarTimesOutAndLocalCompletes(t *testing.T) {
-	cfg := advConfig(Adversary{Fraction: 0.3, FakeHaves: true, FakeHaveTimeout: 10})
+	cfg := advConfig(Adversary{Fraction: 0.3, FakeHaves: true})
 	res := New(cfg).Run()
 	if !res.LocalCompleted {
 		t.Fatal("local peer did not complete against bitfield liars")
@@ -73,7 +73,7 @@ func TestAdversaryLiarTimesOutAndLocalCompletes(t *testing.T) {
 }
 
 func TestAdversaryFloodAnnounces(t *testing.T) {
-	cfg := advConfig(Adversary{Fraction: 0.3, Flood: true, FloodAnnounceEvery: 2})
+	cfg := advConfig(Adversary{Fraction: 0.3, Flood: true})
 	res := New(cfg).Run()
 	if !res.LocalCompleted {
 		t.Fatal("local peer did not complete against announce flooders")

@@ -72,21 +72,38 @@ func DefaultCapacityMix() []CapacityClass {
 	}
 }
 
+// capacityMix is the mix every remote peer draws its capacities from.
+var capacityMix = DefaultCapacityMix()
+
 // sampleCapacity draws a class according to the mix fractions.
-func sampleCapacity(rng *rand.Rand, mix []CapacityClass) CapacityClass {
+func sampleCapacity(rng *rand.Rand) CapacityClass {
 	total := 0.0
-	for _, c := range mix {
+	for _, c := range capacityMix {
 		total += c.Fraction
 	}
 	x := rng.Float64() * total
-	for _, c := range mix {
+	for _, c := range capacityMix {
 		if x < c.Fraction {
 			return c
 		}
 		x -= c.Fraction
 	}
-	return mix[len(mix)-1]
+	return capacityMix[len(capacityMix)-1]
 }
+
+// The mainline and measurement constants of the paper's experiments,
+// which no run varies.
+const (
+	// trackerResponse is how many random peers an announce returns.
+	trackerResponse = 50
+	// localUpBps is the instrumented peer's upload cap (the paper's
+	// 20 kB/s); its download is uncapped (localDownBps, no limit).
+	localUpBps   = 20 << 10
+	localDownBps = 0
+	// sampleEvery is the cadence, in simulated seconds, of the local
+	// peer's availability samples behind Figs 2–6.
+	sampleEvery = 10.0
+)
 
 // Config fully describes one experiment. The zero value is not runnable;
 // start from DefaultConfig.
@@ -96,22 +113,19 @@ type Config struct {
 	// Content geometry.
 	NumPieces int
 	PieceSize int // bytes
-	BlockSize int // bytes; metainfo.BlockSize unless testing
 
 	// Population at experiment start.
 	InitialSeeds    int
 	InitialLeechers int
 
-	// Peer set management (mainline defaults from §II-B / §III-C).
-	MaxPeerSet      int // 80, or the per-torrent "Max PS" of Table I
-	MinPeerSet      int // 20: re-announce threshold
-	MaxInitiated    int // 40: cap on locally initiated connections
-	TrackerResponse int // 50 random peers per announce
+	// Peer set management (mainline defaults from §II-B / §III-C). A peer
+	// re-announces below min(20, MaxPeerSet/2+1) peers and initiates at
+	// most max(2, MaxPeerSet/2) connections, 20 and 40 at mainline's 80;
+	// an announce returns 50 random peers.
+	MaxPeerSet int // 80, or the per-torrent "Max PS" of Table I
 
-	// Choke parameters.
-	UploadSlots int // 4 = 3 regular + 1 optimistic
-
-	// Strategy selection (swarm-wide; ablation knobs).
+	// Strategy selection (swarm-wide; ablation knobs). Every choker runs
+	// core.DefaultUploadSlots upload slots (3 regular + 1 optimistic).
 	Picker        PickerKind
 	SeedChoker    SeedChokerKind
 	LeecherChoker LeecherChokerKind
@@ -123,11 +137,10 @@ type Config struct {
 	// (OU and SRU) prefer peers that have no pieces yet.
 	BoostNewcomers bool
 
-	// Capacities.
-	LocalUpBps    float64 // instrumented peer upload cap (paper: 20 kB/s)
-	LocalDownBps  float64 // 0 = uncapped (paper: no limit)
+	// Capacities. Remote peers draw theirs from DefaultCapacityMix; the
+	// instrumented peer uploads at the paper's 20 kB/s and downloads
+	// uncapped.
 	InitialSeedUp float64 // initial seed upload capacity
-	CapacityMix   []CapacityClass
 
 	// Churn.
 	ArrivalRate     float64 // new leechers per second (Poisson); 0 = closed system
@@ -164,9 +177,8 @@ type Config struct {
 	LocalFreeRider bool    // make the instrumented peer a free rider (A5 probe)
 
 	// Duration is how long the experiment runs after the local peer joins;
-	// the paper ran 8 h. Sampling cadence for Figs 2–6 is SampleEvery.
-	Duration    float64
-	SampleEvery float64
+	// the paper ran 8 h. Figs 2–6 sample it every 10 simulated seconds.
+	Duration float64
 
 	// ChokeLanes puts every peer's first choke round on the global
 	// ChokeInterval grid (the next multiple of core.ChokeInterval after it
@@ -201,7 +213,7 @@ type Config struct {
 	// leecher population: piece poisoners (delivered pieces fail
 	// verification with PoisonRate, wasting the bandwidth and forcing a
 	// re-download), bitfield liars (advertise every piece, baiting
-	// requests that stall until FakeHaveTimeout), and announce flooders.
+	// requests that stall for 20 s), and announce flooders.
 	// Honest peers defend with provenance-based strikes and bans unless
 	// NoBan is set. Like Chaos, every draw comes from the engine RNG, so
 	// adversarial runs stay bit-reproducible; nil (the default and every
@@ -298,16 +310,12 @@ type Adversary struct {
 	PoisonRate float64
 	// FakeHaves makes adversarial peers bitfield liars: they advertise a
 	// full bitfield while holding nothing and never download, so victims
-	// pick pieces the liar cannot serve and stall for FakeHaveTimeout.
+	// pick pieces the liar cannot serve and stall for fakeHaveTimeout
+	// (20 s) before striking it.
 	FakeHaves bool
 	// Flood makes adversarial peers announce flooders: they hit the
-	// tracker every FloodAnnounceEvery seconds and never upload.
+	// tracker every floodAnnounceEvery (5 s) and never upload.
 	Flood bool
-	// FloodAnnounceEvery is the flooder re-announce period (0 = 5s).
-	FloodAnnounceEvery float64
-	// FakeHaveTimeout is how long a victim waits on a baited request
-	// before giving up and striking the liar (0 = 20s).
-	FakeHaveTimeout float64
 	// NoBan disables the ban response (measurement mode): faults are
 	// still counted, adversaries stay in peer sets. Otherwise honest
 	// victims ban a peer at core.PoisonStrikes strikes, and a sole
@@ -315,20 +323,14 @@ type Adversary struct {
 	NoBan bool
 }
 
-// Defaulting helpers.
-func (a *Adversary) floodAnnounceEvery() float64 {
-	if a.FloodAnnounceEvery > 0 {
-		return a.FloodAnnounceEvery
-	}
-	return 5
-}
-
-func (a *Adversary) fakeHaveTimeout() float64 {
-	if a.FakeHaveTimeout > 0 {
-		return a.FakeHaveTimeout
-	}
-	return 20
-}
+// The adversary plan's timings, in simulated seconds.
+const (
+	// floodAnnounceEvery is the flooders' re-announce period.
+	floodAnnounceEvery = 5.0
+	// fakeHaveTimeout is how long a victim waits on a baited request
+	// before giving up and striking the liar.
+	fakeHaveTimeout = 20.0
+)
 
 // blackedOut reports whether the tracker is inside its blackout window.
 func (ch *Chaos) blackedOut(now float64) bool {
@@ -341,27 +343,18 @@ func DefaultConfig() Config {
 		Seed:            1,
 		NumPieces:       400,
 		PieceSize:       metainfo.DefaultPieceSize,
-		BlockSize:       metainfo.BlockSize,
 		InitialSeeds:    1,
 		InitialLeechers: 40,
 		MaxPeerSet:      80,
-		MinPeerSet:      20,
-		MaxInitiated:    40,
-		TrackerResponse: 50,
-		UploadSlots:     4,
 		Picker:          PickRarestFirst,
 		SeedChoker:      SeedChokeNew,
 		LeecherChoker:   LeecherChokeStandard,
-		LocalUpBps:      20 << 10,
-		LocalDownBps:    0,
 		InitialSeedUp:   128 << 10,
-		CapacityMix:     DefaultCapacityMix(),
 		ArrivalRate:     0.02,
 		SeedLingerMean:  1800,
 		KeepInitialSeed: true,
 		LocalJoinTime:   600,
 		Duration:        4 * 3600,
-		SampleEvery:     10,
 	}
 }
 
@@ -369,6 +362,13 @@ func DefaultConfig() Config {
 func (c *Config) Geometry() metainfo.Geometry {
 	return metainfo.NewGeometry(int64(c.NumPieces)*int64(c.PieceSize), c.PieceSize)
 }
+
+// minPeerSet is the peer-set size below which a peer re-announces, and
+// maxInitiated the cap on the connections it initiates. Both follow
+// MaxPeerSet: mainline's 80 gives 20 and 40, and smaller peer sets scale
+// them down.
+func (c *Config) minPeerSet() int   { return min(20, c.MaxPeerSet/2+1) }
+func (c *Config) maxInitiated() int { return max(2, c.MaxPeerSet/2) }
 
 // validate panics on impossible configurations (programming errors, not
 // user input).
@@ -378,9 +378,9 @@ func (c *Config) validate() {
 		panic("swarm: bad geometry")
 	case c.InitialSeeds < 0 || c.InitialLeechers < 0:
 		panic("swarm: negative population")
-	case c.MaxPeerSet <= 0 || c.TrackerResponse <= 0:
+	case c.MaxPeerSet <= 0:
 		panic("swarm: bad peer set limits")
-	case c.Duration <= 0 || c.SampleEvery <= 0:
+	case c.Duration <= 0:
 		panic("swarm: bad duration")
 	case math.IsNaN(c.ArrivalRate) || c.ArrivalRate < 0:
 		panic("swarm: bad arrival rate")

@@ -45,7 +45,7 @@ func (s *Swarm) crashPeer(p *Peer) {
 		return
 	}
 	cr := s.cfg.Crashes
-	s.chaosFault("peer_crash", p, nil)
+	s.fault("peer_crash", 1, p, nil)
 	p.departed = true
 	if p.chokeTimer != nil {
 		p.chokeTimer.Cancel()
@@ -84,7 +84,7 @@ func (s *Swarm) crashPeer(p *Peer) {
 		}
 	}
 	if hashFails > 0 {
-		s.chaosFaultN("resume_hash_fail", hashFails, p)
+		s.fault("resume_hash_fail", hashFails, p, nil)
 	}
 	p.downloaded = p.have.Count()
 	retainedBytes := 0
@@ -104,22 +104,11 @@ func (s *Swarm) rejoinPeer(p *Peer, retainedBytes int) {
 	if !p.departed || p.seed {
 		return
 	}
-	s.chaosFault("peer_resume", p, nil)
-	s.chaosFaultN("resume_bytes_saved", retainedBytes, p)
+	s.fault("peer_resume", 1, p, nil)
+	s.fault("resume_bytes_saved", retainedBytes, p, nil)
 	p.departed = false
 	s.trk.Put(p.id, p)
 	s.globalAvail.AddPeer(p.have)
 	p.armFirstChokeRound()
 	s.announce(p)
-}
-
-// chaosFaultN is chaosFault for count-valued kinds (retained bytes,
-// dropped pieces): the swarm_-prefixed aggregate always accumulates, the
-// bare live-comparable name only when the local peer is involved.
-func (s *Swarm) chaosFaultN(name string, n int, p *Peer) {
-	s.metrics.faultN(name, n)
-	s.col.AddFault("swarm_"+name, n)
-	if p != nil && p.isLocal {
-		s.col.AddFault(name, n)
-	}
 }

@@ -32,18 +32,11 @@ func newSwarmMetrics(reg *obs.Registry) swarmMetrics {
 	}
 }
 
-// fault tallies one injected fault by kind. Fault paths are rare (and
-// already do collector work), so the labeled-series lookup's mutex is
-// acceptable here where it would not be on the per-event paths.
-func (m *swarmMetrics) fault(kind string) {
-	if m.reg == nil {
-		return
-	}
-	m.reg.Counter(obs.SeriesName("swarm_faults_total", "kind", kind)).Inc()
-}
-
-// faultN is fault with a count, for byte-valued kinds (wasted_bytes).
-func (m *swarmMetrics) faultN(kind string, n int) {
+// fault adds n to the tally of one fault kind (n > 1 for byte- and
+// piece-valued kinds). Fault paths are rare (and already do collector
+// work), so the labeled-series lookup's mutex is acceptable here where it
+// would not be on the per-event paths.
+func (m *swarmMetrics) fault(kind string, n int) {
 	if m.reg == nil {
 		return
 	}

@@ -39,7 +39,7 @@ type conn struct {
 
 	// stallPiece is the piece the owner requested on the strength of a
 	// fake HAVE (the remote advertised it but cannot serve it): the
-	// request hangs until the adversary plan's FakeHaveTimeout fires,
+	// request hangs until the adversary plan's fakeHaveTimeout fires,
 	// then the owner strikes the liar and retries elsewhere. -1 when no
 	// stall is active; only ever set with Config.Adversary. A stalled
 	// local-peer request keeps its block in flowBlock.

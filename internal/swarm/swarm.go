@@ -119,9 +119,6 @@ type Result struct {
 // New builds a swarm from cfg; call Run to execute it.
 func New(cfg Config) *Swarm {
 	cfg.validate()
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = metainfo.BlockSize
-	}
 	eng := sim.NewEngine(cfg.Seed)
 	s := &Swarm{
 		cfg:            cfg,
@@ -187,17 +184,17 @@ func (s *Swarm) newChokers(p *Peer) (core.Choker, core.Choker) {
 	var l core.Choker
 	switch s.cfg.LeecherChoker {
 	case LeecherChokeTitForTat:
-		l = &core.TitForTatChoker{Slots: s.cfg.UploadSlots, DeficitLimit: s.cfg.TFTDeficitLimit, Scratch: scratch}
+		l = &core.TitForTatChoker{DeficitLimit: s.cfg.TFTDeficitLimit, Scratch: scratch}
 	default:
-		p.leecherChoker = core.LeecherChoker{Slots: s.cfg.UploadSlots, BoostNewcomers: s.cfg.BoostNewcomers, Scratch: scratch}
+		p.leecherChoker = core.LeecherChoker{BoostNewcomers: s.cfg.BoostNewcomers, Scratch: scratch}
 		l = &p.leecherChoker
 	}
 	var sd core.Choker
 	switch s.cfg.SeedChoker {
 	case SeedChokeOld:
-		sd = &core.OldSeedChoker{Slots: s.cfg.UploadSlots, Scratch: scratch}
+		sd = &core.OldSeedChoker{Scratch: scratch}
 	default:
-		p.seedChoker = core.SeedChoker{Slots: s.cfg.UploadSlots, BoostNewcomers: s.cfg.BoostNewcomers, Scratch: scratch}
+		p.seedChoker = core.SeedChoker{BoostNewcomers: s.cfg.BoostNewcomers, Scratch: scratch}
 		sd = &p.seedChoker
 	}
 	return l, sd
@@ -337,17 +334,16 @@ func (s *Swarm) addPeerOpts(isSeed, freeRider, isLocal, bootstrap bool, upBps, d
 	s.globalAvail.AddPeer(p.have)
 	s.announce(p)
 	if advFlood {
-		adv := s.cfg.Adversary
 		var flood func()
 		flood = func() {
 			if p.departed {
 				return
 			}
-			s.chaosFault("flood_announce", p, nil)
+			s.fault("flood_announce", 1, p, nil)
 			s.announce(p)
-			s.eng.After(adv.floodAnnounceEvery(), flood)
+			s.eng.After(floodAnnounceEvery, flood)
 		}
-		s.eng.After(adv.floodAnnounceEvery(), flood)
+		s.eng.After(floodAnnounceEvery, flood)
 	}
 	// The round is bound once; its re-arms reuse it.
 	p.chokeFn = p.chokeRound
@@ -383,7 +379,7 @@ func (s *Swarm) announce(p *Peer) {
 		// a fixed backoff. Registration happened at join and existing
 		// connections keep transferring — losing the tracker only degrades
 		// peer discovery, mirroring the live client's announce backoff.
-		s.chaosFault("announce_fail", p, nil)
+		s.fault("announce_fail", 1, p, nil)
 		p.nextAnnounceOK = s.eng.Now() + AnnounceRetry
 		s.eng.After(AnnounceRetry, func() { s.maybeReannounce(p) })
 		return
@@ -392,10 +388,11 @@ func (s *Swarm) announce(p *Peer) {
 	// Connecting can re-enter announce (disconnect → maybeReannounce →
 	// announce), so the sample buffer is taken for the walk and given back
 	// after it; a nested announce samples into a fresh one.
-	cand := s.trk.AppendSample(s.announceBuf[:0], s.eng.RNG(), s.cfg.TrackerResponse, p.id)
+	cand := s.trk.AppendSample(s.announceBuf[:0], s.eng.RNG(), trackerResponse, p.id)
 	s.announceBuf = nil
+	maxInitiated := s.cfg.maxInitiated()
 	for _, q := range cand {
-		if p.initiated >= s.cfg.MaxInitiated || len(p.connList) >= s.cfg.MaxPeerSet {
+		if p.initiated >= maxInitiated || len(p.connList) >= s.cfg.MaxPeerSet {
 			break
 		}
 		s.connect(p, q)
@@ -407,7 +404,7 @@ func (s *Swarm) announce(p *Peer) {
 // maybeReannounce re-contacts the tracker when the peer set has fallen
 // below the minimum (rate-limited).
 func (s *Swarm) maybeReannounce(p *Peer) {
-	if p.departed || len(p.connList) >= s.cfg.MinPeerSet {
+	if p.departed || len(p.connList) >= s.cfg.minPeerSet() {
 		return
 	}
 	if s.eng.Now() < p.nextAnnounceOK {
@@ -431,7 +428,7 @@ func (s *Swarm) connect(a, b *Peer) {
 		return
 	}
 	if ch.DialFailRate > 0 && s.eng.RNG().Float64() < ch.DialFailRate {
-		s.chaosFault("dial_fail", a, b)
+		s.fault("dial_fail", 1, a, b)
 		return
 	}
 	if ch.ConnSetupDelay > 0 {
@@ -443,16 +440,17 @@ func (s *Swarm) connect(a, b *Peer) {
 	s.connectNow(a, b)
 }
 
-// chaosFault tallies one injected fault. The swarm_-prefixed counter
-// aggregates every occurrence swarm-wide; faults touching the
-// instrumented local peer additionally land under the bare name, which is
-// the counter comparable with live runs (whose collector only sees the
-// instrumented client).
-func (s *Swarm) chaosFault(name string, a, b *Peer) {
-	s.metrics.fault(name)
-	s.col.CountFault("swarm_" + name)
+// fault tallies n of one fault kind (1 for an event; bytes or pieces for
+// the count-valued kinds) between peers a and b, either of which may be
+// nil. The swarm_-prefixed counter aggregates every occurrence
+// swarm-wide; faults touching the instrumented local peer additionally
+// land under the bare name, which is the counter comparable with live
+// runs (whose collector only sees the instrumented client).
+func (s *Swarm) fault(name string, n int, a, b *Peer) {
+	s.metrics.fault(name, n)
+	s.col.AddFault("swarm_"+name, n)
 	if (a != nil && a.isLocal) || (b != nil && b.isLocal) {
-		s.col.CountFault(name)
+		s.col.AddFault(name, n)
 	}
 }
 
@@ -514,7 +512,7 @@ func (s *Swarm) connectNow(a, b *Peer) {
 			delay := s.eng.RNG().ExpFloat64() * ch.ConnResetMeanDelay
 			s.eng.After(delay, func() {
 				if a.connTo(b) == ca && ca.gen == gen {
-					s.chaosFault("conn_reset", a, b)
+					s.fault("conn_reset", 1, a, b)
 					s.disconnect(a, b)
 				}
 			})
@@ -655,7 +653,7 @@ func (s *Swarm) seedServeOverride(p *Peer) int {
 
 // sampleCapacityPair draws a remote peer's up/down capacities.
 func (s *Swarm) sampleCapacityPair() (float64, float64) {
-	cls := sampleCapacity(s.eng.RNG(), s.cfg.CapacityMix)
+	cls := sampleCapacity(s.eng.RNG())
 	return cls.UpBps, cls.DownBps
 }
 
@@ -707,7 +705,7 @@ func (s *Swarm) Run() *Result {
 	}
 	// The instrumented local peer.
 	s.eng.At(cfg.LocalJoinTime, func() {
-		s.local = s.addPeer(false, cfg.LocalFreeRider, true, cfg.LocalUpBps, cfg.LocalDownBps)
+		s.local = s.addPeer(false, cfg.LocalFreeRider, true, localUpBps, localDownBps)
 		s.scheduleSample()
 	})
 
@@ -813,7 +811,7 @@ func (s *Swarm) scheduleSample() {
 		if s.cfg.Invariants {
 			s.checkInvariants(false)
 		}
-		s.eng.After(s.cfg.SampleEvery, tick)
+		s.eng.After(sampleEvery, tick)
 	}
 	tick()
 }

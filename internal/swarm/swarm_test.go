@@ -92,7 +92,7 @@ func TestCollectorObservables(t *testing.T) {
 		t.Fatal("no seed_state event")
 	}
 	// Samples cover the run at the configured cadence.
-	if len(col.Samples) < int(cfg.Duration/cfg.SampleEvery/2) {
+	if len(col.Samples) < int(cfg.Duration/sampleEvery/2) {
 		t.Fatalf("only %d samples", len(col.Samples))
 	}
 	// Records exist and residency is positive.
@@ -129,12 +129,32 @@ func TestPeerSetRespectsLimits(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.MaxPeerSet = 5
 	cfg.InitialLeechers = 20
+	if got, want := cfg.minPeerSet(), 3; got != want {
+		t.Fatalf("re-announce threshold %d at MaxPeerSet 5, want %d", got, want)
+	}
+	if got, want := cfg.maxInitiated(), 2; got != want {
+		t.Fatalf("initiated cap %d at MaxPeerSet 5, want %d", got, want)
+	}
 	s := New(cfg)
 	s.Run()
 	for _, p := range s.peers {
 		if len(p.connList) > cfg.MaxPeerSet {
 			t.Fatalf("peer %d has %d connections, cap %d", p.id, len(p.connList), cfg.MaxPeerSet)
 		}
+		if p.initiated > cfg.maxInitiated() {
+			t.Fatalf("peer %d initiated %d connections, cap %d", p.id, p.initiated, cfg.maxInitiated())
+		}
+	}
+}
+
+// TestDefaultPeerSetLimits: at mainline's peer set of 80 the derived
+// limits are mainline's own, a re-announce below 20 peers and at most 40
+// initiated connections.
+func TestDefaultPeerSetLimits(t *testing.T) {
+	cfg := DefaultConfig()
+	if cfg.MaxPeerSet != 80 || cfg.minPeerSet() != 20 || cfg.maxInitiated() != 40 {
+		t.Fatalf("MaxPeerSet %d derives re-announce threshold %d and initiated cap %d, want 80, 20, 40",
+			cfg.MaxPeerSet, cfg.minPeerSet(), cfg.maxInitiated())
 	}
 }
 

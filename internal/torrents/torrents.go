@@ -219,8 +219,6 @@ func (s Spec) Config(sc Scale) swarm.Config {
 		// reduced populations.
 		cfg.MaxPeerSet = max(4, (seeds+leech)/2)
 	}
-	cfg.MinPeerSet = min(20, cfg.MaxPeerSet/2+1)
-	cfg.MaxInitiated = max(2, cfg.MaxPeerSet/2)
 
 	// Estimated download time of one leecher in an upload-constrained
 	// swarm; drives both churn and warmup.

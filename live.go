@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rarestfirst/internal/live"
-	"rarestfirst/internal/metainfo"
 	"rarestfirst/internal/swarm"
 	"rarestfirst/internal/torrents"
 )
@@ -32,7 +31,6 @@ func runLive(sc Scenario) (*Report, error) {
 	cfg := swarm.Config{
 		NumPieces: lcfg.NumPieces,
 		PieceSize: lcfg.PieceSize,
-		BlockSize: metainfo.BlockSize,
 	}
 	res := &swarm.Result{
 		Collector:           lres.Collector,
