@@ -100,8 +100,7 @@ func (c *Client) handleConn(conn net.Conn, outgoing bool) {
 		}
 	}
 	remote, err := wire.ReadHandshake(conn)
-	if err != nil || remote.InfoHash != c.meta.InfoHash() || remote.PeerID == c.peerID ||
-		c.bannedID(remote.PeerID) {
+	if err != nil || remote.InfoHash != c.meta.InfoHash() || remote.PeerID == c.peerID {
 		return
 	}
 	if !outgoing {
@@ -119,7 +118,10 @@ func (c *Client) handleConn(conn net.Conn, outgoing bool) {
 		enc:        wire.NewEncoder(conn),
 	}
 	c.mu.Lock()
-	if c.closed {
+	// A banned peer ID is refused in either direction, checked in the
+	// same locked section that registers the connection so a ban cannot
+	// land in between.
+	if c.closed || banActive(c.bannedIDs, remote.PeerID) {
 		c.mu.Unlock()
 		return
 	}

@@ -76,19 +76,21 @@ func banActive[K comparable](bans map[K]time.Time, key K) bool {
 // c.mu.
 func (c *Client) bannedLocked(addr string) bool { return banActive(c.banned, addr) }
 
-// bannedID reports whether peer ID id is currently banned; it takes c.mu.
-func (c *Client) bannedID(id [20]byte) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return banActive(c.bannedIDs, id)
-}
-
-// banLocked bans pc's address and its peer ID for the configured window.
-// Caller holds c.mu.
+// banLocked bans pc's address and its peer ID for the configured window
+// and closes any other connection to that ID (pc itself is closed by the
+// caller, outside the lock; closing a socket never blocks, so holding
+// c.mu is safe). The address ban only stops our dials: for an inbound pc
+// the address is the dialer's ephemeral port, which nothing dials, so
+// that entry is inert until a lookup prunes it. Caller holds c.mu.
 func (c *Client) banLocked(pc *peerConn) {
 	until := time.Now().Add(c.banFor)
 	c.banned[pc.remoteAddr] = until
 	c.bannedIDs[pc.peerID] = until
+	for _, other := range c.connOrder {
+		if other != pc && other.peerID == pc.peerID {
+			other.conn.Close()
+		}
+	}
 }
 
 // poisonSuspectsLocked accrues suspicion on the peers that supplied

@@ -68,10 +68,15 @@ func TestDialRetryBackoff(t *testing.T) {
 	waitFault(t, c, "dial_retry", 2, 10*time.Second)
 
 	// The budget is a budget: give the goroutine a beat and confirm no
-	// fourth attempt happens.
+	// fourth attempt happens. A retry is counted before its backoff
+	// sleep, so a third dial_retry would show at once even though the
+	// dial it leads to waits out a backoff longer than this beat.
 	time.Sleep(100 * time.Millisecond)
 	if n := faultCount(c, "dial_fail"); n != 3 {
 		t.Fatalf("dial_fail = %d after budget exhausted, want exactly 3", n)
+	}
+	if n := faultCount(c, "dial_retry"); n != 2 {
+		t.Fatalf("dial_retry = %d after budget exhausted, want exactly 2", n)
 	}
 }
 
@@ -160,6 +165,47 @@ func TestRequestTimeoutSnubsStallingPeer(t *testing.T) {
 	c.mu.Unlock()
 	if !banned {
 		t.Fatalf("staller %s not banned after snub", stallerAddr)
+	}
+}
+
+// TestBanClosesDuplicateConnections: a ban is on the peer ID, so a
+// second connection from the banned peer's ID must be closed with the
+// one that offended, not left open to keep serving.
+func TestBanClosesDuplicateConnections(t *testing.T) {
+	m, _ := makeTorrent(t, 128<<10, "")
+	c, err := New(Options{
+		Meta:           m,
+		Trace:          trace.NewCollector(0),
+		RequestTimeout: 150 * time.Millisecond,
+		BanFor:         time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+
+	// Both connections carry dialHandshake's fixed peer ID. The quiet one
+	// advertises nothing, so no request of it can time out.
+	quiet := dialHandshake(t, c, m.InfoHash())
+	defer quiet.Close()
+	staller := dialHandshake(t, c, m.InfoHash())
+	defer staller.Close()
+	enc := wire.NewEncoder(staller)
+	if err := enc.Bitfield([]byte{0xC0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Simple(wire.MsgUnchoke); err != nil {
+		t.Fatal(err)
+	}
+
+	waitFault(t, c, "peer_snubbed", 1, 10*time.Second)
+	expectClosed(t, staller)
+	expectClosed(t, quiet)
+	if n := faultCount(c, "peer_snubbed"); n != 1 {
+		t.Fatalf("peer_snubbed = %d, want 1: only the staller offended", n)
 	}
 }
 
