@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -145,8 +146,10 @@ type Client struct {
 	rng        *lockedRand
 	// endgameMarked latches the first end-game entry for the trace.
 	endgameMarked bool
-	// chokeSnap is the choke-round snapshot buffer (chokeSnapshot).
-	chokeSnap []core.ChokePeer
+	// chokeSnap is the choke-round snapshot buffer (chokeSnapshot), and
+	// chokeChanges runChokeRound's list of transitions to send.
+	chokeSnap    []core.ChokePeer
+	chokeChanges []chokeChange
 
 	bucket   *mrate.Bucket
 	bucketMu sync.Mutex
@@ -639,6 +642,12 @@ func (c *Client) chokeLoop() {
 	}
 }
 
+// chokeChange is one choke transition a round sends to a peer.
+type chokeChange struct {
+	pc *peerConn
+	un bool
+}
+
 func (c *Client) runChokeRound() {
 	c.om.chokeRounds.Inc()
 	now := c.now()
@@ -648,23 +657,15 @@ func (c *Client) runChokeRound() {
 		choker = c.chokerS
 	}
 	unchoke := choker.Round(now, c.chokeSnapshot(now), c.rng.Rand())
-	want := map[core.PeerID]bool{}
-	for _, id := range unchoke {
-		want[id] = true
-	}
-	type change struct {
-		pc *peerConn
-		un bool
-	}
-	var changes []change
+	changes := c.chokeChanges[:0]
 	for _, pc := range c.connOrder {
-		v := want[pc.id]
+		v := slices.Contains(unchoke, pc.id) // at most a handful of IDs
 		if pc.amUnchoking != v {
 			pc.amUnchoking = v
 			if v {
 				pc.lastUnchokedAt = now
 			}
-			changes = append(changes, change{pc, v})
+			changes = append(changes, chokeChange{pc, v})
 			// Trace the transition while still holding c.mu: recording
 			// after unlock races the peer's dropConn, which could
 			// re-latch unchoked state on a record that already left.
@@ -675,8 +676,10 @@ func (c *Client) runChokeRound() {
 			}
 		}
 	}
+	c.chokeChanges = changes
 	c.mu.Unlock()
-	// Send outside the state lock.
+	// Send outside the state lock; only chokeLoop runs rounds, so the
+	// buffer is not refilled before this loop ends.
 	for _, ch := range changes {
 		if ch.un {
 			ch.pc.send(func(e *wire.Encoder) error { return e.Simple(wire.MsgUnchoke) })

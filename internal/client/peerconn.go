@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"net"
@@ -39,6 +40,7 @@ type peerConn struct {
 	conn       net.Conn
 	remoteAddr string
 	peerID     [20]byte
+	dialer     [20]byte // peer ID of the side that dialed
 
 	wmu sync.Mutex
 	enc *wire.Encoder
@@ -103,19 +105,17 @@ func (c *Client) handleConn(conn net.Conn, outgoing bool) {
 	if err != nil || remote.InfoHash != c.meta.InfoHash() || remote.PeerID == c.peerID {
 		return
 	}
-	if !outgoing {
-		if err := wire.WriteHandshake(conn, hs); err != nil {
-			return
-		}
-	}
-	conn.SetDeadline(time.Time{})
 
 	pc := &peerConn{
 		c:          c,
 		conn:       conn,
 		remoteAddr: conn.RemoteAddr().String(),
 		peerID:     remote.PeerID,
+		dialer:     remote.PeerID,
 		enc:        wire.NewEncoder(conn),
+	}
+	if outgoing {
+		pc.dialer = c.peerID
 	}
 	c.mu.Lock()
 	// A banned peer ID is refused in either direction, checked in the
@@ -124,6 +124,23 @@ func (c *Client) handleConn(conn net.Conn, outgoing bool) {
 	if c.closed || banActive(c.bannedIDs, remote.PeerID) {
 		c.mu.Unlock()
 		return
+	}
+	// One connection per peer ID, as in the sim (connectedTo). Of two,
+	// the one whose dialer has the smaller peer ID stays: both ends see
+	// the same two dialers, so a simultaneous dial leaves one connection.
+	// A second connection from the same dialer replaces the first, which
+	// that dialer has given up on (a restart, a half-open socket). Every
+	// other registered connection to this ID is thereby closed, and its
+	// reader loop unregisters it.
+	for _, other := range c.connOrder {
+		if other.peerID != remote.PeerID {
+			continue
+		}
+		if bytes.Compare(other.dialer[:], pc.dialer[:]) < 0 {
+			c.mu.Unlock()
+			return
+		}
+		other.conn.Close()
 	}
 	pc.id = c.nextConn
 	c.nextConn++
@@ -138,10 +155,25 @@ func (c *Client) handleConn(conn net.Conn, outgoing bool) {
 		myBits = full.ToWire()
 		empty = false
 	}
+	if !outgoing {
+		// An inbound connection is registered before our handshake goes
+		// out, so a dialer that has read it finds this connection here
+		// (a second dial from it is then the newer one at both ends).
+		// Sends wait on wmu until the handshake is written.
+		pc.wmu.Lock()
+	}
 	c.mu.Unlock()
 	c.om.conns.Add(1)
 	c.tr.peerJoined(pc.id)
 	defer c.dropConn(pc)
+	if !outgoing {
+		err := wire.WriteHandshake(conn, hs)
+		pc.wmu.Unlock()
+		if err != nil {
+			return
+		}
+	}
+	conn.SetDeadline(time.Time{})
 
 	// Initial bitfield (skipped when empty, as real clients do).
 	if !empty {

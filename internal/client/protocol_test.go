@@ -10,15 +10,21 @@ import (
 )
 
 // dialHandshake opens a raw TCP connection to c and completes the wire
-// handshake, returning the socket.
+// handshake under one fixed peer ID, returning the socket.
 func dialHandshake(t *testing.T, c *Client, infoHash [20]byte) net.Conn {
+	t.Helper()
+	return dialHandshakeAs(t, c, infoHash, "-XX0001-abcdefghijkl")
+}
+
+// dialHandshakeAs is dialHandshake with the given 20-byte peer ID.
+func dialHandshakeAs(t *testing.T, c *Client, infoHash [20]byte, peerID string) net.Conn {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", c.Addr(), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pid [20]byte
-	copy(pid[:], "-XX0001-abcdefghijkl")
+	copy(pid[:], peerID)
 	if err := wire.WriteHandshake(conn, wire.Handshake{InfoHash: infoHash, PeerID: pid}); err != nil {
 		t.Fatal(err)
 	}
@@ -231,9 +237,9 @@ func TestChokeSnapshotCountsRemotePieces(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(seed.Stop)
-	silent := dialHandshake(t, seed, m.InfoHash())
+	silent := dialHandshakeAs(t, seed, m.InfoHash(), "-XX0001-silentsilent")
 	defer silent.Close()
-	talker := dialHandshake(t, seed, m.InfoHash())
+	talker := dialHandshakeAs(t, seed, m.InfoHash(), "-XX0001-talkertalker")
 	defer talker.Close()
 	enc := wire.NewEncoder(talker)
 	for _, piece := range []uint32{0, 2} {

@@ -209,6 +209,65 @@ func TestBanClosesDuplicateConnections(t *testing.T) {
 	}
 }
 
+// TestSimultaneousDialKeepsOneConnection: two leechers dial each other at
+// once. Each end must keep exactly one connection to the other's peer
+// ID, the same one: the connection dialed by the smaller peer ID.
+func TestSimultaneousDialKeepsOneConnection(t *testing.T) {
+	m, _ := makeTorrent(t, 128<<10, "")
+	var cs [2]*Client
+	for i := range cs {
+		c, err := New(Options{Meta: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Start("127.0.0.1:0", ""); err != nil {
+			t.Fatal(err)
+		}
+		defer c.Stop()
+		cs[i] = c
+	}
+	a, b := cs[0], cs[1]
+	ida, idb := a.PeerID(), b.PeerID()
+	want := min(string(ida[:]), string(idb[:]))
+	a.AddPeer(b.Addr())
+	b.AddPeer(a.Addr())
+
+	// dialers lists the dialer of every connection c holds to other.
+	dialers := func(c, other *Client) []string {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		var ds []string
+		for _, pc := range c.connOrder {
+			if pc.peerID == other.PeerID() {
+				ds = append(ds, string(pc.dialer[:]))
+			}
+		}
+		return ds
+	}
+	settled := func() bool {
+		da, db := dialers(a, b), dialers(b, a)
+		return len(da) == 1 && len(db) == 1 && da[0] == want && db[0] == want
+	}
+	// Both handshakes land within milliseconds on loopback; the state
+	// must then hold, not pass through one connection on its way to two.
+	deadline := time.Now().Add(5 * time.Second)
+	var stableSince time.Time
+	for {
+		if !settled() {
+			stableSince = time.Time{}
+		} else if stableSince.IsZero() {
+			stableSince = time.Now()
+		} else if time.Since(stableSince) >= 300*time.Millisecond {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a holds %d connection(s) to b, b holds %d to a; want 1 each, dialed by the smaller peer ID",
+				len(dialers(a, b)), len(dialers(b, a)))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestBackoffDelayCapsAndJitters: the shared backoff helper must grow
 // exponentially, honor the cap, and jitter within [0.5, 1.5) of nominal.
 func TestBackoffDelayCapsAndJitters(t *testing.T) {

@@ -9,7 +9,6 @@
 package metainfo
 
 import (
-	"crypto/sha1"
 	"errors"
 	"fmt"
 
@@ -112,7 +111,7 @@ func Build(name, announce string, content []byte, pieceLength int) (*MetaInfo, e
 	for i := 0; i < g.NumPieces; i++ {
 		start := i * pieceLength
 		end := start + g.PieceSize(i)
-		info.Hashes = append(info.Hashes, sha1.Sum(content[start:end]))
+		info.Hashes = append(info.Hashes, sum(content[start:end]))
 	}
 	m := &MetaInfo{Announce: announce, Info: info}
 	m.infoHash = m.computeInfoHash()
@@ -135,7 +134,7 @@ func (m *MetaInfo) VerifyPiece(i int, data []byte) bool {
 	if i < 0 || i >= len(m.Info.Hashes) {
 		return false
 	}
-	return sha1.Sum(data) == m.Info.Hashes[i]
+	return sum(data) == m.Info.Hashes[i]
 }
 
 func (m *MetaInfo) infoDict() map[string]any {
@@ -152,7 +151,7 @@ func (m *MetaInfo) infoDict() map[string]any {
 }
 
 func (m *MetaInfo) computeInfoHash() InfoHash {
-	return sha1.Sum(bencode.MustEncode(m.infoDict()))
+	return sum(bencode.MustEncode(m.infoDict()))
 }
 
 // Marshal encodes the metainfo as a .torrent file.
