@@ -13,6 +13,21 @@ import (
 	"rarestfirst/internal/obs"
 )
 
+// Event is what a timer fires. A scheduler holds an Event rather than a
+// func so a caller can hand over a long-lived value it already owns (a
+// handle stored inside a swarm peer or a flow) and bind nothing per
+// schedule; EventFunc adapts a plain function.
+type Event interface {
+	Fire()
+}
+
+// EventFunc adapts a plain function to Event. A func value is one
+// pointer, so the conversion allocates nothing beyond the closure itself.
+type EventFunc func()
+
+// Fire implements Event by calling f.
+func (f EventFunc) Fire() { f() }
+
 // Timer is a handle to a scheduled event; Cancel prevents a pending event
 // from firing.
 //
@@ -24,14 +39,19 @@ import (
 // with their own state: a Flow never touches its timer after done, and a
 // peer's choke-round handle is overwritten each round.
 //
-// The two flags sit together at the end, so a Timer is 48 bytes
-// (TestTimerRecordSize).
+// The Event a timer fires is held, not copied: whatever it points at must
+// outlive the pending event. The swarm's per-peer events point into the
+// Peer, and peers are never freed; a flow's completion event points into
+// the Flow, and a flow cancels its timer before it is recycled.
+//
+// The heap index is an int32 and the two flags sit together at the end,
+// so a Timer is 48 bytes (TestTimerRecordSize).
 type Timer struct {
 	at        float64
 	seq       uint64
-	fn        func()
-	index     int // heap index, -1 once popped
+	ev        Event
 	eng       *Engine
+	index     int32 // heap index, -1 once popped
 	cancelled bool
 	pooled    bool // true while parked in the engine's free list
 }
@@ -77,8 +97,8 @@ func (h eventHeap) less(i, j int) bool {
 
 func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].t.index = i
-	h[j].t.index = j
+	h[i].t.index = int32(i)
+	h[j].t.index = int32(j)
 }
 
 // heapPush, heapPop, heapFix and heapInit are container/heap's algorithms
@@ -86,7 +106,7 @@ func (h eventHeap) swap(i, j int) {
 // bit-identical to the interface-based version), no interface boxing of
 // the 24-byte entries, and no dynamic dispatch per comparison.
 func heapPush(h *eventHeap, t *Timer) {
-	t.index = len(*h)
+	t.index = int32(len(*h))
 	*h = append(*h, heapEnt{at: t.at, seq: t.seq, t: t})
 	heapUp(*h, len(*h)-1)
 }
@@ -165,7 +185,7 @@ type EngineStats struct {
 	// FreeListSize is the number of recycled timers ready for reuse.
 	FreeListSize int
 	// TimerPoolCap is the high-water-derived bound on FreeListSize: popped
-	// timers beyond it are dropped for the GC instead of pooled, so a
+	// timers beyond it are left out of the list instead of pooled, so a
 	// flash-crowd peak does not pin a peak-sized free list for the rest of
 	// a long run.
 	TimerPoolCap int
@@ -205,8 +225,10 @@ type Engine struct {
 	// deletion).
 	dead int
 	// free is the timer recycling pool, capped at poolCap so a burst of
-	// churn does not pin a burst-sized pool forever.
+	// churn does not pin a burst-sized pool forever. slab is the unused
+	// rest of the current timerBlock, from which alloc carves fresh ones.
 	free        []*Timer
+	slab        []Timer
 	peak        int // heap-occupancy high-water mark
 	reused      uint64
 	compactions uint64
@@ -289,7 +311,15 @@ func (e *Engine) SetMetrics(m EngineMetrics) {
 	e.mEvents = m.Events
 }
 
-// alloc returns a zeroed timer, reusing a recycled one when available.
+// timerBlock is how many timers alloc carves from one allocation: 64
+// 48-byte timers are 3 KiB, small enough that a Table I catalog swarm,
+// which never needs more than a few blocks, wastes little of its last one.
+const timerBlock = 64
+
+// alloc returns a zeroed timer: a recycled one when the free list has
+// any, otherwise the next one of the current timerBlock, allocating a new
+// block when that one is used up. A timer never moves, so a *Timer stays
+// valid for the engine's lifetime.
 func (e *Engine) alloc() *Timer {
 	if n := len(e.free); n > 0 {
 		t := e.free[n-1]
@@ -299,24 +329,37 @@ func (e *Engine) alloc() *Timer {
 		e.reused++
 		return t
 	}
-	return &Timer{eng: e}
+	if len(e.slab) == 0 {
+		e.slab = new([timerBlock]Timer)[:]
+	}
+	t := &e.slab[0]
+	e.slab = e.slab[1:]
+	t.eng = e
+	return t
 }
 
-// recycle returns a popped timer to the free list unless its fn
-// re-scheduled it back into the heap; beyond the high-water cap the timer
-// is dropped for the GC instead.
+// recycle returns a popped timer to the free list unless its event
+// re-scheduled it back into the heap. Beyond the high-water cap the timer
+// is left out of the list; it still drops its event, since its block
+// lives on for as long as any timer carved from it does.
 func (e *Engine) recycle(t *Timer) {
-	if t.index != -1 || len(e.free) >= e.poolCap() {
+	if t.index != -1 {
 		return
 	}
-	t.fn = nil
+	t.ev = nil
+	if len(e.free) >= e.poolCap() {
+		return
+	}
 	t.cancelled = false
 	t.pooled = true
 	e.free = append(e.free, t)
 }
 
 // poolCap bounds the timer free list at a quarter of the heap's
-// high-water mark, plus a small floor so a tiny heap still pools.
+// high-water mark, plus a small floor so a tiny heap still pools. It
+// bounds the list, not the timers' memory: a timer left out of the list
+// is reclaimed with its whole timerBlock, once every timer carved from
+// that block is unreachable.
 func (e *Engine) poolCap() int { return e.peak/4 + 64 }
 
 // push puts t into the heap and records the occupancy high-water mark
@@ -360,18 +403,26 @@ func (e *Engine) dropTop() {
 
 // At schedules fn to run at absolute time t (clamped to now if in the
 // past) and returns a cancellable handle.
-func (e *Engine) At(t float64, fn func()) *Timer {
+func (e *Engine) At(t float64, fn func()) *Timer { return e.AtEvent(t, EventFunc(fn)) }
+
+// After schedules fn to run d seconds from now.
+func (e *Engine) After(d float64, fn func()) *Timer { return e.AfterEvent(d, EventFunc(fn)) }
+
+// AtEvent schedules ev.Fire to run at absolute time t (clamped to now if
+// in the past) and returns a cancellable handle. ev must outlive the
+// pending event (see Timer).
+func (e *Engine) AtEvent(t float64, ev Event) *Timer {
 	timer := e.schedule(t)
-	timer.fn = fn
+	timer.ev = ev
 	return timer
 }
 
-// After schedules fn to run d seconds from now.
-func (e *Engine) After(d float64, fn func()) *Timer {
+// AfterEvent schedules ev.Fire to run d seconds from now.
+func (e *Engine) AfterEvent(d float64, ev Event) *Timer {
 	if d < 0 {
 		d = 0
 	}
-	return e.At(e.now+d, fn)
+	return e.AtEvent(e.now+d, ev)
 }
 
 // AtKey is At; key is ignored. It is kept only because bench/ calls it.
@@ -410,7 +461,7 @@ func (e *Engine) Reschedule(t *Timer, at float64) {
 		}
 	}
 	if t.index >= 0 {
-		heapFix(e.heap, t.index)
+		heapFix(e.heap, int(t.index))
 		return
 	}
 	e.push(t)
@@ -438,7 +489,7 @@ func (e *Engine) maybeCompact() {
 	}
 	e.heap = live
 	for i := range e.heap {
-		e.heap[i].t.index = i
+		e.heap[i].t.index = int32(i)
 	}
 	heapInit(e.heap)
 	e.dead = 0
@@ -449,7 +500,7 @@ func (e *Engine) maybeCompact() {
 // advanced to t.at.
 func (e *Engine) fire(t *Timer) {
 	e.now = t.at
-	t.fn()
+	t.ev.Fire()
 	e.recycle(t)
 	e.mEvents.Inc() // nil-safe no-op when observability is off
 	if e.postEvent != nil {

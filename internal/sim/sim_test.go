@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -479,6 +480,50 @@ func TestTimerFreeListReuse(t *testing.T) {
 	}
 	if st := e.Stats(); st.Reused < 90 {
 		t.Fatalf("free list barely used: %+v", st)
+	}
+}
+
+// TestTimerBlockAmortizes pins the timer blocks: with the free list
+// empty, 1000 At calls allocate at most one object per 64 timers,
+// ⌈1000/64⌉ = 16. The heap is pre-sized so only the timers count.
+func TestTimerBlockAmortizes(t *testing.T) {
+	const n = 1000
+	e := NewEngine(1)
+	e.heap = make(eventHeap, 0, n)
+	fn := func() {}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		e.At(float64(i), fn)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got > 16 {
+		t.Fatalf("%d At calls allocated %d objects, want at most 16", n, got)
+	}
+}
+
+// countEvent is a pointer handle for the AtEvent tests.
+type countEvent struct{ n int }
+
+func (c *countEvent) Fire() { c.n++ }
+
+// TestAtEventZeroAlloc pins the handle path: on a warm engine, scheduling
+// a pointer handle and firing it allocates nothing.
+func TestAtEventZeroAlloc(t *testing.T) {
+	e := NewEngine(1)
+	ev := &countEvent{}
+	cycle := func() {
+		e.AtEvent(e.Now()+1, ev)
+		e.AfterEvent(2, ev)
+		e.Step()
+		e.Step()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("schedule and fire of a handle allocates %v objects, want 0", allocs)
+	}
+	if ev.n != 2*101 {
+		t.Fatalf("handle fired %d times, want %d", ev.n, 2*101)
 	}
 }
 

@@ -101,14 +101,12 @@ func TestChokeLanesRoundsOnGrid(t *testing.T) {
 	var rounds []float64
 	join := func(seed bool) {
 		p := s.addPeer(seed, false, false, 1e5, 0)
-		// Re-arm the first round through a recording wrapper; chokeRound
-		// re-arms with chokeFn, so every later round is recorded too.
-		p.chokeTimer.Cancel()
-		p.chokeFn = func() {
+		// Every round, the first one already armed included, fires the
+		// peer's chokeEv handle, so a recording wrapper in it sees them all.
+		p.chokeEv.fire = func(p *Peer) {
 			rounds = append(rounds, s.eng.Now())
 			p.chokeRound()
 		}
-		p.armFirstChokeRound()
 	}
 	join(true)
 	for i := 0; i < 12; i++ {

@@ -89,14 +89,17 @@ func (c *conn) FlowDone() {
 // the full block-granularity core.Requester; remote peers run piece-level
 // selection through the same core.Picker implementations.
 //
-// A join allocates the Peer and nothing else of its own: the bitfields,
-// the availability index, the default picker and the default chokers are
-// values inside it (haveBits … seedChoker), and the have/avail/inflight/
-// picker/chokerL/chokerS fields point at them. Their variable-size
+// A join allocates nothing of its own in a warm swarm: the Peer itself is
+// carved from the swarm's 16-peer blocks, and the bitfields, the
+// availability index, the default picker and the default chokers are
+// values inside it (haveBits … seedChoker), with the have/avail/inflight/
+// picker/chokerL/chokerS fields pointing at them. Their variable-size
 // backing (bitfield words, copy counts, the connList array) is carved
-// from the swarm's peer slabs (see Swarm.carvePeer). The local peer's
-// have points at its Requester's bitfield instead, and a non-default
-// picker or choker is allocated on its own.
+// from the swarm's peer slabs (see Swarm.carvePeer). The peer's own timed
+// events (choke round, abort check, departure) fire handles held in it
+// (chokeEv, abortEv, departEv), so scheduling one binds nothing. The
+// local peer's have points at its Requester's bitfield instead, and a
+// non-default picker or choker is allocated on its own.
 type Peer struct {
 	s    *Swarm
 	id   core.PeerID
@@ -156,12 +159,15 @@ type Peer struct {
 	nextAnnounceOK float64
 
 	// Steady-state scratch reused across events so rounds allocate
-	// nothing: the completion/teardown connection snapshot, the picker
-	// state, and the choke-round callback (bound once instead of a
-	// method-value allocation per re-arm).
+	// nothing: the completion/teardown connection snapshot and the picker
+	// state.
 	connScratch []*conn
 	pickState   core.PickState
-	chokeFn     func()
+
+	// The events the engine fires for this peer (see peerEvent).
+	chokeEv  peerEvent
+	abortEv  peerEvent
+	departEv peerEvent
 
 	// Inline storage the pointer fields above point at (see the type
 	// comment); code reads it through those fields only.
@@ -172,6 +178,19 @@ type Peer struct {
 	leecherChoker core.LeecherChoker
 	seedChoker    core.SeedChoker
 }
+
+// peerEvent is one of a peer's timed events: the handle its timer fires,
+// held by value inside the Peer, with fire a method expression such as
+// (*Peer).chokeRound, so scheduling it binds nothing. Peers are never
+// freed, so the handle outlives any event pending on it. Peer itself does
+// not implement sim.Event: no exported method fires a round.
+type peerEvent struct {
+	p    *Peer
+	fire func(*Peer)
+}
+
+// Fire implements sim.Event.
+func (e *peerEvent) Fire() { e.fire(e.p) }
 
 // partialPiece is an interrupted piece download: the piece and the bytes
 // still to fetch (see cancelDownload).
@@ -649,7 +668,7 @@ func (p *Peer) becomeSeed() {
 	}
 	if !p.isLocal && !(p == s.initialSeed && s.cfg.KeepInitialSeed) && s.cfg.SeedLingerMean > 0 {
 		linger := s.eng.RNG().ExpFloat64() * s.cfg.SeedLingerMean
-		s.eng.After(linger, p.depart)
+		s.eng.AfterEvent(linger, &p.departEv)
 	}
 }
 
@@ -683,10 +702,10 @@ func (p *Peer) depart() {
 func (p *Peer) armFirstChokeRound() {
 	s := p.s
 	if s.cfg.ChokeLanes {
-		p.chokeTimer = s.eng.At(nextChokeInstant(s.eng.Now()), p.chokeFn)
+		p.chokeTimer = s.eng.AtEvent(nextChokeInstant(s.eng.Now()), &p.chokeEv)
 		return
 	}
-	p.chokeTimer = s.eng.After(s.eng.RNG().Float64()*core.ChokeInterval, p.chokeFn)
+	p.chokeTimer = s.eng.AfterEvent(s.eng.RNG().Float64()*core.ChokeInterval, &p.chokeEv)
 }
 
 // nextChokeInstant returns the first global choke-grid point strictly
@@ -708,7 +727,7 @@ func (p *Peer) chokeRound() {
 		return
 	}
 	p.runChokeRound()
-	p.chokeTimer = p.s.eng.After(core.ChokeInterval, p.chokeFn)
+	p.chokeTimer = p.s.eng.AfterEvent(core.ChokeInterval, &p.chokeEv)
 }
 
 // runChokeRound is one round's body. All working storage is the swarm's

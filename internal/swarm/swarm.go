@@ -65,8 +65,10 @@ type Swarm struct {
 	connRetired []*conn
 	connGen     uint64
 
-	// Peer slabs (see carvePeer): the unused rest of the current block of
-	// bitfield words, availability counts and connList entries.
+	// Peer slabs (see addPeerOpts and carvePeer): the unused rest of the
+	// current block of peers, bitfield words, availability counts and
+	// connList entries.
+	peerSlab     []Peer
 	wordSlab     []uint64
 	countSlab    []int
 	connListSlab []*conn
@@ -200,9 +202,10 @@ func (s *Swarm) newChokers(p *Peer) (core.Choker, core.Choker) {
 	return l, sd
 }
 
-// peerBlock is how many peers' storage carvePeer takes from one slab
-// block. A run leaves the rest of its last block unused, and a Table I
-// catalog run has only about 20 peers, so blocks stay small.
+// peerBlock is how many peers, and how many peers' storage, carve takes
+// from one slab block. A run leaves the rest of its last block unused,
+// and a Table I catalog run has only about 20 peers, so blocks stay
+// small.
 const peerBlock = 16
 
 // carvePeer backs p's inline bitfields and availability index with slab
@@ -288,7 +291,10 @@ func (s *Swarm) addPeerOpts(isSeed, freeRider, isLocal, bootstrap bool, upBps, d
 			advFlood = adv.Flood
 		}
 	}
-	p := &Peer{
+	// Peers are never removed from s.peers, so a block pins no memory that
+	// would otherwise be freed.
+	p := &carve(&s.peerSlab, 1)[0]
+	*p = Peer{
 		s:          s,
 		id:         id,
 		node:       s.net.AddNode(upBps, downBps),
@@ -302,6 +308,9 @@ func (s *Swarm) addPeerOpts(isSeed, freeRider, isLocal, bootstrap bool, upBps, d
 		advFlood:   advFlood,
 	}
 	s.carvePeer(p)
+	p.chokeEv = peerEvent{p, (*Peer).chokeRound}
+	p.abortEv = peerEvent{p, (*Peer).abortCheck}
+	p.departEv = peerEvent{p, (*Peer).depart}
 	if advLiar {
 		p.liarBits = bitfield.New(s.cfg.NumPieces)
 		p.liarBits.SetAll()
@@ -345,8 +354,6 @@ func (s *Swarm) addPeerOpts(isSeed, freeRider, isLocal, bootstrap bool, upBps, d
 		}
 		s.eng.After(floodAnnounceEvery, flood)
 	}
-	// The round is bound once; its re-arms reuse it.
-	p.chokeFn = p.chokeRound
 	p.armFirstChokeRound()
 	// Pre-completion abort process.
 	if !isSeed && s.cfg.AbortRate > 0 && !isLocal {
@@ -361,11 +368,15 @@ func (s *Swarm) addPeerOpts(isSeed, freeRider, isLocal, bootstrap bool, upBps, d
 // scheduleAbortCheck arms an exponential departure hazard for a leecher.
 func (s *Swarm) scheduleAbortCheck(p *Peer) {
 	delay := s.eng.RNG().ExpFloat64() / s.cfg.AbortRate
-	s.eng.After(delay, func() {
-		if !p.departed && !p.seed {
-			p.depart()
-		}
-	})
+	s.eng.AfterEvent(delay, &p.abortEv)
+}
+
+// abortCheck is the hazard's firing: the leecher departs unless it has
+// left or finished meanwhile.
+func (p *Peer) abortCheck() {
+	if !p.departed && !p.seed {
+		p.depart()
+	}
 }
 
 // announce asks the tracker for peers and initiates connections, honouring
@@ -677,7 +688,7 @@ func (s *Swarm) Run() *Result {
 			if s.initialSeed == nil {
 				s.initialSeed = p
 				if cfg.InitialSeedLeaveAt > 0 {
-					s.eng.At(cfg.InitialSeedLeaveAt, p.depart)
+					s.eng.AtEvent(cfg.InitialSeedLeaveAt, &p.departEv)
 				}
 			}
 		})
