@@ -67,12 +67,6 @@ func (a *Availability) SpareCounts() int { return cap(a.counts) - len(a.counts) 
 // Deprecated: there is no mode to set.
 func (a *Availability) SetLazy(bool) {}
 
-// NumPieces returns the number of pieces indexed.
-func (a *Availability) NumPieces() int { return len(a.counts) }
-
-// Peers returns the number of peer bitfields currently folded in.
-func (a *Availability) Peers() int { return a.peers }
-
 // Count returns the copy count of piece i.
 func (a *Availability) Count(i int) int { return a.counts[i] }
 

@@ -365,9 +365,6 @@ type OldSeedChoker struct {
 	rateChoker
 }
 
-// NewOldSeedChoker returns the standard 4-slot old-algorithm seed choker.
-func NewOldSeedChoker() *OldSeedChoker { return &OldSeedChoker{} }
-
 // Name implements Choker.
 func (c *OldSeedChoker) Name() string { return "choke-seed-old" }
 
@@ -389,12 +386,6 @@ type TitForTatChoker struct {
 	DeficitLimit int64
 	// Scratch is the round's working storage; nil means a private one.
 	Scratch *ChokeScratch
-}
-
-// NewTitForTatChoker returns a 4-slot tit-for-tat choker with the given
-// deficit threshold in bytes.
-func NewTitForTatChoker(limit int64) *TitForTatChoker {
-	return &TitForTatChoker{DeficitLimit: limit}
 }
 
 // Name implements Choker.

@@ -406,16 +406,6 @@ func (r *Requester) OnRequestTimeout(peer PeerID, ref BlockRef) {
 	r.dropHolder(ref)
 }
 
-// PendingOf returns the blocks currently pending on peer (for tests and
-// instrumentation).
-func (r *Requester) PendingOf(peer PeerID) []BlockRef {
-	refs := make([]BlockRef, 0, len(r.pending[peer]))
-	for ref := range r.pending[peer] {
-		refs = append(refs, ref)
-	}
-	return refs
-}
-
 // forget drops ref from peer's pending set, if it is there.
 func (r *Requester) forget(peer PeerID, ref BlockRef) {
 	refs := r.pending[peer]

@@ -20,7 +20,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -723,55 +722,4 @@ func Run(cfg Config) (*Result, error) {
 		res.MeanDownloadContrib = sum / float64(res.FinishedContrib)
 	}
 	return res, nil
-}
-
-// Lab runs many live swarms concurrently across a bounded worker pool —
-// the same discipline as the public Runner, so a suite of live scenarios
-// saturates cores without oversubscribing the loopback interface.
-type Lab struct {
-	// Workers bounds the pool; <= 0 means runtime.NumCPU (via the same
-	// convention as rarestfirst.Runner). Live swarms are I/O-heavy, so
-	// the default is fine even though each swarm runs many goroutines.
-	Workers int
-}
-
-func defaultWorkers() int { return runtime.NumCPU() }
-
-// Run executes every config and returns results in input order; failed
-// slots are nil and the errors are joined.
-func (l Lab) Run(cfgs []Config) ([]*Result, error) {
-	workers := l.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	results := make([]*Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				res, err := Run(cfgs[i])
-				if err != nil {
-					errs[i] = fmt.Errorf("live swarm %d (%s): %w", i, cfgs[i].Label, err)
-					continue
-				}
-				results[i] = res
-			}
-		}()
-	}
-	for i := range cfgs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return results, errors.Join(errs...)
 }

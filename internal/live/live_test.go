@@ -1,6 +1,7 @@
 package live
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -82,14 +83,26 @@ func TestLiveSwarmCompletes(t *testing.T) {
 	}
 }
 
+// TestLiveLabRunsSwarmsConcurrently runs two live swarms at once, each
+// through Run on a goroutine of its own, as a suite runner's workers do.
 func TestLiveLabRunsSwarmsConcurrently(t *testing.T) {
 	cfgs := []Config{tinyConfig(1), tinyConfig(2)}
-	results, err := Lab{Workers: 2}.Run(cfgs)
-	if err != nil {
-		t.Fatal(err)
+	results := make([]*Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = Run(cfg)
+		}()
 	}
+	wg.Wait()
 	for i, res := range results {
-		if res == nil || !res.LocalCompleted {
+		if errs[i] != nil {
+			t.Fatalf("swarm %d: %v", i, errs[i])
+		}
+		if !res.LocalCompleted {
 			t.Fatalf("swarm %d did not complete: %+v", i, res)
 		}
 	}

@@ -56,9 +56,6 @@ type Timer struct {
 	pooled    bool // true while parked in the engine's free list
 }
 
-// At returns the time the timer is scheduled to fire.
-func (t *Timer) At() float64 { return t.at }
-
 // Cancel stops the timer; it is safe to call on an already-fired or
 // already-cancelled timer. The heap slot is reclaimed lazily: either when
 // the cancelled entry reaches the top, or by compaction once cancelled
@@ -256,10 +253,6 @@ func (e *Engine) Now() float64 { return e.now }
 
 // RNG returns the engine's deterministic random source.
 func (e *Engine) RNG() *rand.Rand { return e.rng }
-
-// Pending returns the number of live scheduled events (cancelled timers
-// awaiting lazy deletion are excluded).
-func (e *Engine) Pending() int { return len(e.heap) - e.dead }
 
 // Stats returns the scheduler's occupancy counters.
 func (e *Engine) Stats() EngineStats {
@@ -553,11 +546,5 @@ func (e *Engine) Run(until float64) {
 	}
 	if e.now < until {
 		e.now = until
-	}
-}
-
-// RunUntilIdle executes events until none remain.
-func (e *Engine) RunUntilIdle() {
-	for e.Step() {
 	}
 }

@@ -132,12 +132,6 @@ type flowFinish struct{ f *Flow }
 // Fire implements Event.
 func (e *flowFinish) Fire() { e.f.net.finish(e.f) }
 
-// From returns the uploading node.
-func (f *Flow) From() NodeID { return f.from }
-
-// To returns the downloading node.
-func (f *Flow) To() NodeID { return f.to }
-
 // Remaining returns the bytes left to transfer as of the last settlement.
 func (f *Flow) Remaining(now float64) float64 {
 	// float64(...) rounds the product, so no port fuses it into a
@@ -148,12 +142,6 @@ func (f *Flow) Remaining(now float64) float64 {
 	}
 	return rem
 }
-
-// Rate returns the flow's current fluid rate in bytes/second. In the
-// default deferred-retime mode the value is exact as of the last flush
-// (the end of the previous event); same-instant churn lands at the next
-// flush, before simulated time advances.
-func (f *Flow) Rate() float64 { return f.rate }
 
 // NetStats exposes the fluid model's deferred-retiming counters for the
 // benchmark harness: how often the dirty set was flushed, how much work
@@ -306,12 +294,6 @@ func (n *Net) AddNode(upCap, downCap float64) NodeID {
 	return NodeID(len(n.nodes) - 1)
 }
 
-// ActiveUploads returns the number of flows currently leaving id.
-func (n *Net) ActiveUploads(id NodeID) int { return n.nodes[id].upFlows.n }
-
-// ActiveDownloads returns the number of flows currently entering id.
-func (n *Net) ActiveDownloads(id NodeID) int { return n.nodes[id].dnFlows.n }
-
 // attach links f into both endpoints' lists and refreshes their shares.
 func (n *Net) attach(f *Flow) {
 	up := &n.nodes[f.from]
@@ -366,12 +348,6 @@ func (n *Net) churn(f *Flow) {
 type FlowDone interface {
 	FlowDone()
 }
-
-// FlowFunc adapts a plain function to FlowDone.
-type FlowFunc func()
-
-// FlowDone implements FlowDone by calling f.
-func (f FlowFunc) FlowDone() { f() }
 
 // StartFlow begins transferring bytes from one node to another, invoking
 // onDone.FlowDone (in event context) when the last byte arrives. onDone

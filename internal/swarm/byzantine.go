@@ -88,7 +88,7 @@ func (s *Swarm) localPoisonDetected(victim *Peer, suppliers []core.PeerID, piece
 // semantics, mirroring the live client's timeout path) and retries on the
 // surviving connections.
 func (s *Swarm) scheduleFakeHaveTimeout(p *Peer, c *conn, piece int) {
-	liar, gen := c.remote, c.gen
+	liar, gen := c.mirror.owner, c.gen
 	s.eng.After(fakeHaveTimeout, func() {
 		if p.departed || p.connTo(liar) != c || c.gen != gen || int(c.stallPiece) != piece {
 			return

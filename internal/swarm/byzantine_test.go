@@ -156,8 +156,8 @@ func TestInvariantCheckerDetectsDirtyFreeConn(t *testing.T) {
 	for name, dirty := range map[string]func(){
 		"gen":      func() { c.gen = 1 },
 		"owner":    func() { c.owner = s.local },
-		"remote":   func() { c.remote = s.local },
 		"mirror":   func() { c.mirror = c },
+		"closed":   func() { c.closed = true },
 		"remoteID": func() { c.remoteID = s.local.id + 1 },
 	} {
 		*c = conn{}
@@ -197,7 +197,7 @@ func TestInvariantCheckerDetectsBannedConnection(t *testing.T) {
 	if victim == nil {
 		t.Skip("no live connections at run end")
 	}
-	other := victim.connList[0].remote
+	other := victim.connList[0].mirror.owner
 	victim.banned = map[core.PeerID]struct{}{other.id: {}}
 	defer func() {
 		if r := recover(); r == nil {

@@ -54,7 +54,7 @@ func (s *Swarm) crashPeer(p *Peer) {
 	snapshot := append(p.connScratch[:0], p.connList...)
 	p.connScratch = snapshot
 	for _, c := range snapshot {
-		s.disconnect(p, c.remote)
+		s.disconnect(p, c.mirror.owner)
 	}
 	s.trk.Remove(p.id)
 	s.globalAvail.RemovePeer(p.have)

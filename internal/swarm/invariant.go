@@ -50,7 +50,7 @@ func (s *Swarm) checkInvariants(full bool) {
 		// reclaimConns zeroes a conn before freeing it, so a free conn
 		// holds no stamp and no reference to a peer or another conn.
 		for i, c := range s.connFree {
-			if c.gen != 0 || c.owner != nil || c.remote != nil || c.mirror != nil || c.remoteID != 0 {
+			if c.gen != 0 || c.owner != nil || c.mirror != nil || c.closed || c.remoteID != 0 {
 				panic(fmt.Sprintf("swarm invariant: free conn %d is not zeroed (gen %d)", i, c.gen))
 			}
 		}
@@ -80,11 +80,13 @@ func (s *Swarm) checkGlobalAvail(ids []core.PeerID) {
 // checkPeerStructure audits p's storage and connection list: the slab
 // pieces cut to their length (connList at MaxPeerSet, bitfield words and
 // copy counts exact, so no write can reach a block neighbour), each
-// interrupted piece recorded once and still missing, every conn live and
-// owned by p with no duplicate remote, mirror symmetry, the banned-peer
-// exclusion (a ban tears the connection down, so a surviving conn — and
-// with it any unchoke slot — is a violation), the cached remote id, and
-// stall/flow bookkeeping.
+// interrupted piece recorded once and still missing, every conn open and
+// owned by p, its mirror pointing back with the same generation, the
+// cached remote id, no duplicate remote, the banned-peer exclusion (a ban
+// tears the connection down, so a surviving conn — and with it any
+// unchoke slot — is a violation), and stall/flow bookkeeping. The
+// remote's interest, unchoke and upload are read from the mirror, not
+// copied, so there is no pair of them to compare.
 func (s *Swarm) checkPeerStructure(p *Peer) {
 	if cap(p.connList) != s.cfg.MaxPeerSet {
 		panic(fmt.Sprintf("swarm invariant: peer %d connList capacity %d, want MaxPeerSet %d",
@@ -105,30 +107,31 @@ func (s *Swarm) checkPeerStructure(p *Peer) {
 		}
 	}
 	for _, c := range p.connList {
-		if c.mirror == nil || c.owner != p || c.gen == 0 {
+		if c.closed || c.owner != p || c.gen == 0 {
 			panic(fmt.Sprintf("swarm invariant: peer %d has a torn-down or free conn in its list (gen %d)",
 				p.id, c.gen))
 		}
-		if p.connTo(c.remote) != c {
-			panic(fmt.Sprintf("swarm invariant: peer %d has a second conn to %d",
-				p.id, c.remote.id))
-		}
-		if p.bannedPeer(c.remote) {
-			panic(fmt.Sprintf("swarm invariant: peer %d still connected to banned peer %d (unchoking=%v)",
-				p.id, c.remote.id, c.amUnchoking))
-		}
-		if c.mirror.mirror != c || c.mirror.owner != c.remote || c.mirror.remote != p || c.mirror.gen != c.gen {
+		if c.mirror.mirror != c || c.mirror.gen != c.gen {
 			panic(fmt.Sprintf("swarm invariant: peer %d conn to %d has inconsistent mirror",
-				p.id, c.remote.id))
+				p.id, c.remoteID))
 		}
-		if c.remoteID != c.remote.id {
+		r := c.mirror.owner
+		if c.remoteID != r.id {
 			panic(fmt.Sprintf("swarm invariant: peer %d conn to %d caches remote id %d",
-				p.id, c.remote.id, c.remoteID))
+				p.id, r.id, c.remoteID))
+		}
+		if p.connTo(r) != c {
+			panic(fmt.Sprintf("swarm invariant: peer %d has a second conn to %d",
+				p.id, r.id))
+		}
+		if p.bannedPeer(r) {
+			panic(fmt.Sprintf("swarm invariant: peer %d still connected to banned peer %d (unchoking=%v)",
+				p.id, r.id, c.amUnchoking))
 		}
 		if c.stallPiece >= 0 {
 			if c.inFlow != nil {
 				panic(fmt.Sprintf("swarm invariant: peer %d conn to %d stalled on %d with active flow",
-					p.id, c.remote.id, c.stallPiece))
+					p.id, c.remoteID, c.stallPiece))
 			}
 			if !p.isLocal && !p.inflight.Has(int(c.stallPiece)) {
 				panic(fmt.Sprintf("swarm invariant: peer %d stall piece %d not marked in flight",
@@ -149,7 +152,7 @@ func (s *Swarm) checkPeerAvail(p *Peer) {
 	for i := 0; i < s.cfg.NumPieces; i++ {
 		want := 0
 		for _, c := range p.connList {
-			if c.remote.shownHas(i) {
+			if c.mirror.owner.shownHas(i) {
 				want++
 			}
 		}

@@ -155,11 +155,16 @@ func TestLaneChokeComputeZeroAllocWhenWarm(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.addPeer(false, false, false, 1e5, 0)
 	}
+	var last float64 // when the seed's last round fired
+	seed.chokeEv.fire = func(p *Peer) {
+		last = s.eng.Now()
+		p.chokeRound()
+	}
 	s.eng.Run(60)
 	interested := func(p *Peer) int {
 		n := 0
 		for _, c := range p.connList {
-			if c.peerInterested {
+			if c.mirror.amInterested {
 				n++
 			}
 		}
@@ -168,8 +173,8 @@ func TestLaneChokeComputeZeroAllocWhenWarm(t *testing.T) {
 	if interested(seed) < 2 || interested(other) < 2 {
 		t.Fatalf("the seeds have %d and %d interested conns, want several each", interested(seed), interested(other))
 	}
-	if at := seed.chokeTimer.At(); at != 70 {
-		t.Fatalf("the seed's next round is at %v, want the grid point 70", at)
+	if last != 60 {
+		t.Fatalf("the seed's last round fired at %v, want the grid point 60", last)
 	}
 	buf := &s.chokeSnaps[0]
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

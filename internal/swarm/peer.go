@@ -9,20 +9,23 @@ import (
 	"rarestfirst/internal/sim"
 )
 
-// conn is one peer's directed view of a connection: interest and choke
-// state in both directions, rate estimators (which also count the bytes)
-// and the active flows. Both endpoints hold their own conn for the pair;
-// state changes are mirrored synchronously (control messages are
-// instantaneous in the model). Conns are carved from connBlock-sized
-// blocks (see Swarm.newConn), and the record is kept to 160 bytes so a
-// block fills whole pages (TestConnRecordSize).
+// conn is one peer's directed view of a connection: the owner's interest
+// and unchoke toward the remote, rate estimators (which also count the
+// bytes) and the owner's active download. Both endpoints hold their own
+// conn for the pair and reach each other through mirror, and each fact
+// has one writer: what the remote does toward the owner (its interest,
+// its unchoke, its download from the owner) is read from mirror, never
+// copied, since control messages are instantaneous in the model. Conns
+// are carved from connBlock-sized blocks (see Swarm.newConn), and the
+// record is kept to 144 bytes (TestConnRecordSize).
 type conn struct {
-	owner  *Peer
-	remote *Peer
+	owner *Peer
 
 	// mirror is the remote side's conn for the same pair, bound at connect
-	// time and nilled at disconnect, so every mirrored state change is one
-	// pointer hop. A nil mirror marks a torn-down conn.
+	// time and kept until the conn is reclaimed: mirror.owner is the
+	// remote peer, mirror.amInterested its interest in the owner,
+	// mirror.amUnchoking its unchoke of the owner and mirror.inFlow the
+	// owner's upload to it.
 	mirror *conn
 
 	// gen stamps the connection (see Swarm.newConn): conns are recycled
@@ -32,10 +35,12 @@ type conn struct {
 
 	initiatedByOwner bool
 
-	amInterested   bool // owner is interested in remote
-	peerInterested bool // remote is interested in owner
-	amUnchoking    bool // owner unchokes remote
-	peerUnchoking  bool // remote unchokes owner
+	amInterested bool // owner is interested in remote
+	amUnchoking  bool // owner unchokes remote
+
+	// closed marks a torn-down conn: disconnect sets it on both sides,
+	// which stay readable as disconnect left them until the event ends.
+	closed bool
 
 	// stallPiece is the piece the owner requested on the strength of a
 	// fake HAVE (the remote advertised it but cannot serve it): the
@@ -44,8 +49,8 @@ type conn struct {
 	// stall is active; only ever set with Config.Adversary. A stalled
 	// local-peer request keeps its block in flowBlock.
 	stallPiece int32
-	// remoteID is remote.id, cached in what would be padding so a choke
-	// round's apply loop reads no remote Peer.
+	// remoteID is mirror.owner.id, cached so a choke round's apply loop
+	// and a peer-set scan (connTo) read no other record.
 	remoteID core.PeerID
 
 	// lastUnchokedAt is when the owner last transitioned the remote from
@@ -62,10 +67,6 @@ type conn struct {
 	flowSettled float64
 	flowPiece   int32
 	flowBlock   int32
-
-	// Active upload (owner -> remote); bookkeeping lives on the remote's
-	// conn (its inFlow fields); this pointer only marks the slot busy.
-	outFlow *sim.Flow
 }
 
 // flowRef is the block the local peer is downloading on c.
@@ -260,7 +261,7 @@ func (p *Peer) interestedIn(remote *Peer) bool {
 // connTo returns p's conn to q, or nil when they are not connected.
 func (p *Peer) connTo(q *Peer) *conn {
 	for _, c := range p.connList {
-		if c.remote == q {
+		if c.remoteID == q.id {
 			return c
 		}
 	}
@@ -273,21 +274,18 @@ func (p *Peer) connectedTo(q *Peer) bool { return p.connTo(q) != nil }
 // ---------------------------------------------------------------------------
 // Interest management
 
-// setInterest flips the owner's interest on conn c and mirrors it to the
-// remote side, notifying the collector when the local peer is involved.
+// setInterest flips the owner's interest on conn c, notifying the
+// collector when the local peer is involved.
 func (p *Peer) setInterest(c *conn, v bool) {
 	if c.amInterested == v {
 		return
 	}
 	c.amInterested = v
 	now := p.s.eng.Now()
-	if rc := c.mirror; rc != nil {
-		rc.peerInterested = v
-	}
 	if p.isLocal {
-		p.s.col.LocalInterest(int(c.remote.id), now, v)
+		p.s.col.LocalInterest(int(c.remoteID), now, v)
 	}
-	if c.remote.isLocal {
+	if c.mirror.owner.isLocal {
 		p.s.col.RemoteInterest(int(p.id), now, v)
 	}
 	if v {
@@ -297,7 +295,7 @@ func (p *Peer) setInterest(c *conn, v bool) {
 
 // refreshInterest recomputes interest from the bitfields (full check).
 func (p *Peer) refreshInterest(c *conn) {
-	p.setInterest(c, p.interestedIn(c.remote))
+	p.setInterest(c, p.interestedIn(c.mirror.owner))
 }
 
 // ---------------------------------------------------------------------------
@@ -317,11 +315,11 @@ func (p *Peer) retryRequests() {
 }
 
 // maybeRequest starts a download on conn c (owner downloading from
-// c.remote) when the remote unchokes us, we are interested, and no transfer
-// is already active on the connection.
+// c.mirror.owner) when the remote unchokes us, we are interested, and no
+// transfer is already active on the connection.
 func (p *Peer) maybeRequest(c *conn) {
 	if p.departed || p.seed || p.advLiar || c.inFlow != nil || c.stallPiece >= 0 ||
-		!c.peerUnchoking || !c.amInterested {
+		!c.mirror.amUnchoking || !c.amInterested {
 		return
 	}
 	if p.isLocal {
@@ -334,7 +332,7 @@ func (p *Peer) maybeRequest(c *conn) {
 // requestPiece is the remote-peer piece-granularity request path.
 func (p *Peer) requestPiece(c *conn) {
 	s := p.s
-	u := c.remote
+	u := c.mirror.owner
 	piece := -1
 	bytes := 0.0
 	resumed := false
@@ -391,16 +389,13 @@ func (p *Peer) requestPiece(c *conn) {
 	c.flowBytes = bytes
 	c.flowSettled = 0
 	c.inFlow = s.net.StartFlow(u.node, p.node, bytes, c)
-	if uc := c.mirror; uc != nil {
-		uc.outFlow = c.inFlow
-	}
 }
 
 // requestBlock is the local-peer block-granularity request path through the
 // full Requester (strict priority + end game).
 func (p *Peer) requestBlock(c *conn) {
 	s := p.s
-	u := c.remote
+	u := c.mirror.owner
 	ref, ok := p.req.Next(s.eng.RNG(), u.id, u.shownBits())
 	if !ok {
 		return
@@ -426,9 +421,6 @@ func (p *Peer) requestBlock(c *conn) {
 	c.flowBytes = bytes
 	c.flowSettled = 0
 	c.inFlow = s.net.StartFlow(u.node, p.node, bytes, c)
-	if uc := c.mirror; uc != nil {
-		uc.outFlow = c.inFlow
-	}
 }
 
 // settleDown credits in-flight download progress on conn c to both ends'
@@ -447,42 +439,39 @@ func (p *Peer) settleDown(c *conn) {
 	}
 	c.flowSettled += float64(delta)
 	c.inEst.Update(now, delta)
-	if uc := c.mirror; uc != nil {
-		uc.outEst.Update(now, delta)
+	if !c.closed {
+		// The one write that crosses to the mirror: the remote's outEst
+		// copies this inEst, and stays a copy until reading a rate no
+		// longer ages the estimator (ROADMAP item 20), when each side can
+		// read the other's.
+		c.mirror.outEst.Update(now, delta)
 	}
 	if p.isLocal {
-		p.s.col.Downloaded(int(c.remote.id), now, delta)
+		p.s.col.Downloaded(int(c.remoteID), now, delta)
 	}
-	if c.remote.isLocal {
+	if c.mirror.owner.isLocal {
 		p.s.col.Uploaded(int(p.id), now, delta)
 	}
-}
-
-// clearFlow drops the flow pointers on both ends after settle.
-func (p *Peer) clearFlow(c *conn) {
-	if uc := c.mirror; uc != nil && uc.outFlow == c.inFlow {
-		uc.outFlow = nil
-	}
-	c.inFlow = nil
 }
 
 // onPieceFlowDone completes a remote-peer piece download.
 func (p *Peer) onPieceFlowDone(c *conn) {
 	p.settleDown(c)
-	p.clearFlow(c)
+	c.inFlow = nil
+	u := c.mirror.owner
 	piece := int(c.flowPiece)
 	p.inflight.Clear(piece)
-	if c.remote == p.s.initialSeed {
+	if u == p.s.initialSeed {
 		p.s.recordSeedServeDone(piece)
 	}
-	if adv := p.s.cfg.Adversary; adv != nil && c.remote.advPoison &&
+	if adv := p.s.cfg.Adversary; adv != nil && u.advPoison &&
 		p.s.eng.RNG().Float64() < adv.PoisonRate {
 		// The piece fails its hash check: the bytes are wasted and the
 		// piece must be refetched. At piece granularity the supplier is
 		// unambiguous, so the poisoner is banned outright (NoBan mode only
 		// counts the faults). The ban tears down c, so retry over the
 		// surviving connection list rather than touching c again.
-		p.s.poisonDetected(p, c.remote, piece)
+		p.s.poisonDetected(p, u, piece)
 		p.retryRequests()
 		return
 	}
@@ -494,10 +483,11 @@ func (p *Peer) onPieceFlowDone(c *conn) {
 func (p *Peer) onBlockFlowDone(c *conn) {
 	s := p.s
 	p.settleDown(c)
-	p.clearFlow(c)
+	c.inFlow = nil
+	u := c.mirror.owner
 	now := s.eng.Now()
 	s.col.BlockReceived(now)
-	if adv := s.cfg.Adversary; adv != nil && c.remote.advPoison &&
+	if adv := s.cfg.Adversary; adv != nil && u.advPoison &&
 		s.eng.RNG().Float64() < adv.PoisonRate {
 		// A corrupt block is undetectable until the assembled piece fails
 		// its hash check, so only mark the piece and keep downloading.
@@ -506,17 +496,17 @@ func (p *Peer) onBlockFlowDone(c *conn) {
 		}
 		p.corrupt[int(c.flowPiece)] = true
 	}
-	done, cancels := p.req.OnBlock(c.remote.id, c.flowRef())
+	done, cancels := p.req.OnBlock(c.remoteID, c.flowRef())
 	// End-game cancels: abort duplicate in-flight fetches of this block.
 	for _, cb := range cancels {
 		for _, oc := range p.connList {
-			if oc.remote.id != cb.Peer {
+			if oc.remoteID != cb.Peer {
 				continue
 			}
 			if oc.inFlow != nil && oc.flowRef() == cb.Ref {
 				p.settleDown(oc)
 				f := oc.inFlow
-				p.clearFlow(oc)
+				oc.inFlow = nil
 				f.Cancel()
 				p.maybeRequest(oc)
 			}
@@ -538,7 +528,7 @@ func (p *Peer) onBlockFlowDone(c *conn) {
 			return
 		}
 		s.col.PieceCompleted(now, piece)
-		if c.remote == s.initialSeed {
+		if u == s.initialSeed {
 			// Attribute the piece to the initial seed when it delivered
 			// the completing block (local path approximation).
 			s.recordSeedServeDone(piece)
@@ -564,17 +554,17 @@ func (p *Peer) cancelDownload(c *conn, requeue bool) {
 	}
 	if c.inFlow == nil {
 		if p.isLocal {
-			p.req.OnPeerGone(c.remote.id)
+			p.req.OnPeerGone(c.remoteID)
 		}
 		return
 	}
 	p.settleDown(c)
 	f := c.inFlow
 	rem := f.Remaining(p.s.eng.Now())
-	p.clearFlow(c)
+	c.inFlow = nil
 	f.Cancel()
 	if p.isLocal {
-		p.req.OnPeerGone(c.remote.id)
+		p.req.OnPeerGone(c.remoteID)
 		return
 	}
 	piece := int(c.flowPiece)
@@ -610,11 +600,11 @@ func (p *Peer) completePiece(idx int) {
 	snapshot := append(p.connScratch[:0], p.connList...)
 	p.connScratch = snapshot
 	for _, c := range snapshot {
-		n := c.remote
-		nc := c.mirror
-		if nc == nil {
+		if c.closed {
 			continue
 		}
+		nc := c.mirror
+		n := nc.owner
 		n.avail.Inc(idx)
 		if n.isLocal {
 			p.s.col.CountMsg("have_received")
@@ -657,12 +647,13 @@ func (p *Peer) becomeSeed() {
 	for _, c := range snapshot {
 		// Abort any leftover end-game downloads.
 		p.cancelDownload(c, false)
-		if c.remote.looksSeed() {
-			s.disconnect(p, c.remote)
+		r := c.mirror.owner
+		if r.looksSeed() {
+			s.disconnect(p, r)
 			continue
 		}
 		p.setInterest(c, false)
-		if c.remote.isLocal {
+		if r.isLocal {
 			s.col.RemoteSeedStatus(int(p.id), now, true)
 		}
 	}
@@ -685,7 +676,7 @@ func (p *Peer) depart() {
 	snapshot := append(p.connScratch[:0], p.connList...)
 	p.connScratch = snapshot
 	for _, c := range snapshot {
-		s.disconnect(p, c.remote)
+		s.disconnect(p, c.mirror.owner)
 	}
 	s.trk.Remove(p.id)
 	s.globalAvail.RemovePeer(p.have)
@@ -748,14 +739,13 @@ func (p *Peer) runChokeRound() {
 	// ones get a row: the chokers read no other (see core.Choker).
 	peers := s.chokeSnaps[:0]
 	for _, c := range p.connList {
+		rc := c.mirror
 		p.settleDown(c)
-		if c.outFlow != nil {
-			if rc := c.mirror; rc != nil {
-				c.remote.settleDown(rc)
-			}
+		if !c.closed && rc.inFlow != nil {
+			rc.owner.settleDown(rc)
 		}
 		down, up := c.inEst.Rate(now), c.outEst.Rate(now)
-		if !c.peerInterested {
+		if !rc.amInterested {
 			continue
 		}
 		peers = append(peers, core.ChokePeer{
@@ -767,7 +757,7 @@ func (p *Peer) runChokeRound() {
 			LastUnchoked:   c.lastUnchokedAt,
 			UploadedTo:     c.outEst.Total(),
 			DownloadedFrom: c.inEst.Total(),
-			RemotePieces:   c.remote.shownBits().Count(),
+			RemotePieces:   rc.owner.shownBits().Count(),
 		})
 	}
 	s.chokeSnaps = peers
@@ -793,7 +783,8 @@ func containsPeerID(ids []core.PeerID, id core.PeerID) bool {
 	return false
 }
 
-// applyChoke transitions one connection's choke state and mirrors it.
+// applyChoke transitions one connection's choke state; the remote reads
+// it through its mirror.
 func (p *Peer) applyChoke(c *conn, unchoke bool) {
 	if c.amUnchoking == unchoke {
 		return
@@ -801,31 +792,31 @@ func (p *Peer) applyChoke(c *conn, unchoke bool) {
 	s := p.s
 	now := s.eng.Now()
 	c.amUnchoking = unchoke
-	rc := c.mirror
-	if rc != nil {
-		rc.peerUnchoking = unchoke
-	}
+	rc, r := c.mirror, c.mirror.owner
 	if unchoke {
 		c.lastUnchokedAt = now
 		if p.isLocal {
-			s.col.Unchoke(int(c.remote.id), now)
+			s.col.Unchoke(int(c.remoteID), now)
 		}
-		if rc != nil {
-			c.remote.maybeRequest(rc)
+		if !c.closed {
+			r.maybeRequest(rc)
 		}
 		return
 	}
 	if p.isLocal {
-		s.col.Choke(int(c.remote.id), now)
+		s.col.Choke(int(c.remoteID), now)
+	}
+	if c.closed {
+		return
 	}
 	// Choking kills the remote's in-progress download from us; it keeps
 	// its partial piece and re-requests elsewhere.
-	if rc != nil && rc.inFlow != nil {
-		c.remote.cancelDownload(rc, true)
-		c.remote.retryRequests()
-	} else if rc != nil && c.remote.isLocal {
+	if rc.inFlow != nil {
+		r.cancelDownload(rc, true)
+		r.retryRequests()
+	} else if r.isLocal {
 		// Requeue the local peer's pending requests even without a flow.
-		c.remote.req.OnPeerGone(p.id)
-		c.remote.retryRequests()
+		r.req.OnPeerGone(p.id)
+		r.retryRequests()
 	}
 }

@@ -3,6 +3,7 @@ package swarm
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -36,12 +37,13 @@ func TestConnectMirrorsState(t *testing.T) {
 	if ca == nil || cb == nil {
 		t.Fatal("announce did not connect the pair")
 	}
-	// The leecher must be interested in the seed, mirrored on both sides.
-	if !ca.amInterested || !cb.peerInterested {
-		t.Fatal("interest not mirrored")
+	// The leecher must be interested in the seed, and each side reaches
+	// the other through its mirror.
+	if ca.mirror != cb || cb.mirror != ca || !ca.amInterested {
+		t.Fatal("interest not set or sides not mirrored")
 	}
 	// The seed must not be interested in the empty leecher.
-	if cb.amInterested || ca.peerInterested {
+	if cb.amInterested {
 		t.Fatal("seed interested in empty leecher")
 	}
 	// Availability folded both ways.
@@ -60,7 +62,7 @@ func TestApplyChokeStampsTransitionsOnly(t *testing.T) {
 	s.eng.Run(5) // advance the clock a little
 	seed.applyChoke(c, true)
 	stamp := c.lastUnchokedAt
-	if !c.amUnchoking || !leech.connTo(seed).peerUnchoking {
+	if !c.amUnchoking || !leech.connTo(seed).mirror.amUnchoking {
 		t.Fatal("unchoke not applied/mirrored")
 	}
 	s.eng.Run(20)
@@ -69,7 +71,7 @@ func TestApplyChokeStampsTransitionsOnly(t *testing.T) {
 		t.Fatal("re-unchoke refreshed the stamp")
 	}
 	seed.applyChoke(c, false)
-	if c.amUnchoking || leech.connTo(seed).peerUnchoking {
+	if c.amUnchoking || leech.connTo(seed).mirror.amUnchoking {
 		t.Fatal("choke not applied/mirrored")
 	}
 	s.eng.Run(40)
@@ -152,7 +154,7 @@ func TestMaybeRequestGuards(t *testing.T) {
 	}
 	// Seeds never request.
 	sc := seed.connTo(leech)
-	sc.peerUnchoking = true
+	lc.amUnchoking = true
 	sc.amInterested = true // forced; a seed is never interested in reality
 	seed.maybeRequest(sc)
 	if sc.inFlow != nil {
@@ -269,7 +271,7 @@ func TestRetiredConnReusedOnlyAfterItsEvent(t *testing.T) {
 		if fresh == nil || retired(fresh) || retired(fresh.mirror) {
 			t.Error("a conn retired in this event was handed out again within it")
 		}
-		if old.owner != leech || old.remote != seed || old.mirror != nil || old.gen == 0 {
+		if old.owner != leech || old.mirror != oldMirror || oldMirror.owner != seed || !old.closed || old.gen == 0 {
 			t.Error("a retired conn changed before its event ended")
 		}
 	})
@@ -285,6 +287,48 @@ func TestRetiredConnReusedOnlyAfterItsEvent(t *testing.T) {
 		}
 	})
 	s.eng.Run(3)
+}
+
+// TestStaleConnReadsMirrorUntilReclaimed pins what a stale handle reads:
+// a pair torn down while unchoked and transferring is marked closed on
+// both sides, and each side still reaches its remote and the remote's
+// interest and unchoke through its mirror until the event ends. The
+// post-event hook then zeroes both sides onto the free list.
+func TestStaleConnReadsMirrorUntilReclaimed(t *testing.T) {
+	s := newTestSwarm(t, nil)
+	// Slow seed: the leecher's first piece takes 16 s, so the transfer
+	// is still running at t=1.
+	seed := s.addPeer(true, false, false, 4<<10, 0)
+	leech := s.addPeer(false, false, false, 4<<10, 0)
+	lc, sc := leech.connTo(seed), seed.connTo(leech)
+	s.eng.At(1, func() {
+		seed.applyChoke(sc, true)
+		if !lc.amInterested || !sc.amUnchoking || lc.inFlow == nil {
+			t.Fatal("the pair is not unchoked and transferring")
+		}
+		s.disconnect(leech, seed)
+		if !lc.closed || !sc.closed {
+			t.Error("disconnect did not mark both sides closed")
+		}
+		if lc.mirror != sc || sc.mirror != lc || lc.mirror.owner != seed || sc.mirror.owner != leech {
+			t.Error("a stale side no longer reaches its remote through its mirror")
+		}
+		if !lc.mirror.amUnchoking || !sc.mirror.amInterested {
+			t.Error("a stale side no longer reads the remote's unchoke and interest")
+		}
+		if lc.inFlow != nil {
+			t.Error("disconnect left the leecher's download running")
+		}
+	})
+	s.eng.Run(2)
+	for _, c := range []*conn{lc, sc} {
+		if *c != (conn{}) {
+			t.Errorf("a side was not zeroed after its event: %+v", *c)
+		}
+		if !slices.Contains(s.connFree, c) {
+			t.Error("a side is not on the free list after its event")
+		}
+	}
 }
 
 // TestChaosResetSkipsReconnectOnSameMemory arms a chaos reset for one
@@ -331,10 +375,14 @@ func TestNewConnZeroAllocWhenWarm(t *testing.T) {
 }
 
 // TestConnRecordSize pins the conn layout: conns are carved from blocks
-// of connBlock, and 256 160-byte conns fill five 8 KiB pages exactly.
+// of connBlock, and 512 144-byte conns fill nine 8 KiB pages exactly; a
+// block that is not whole pages gives the rest back to rounding.
 func TestConnRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(conn{}); got > 160 {
-		t.Fatalf("conn is %d bytes, want at most 160", got)
+	if got := unsafe.Sizeof(conn{}); got > 144 {
+		t.Fatalf("conn is %d bytes, want at most 144", got)
+	}
+	if block := connBlock * unsafe.Sizeof(conn{}); block%8192 != 0 {
+		t.Fatalf("a %d-conn block is %d bytes, not whole 8 KiB pages", connBlock, block)
 	}
 }
 
@@ -452,7 +500,7 @@ func TestJoinedPeerChokeRoundsZeroAlloc(t *testing.T) {
 	joiner := s.addPeer(true, false, false, 1e5, 0)
 	rows := 0
 	for _, c := range joiner.connList {
-		if c.peerInterested {
+		if c.mirror.amInterested {
 			rows++
 		}
 	}

@@ -151,11 +151,6 @@ func New(cfg Config) *Swarm {
 	return s
 }
 
-// GlobalMinCopies returns the torrent-wide minimum piece copy count — the
-// transient/steady state criterion (steady state: "there is no rare piece",
-// i.e. every piece has at least one copy among live peers).
-func (s *Swarm) GlobalMinCopies() int { return s.globalAvail.MinCount() }
-
 // newPicker returns p's configured piece selection strategy. The default,
 // rarest first over p's own availability index, is p's inline value and
 // costs no allocation; the stateless pickers cost none either, and the
@@ -489,8 +484,8 @@ func (s *Swarm) connectNow(a, b *Peer) {
 	s.connGen++
 	gen := s.connGen
 	ca, cb := s.newConn(), s.newConn()
-	*ca = conn{owner: a, remote: b, mirror: cb, gen: gen, initiatedByOwner: true, stallPiece: -1, remoteID: b.id}
-	*cb = conn{owner: b, remote: a, mirror: ca, gen: gen, stallPiece: -1, remoteID: a.id}
+	*ca = conn{owner: a, mirror: cb, gen: gen, initiatedByOwner: true, stallPiece: -1, remoteID: b.id}
+	*cb = conn{owner: b, mirror: ca, gen: gen, stallPiece: -1, remoteID: a.id}
 	a.connList = append(a.connList, ca)
 	b.connList = append(b.connList, cb)
 	a.initiated++
@@ -553,10 +548,11 @@ func (s *Swarm) disconnect(a, b *Peer) {
 	removeConn(&a.connList, ca)
 	removeConn(&b.connList, cb)
 	s.metrics.conns.Add(-1)
-	// Sever the mirror pointers so a stale handle (e.g. in a teardown
-	// snapshot) sees the connection as gone. Both sides stay readable as
-	// they are until the event ends; reclaimConns recycles them then.
-	ca.mirror, cb.mirror = nil, nil
+	// Mark both sides closed so a stale handle (e.g. in a teardown
+	// snapshot) sees the connection as gone. Both sides, mirror included,
+	// stay readable as they are until the event ends; reclaimConns
+	// recycles them then.
+	ca.closed, cb.closed = true, true
 	s.connRetired = append(s.connRetired, ca, cb)
 	if a.isLocal {
 		s.col.PeerLeft(int(b.id), now)
@@ -571,20 +567,24 @@ func (s *Swarm) disconnect(a, b *Peer) {
 	b.retryRequests()
 }
 
-// connBlock is how many conns newConn carves from one allocation: 256
-// 160-byte conns fill five 8 KiB pages exactly, so a block wastes no
-// size-class rounding (TestConnRecordSize).
-const connBlock = 256
+// connBlock is how many conns newConn carves from one allocation: 512
+// 144-byte conns fill nine 8 KiB pages exactly, so a block wastes no
+// size-class rounding (TestConnRecordSize). 256 would round 36 864 bytes
+// up to 40 960, and 128 (the 18 432-byte size class) costs sim-flashcrowd
+// a fifth more allocations.
+const connBlock = 512
 
 // newConn returns a conn for connectNow to initialise: a recycled one
 // when the free list has any, otherwise the next one of the current
 // connBlock, allocating a new block when that one is used up. A conn
 // never moves, so a *conn stays valid for the swarm's lifetime.
 //
-// The recycling contract: disconnect retires both sides, and only the
-// post-event hook (reclaimConns) frees them. Within an event a stale
-// handle therefore reads exactly what disconnect left — callers keep
-// using a conn after a possible teardown (maybeRequest after
+// The recycling contract: disconnect marks both sides closed and retires
+// them, and only the post-event hook (reclaimConns) frees them. Within an
+// event a stale handle therefore reads exactly what disconnect left, its
+// mirror included, so the remote and the remote's interest and unchoke
+// read as they were (TestStaleConnReadsMirrorUntilReclaimed). Callers
+// keep using a conn after a possible teardown (maybeRequest after
 // completePiece → becomeSeed → disconnect), and in serial mode
 // disconnect → maybeReannounce → announce → connectNow runs in the same
 // event, where an immediate reuse would hand the closed conn to the new

@@ -284,7 +284,7 @@ func TestPerPeerAvailabilityConsistency(t *testing.T) {
 		}
 		want := make([]int, cfg.NumPieces)
 		for _, c := range p.connList {
-			c.remote.have.Range(func(i int) bool { want[i]++; return true })
+			c.mirror.owner.have.Range(func(i int) bool { want[i]++; return true })
 		}
 		for i := 0; i < cfg.NumPieces; i++ {
 			if got := p.avail.Count(i); got != want[i] {
@@ -304,15 +304,15 @@ func TestInterestConsistency(t *testing.T) {
 			continue
 		}
 		for _, c := range p.connList {
-			want := p.interestedIn(c.remote)
+			r := c.mirror.owner
+			want := p.interestedIn(r)
 			if c.amInterested != want {
 				t.Fatalf("peer %d interest in %d = %v, want %v",
-					p.id, c.remote.id, c.amInterested, want)
+					p.id, r.id, c.amInterested, want)
 			}
-			// Mirror consistency.
-			rc := c.remote.connTo(p)
-			if rc == nil || rc.peerInterested != c.amInterested || rc.peerUnchoking != c.amUnchoking {
-				t.Fatalf("mirror state inconsistent between %d and %d", p.id, c.remote.id)
+			// The remote's own conn back is the mirror.
+			if r.connTo(p) != c.mirror {
+				t.Fatalf("mirror inconsistent between %d and %d", p.id, r.id)
 			}
 		}
 	}
@@ -328,8 +328,8 @@ func TestSeedsDisconnectFromSeeds(t *testing.T) {
 			continue
 		}
 		for _, c := range p.connList {
-			if c.remote.seed {
-				t.Fatalf("seed %d still connected to seed %d", p.id, c.remote.id)
+			if c.mirror.owner.seed {
+				t.Fatalf("seed %d still connected to seed %d", p.id, c.remoteID)
 			}
 		}
 	}
