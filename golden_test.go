@@ -1,33 +1,39 @@
 package rarestfirst
 
 // Golden-seed determinism tests: a fixed-seed run's full Report is a pure
-// function of the scenario, so its serialized digest must never change
-// unless the reproducibility contract is deliberately bumped (see the
-// README "Performance" section for what the contract covers). Engine and
-// network rewrites that involve no RNG must keep these digests
-// byte-for-byte; a documented RNG-stream bump (e.g. the PR 2 picker
-// rewrite) regenerates them once via
+// function of the scenario, so its serialization must never change unless
+// the reproducibility contract is deliberately bumped (see the README
+// "Performance" section for what the contract covers). Each row's report
+// is committed as testdata/golden/<label>.json, one value per line, so a
+// bump shows in git diff as the numbers that moved. Engine and network
+// rewrites that involve no RNG must keep these files byte-for-byte; a
+// documented bump regenerates them once via
 //
 //	go test -run TestGoldenSeedDigests -update-goldens
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 )
 
-// reportDigest hashes the report's canonical JSON serialization (struct
-// field order is fixed and map keys sort, so the byte stream is
-// deterministic). Events is zeroed first: scheduler occupancy counters
-// are performance telemetry, not simulation output — the contract says
+// goldenJSON is the report's canonical JSON serialization (struct field
+// order is fixed and map keys sort, so the byte stream is deterministic).
+// Events is zeroed first: scheduler occupancy counters are performance
+// telemetry, not simulation output — the contract says
 // allocation/pooling internals are never contract-relevant, so a pure
 // perf change (e.g. a different compaction threshold) must not disturb
-// the digests.
-func reportDigest(t *testing.T, rep *Report) string {
+// the goldens.
+func goldenJSON(t *testing.T, rep *Report) []byte {
 	t.Helper()
 	clean := *rep
 	clean.Events = EventHeapStats{}
@@ -35,12 +41,137 @@ func reportDigest(t *testing.T, rep *Report) string {
 	if err != nil {
 		t.Fatalf("marshal report: %v", err)
 	}
-	sum := sha256.Sum256(raw)
+	return raw
+}
+
+// reportDigest hashes goldenJSON, for tests that pin a run by one string.
+func reportDigest(t *testing.T, rep *Report) string {
+	t.Helper()
+	sum := sha256.Sum256(goldenJSON(t, rep))
 	return hex.EncodeToString(sum[:])
 }
 
 var updateGoldens = flag.Bool("update-goldens", false,
-	"rewrite testdata/golden_digests.json from the current implementation")
+	"rewrite testdata/golden/<label>.json from the current implementation")
+
+const goldenDir = "testdata/golden"
+
+func goldenPath(label string) string { return filepath.Join(goldenDir, label+".json") }
+
+// writeGolden records rep as label's golden, indented one value per line.
+func writeGolden(t *testing.T, label string, rep *Report) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, goldenJSON(t, rep), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteByte('\n')
+	if err := os.MkdirAll(goldenDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath(label), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkGolden compares rep with label's recorded golden and returns ""
+// when they match, else the first 20 differing JSON paths with want and
+// got, and the total count.
+func checkGolden(t *testing.T, label string, rep *Report) string {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath(label))
+	if err != nil {
+		return fmt.Sprintf("read golden (run with -update-goldens to create): %v", err)
+	}
+	var want bytes.Buffer
+	if err := json.Compact(&want, raw); err != nil {
+		return fmt.Sprintf("parse golden: %v", err)
+	}
+	got := goldenJSON(t, rep)
+	if bytes.Equal(want.Bytes(), got) {
+		return ""
+	}
+	w, g := decodeJSON(t, want.Bytes()), decodeJSON(t, got)
+	var lines []string
+	n := jsonDiff("$", w, g, &lines)
+	if n == 0 {
+		// Same values, different bytes (a number's spelling).
+		lines = append(lines, "$: same values, different serialization")
+		n = 1
+	}
+	return fmt.Sprintf("%d field(s) differ from %s:\n  %s", n, goldenPath(label), strings.Join(lines, "\n  "))
+}
+
+// decodeJSON decodes raw keeping numbers as written, so a diff prints
+// them exactly.
+func decodeJSON(t *testing.T, raw []byte) any {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		t.Fatalf("decode report: %v", err)
+	}
+	return v
+}
+
+// jsonDiff walks two decoded JSON values in step, appends "path: want W,
+// got G" to lines for each differing leaf while lines holds fewer than
+// 20, and returns how many leaves differ. A key or element one side lacks
+// reads as null on that side.
+func jsonDiff(path string, want, got any, lines *[]string) int {
+	switch w := want.(type) {
+	case map[string]any:
+		if g, ok := got.(map[string]any); ok {
+			keys := make([]string, 0, len(w)+len(g))
+			for k := range w {
+				keys = append(keys, k)
+			}
+			for k := range g {
+				if _, ok := w[k]; !ok {
+					keys = append(keys, k)
+				}
+			}
+			sort.Strings(keys)
+			n := 0
+			for _, k := range keys {
+				n += jsonDiff(path+"."+k, w[k], g[k], lines)
+			}
+			return n
+		}
+	case []any:
+		if g, ok := got.([]any); ok {
+			n := 0
+			for i := 0; i < max(len(w), len(g)); i++ {
+				var wi, gi any
+				if i < len(w) {
+					wi = w[i]
+				}
+				if i < len(g) {
+					gi = g[i]
+				}
+				n += jsonDiff(fmt.Sprintf("%s[%d]", path, i), wi, gi, lines)
+			}
+			return n
+		}
+	}
+	if reflect.DeepEqual(want, got) {
+		return 0
+	}
+	if len(*lines) < 20 {
+		*lines = append(*lines, fmt.Sprintf("%s: want %s, got %s", path, shortJSON(want), shortJSON(got)))
+	}
+	return 1
+}
+
+// shortJSON renders v for a diff line, cut to 60 bytes.
+func shortJSON(v any) string {
+	b, _ := json.Marshal(v)
+	if len(b) > 60 {
+		return string(b[:57]) + "..."
+	}
+	return string(b)
+}
 
 // goldenScenarios are the fixed-seed scenarios the digests cover. By row:
 //   - steady-t7: the default rarest-first picker, leecher choker and seed
@@ -83,53 +214,25 @@ func goldenScenarios() []Scenario {
 	}
 }
 
-const goldenPath = "testdata/golden_digests.json"
-
 func TestGoldenSeedDigests(t *testing.T) {
 	t.Parallel()
-	got := map[string]string{}
 	for _, sc := range goldenScenarios() {
 		rep, err := Run(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Label, err)
 		}
-		got[sc.Label] = reportDigest(t, rep)
-	}
-
-	if *updateGoldens {
-		raw, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", goldenPath)
-		return
-	}
-
-	raw, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read goldens (run with -update-goldens to create): %v", err)
-	}
-	want := map[string]string{}
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("parse goldens: %v", err)
-	}
-	for label, digest := range got {
-		if want[label] == "" {
-			t.Errorf("%s: no recorded golden digest (run with -update-goldens)", label)
+		if *updateGoldens {
+			writeGolden(t, sc.Label, rep)
 			continue
 		}
-		if digest != want[label] {
-			t.Errorf("%s: report digest changed\n  got  %s\n  want %s\n"+
-				"fixed-seed runs must be byte-stable; if this is a documented "+
-				"reproducibility-contract bump, regenerate with -update-goldens",
-				label, digest, want[label])
+		if diff := checkGolden(t, sc.Label, rep); diff != "" {
+			t.Errorf("%s: report changed; fixed-seed runs must be byte-stable, "+
+				"and a documented reproducibility-contract bump regenerates "+
+				"them with -update-goldens\n%s", sc.Label, diff)
 		}
+	}
+	if *updateGoldens {
+		t.Logf("rewrote %s", goldenDir)
 	}
 }
 

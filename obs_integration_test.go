@@ -8,8 +8,6 @@ package rarestfirst
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -18,19 +16,10 @@ import (
 )
 
 // TestGoldenDigestsWithMetricsEnabled re-runs the golden scenarios with a
-// process-wide obs registry installed and checks the digests against the
-// same testdata file the metrics-off test uses. Any drift means a metric
-// hook leaked into simulation behaviour.
+// process-wide obs registry installed and checks the reports against the
+// same goldens the metrics-off test uses. Any drift means a metric hook
+// leaked into simulation behaviour.
 func TestGoldenDigestsWithMetricsEnabled(t *testing.T) {
-	raw, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Skipf("no goldens recorded yet: %v", err)
-	}
-	want := map[string]string{}
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("parse goldens: %v", err)
-	}
-
 	reg := obs.NewRegistry()
 	obs.SetDefault(reg)
 	defer obs.SetDefault(nil)
@@ -40,10 +29,10 @@ func TestGoldenDigestsWithMetricsEnabled(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Label, err)
 		}
-		if got := reportDigest(t, rep); got != want[sc.Label] {
-			t.Errorf("%s: digest drifted with metrics enabled\n  got  %s\n  want %s\n"+
-				"the obs layer is observe-only: metric hooks must not consume "+
-				"engine RNG or reorder events", sc.Label, got, want[sc.Label])
+		if diff := checkGolden(t, sc.Label, rep); diff != "" {
+			t.Errorf("%s: report drifted with metrics enabled; the obs layer "+
+				"is observe-only: metric hooks must not consume engine RNG "+
+				"or reorder events\n%s", sc.Label, diff)
 		}
 	}
 
