@@ -51,11 +51,11 @@ func (s *Swarm) crashPeer(p *Peer) {
 		p.chokeTimer.Cancel()
 		p.chokeTimer = nil
 	}
-	snapshot := append(p.connScratch[:0], p.connList...)
-	p.connScratch = snapshot
+	snapshot := s.pushConns(p.connList)
 	for _, c := range snapshot {
 		s.disconnect(p, c.mirror.owner)
 	}
+	s.popConns(snapshot)
 	s.trk.Remove(p.id)
 	s.globalAvail.RemovePeer(p.have)
 	// Partial pieces die with the process: blocks already fetched for

@@ -25,6 +25,11 @@ import (
 // checkInvariants audits the swarm; see the file comment for the
 // full/sampled split. It panics on the first violation found.
 func (s *Swarm) checkInvariants(full bool) {
+	// The checker runs between walks, so every peer-set snapshot has
+	// been popped.
+	if len(s.connWalks) != 0 {
+		panic(fmt.Sprintf("swarm invariant: %d conns left on the walk stack", len(s.connWalks)))
+	}
 	ids := make([]core.PeerID, 0, len(s.peers))
 	for id := range s.peers {
 		ids = append(ids, id)

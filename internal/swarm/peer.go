@@ -159,11 +159,9 @@ type Peer struct {
 	chokeTimer     *sim.Timer
 	nextAnnounceOK float64
 
-	// Steady-state scratch reused across events so rounds allocate
-	// nothing: the completion/teardown connection snapshot and the picker
-	// state.
-	connScratch []*conn
-	pickState   core.PickState
+	// pickState is the picker state, reused across requests so they
+	// allocate nothing.
+	pickState core.PickState
 
 	// The events the engine fires for this peer (see peerEvent).
 	chokeEv  peerEvent
@@ -594,11 +592,7 @@ func (p *Peer) completePiece(idx int) {
 	p.s.globalAvail.Inc(idx)
 	// Snapshot: interest updates may trigger requests but never
 	// connect/disconnect, so iterating a copy is about robustness only.
-	// The scratch buffer is reused across completions; no code path
-	// re-enters completePiece/becomeSeed/depart on the SAME peer while the
-	// walk runs (neighbour reactions never complete a piece synchronously).
-	snapshot := append(p.connScratch[:0], p.connList...)
-	p.connScratch = snapshot
+	snapshot := p.s.pushConns(p.connList)
 	for _, c := range snapshot {
 		if c.closed {
 			continue
@@ -622,6 +616,7 @@ func (p *Peer) completePiece(idx int) {
 		// The neighbour's picker may now find this piece fetchable from us.
 		n.maybeRequest(nc)
 	}
+	p.s.popConns(snapshot)
 	if p.have.Complete() {
 		p.becomeSeed()
 	}
@@ -642,8 +637,7 @@ func (p *Peer) becomeSeed() {
 	if p.isLocal {
 		s.col.LocalSeed(now)
 	}
-	snapshot := append(p.connScratch[:0], p.connList...)
-	p.connScratch = snapshot
+	snapshot := s.pushConns(p.connList)
 	for _, c := range snapshot {
 		// Abort any leftover end-game downloads.
 		p.cancelDownload(c, false)
@@ -657,6 +651,7 @@ func (p *Peer) becomeSeed() {
 			s.col.RemoteSeedStatus(int(p.id), now, true)
 		}
 	}
+	s.popConns(snapshot)
 	if !p.isLocal && !(p == s.initialSeed && s.cfg.KeepInitialSeed) && s.cfg.SeedLingerMean > 0 {
 		linger := s.eng.RNG().ExpFloat64() * s.cfg.SeedLingerMean
 		s.eng.AfterEvent(linger, &p.departEv)
@@ -673,11 +668,11 @@ func (p *Peer) depart() {
 	if p.chokeTimer != nil {
 		p.chokeTimer.Cancel()
 	}
-	snapshot := append(p.connScratch[:0], p.connList...)
-	p.connScratch = snapshot
+	snapshot := s.pushConns(p.connList)
 	for _, c := range snapshot {
 		s.disconnect(p, c.mirror.owner)
 	}
+	s.popConns(snapshot)
 	s.trk.Remove(p.id)
 	s.globalAvail.RemovePeer(p.have)
 }

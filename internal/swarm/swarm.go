@@ -73,6 +73,11 @@ type Swarm struct {
 	countSlab    []int
 	connListSlab []*conn
 
+	// connWalks stacks the peer-set snapshots of the walks in progress
+	// (see pushConns): a walk that starts inside another pushes above it,
+	// so the two never share storage.
+	connWalks []*conn
+
 	// announceBuf is the tracker-sample buffer announce reuses; nil while
 	// an announce holds it (see announce).
 	announceBuf []*Peer
@@ -565,6 +570,23 @@ func (s *Swarm) disconnect(a, b *Peer) {
 	// A cancelled in-flight piece is requestable again from other peers.
 	a.retryRequests()
 	b.retryRequests()
+}
+
+// pushConns copies list onto connWalks and returns the copy, for a walk
+// over a peer set that the walk itself may change (a disconnect removes
+// from connList). A walk inside the walk pushes its own copy above this
+// one; if that grows connWalks into a new array, this copy keeps the old
+// one, which nothing writes again. Each push is undone by popConns, in
+// reverse order, when its walk ends.
+func (s *Swarm) pushConns(list []*conn) []*conn {
+	base := len(s.connWalks)
+	s.connWalks = append(s.connWalks, list...)
+	return s.connWalks[base:len(s.connWalks):len(s.connWalks)]
+}
+
+// popConns ends the walk over snap, the top copy on connWalks.
+func (s *Swarm) popConns(snap []*conn) {
+	s.connWalks = s.connWalks[:len(s.connWalks)-len(snap)]
 }
 
 // connBlock is how many conns newConn carves from one allocation: 512
