@@ -690,19 +690,23 @@ func (c *Client) runChokeRound() {
 }
 
 // chokeSnapshot refills the client's snapshot buffer with one ChokePeer
-// per connection, in connection order, and returns it. RemotePieces is
-// the count of pieces the remote has advertised (0 before its bitfield
-// or first HAVE). The caller holds c.mu.
+// per interested connection, in connection order, and returns it: the
+// chokers read no other row (see core.Choker). RemotePieces is the count
+// of pieces the remote has advertised (0 before its bitfield or first
+// HAVE). The caller holds c.mu.
 func (c *Client) chokeSnapshot(now float64) []core.ChokePeer {
 	peers := c.chokeSnap[:0]
 	for _, pc := range c.connOrder {
+		if !pc.peerInterested {
+			continue
+		}
 		remotePieces := 0
 		if pc.haveBits != nil {
 			remotePieces = pc.haveBits.Count()
 		}
 		peers = append(peers, core.ChokePeer{
 			ID:             pc.id,
-			Interested:     pc.peerInterested,
+			Interested:     true,
 			Unchoked:       pc.amUnchoking,
 			DownloadRate:   pc.inEst.Rate(now),
 			UploadRate:     pc.outEst.Rate(now),

@@ -226,7 +226,8 @@ func TestProtocolKeepAliveIsHarmless(t *testing.T) {
 
 // TestChokeSnapshotCountsRemotePieces checks that the choke snapshot
 // carries each remote's advertised piece count (the newcomer boost reads
-// it): a peer that sent two HAVEs shows 2, a silent peer shows 0.
+// it): a peer that sent two HAVEs shows 2, a silent peer shows 0. Both
+// declare interest first, since the snapshot holds interested peers only.
 func TestChokeSnapshotCountsRemotePieces(t *testing.T) {
 	m, content := makeTorrent(t, 256<<10, "") // 4 pieces
 	seed, err := New(Options{Meta: m, Content: content})
@@ -239,9 +240,15 @@ func TestChokeSnapshotCountsRemotePieces(t *testing.T) {
 	t.Cleanup(seed.Stop)
 	silent := dialHandshakeAs(t, seed, m.InfoHash(), "-XX0001-silentsilent")
 	defer silent.Close()
+	if err := wire.NewEncoder(silent).Simple(wire.MsgInterested); err != nil {
+		t.Fatal(err)
+	}
 	talker := dialHandshakeAs(t, seed, m.InfoHash(), "-XX0001-talkertalker")
 	defer talker.Close()
 	enc := wire.NewEncoder(talker)
+	if err := enc.Simple(wire.MsgInterested); err != nil {
+		t.Fatal(err)
+	}
 	for _, piece := range []uint32{0, 2} {
 		if err := enc.Have(piece); err != nil {
 			t.Fatal(err)

@@ -1,10 +1,12 @@
 // Package rate implements the bandwidth measurement used by the choke
 // algorithm and the shaping used by the real client.
 //
-// Estimator reproduces the mainline 4.0.2 "Measure" class: an exponentially
-// ageing average over at most the last 20 s (DefaultMaxRatePeriod). The
-// paper's choke algorithm orders peers by exactly this estimate, so the
-// simulator and the real client share it.
+// Estimator is the mainline 4.0.2 "Measure" class's average over at most
+// the last 20 s (DefaultMaxRatePeriod), with one departure: reading a rate
+// writes nothing. Mainline folds a zero-byte update into every read, so
+// its estimate depends on who looked and when; here it is a function of
+// the bytes and the time only. The paper's choke algorithm orders peers by
+// this estimate, and the simulator and the real client share it.
 //
 // All timestamps are float64 seconds on an arbitrary monotonic clock; the
 // caller supplies "now" explicitly so that simulated and wall-clock time
@@ -19,8 +21,8 @@ const DefaultMaxRatePeriod = 20.0
 // Estimator measures a transfer rate the way mainline 4.0.2 does: each
 // update folds the new byte count into a running average whose memory is
 // capped at DefaultMaxRatePeriod seconds. The zero value is an unstarted
-// estimator, ready to use; the simulator embeds two per connection by
-// value, so the record is kept to four words.
+// estimator, ready to use; the simulator embeds one in each side of a
+// connection by value, so the record is kept to four words.
 type Estimator struct {
 	rateSince float64
 	last      float64
@@ -65,15 +67,20 @@ func (e *Estimator) Update(now float64, amount int64) {
 	}
 }
 
-// Rate returns the estimated rate in bytes/second at time now. As in the
-// mainline client, asking for the rate ages it (an idle peer's estimate
-// decays toward zero).
+// Rate returns the estimated rate in bytes/second at time now, and
+// changes nothing: it is the rate an Update(now, 0) would leave, the
+// window's bytes spread over the time since the window opened, so an idle
+// peer's estimate still decays toward zero. A time before the last update
+// reads as that update's time.
 func (e *Estimator) Rate(now float64) float64 {
 	if e.total == 0 {
 		return 0
 	}
-	e.Update(now, 0)
-	return e.rate
+	if now < e.last {
+		now = e.last // after the first byte, rateSince < last <= now
+	}
+	// float64(...) rounds the product, as in Update (scripts/fused_float.sh).
+	return float64(e.rate*(e.last-e.rateSince)) / (now - e.rateSince)
 }
 
 // Total returns the total bytes observed.

@@ -87,6 +87,28 @@ func TestEstimatorDefaultWindow(t *testing.T) {
 	}
 }
 
+// TestRateIsPure: reading a rate writes nothing. Two reads at one instant
+// return the same value and leave the record bit-identical, and the value
+// is what the estimator holds after an Update(now, 0) on a copy.
+func TestRateIsPure(t *testing.T) {
+	var e Estimator
+	e.Update(0, 5000)
+	e.Update(3, 20000)
+	e.Update(7.5, 100)
+	for _, now := range []float64{7.5, 8, 10, 27.5, 40, 300} {
+		before := e
+		a, b := e.Rate(now), e.Rate(now)
+		if a != b || e != before {
+			t.Fatalf("at %v: reads %v then %v, record %+v then %+v", now, a, b, before, e)
+		}
+		aged := e
+		aged.Update(now, 0)
+		if a != aged.rate {
+			t.Fatalf("at %v: Rate %v, Update(now, 0) leaves %v", now, a, aged.rate)
+		}
+	}
+}
+
 // TestEstimatorZeroValueMatchesNew: a zero Estimator and NewEstimator(0)
 // report the same Rate and Total over one fixed sequence.
 func TestEstimatorZeroValueMatchesNew(t *testing.T) {

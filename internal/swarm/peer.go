@@ -10,22 +10,23 @@ import (
 )
 
 // conn is one peer's directed view of a connection: the owner's interest
-// and unchoke toward the remote, rate estimators (which also count the
-// bytes) and the owner's active download. Both endpoints hold their own
-// conn for the pair and reach each other through mirror, and each fact
-// has one writer: what the remote does toward the owner (its interest,
-// its unchoke, its download from the owner) is read from mirror, never
-// copied, since control messages are instantaneous in the model. Conns
-// are carved from connBlock-sized blocks (see Swarm.newConn), and the
-// record is kept to 144 bytes (TestConnRecordSize).
+// and unchoke toward the remote, and the owner's download from the remote
+// with its rate estimator (which also counts the bytes). Both endpoints
+// hold their own conn for the pair and reach each other through mirror,
+// and each fact has one writer: what the remote does toward the owner
+// (its interest, its unchoke, its download from the owner and that
+// download's rate) is read from mirror, never copied, since control
+// messages are instantaneous in the model. Conns are carved from
+// connBlock-sized blocks (see Swarm.newConn), and the record is kept to
+// 112 bytes (TestConnRecordSize).
 type conn struct {
 	owner *Peer
 
 	// mirror is the remote side's conn for the same pair, bound at connect
 	// time and kept until the conn is reclaimed: mirror.owner is the
 	// remote peer, mirror.amInterested its interest in the owner,
-	// mirror.amUnchoking its unchoke of the owner and mirror.inFlow the
-	// owner's upload to it.
+	// mirror.amUnchoking its unchoke of the owner, and mirror.inFlow and
+	// mirror.inEst the owner's upload to it.
 	mirror *conn
 
 	// gen stamps the connection (see Swarm.newConn): conns are recycled
@@ -57,8 +58,7 @@ type conn struct {
 	// choked to unchoked (new seed algorithm ordering).
 	lastUnchokedAt float64
 
-	inEst  rate.Estimator // rate and bytes owner receives from remote
-	outEst rate.Estimator // rate and bytes owner sends to remote
+	inEst rate.Estimator // rate and bytes owner receives from remote
 
 	// Active download (owner <- remote). flowBlock is the block within
 	// flowPiece on the local peer's block downloads (see flowRef).
@@ -421,10 +421,11 @@ func (p *Peer) requestBlock(c *conn) {
 	c.inFlow = s.net.StartFlow(u.node, p.node, bytes, c)
 }
 
-// settleDown credits in-flight download progress on conn c to both ends'
-// estimators and (when the local peer is involved) the collector. Called
-// at choke rounds and at flow completion/cancellation so rates are smooth
-// at any granularity.
+// settleDown credits in-flight download progress on conn c to its
+// estimator, which both ends read (the remote as mirror.inEst), and (when
+// the local peer is involved) to the collector. Called at the choke rounds
+// that read c's rates and at flow completion/cancellation, so rates are
+// smooth at any granularity.
 func (p *Peer) settleDown(c *conn) {
 	if c.inFlow == nil {
 		return
@@ -437,13 +438,6 @@ func (p *Peer) settleDown(c *conn) {
 	}
 	c.flowSettled += float64(delta)
 	c.inEst.Update(now, delta)
-	if !c.closed {
-		// The one write that crosses to the mirror: the remote's outEst
-		// copies this inEst, and stays a copy until reading a rate no
-		// longer ages the estimator (ROADMAP item 20), when each side can
-		// read the other's.
-		c.mirror.outEst.Update(now, delta)
-	}
 	if p.isLocal {
 		p.s.col.Downloaded(int(c.remoteID), now, delta)
 	}
@@ -717,8 +711,8 @@ func (p *Peer) chokeRound() {
 }
 
 // runChokeRound is one round's body. All working storage is the swarm's
-// snapshot buffer (chokeSnaps) and choke scratch: a steady-state round
-// performs no allocation.
+// snapshot and apply buffers (chokeSnaps, chokeApply) and choke scratch:
+// a steady-state round performs no allocation.
 func (p *Peer) runChokeRound() {
 	if len(p.connList) == 0 {
 		return
@@ -726,43 +720,51 @@ func (p *Peer) runChokeRound() {
 	p.s.metrics.chokeRounds.Inc()
 	s := p.s
 	now := s.eng.Now()
-	// Settle each connection's estimators before its row reads them, so
-	// rate ordering reflects in-flight progress. A row reads only c and
-	// c.mirror, which only these two settles write, so settling row by
-	// row matches settling every connection first. Rate ages the
-	// estimator, so every conn reads both rates, but only interested
-	// ones get a row: the chokers read no other (see core.Choker).
+	// Only interested conns get a row: the chokers read no other (see
+	// core.Choker). Each is settled both ways before its row reads the
+	// two rates, so rate ordering reflects in-flight progress; a row reads
+	// only c and c.mirror, which only these two settles write, so settling
+	// row by row matches settling every row first. Reading a rate changes
+	// nothing, so an uninterested conn is neither settled nor read.
 	peers := s.chokeSnaps[:0]
+	apply := s.chokeApply[:0]
 	for _, c := range p.connList {
 		rc := c.mirror
+		if !rc.amInterested {
+			// Not in the choker's unchoke set, so only an unchoked conn
+			// can change: it is choked.
+			if c.amUnchoking {
+				apply = append(apply, c)
+			}
+			continue
+		}
+		apply = append(apply, c)
 		p.settleDown(c)
 		if !c.closed && rc.inFlow != nil {
 			rc.owner.settleDown(rc)
-		}
-		down, up := c.inEst.Rate(now), c.outEst.Rate(now)
-		if !rc.amInterested {
-			continue
 		}
 		peers = append(peers, core.ChokePeer{
 			ID:             c.remoteID,
 			Interested:     true,
 			Unchoked:       c.amUnchoking,
-			DownloadRate:   down,
-			UploadRate:     up,
+			DownloadRate:   c.inEst.Rate(now),
+			UploadRate:     rc.inEst.Rate(now),
 			LastUnchoked:   c.lastUnchokedAt,
-			UploadedTo:     c.outEst.Total(),
+			UploadedTo:     rc.inEst.Total(),
 			DownloadedFrom: c.inEst.Total(),
 			RemotePieces:   rc.owner.shownBits().Count(),
 		})
 	}
-	s.chokeSnaps = peers
+	s.chokeSnaps, s.chokeApply = peers, apply
 	choker := p.chokerL
 	if p.seed || p.advLiar {
 		// Liars pose as seeds, so they run the seed unchoke policy too.
 		choker = p.chokerS
 	}
 	unchoke := choker.Round(now, peers, s.eng.RNG())
-	for _, c := range p.connList {
+	// applyChoke(c, false) on a choked conn is a no-op, so applying only
+	// the conns recorded above, in connList order, is the full apply.
+	for _, c := range apply {
 		p.applyChoke(c, containsPeerID(unchoke, c.remoteID))
 	}
 }

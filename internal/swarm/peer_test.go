@@ -94,20 +94,24 @@ func TestUnchokeTriggersTransferAndConservesBytes(t *testing.T) {
 	// One 64 kB piece at 64 kB/s: done at ~1 s. Stop mid-download: once
 	// the leecher completes it tears the connection down, and a closed
 	// conn is recycled after its event.
-	s.eng.Run(8)
+	s.eng.Run(8.5)
 	if leech.connTo(seed) != lc {
 		t.Fatal("the connection closed before the check")
 	}
 	if leech.downloaded == 0 {
 		t.Fatal("no pieces downloaded")
 	}
-	// Byte accounting symmetric at both endpoints.
-	if in, out := lc.inEst.Total(), c.outEst.Total(); in != out {
-		t.Fatalf("downloaded %d != uploaded %d", in, out)
+	// One record counts the bytes for both endpoints: the seed's upload is
+	// its mirror's download. Settled, it holds every finished piece plus
+	// the progress of the one in flight, each byte once.
+	if c.mirror != lc {
+		t.Fatal("the seed does not read its upload from the leecher's side")
 	}
-	wantMin := int64(leech.downloaded) * int64(s.cfg.PieceSize)
-	if lc.inEst.Total() < wantMin {
-		t.Fatalf("accounted %d bytes for %d pieces", lc.inEst.Total(), leech.downloaded)
+	leech.settleDown(lc)
+	want := int64(leech.downloaded)*int64(s.cfg.PieceSize) + int64(lc.flowSettled)
+	if got := lc.inEst.Total(); got != want || lc.flowSettled <= 0 {
+		t.Fatalf("accounted %d bytes for %d pieces and %.0f in flight, want %d",
+			got, leech.downloaded, lc.flowSettled, want)
 	}
 }
 
@@ -375,11 +379,11 @@ func TestNewConnZeroAllocWhenWarm(t *testing.T) {
 }
 
 // TestConnRecordSize pins the conn layout: conns are carved from blocks
-// of connBlock, and 512 144-byte conns fill nine 8 KiB pages exactly; a
+// of connBlock, and 512 112-byte conns fill seven 8 KiB pages exactly; a
 // block that is not whole pages gives the rest back to rounding.
 func TestConnRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(conn{}); got > 144 {
-		t.Fatalf("conn is %d bytes, want at most 144", got)
+	if got := unsafe.Sizeof(conn{}); got > 112 {
+		t.Fatalf("conn is %d bytes, want at most 112", got)
 	}
 	if block := connBlock * unsafe.Sizeof(conn{}); block%8192 != 0 {
 		t.Fatalf("a %d-conn block is %d bytes, not whole 8 KiB pages", connBlock, block)

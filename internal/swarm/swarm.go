@@ -37,11 +37,13 @@ type Swarm struct {
 	availCache []int
 
 	// chokeSnaps is the ChokePeer snapshot buffer every choke round
-	// refills. A snapshot is dead once the choker's Round returns, so one
-	// buffer serves the whole swarm. chokeScratch is the working storage
+	// refills, and chokeApply the round's conns whose choke state can
+	// change. A snapshot is dead once the round is applied, so one buffer
+	// of each serves the whole swarm. chokeScratch is the working storage
 	// of every choker newChokers builds, for the same reason: rounds never
 	// overlap, and each is applied before the next one runs.
 	chokeSnaps   []core.ChokePeer
+	chokeApply   []*conn
 	chokeScratch core.ChokeScratch
 
 	// seedServeCount[i] counts initial-seed serve STARTS of piece i; it
@@ -590,10 +592,8 @@ func (s *Swarm) popConns(snap []*conn) {
 }
 
 // connBlock is how many conns newConn carves from one allocation: 512
-// 144-byte conns fill nine 8 KiB pages exactly, so a block wastes no
-// size-class rounding (TestConnRecordSize). 256 would round 36 864 bytes
-// up to 40 960, and 128 (the 18 432-byte size class) costs sim-flashcrowd
-// a fifth more allocations.
+// 112-byte conns fill seven 8 KiB pages exactly, so a block wastes no
+// size-class rounding (TestConnRecordSize).
 const connBlock = 512
 
 // newConn returns a conn for connectNow to initialise: a recycled one

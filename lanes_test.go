@@ -18,11 +18,11 @@ func TestChokeLanesParallelMatchesSerial(t *testing.T) {
 		want string
 	}{
 		{Scenario{Label: "lanes-steady-t7", TorrentID: 7, Scale: BenchScale(), ChokeLanes: true, SeedOverride: 5},
-			"3af2f9e4d7364c39d9bd94676132ff2ebaed14739050ab525ec5c383177667f9"},
+			"37686119256d6c298a96e48412b0019832a80207b99606a12e91516e4b529c3a"},
 		{Scenario{Label: "lanes-freeride-t14", TorrentID: 14, Scale: BenchScale(), ChokeLanes: true, FreeRiderFraction: 0.2, SeedOverride: 6},
-			"776925f00c2e73dda9f3f85b904cadcd0df9b198ff143a2d88d2808dfc0fac5a"},
+			"2f85ea4c3c0e840be065ffe95ac65beb1884fd33b1cc08d8e288fc01cff3336d"},
 		{Scenario{Label: "lanes-barrier-t7", TorrentID: 7, Scale: Scale{MaxPeers: 300, MaxContentMB: 16, MaxPieces: 64, Duration: 600, Warmup: 300, Seed: 42}, ChokeLanes: true, SeedOverride: 12},
-			"2b121f28a0661bbe5754c2b9b9d681bc9a5131d803782089a3c77a737e8b79c6"},
+			"f3c9df9a19ebd002e43b55a7eb18f34539577e5bd739fc6d9deaf1e7fdcf30ed"},
 	} {
 		if got, _ := retimeReport(t, c.sc); got != c.want {
 			t.Errorf("%s: lane digest %s, want %s", c.sc.Label, got, c.want)

@@ -40,7 +40,7 @@ func TestRetimeFlushParallelMatchesSerial(t *testing.T) {
 		SeedOverride: 11,
 	}
 	got, rep := retimeReport(t, sc)
-	if want := "e12f315e2c26b24d5b8c71b61f2ee8fb876beea5e336846db4cbd54b26cb6e1d"; got != want {
+	if want := "2b9a1abeeebd8297f00f667f7455132363fa20007e919a48c3d880ca774df780"; got != want {
 		t.Errorf("lane digest %s, want %s", got, want)
 	}
 	// The run must actually have re-timed flows, or the test proves

@@ -41,7 +41,7 @@ func TestShardedRunMatchesUnsharded(t *testing.T) {
 		ChokeLanes:   true,
 		SeedOverride: 11,
 	}
-	const want = "58bcd6a19e08a41ee667b22e126c69354d67902271ab10a5aa77c3392dc0c741"
+	const want = "29c6ad7388b79936244bcf3e62c30aed70a5289d1c0f0043677cae5e0fe9c8a6"
 	for _, shards := range []int{0, 32} {
 		sc := base
 		sc.HeapShards = shards
@@ -74,7 +74,7 @@ func TestHeapShardParallelMatchesSerial(t *testing.T) {
 		SeedOverride: 11,
 	}
 	got, rep := retimeReport(t, sc)
-	if want := "3ff3118c7e09733c91b06704ebad678b3855c813e0b4658ad3454a976987234d"; got != want {
+	if want := "d60ee1109fdb29bf410f8563a1ea0e389ac47acecb5dbf87b816374e4a0c6af5"; got != want {
 		t.Errorf("all-modes digest %s, want %s", got, want)
 	}
 	plain := sc
